@@ -107,10 +107,7 @@ def _resolve_triplet(g, spec: str):
 
 def _cmd_plan(args) -> int:
     g = parse_graph(_read(args.graph))
-    opts = PlanOptions(
-        triplet=_resolve_triplet(g, args.triplet) if args.triplet else None,
-        trace=args.trace,
-    )
+    opts = PlanOptions(triplet=_resolve_triplet(g, args.triplet) if args.triplet else None)
     result = plan(g, opts)
     if not result.ok:
         if args.format == "json":

@@ -50,22 +50,15 @@ class FlipRecord:
 
 
 @dataclass
-class FlipTree:
-    events: list[tuple] = field(default_factory=list)
-
-
-@dataclass
 class FlipWorklist:
     stack: list[WorkItem] = field(default_factory=list)
     trace: list[FlipRecord] = field(default_factory=list)
-    tree: FlipTree = field(default_factory=FlipTree)
 
 
 @dataclass(frozen=True)
 class NormalizeReport:
     trace: tuple[FlipRecord, ...]
     passes: int
-    tree: FlipTree
 
     @property
     def rotations(self) -> int:
@@ -133,14 +126,12 @@ def advance(r: Rel, wl: FlipWorklist):
             raise OracleViolation(f"unflippable chain edge ({item.x},{item.y})") from exc
         wl.stack.pop()
         wl.trace.append(FlipRecord("flip", (item.x, item.y)))
-        wl.tree.events.append(("pop", item.edge))
         return ("Flipped", (item.x, item.y))
     child = WorkItem(z, item.y, item.x) if case == "case-b" else WorkItem(item.x, z, item.y)
     matches = [i for i, it in enumerate(wl.stack) if it.edge == child.edge]
     if matches:
         return ("Repeat", matches[-1], child)
     wl.stack.append(child)
-    wl.tree.events.append(("push", item.edge, child.edge, case))
     return ("Descend", child)
 
 
@@ -170,7 +161,6 @@ def resolve_repeat(r: Rel, wl: FlipWorklist, j: int, child: WorkItem) -> None:
     if mode == "empty":
         raise CycleNotFound(f"cycle {w} encloses no faces")
     wl.trace.append(FlipRecord("rotate", (w, mode)))
-    wl.tree.events.append(("rotate", w, mode))
     del wl.stack[j:]
     if wl.stack:
         top = wl.stack[-1]
@@ -221,7 +211,7 @@ def normalize_labels(r: Rel, triplet: Triplet, ne: VertexId) -> NormalizeReport:
     while True:
         tgt = pick_first_edge(r, triplet, ne)
         if tgt is None:
-            return NormalizeReport(trace=tuple(wl.trace), passes=passes, tree=wl.tree)
+            return NormalizeReport(trace=tuple(wl.trace), passes=passes)
         passes += 1
         if passes > budget:
             raise NormalizationFailed("normalization exceeded its pass budget")

@@ -1,10 +1,11 @@
 """Combinatorial embeddings of planar graphs and the PTPG validity checks.
 
 A graph is given by clockwise rotation lists plus the outer cycle in
-clockwise order.  Faces are recovered by the usual dart-walk: the dart
-(u, v) continues with (v, w) where w follows u in the rotation at v.
-With clockwise rotations this walks interior faces counterclockwise and
-the outer face clockwise.
+clockwise order.  Faces are recovered by the usual dart-walk
+(walk_darts): the dart (u, v) continues with (v, w) where w follows u in
+the rotation at v.  With clockwise rotations this walks interior faces
+counterclockwise and the outer face clockwise.  The same walk labels the
+wall segments of a floor plan (layout.rfp_from_rel).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 VertexId = int
 Edge = tuple[VertexId, VertexId]
+Dart = tuple[VertexId, VertexId]
 
 
 class InconsistentEmbedding(ValueError):
@@ -36,6 +38,38 @@ def rotate_min(seq: Sequence[VertexId]) -> tuple[VertexId, ...]:
 
 def cyclic_eq(a: Sequence[VertexId], b: Sequence[VertexId]) -> bool:
     return len(a) == len(b) and rotate_min(a) == rotate_min(b)
+
+
+def walk_darts(
+    rotation: Mapping[VertexId, Sequence[VertexId]],
+) -> tuple[list[list[VertexId]], dict[Dart, int]]:
+    """Every face walk of a rotation system and the face index of every dart.
+
+    Walks start at the first unvisited dart in vertex order and list the
+    tail of each dart.  The rotation must be symmetric.
+    """
+    succ: dict[Dart, Dart] = {}
+    for v, nbrs in rotation.items():
+        k = len(nbrs)
+        for i, u in enumerate(nbrs):
+            succ[(u, v)] = (v, nbrs[(i + 1) % k])
+    face: dict[Dart, int] = {}
+    walks: list[list[VertexId]] = []
+    for v0 in sorted(rotation):
+        for u0 in rotation[v0]:
+            dart = (v0, u0)
+            if dart in face:
+                continue
+            fi = len(walks)
+            walk: list[VertexId] = []
+            while dart not in face:
+                face[dart] = fi
+                walk.append(dart[0])
+                dart = succ[dart]
+            if dart != (v0, u0):
+                raise InconsistentEmbedding("face walk did not close")
+            walks.append(walk)
+    return walks, face
 
 
 @dataclass(frozen=True)
@@ -100,31 +134,12 @@ class EmbeddedGraph:
         return frozenset(edge_key(u, v) for u, nbrs in self.rotation.items() for v in nbrs)
 
     @cached_property
-    def _pos(self) -> dict[VertexId, dict[VertexId, int]]:
-        return {v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in self.rotation.items()}
-
-    def next_dart(self, u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
-        nbrs = self.rotation[v]
-        return v, nbrs[(self._pos[v][u] + 1) % len(nbrs)]
+    def _walk(self) -> tuple[list[list[VertexId]], dict[Dart, int]]:
+        return walk_darts(self.rotation)
 
     @cached_property
     def faces(self) -> tuple[tuple[VertexId, ...], ...]:
-        seen: set[tuple[VertexId, VertexId]] = set()
-        out: list[tuple[VertexId, ...]] = []
-        for v0, nbrs in sorted(self.rotation.items()):
-            for u0 in nbrs:
-                if (v0, u0) in seen:
-                    continue
-                walk: list[VertexId] = []
-                u, v = v0, u0
-                while (u, v) not in seen:
-                    seen.add((u, v))
-                    walk.append(u)
-                    u, v = self.next_dart(u, v)
-                if (u, v) != (v0, u0):
-                    raise InconsistentEmbedding("face walk did not close")
-                out.append(rotate_min(walk))
-        return tuple(out)
+        return tuple(rotate_min(walk) for walk in self._walk[0])
 
     @cached_property
     def outer_face_index(self) -> int:
@@ -139,14 +154,9 @@ class EmbeddedGraph:
         return tuple(f for i, f in enumerate(self.faces) if i != k)
 
     @cached_property
-    def dart_face(self) -> dict[tuple[VertexId, VertexId], int]:
+    def dart_face(self) -> dict[Dart, int]:
         """Face index on the left of each dart walk (trace containing the dart)."""
-        idx: dict[tuple[VertexId, VertexId], int] = {}
-        for fi, face in enumerate(self.faces):
-            k = len(face)
-            for i in range(k):
-                idx[(face[i], face[(i + 1) % k])] = fi
-        return idx
+        return self._walk[1]
 
     def degree(self, v: VertexId) -> int:
         return len(self.rotation[v])
@@ -158,11 +168,6 @@ class EmbeddedGraph:
     @cached_property
     def outer_pos(self) -> dict[VertexId, int]:
         return {v: i for i, v in enumerate(self.outer)}
-
-
-def trace_faces(g: EmbeddedGraph) -> tuple[tuple[tuple[VertexId, ...], ...], int]:
-    """All face walks of the embedding plus the index of the outer face."""
-    return g.faces, g.outer_face_index
 
 
 def common_neighbors(g: EmbeddedGraph, u: VertexId, v: VertexId) -> tuple[VertexId, ...]:

@@ -1,27 +1,47 @@
-"""Rectangular floor plans from regular edge labelings.
+"""Rectangular floor plans from regular edge labelings, and plan geometry.
 
 Every interior vertex becomes an axis-aligned rectangle.  The wall
 segments of the plan correspond to faces of the two color subgraphs:
 faces of the T2 subgraph are the horizontal segments, faces of the T1
-subgraph the vertical ones.  A module's bottom wall is the T2 face
-entered just after its last outgoing T2 edge, its top wall the face
-after its last incoming T2 edge; left and right walls come from the
-T1 subgraph the same way.  Coordinates are longest-path depths of
-those segment nodes, which yields the unique compact integer drawing.
+subgraph the vertical ones, and the shared dart walk (graph.walk_darts)
+labels every dart of a subgraph with its face in one pass.  A module's
+bottom wall is the T2 face entered just after its last outgoing T2
+edge, its top wall the face after its last incoming T2 edge; left and
+right walls come from the T1 subgraph the same way.  Coordinates are
+longest-path depths of those segment nodes, which yields the unique
+compact integer drawing.
+
+All geometry of a drawn plan comes from one sweep over its wall lines,
+which yields every elementary wall stretch with the module on each side
+of it (_stretches).  The number of modules covering a point changes
+only across a stretch with a module on one side, and by one, and the
+boundary of each level set of that count closes into cycles of its own.
+So when no stretch has two modules on one side and all one-sided
+stretches close into a single cycle through distinct points, only one
+level set has a boundary: the count is 0 outside the cycle and, as it
+cannot be negative, 1 inside, and the modules tile the region the cycle
+bounds.  rfp_from_rel requires that region to be the bounding box;
+plan_outline, profile_from_outline and dual_graph read the cycle and
+the two-sided stretches.  No cell grid is built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import EmbeddedGraph, VertexId, edge_key, rotate_min
+from .graph import EmbeddedGraph, VertexId, edge_key, walk_darts
 from .rel import T1, T2, Rel
 
 FLOOR = "FLOOR"
 CEILING = "CEILING"
 WEST = "WEST"
 EAST = "EAST"
+
+
+# (axis, line coordinate, start, end, module below or left, module above or right)
+Stretch = tuple[str, int, int, int, VertexId | None, VertexId | None]
 
 
 class NotCornerModule(ValueError):
@@ -87,62 +107,40 @@ def _sub_rotation(r: Rel, color: str) -> dict[VertexId, tuple[VertexId, ...]]:
     return out
 
 
-def _face_from_dart(rot: dict[VertexId, tuple[VertexId, ...]], u: VertexId, v: VertexId):
-    start = (u, v)
-    cur = start
-    walk = []
-    limit = 2 * sum(len(ns) for ns in rot.values()) + 2
-    while True:
-        walk.append(cur)
-        a, b = cur
-        ring = rot[b]
-        nxt = ring[(ring.index(a) + 1) % len(ring)]
-        cur = (b, nxt)
-        if cur == start:
-            return rotate_min(tuple(walk))
-        if len(walk) > limit:
-            raise ValueError("segment face walk does not close")
-
-
-def _last_of_block(r: Rel, v: VertexId, block: str) -> VertexId:
+def _block_ends(r: Rel, v: VertexId) -> dict[str, VertexId]:
+    """Last neighbor, clockwise, of each block (T1out, T2in, ...) around v."""
     ring = r.graph.rotation[v]
     states = []
     for u in ring:
         e = edge_key(u, v)
-        tail, _ = r.orient[e]
-        states.append(r.color[e] + ("out" if tail == v else "in"))
-    d = len(ring)
-    for i in range(d):
-        if states[i] == block and states[(i + 1) % d] != block:
-            return ring[i]
-    raise ValueError(f"vertex {v} has no {block} edge")
+        states.append(r.color[e] + ("out" if r.orient[e][0] == v else "in"))
+    ends: dict[str, VertexId] = {}
+    for i, u in enumerate(ring):
+        if states[i] != states[(i + 1) % len(ring)]:
+            ends.setdefault(states[i], u)
+    return ends
 
 
 def _longest_paths(edges: list[tuple[object, object]], source: object) -> dict[object, int]:
-    incoming: dict[object, list[object]] = {}
-    nodes = {source}
+    """Depth of every node below the sources of a DAG, in Kahn's topological order."""
+    succ: dict[object, list[object]] = {source: []}
+    indeg: dict[object, int] = {source: 0}
     for u, v in edges:
-        incoming.setdefault(v, []).append(u)
-        nodes.add(u)
-        nodes.add(v)
-    depth: dict[object, int] = {}
-    state: dict[object, int] = {}
-
-    def visit(n) -> int:
-        if n in depth:
-            return depth[n]
-        if state.get(n) == 1:
-            raise ValueError("segment graph has a cycle")
-        state[n] = 1
-        best = 0
-        for u in incoming.get(n, ()):
-            best = max(best, visit(u) + 1)
-        state[n] = 2
-        depth[n] = best
-        return best
-
-    for n in nodes:
-        visit(n)
+        succ.setdefault(u, []).append(v)
+        succ.setdefault(v, [])
+        indeg.setdefault(u, 0)
+        indeg[v] = indeg.get(v, 0) + 1
+    order = [n for n, k in indeg.items() if k == 0]
+    depth = dict.fromkeys(order, 0)
+    for u in order:
+        for v in succ[u]:
+            if depth.get(v, -1) <= depth[u]:
+                depth[v] = depth[u] + 1
+            indeg[v] -= 1
+            if not indeg[v]:
+                order.append(v)
+    if len(order) != len(indeg):
+        raise ValueError("segment graph has a cycle")
     return depth
 
 
@@ -151,8 +149,8 @@ def rfp_from_rel(r: Rel) -> FloorPlan:
     pn, pe, ps, pw = (r.poles[k] for k in ("N", "E", "S", "W"))
     pole_set = {pn, pe, ps, pw}
     modules = [v for v in g.vertices if v not in pole_set]
-    d1 = _sub_rotation(r, T1)
-    d2 = _sub_rotation(r, T2)
+    _, f1 = walk_darts(_sub_rotation(r, T1))
+    _, f2 = walk_darts(_sub_rotation(r, T2))
 
     bottom: dict[VertexId, object] = {}
     top: dict[VertexId, object] = {}
@@ -160,10 +158,14 @@ def rfp_from_rel(r: Rel) -> FloorPlan:
     right: dict[VertexId, object] = {}
     for v in modules:
         adj = g.adj[v]
-        bottom[v] = FLOOR if ps in adj else _face_from_dart(d2, _last_of_block(r, v, "T2out"), v)
-        top[v] = CEILING if pn in adj else _face_from_dart(d2, _last_of_block(r, v, "T2in"), v)
-        left[v] = WEST if pw in adj else _face_from_dart(d1, _last_of_block(r, v, "T1in"), v)
-        right[v] = EAST if pe in adj else _face_from_dart(d1, _last_of_block(r, v, "T1out"), v)
+        ends = _block_ends(r, v)
+        try:
+            bottom[v] = FLOOR if ps in adj else f2[(ends["T2out"], v)]
+            top[v] = CEILING if pn in adj else f2[(ends["T2in"], v)]
+            left[v] = WEST if pw in adj else f1[(ends["T1in"], v)]
+            right[v] = EAST if pe in adj else f1[(ends["T1out"], v)]
+        except KeyError as exc:
+            raise ValueError(f"vertex {v} has no {exc.args[0]} edge") from None
 
     # Module thickness alone leaves side-by-side walls free to align into a
     # cross, losing the contact; adjacent pairs must overlap across the wall.
@@ -185,36 +187,100 @@ def rfp_from_rel(r: Rel) -> FloorPlan:
     }
     width = max(xs[right[v]] for v in modules)
     height = max(ys[top[v]] for v in modules)
-    for v, rc in rects.items():
-        if not (0 <= rc.x1 < rc.x2 <= width and 0 <= rc.y1 < rc.y2 <= height):
-            raise ValueError(f"module {v} has a degenerate rectangle {rc}")
     fp = FloorPlan(
         rects=rects,
         width=width,
         height=height,
         labels={v: g.labels[v] for v in modules if v in g.labels},
     )
-    _paint(fp, require_full=True)
+    if plan_outline(fp) != ((0, height), (width, height), (width, 0), (0, 0)):
+        raise ValueError("modules do not tile their bounding box")
     return fp
 
 
-def _paint(fp: FloorPlan, require_full: bool) -> list[list[VertexId | None]]:
-    """Unit-cell ownership grid; checks exact cover of the bounding box."""
-    grid: list[list[VertexId | None]] = [
-        [None] * fp.height for _ in range(fp.width)
-    ]
-    for v, rc in fp.rects.items():
-        for x in range(rc.x1, rc.x2):
-            for y in range(rc.y1, rc.y2):
-                if grid[x][y] is not None:
-                    raise ValueError(f"modules {grid[x][y]} and {v} overlap at cell {(x, y)}")
-                grid[x][y] = v
-    if require_full:
-        for x in range(fp.width):
-            for y in range(fp.height):
-                if grid[x][y] is None:
-                    raise ValueError(f"cell {(x, y)} is uncovered")
-    return grid
+# -- the wall sweep ----------------------------------------------------------
+
+
+def _stretches(rects: Mapping[VertexId, Rect]) -> list[Stretch]:
+    """Elementary wall stretches, line by line and in order along each line.
+
+    A stretch (axis, c, a, b, low, high) lies on the line axis=c: on y=c
+    from x=a to x=b, or on x=c from y=a to y=b.  low is the module below
+    or left of it, high the one above or right of it, and either may be
+    None.  Raises ValueError where two modules share a side of a stretch,
+    which is an overlap.
+    """
+    lines: dict[tuple[str, int], list[tuple[int, int, int, VertexId]]] = {}
+    for v, rc in rects.items():
+        if rc.x1 >= rc.x2 or rc.y1 >= rc.y2:
+            raise ValueError(f"module {v} has a degenerate rectangle {rc}")
+        for key, a, b, side in (
+            (("y", rc.y1), rc.x1, rc.x2, 1),
+            (("y", rc.y2), rc.x1, rc.x2, 0),
+            (("x", rc.x1), rc.y1, rc.y2, 1),
+            (("x", rc.x2), rc.y1, rc.y2, 0),
+        ):
+            events = lines.setdefault(key, [])
+            events.append((a, 1, side, v))
+            events.append((b, 0, side, v))
+    out: list[Stretch] = []
+    for (axis, c), events in sorted(lines.items()):
+        events.sort()
+        lows: list[VertexId] = []
+        highs: list[VertexId] = []
+        prev = events[0][0]
+        for pos, starts, side, v in events:
+            if pos != prev and (lows or highs):
+                if len(lows) > 1 or len(highs) > 1:
+                    pair = lows if len(lows) > 1 else highs
+                    raise ValueError(f"modules {pair[0]} and {pair[1]} overlap along {axis}={c}")
+                out.append((axis, c, prev, pos, lows[0] if lows else None, highs[0] if highs else None))
+            owners = highs if side else lows
+            if starts:
+                owners.append(v)
+            else:
+                owners.remove(v)
+            prev = pos
+    return out
+
+
+# (axis, module above or right) -> heading that keeps the module on the right
+_HEADINGS = {("y", False): "E", ("y", True): "W", ("x", False): "S", ("x", True): "N"}
+
+
+def _outline(walls: list[Stretch]) -> list[tuple[tuple[int, int], str, VertexId]]:
+    """The one-sided stretches as one clockwise cycle of (start, heading, owner).
+
+    Each stretch is directed with its module on the right, and the cycle
+    starts at the top-left point.  Raises ValueError unless the stretches
+    close into exactly one cycle through distinct points.
+    """
+    nxt: dict[tuple[int, int], tuple[tuple[int, int], str, VertexId]] = {}
+    for axis, c, a, b, low, high in walls:
+        if (low is None) == (high is None):
+            continue
+        heading = _HEADINGS[axis, low is None]
+        p, q = (a, b) if heading in "EN" else (b, a)
+        p, q = ((p, c), (q, c)) if axis == "y" else ((c, p), (c, q))
+        if p in nxt:
+            raise ValueError(f"the covered region touches itself at point {p}")
+        nxt[p] = (q, heading, low if high is None else high)
+    if not nxt:
+        raise ValueError("empty plan")
+    start = min(nxt, key=lambda p: (-p[1], p[0]))
+    steps = []
+    p = start
+    while True:
+        if p not in nxt:
+            raise ValueError(f"the outline breaks off at point {p}")
+        q, heading, owner = nxt.pop(p)
+        steps.append((p, heading, owner))
+        p = q
+        if p == start:
+            break
+    if nxt:
+        raise ValueError("the covered region has a hole or is not connected")
+    return steps
 
 
 # -- the corner notch --------------------------------------------------------
@@ -236,22 +302,21 @@ def remove_ne(fp: FloorPlan, ne: VertexId) -> tuple[FloorPlan, CornerProfile]:
 
 def profile_from_outline(fp: FloorPlan) -> CornerProfile:
     """Read the concave corner off a plan whose north-east notch is empty."""
-    grid = _paint(fp, require_full=False)
-    holes = [
-        (x, y)
-        for x in range(fp.width)
-        for y in range(fp.height)
-        if grid[x][y] is None
-    ]
-    if not holes:
+    W, H = fp.width, fp.height
+    corners = plan_outline(fp)
+    if corners == ((0, H), (W, H), (W, 0), (0, 0)):
         raise NotCornerModule("plan has no notch")
-    nx = min(x for x, _ in holes)
-    ny = min(y for _, y in holes)
-    notch = Rect(nx, ny, fp.width, fp.height)
-    want = {(x, y) for x in range(nx, fp.width) for y in range(ny, fp.height)}
-    if set(holes) != want:
+    nx = max((x for x, y in corners if y == H), default=0)
+    ny = max((y for x, y in corners if x == W), default=0)
+    if nx == 0:
+        want = ((0, ny), (W, ny), (W, 0), (0, 0))
+    elif ny == 0:
+        want = ((0, H), (nx, H), (nx, 0), (0, 0))
+    else:
+        want = ((0, H), (nx, H), (nx, ny), (W, ny), (W, 0), (0, 0))
+    if corners != want:
         raise NotCornerModule("uncovered cells are not a north-east rectangle")
-    return CornerProfile(nx=nx, ny=ny, notch=notch)
+    return CornerProfile(nx=nx, ny=ny, notch=Rect(nx, ny, W, H))
 
 
 def _share_wall(a: Rect, b: Rect) -> str | None:
@@ -316,141 +381,45 @@ def verify_nontrivial_L(fp: FloorPlan, profile: CornerProfile) -> NonTrivialityV
 
 def dual_graph(fp: FloorPlan) -> EmbeddedGraph:
     """Adjacency-of-modules graph with the embedding read off the drawing."""
-    grid = _paint(fp, require_full=False)
+    walls = _stretches(fp.rects)
     # A lattice point where four distinct modules meet leaves the diagonal
     # contacts undecidable.
-    for x in range(1, fp.width):
-        for y in range(1, fp.height):
-            owners = {
-                grid[x - 1][y - 1],
-                grid[x][y - 1],
-                grid[x - 1][y],
-                grid[x][y],
-            }
-            owners.discard(None)
-            if len(owners) == 4:
-                raise PointContactAmbiguity(f"four modules meet at point {(x, y)}")
+    corners = Counter(
+        p
+        for rc in fp.rects.values()
+        for p in ((rc.x1, rc.y1), (rc.x1, rc.y2), (rc.x2, rc.y1), (rc.x2, rc.y2))
+    )
+    four = [p for p, k in corners.items() if k == 4]
+    if four:
+        raise PointContactAmbiguity(f"four modules meet at point {min(four)}")
 
-    items = sorted(fp.rects.items())
-    rotation: dict[VertexId, tuple[VertexId, ...]] = {}
-    for v, rc in items:
-        above = sorted(
-            (u for u, ru in items if u != v and ru.y1 == rc.y2 and _overlap(ru.x1, ru.x2, rc.x1, rc.x2)),
-            key=lambda u: fp.rects[u].x1,
-        )
-        rightn = sorted(
-            (u for u, ru in items if u != v and ru.x1 == rc.x2 and _overlap(ru.y1, ru.y2, rc.y1, rc.y2)),
-            key=lambda u: -fp.rects[u].y1,
-        )
-        below = sorted(
-            (u for u, ru in items if u != v and ru.y2 == rc.y1 and _overlap(ru.x1, ru.x2, rc.x1, rc.x2)),
-            key=lambda u: -fp.rects[u].x1,
-        )
-        leftn = sorted(
-            (u for u, ru in items if u != v and ru.x2 == rc.x1 and _overlap(ru.y1, ru.y2, rc.y1, rc.y2)),
-            key=lambda u: fp.rects[u].y1,
-        )
-        rotation[v] = tuple(above + rightn + below + leftn)
-
-    outer = _outline_modules(fp, grid)
-    return EmbeddedGraph(rotation=rotation, outer=outer, labels=dict(fp.labels))
-
-
-def _overlap(a1: int, a2: int, b1: int, b2: int) -> bool:
-    return min(a2, b2) - max(a1, b1) > 0
-
-
-def plan_outline(fp: FloorPlan) -> tuple[tuple[int, int], ...]:
-    """Corner points of the covered region, clockwise from its top-left."""
-    grid = _paint(fp, require_full=False)
-    pts = _boundary_walk(fp, grid)
-    corners = []
-    m = len(pts)
-    for i in range(m):
-        (x0, y0), (x1, y1), (x2, y2) = pts[i - 1], pts[i], pts[(i + 1) % m]
-        if (x1 - x0, y1 - y0) != (x2 - x1, y2 - y1):
-            corners.append(pts[i])
-    start = min(range(len(corners)), key=lambda i: (corners[i][0], -corners[i][1]))
-    return tuple(corners[start:] + corners[:start])
-
-
-def _covered(grid, x: int, y: int) -> VertexId | None:
-    if 0 <= x < len(grid) and 0 <= y < len(grid[0]):
-        return grid[x][y]
-    return None
-
-
-def _boundary_walk(fp: FloorPlan, grid) -> list[tuple[int, int]]:
-    """Lattice points around the covered region, clockwise."""
-    # Start at the top-left covered corner and keep the region on the right.
-    start = None
-    for y in range(fp.height - 1, -1, -1):
-        for x in range(fp.width):
-            if grid[x][y] is not None:
-                start = (x, y + 1)
-                break
-        if start:
-            break
-    if start is None:
-        raise ValueError("empty plan")
-    pts = [start]
-    pos = start
-    heading = (1, 0)  # eastwards along the top edge keeps the region right
-    while True:
-        x, y = pos
-        nxt = (x + heading[0], y + heading[1])
-        pts.append(nxt)
-        pos = nxt
-        if pos == start:
-            pts.pop()
-            return pts
-        x, y = pos
-        hx, hy = heading
-        # cells to the right and left of the incoming heading at this point
-        right_cell = {
-            (1, 0): (x, y - 1),
-            (-1, 0): (x - 1, y),
-            (0, 1): (x, y),
-            (0, -1): (x - 1, y - 1),
-        }[heading]
-        left_cell = {
-            (1, 0): (x, y),
-            (-1, 0): (x - 1, y - 1),
-            (0, 1): (x - 1, y),
-            (0, -1): (x, y - 1),
-        }[heading]
-        r_cov = _covered(grid, *right_cell) is not None
-        l_cov = _covered(grid, *left_cell) is not None
-        if r_cov and l_cov:
-            heading = (-hy, hx)  # concave corner: turn left
-        elif r_cov:
-            pass  # straight on
-        else:
-            heading = (hy, -hx)  # convex corner: turn right
-        if len(pts) > 4 * (fp.width + 2) * (fp.height + 2):
-            raise ValueError("boundary walk does not close")
-
-
-def _outline_modules(fp: FloorPlan, grid) -> tuple[VertexId, ...]:
-    pts = _boundary_walk(fp, grid)
-    owners: list[VertexId] = []
-    m = len(pts)
-    for i in range(m):
-        (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % m]
-        hx, hy = x1 - x0, y1 - y0
-        cell = {
-            (1, 0): (x0, y0 - 1),
-            (-1, 0): (x0 - 1, y0),
-            (0, 1): (x0, y0),
-            (0, -1): (x0 - 1, y0 - 1),
-        }[(hx, hy)]
-        v = _covered(grid, *cell)
-        if v is None:
-            raise ValueError("outline step without an owning module")
+    owners = []
+    for _, _, v in _outline(walls):
         if not owners or owners[-1] != v:
             owners.append(v)
     if len(owners) > 1 and owners[0] == owners[-1]:
         owners.pop()
     if len(set(owners)) != len(owners):
         raise PointContactAmbiguity("a module meets the outline on separated stretches")
-    return tuple(owners)
+
+    # Neighbors above, right, below and left of each module, in the order
+    # the sweep meets them: ascending x or y along each wall line.
+    sides: dict[VertexId, tuple[list[VertexId], ...]] = {v: ([], [], [], []) for v in fp.rects}
+    for axis, _, _, _, low, high in walls:
+        if low is not None and high is not None:
+            sides[low][0 if axis == "y" else 1].append(high)
+            sides[high][2 if axis == "y" else 3].append(low)
+    rotation: dict[VertexId, tuple[VertexId, ...]] = {}
+    for v in sorted(fp.rects):
+        above, rightn, below, leftn = sides[v]
+        ring = above + rightn[::-1] + below[::-1] + leftn  # clockwise from the top-left
+        rotation[v] = tuple(u for i, u in enumerate(ring) if i == 0 or ring[i - 1] != u)
+    return EmbeddedGraph(rotation=rotation, outer=tuple(owners), labels=dict(fp.labels))
+
+
+def plan_outline(fp: FloorPlan) -> tuple[tuple[int, int], ...]:
+    """Corner points of the covered region, clockwise from its top-left."""
+    steps = _outline(_stretches(fp.rects))
+    corners = [p for i, (p, heading, _) in enumerate(steps) if steps[i - 1][1] != heading]
+    start = min(range(len(corners)), key=lambda i: (corners[i][0], -corners[i][1]))
+    return tuple(corners[start:] + corners[:start])

@@ -174,24 +174,34 @@ def _cip_candidates(cip: Cip, triplet: Triplet) -> list[VertexId]:
 
 
 def _pad_multisets(scan: list[VertexId], counts: Counter, need: int):
-    """All ways to add `need` split instances, lexicographic in scan order."""
+    """All ways to add `need` split instances, lexicographic in scan order.
+
+    A vertex takes at most 2 - counts[v] instances, the larger takes
+    first; the search is iterative, so long boundaries cannot exhaust
+    the interpreter stack.
+    """
     budget = [2 - counts.get(v, 0) for v in scan]
-
-    def rec(i: int, left: int, acc: list[VertexId]):
-        if left == 0:
+    takes: list[int] = []  # instances taken at scan[0], scan[1], ...
+    acc: list[VertexId] = []
+    left = need
+    while True:
+        i = len(takes)
+        if left and i < len(scan) and budget[i] >= 0:
+            t = min(budget[i], left)
+            takes.append(t)
+            acc.extend([scan[i]] * t)
+            left -= t
+            continue
+        if not left:
             yield list(acc)
+        # Backtrack to the last position that can take one instance fewer.
+        while takes and not takes[-1]:
+            takes.pop()
+        if not takes:
             return
-        if i >= len(scan):
-            return
-        take_max = min(budget[i], left)
-        for t in range(take_max, -1, -1):
-            if t:
-                acc.extend([scan[i]] * t)
-            yield from rec(i + 1, left - t, acc)
-            if t:
-                del acc[len(acc) - t :]
-
-    yield from rec(0, need, [])
+        takes[-1] -= 1
+        acc.pop()
+        left += 1
 
 
 class _Defer(Exception):

@@ -43,6 +43,7 @@ from .paths import (
     EmbeddingConflict,
     Infeasible,
     PathSet,
+    _pad_multisets,
     augment_with_ne,
     completion_paths,
     four_completion,
@@ -62,7 +63,6 @@ class InvalidInput(ValueError):
 @dataclass(frozen=True)
 class PlanOptions:
     triplet: tuple[VertexId, VertexId, VertexId] | None = None
-    trace: bool = False
 
 
 @dataclass(frozen=True)
@@ -315,7 +315,7 @@ def rectangular_plan(g: EmbeddedGraph) -> RectResult:
             continue
         scan = list(g.outer)
         need = 4 - sum(base.values())
-        for extra in _fill(scan, base, need):
+        for extra in _pad_multisets(scan, base, need):
             budget -= 1
             if budget < 0:
                 return RectResult(outcome="Exhausted", graph=g, cips=cips, reason="search budget exhausted")
@@ -342,22 +342,3 @@ def rectangular_plan(g: EmbeddedGraph) -> RectResult:
                 outcome="Plan", graph=g, cips=cips, plan=fp, completion=ag, rel=rel
             )
     return RectResult(outcome="Exhausted", graph=g, cips=cips, reason=last_reason)
-
-
-def _fill(scan, counts: Counter, need: int):
-    budget = [2 - counts.get(v, 0) for v in scan]
-
-    def rec(i: int, left: int, acc: list):
-        if left == 0:
-            yield list(acc)
-            return
-        if i >= len(scan):
-            return
-        for t in range(min(budget[i], left), -1, -1):
-            if t:
-                acc.extend([scan[i]] * t)
-            yield from rec(i + 1, left - t, acc)
-            if t:
-                del acc[len(acc) - t :]
-
-    yield from rec(0, need, [])

@@ -159,14 +159,6 @@ def is_valid_rel(r: Rel) -> RelValidity:
     return RelValidity(True)
 
 
-def rel_debug_dump(r: Rel) -> str:
-    lines = []
-    for e in sorted(r.color):
-        tail, head = r.orient[e]
-        lines.append(f"{e[0]}-{e[1]} {r.color[e]} {tail}->{head}")
-    return "\n".join(lines)
-
-
 # -- construction ------------------------------------------------------------
 
 _NODE_CAP = 250000

@@ -11,7 +11,7 @@ from oracles import (
     no_overlaps,
 )
 
-from lplan import samples
+from lplan import layout, samples
 from lplan.graph import edge_key
 from lplan.layout import (
     CornerProfile,
@@ -166,3 +166,58 @@ def test_nontriviality_walk_on_the_pentagon():
     assert res.verdict.nontrivial
     assert res.verdict.walk == (1, 2, 3)
     assert res.verdict.witness == (1, 2, 3)
+
+
+def test_longest_paths_survive_a_deep_wall_chain():
+    # Listed sink first, the chain is 3000 walls deep from its source.
+    depth = layout._longest_paths([(i + 1, i) for i in range(3000)], 3000)
+    assert depth[3000] == 0 and depth[0] == 3000
+
+
+def test_longest_paths_reject_a_cycle():
+    with pytest.raises(ValueError):
+        layout._longest_paths([(1, 2), (2, 3), (3, 1), (0, 1)], 0)
+
+
+def test_modules_ringing_a_hole_are_rejected():
+    fp = FloorPlan(
+        rects={
+            1: Rect(0, 0, 2, 1),
+            2: Rect(2, 0, 3, 2),
+            3: Rect(1, 2, 3, 3),
+            4: Rect(0, 1, 1, 3),
+        },
+        width=3,
+        height=3,
+        labels={},
+    )
+    with pytest.raises(ValueError):
+        plan_outline(fp)
+    with pytest.raises(ValueError):
+        dual_graph(fp)
+
+
+def test_module_on_separated_outline_stretches_is_ambiguous():
+    # The middle strip meets the outline on the west and on the east side.
+    fp = FloorPlan(
+        rects={1: Rect(0, 0, 3, 1), 2: Rect(0, 1, 3, 2), 3: Rect(0, 2, 3, 3)},
+        width=3,
+        height=3,
+        labels={},
+    )
+    with pytest.raises(PointContactAmbiguity):
+        dual_graph(fp)
+
+
+def test_rect_extraction_rejects_an_uncovered_cell(monkeypatch):
+    # Draw module 3 of the pentagon one unit short: cell (4, 2) stays empty.
+    res = plan(samples.pentagon_with_pocket())
+    assert res.full_plan.rects[3] == Rect(4, 0, 5, 3)
+    drawn = layout.Rect
+
+    def short_three(x1, y1, x2, y2):
+        return drawn(x1, y1, x2, y2 - ((x1, y1, x2, y2) == (4, 0, 5, 3)))
+
+    monkeypatch.setattr(layout, "Rect", short_three)
+    with pytest.raises(ValueError):
+        rfp_from_rel(res.rel)

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from lplan.paths import (
     SHORTCUT_P5,
     EmbeddingConflict,
     Infeasible,
+    _pad_multisets,
     attach_outside,
     augment_with_ne,
     check_path_conditions,
@@ -166,3 +168,23 @@ def test_four_completion_requires_chained_paths():
     q1, q2, q3, q4 = completion_paths(ps, ne)
     with pytest.raises(EmbeddingConflict):
         four_completion(g2, (q1, q3, q2, q4), ne=ne)
+
+
+def test_pad_multisets_order_is_descending_takes_in_scan_order():
+    scan = [7, 3, 9, 4]
+    counts = Counter({3: 1, 4: 2})
+    caps = [2 - counts.get(v, 0) for v in scan]
+    want = [
+        [v for v, t in zip(scan, takes) for _ in range(t)]
+        for takes in sorted(itertools.product(*(range(c + 1) for c in caps)), reverse=True)
+        if sum(takes) == 3
+    ]
+    assert list(_pad_multisets(scan, counts, 3)) == want
+
+
+def test_pad_multisets_survives_a_long_scan():
+    # Every vertex but the last is already split twice, so the only
+    # choice sits 3000 positions deep.
+    scan = list(range(3000))
+    counts = Counter({v: 2 for v in scan[:-1]})
+    assert list(_pad_multisets(scan, counts, 1)) == [[2999]]
