@@ -22,13 +22,15 @@ level set has a boundary: the count is 0 outside the cycle and, as it
 cannot be negative, 1 inside, and the modules tile the region the cycle
 bounds.  rfp_from_rel requires that region to be the bounding box;
 plan_outline, profile_from_outline and dual_graph read the cycle and
-the two-sided stretches.  No cell grid is built.
+the two-sided stretches.  No cell grid is built, and a plan keeps its
+sweep (FloorPlan.walls), so plan_outline and dual_graph share it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .graph import EmbeddedGraph, VertexId, edge_key, walk_darts
@@ -77,6 +79,11 @@ class FloorPlan:
     width: int
     height: int
     labels: Mapping[VertexId, str]
+
+    @cached_property
+    def walls(self) -> list[Stretch]:
+        """The plan's elementary wall stretches (_stretches), swept on first use."""
+        return _stretches(self.rects)
 
 
 @dataclass(frozen=True)
@@ -381,7 +388,7 @@ def verify_nontrivial_L(fp: FloorPlan, profile: CornerProfile) -> NonTrivialityV
 
 def dual_graph(fp: FloorPlan) -> EmbeddedGraph:
     """Adjacency-of-modules graph with the embedding read off the drawing."""
-    walls = _stretches(fp.rects)
+    walls = fp.walls
     # A lattice point where four distinct modules meet leaves the diagonal
     # contacts undecidable.
     corners = Counter(
@@ -419,7 +426,7 @@ def dual_graph(fp: FloorPlan) -> EmbeddedGraph:
 
 def plan_outline(fp: FloorPlan) -> tuple[tuple[int, int], ...]:
     """Corner points of the covered region, clockwise from its top-left."""
-    steps = _outline(_stretches(fp.rects))
+    steps = _outline(fp.walls)
     corners = [p for i, (p, heading, _) in enumerate(steps) if steps[i - 1][1] != heading]
     start = min(range(len(corners)), key=lambda i: (corners[i][0], -corners[i][1]))
     return tuple(corners[start:] + corners[:start])

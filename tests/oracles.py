@@ -8,6 +8,7 @@ would have to be made twice to slip through.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 
@@ -66,6 +67,50 @@ def brute_separating_triangles(g: EmbeddedGraph) -> set[frozenset]:
     return {
         frozenset(t) for t in brute_triangles(g) if frozenset(t) not in face_sets
     }
+
+
+# -- ring words by enumeration ------------------------------------------------
+
+
+def ring_words(d: int) -> list[tuple[int, ...]]:
+    """Every cyclic word of length d made of one nonempty run each of 0, 1, 2, 3.
+
+    The run lengths range over every split of d into four positive parts,
+    and each word appears once per rotation.
+    """
+    words = []
+    for a, b, c in itertools.combinations(range(1, d), 3):
+        base = [0] * a + [1] * (b - a) + [2] * (c - b) + [3] * (d - c)
+        for s in range(d):
+            words.append(tuple(base[s:] + base[:s]))
+    return words
+
+
+@functools.lru_cache(maxsize=None)
+def _word_sets(d: int) -> tuple[int, list[list[int]]]:
+    """Word count, and per (position, class) the set of words, as a bitset."""
+    words = ring_words(d)
+    sets = [[0] * 4 for _ in range(d)]
+    for j, w in enumerate(words):
+        for p, c in enumerate(w):
+            sets[p][c] |= 1 << j
+    return len(words), sets
+
+
+def ring_word_union(allowed: list[int]) -> list[int] | None:
+    """Per position, the classes it takes in some ring word that allowed admits.
+
+    allowed[p] is a bitmask of the classes position p may take.  Returns
+    None when no word fits.  The words come from ring_words and are
+    filtered by set algebra, one bitset of words per position and class.
+    """
+    count, sets = _word_sets(len(allowed))
+    fits = (1 << count) - 1
+    for p, m in enumerate(allowed):
+        fits &= sum(sets[p][c] for c in range(4) if m >> c & 1)
+    if not fits:
+        return None
+    return [sum(1 << c for c in range(4) if fits & sets[p][c]) for p in range(len(allowed))]
 
 
 # -- labelings by brute filter ------------------------------------------------

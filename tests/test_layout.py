@@ -221,3 +221,22 @@ def test_rect_extraction_rejects_an_uncovered_cell(monkeypatch):
     monkeypatch.setattr(layout, "Rect", short_three)
     with pytest.raises(ValueError):
         rfp_from_rel(res.rel)
+
+
+def test_a_plan_is_swept_once_for_its_dual_and_its_document(monkeypatch):
+    # One sweep checks the full plan's tiling, one serves the L plan's
+    # dual graph and then its outline in the plan document.
+    from lplan.io import plan_to_doc
+
+    sweeps = []
+    sweep = layout._stretches
+
+    def counted(rects):
+        sweeps.append(len(rects))
+        return sweep(rects)
+
+    monkeypatch.setattr(layout, "_stretches", counted)
+    res = plan(samples.pentagon_with_pocket())
+    doc = plan_to_doc(res)
+    assert sweeps == [len(res.full_plan.rects), len(res.plan.rects)]
+    assert doc["outline"] == [[0, 4], [3, 4], [3, 3], [5, 3], [5, 0], [0, 0]]

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import itertools
+import random
+import sys
+
 import pytest
 
 from completions import tiny_completions
-from oracles import canonical_labeling, rel_filter_enumeration
+from oracles import canonical_labeling, rel_filter_enumeration, ring_word_union
 
 from lplan import samples
 from lplan.graph import edge_key
-from lplan.oracle import CapExceeded, enumerate_rels
+from lplan.oracle import CapExceeded, GenSpec, enumerate_rels, generate_ptpg
 from lplan.pipeline import plan
 from lplan.rel import (
     T1,
@@ -100,6 +106,25 @@ def test_block_feasible_narrows_wide_masks():
 def test_block_feasible_all_open():
     out = _block_feasible([0b1111] * 4)
     assert out == [0b1111] * 4
+
+
+def test_block_feasible_matches_the_word_oracle_on_every_short_ring():
+    for d in range(5):
+        for allowed in itertools.product(range(16), repeat=d):
+            assert _block_feasible(list(allowed)) == ring_word_union(list(allowed)), allowed
+
+
+def test_block_feasible_matches_the_word_oracle_on_random_rings():
+    rng = random.Random(4)
+    feasible = 0
+    for _ in range(20000):
+        d = rng.randint(5, 14)
+        wide = rng.choice((0.5, 0.75, 0.9))
+        allowed = [sum(1 << c for c in range(4) if rng.random() < wide) for _ in range(d)]
+        want = ring_word_union(allowed)
+        assert _block_feasible(allowed) == want, allowed
+        feasible += want is not None
+    assert 2000 < feasible < 18000  # both verdicts are well represented
 
 
 # -- local moves ---------------------------------------------------------------
@@ -271,6 +296,78 @@ def test_enumerate_rels_matches_the_filter_oracle():
         got = {canonical_labeling(r.color, r.orient) for r in enumerate_rels(ag)}
         assert got == rel_filter_enumeration(ag)
         assert canonical_labeling(*(lambda r: (r.color, r.orient))(construct_rel(ag))) in got
+
+
+# -- the search order ------------------------------------------------------------
+#
+# Which of the valid labelings construct_rel returns depends on its search
+# order: the shuffled edge order, the pick rule, the value shuffles and the
+# restarts.  These digests of sorted(color) and sorted(orient) pin that
+# order: a faster search that keeps it keeps them.  The searches on the
+# generated graphs branch, at 60 to 82 choice points each.
+
+
+def _digest(r) -> str:
+    text = repr((sorted(r.color.items()), sorted(r.orient.items())))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+GOLDEN_TINY = (
+    "56b579f117414cd2", "506e9ff237c70a3a", "43e5bc6922661400", "37a6a5a725f6e9a0",
+    "9d3ea7773de98816", "bd56c1f0803396ac", "b20dbeca97e9d3d5", "e372e5885d646e47",
+    "2122344cca783187", "9dad43b321c062cd", "b214906c004b6c2e", "b6c9afb7474debbe",
+)
+
+GOLDEN_SAMPLES = {
+    "pentagon_with_pocket": "1fb5c7714ae1c4cb",
+    "hexagon_ring": "b4aa1621ecc98af0",
+    "four_cip_eleven_gon": "ab449c798fa9038c",
+    "two_fan_hexagon": "4f03f59c4888946c",
+    "chorded_hexagon": "1c3f46b2f1eb853c",
+    "octagon_with_fan": "dbd7d44ae59b70be",
+}
+
+GOLDEN_GENERATED = {
+    (100, 0): "4283049119c1d2c5",
+    (100, 1): "8a713f91b4f559f9",
+    (120, 0): "11b816dce30e3870",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_completion(n: int, seed: int):
+    return _completion(lambda: generate_ptpg(GenSpec(n=n, seed=seed)))
+
+
+def test_golden_labelings_of_tiny_completions():
+    assert tuple(_digest(construct_rel(ag)) for ag in tiny_completions()) == GOLDEN_TINY
+
+
+@pytest.mark.parametrize("make", PLANNABLE, ids=lambda f: f.__name__)
+def test_golden_labelings_of_samples(make):
+    assert _digest(construct_rel(_completion(make))) == GOLDEN_SAMPLES[make.__name__]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_GENERATED), ids=lambda k: f"n{k[0]}-seed{k[1]}")
+def test_golden_labelings_of_branching_searches(key):
+    assert _digest(construct_rel(_generated_completion(*key))) == GOLDEN_GENERATED[key]
+
+
+def test_branching_search_needs_no_call_stack():
+    # A recursive search would need one frame per open choice point
+    # (about 60 on this graph); the search must fit in a few frames of its own.
+    ag = _generated_completion(100, 0)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        r = construct_rel(ag)
+    finally:
+        sys.setrecursionlimit(old)
+    assert _digest(r) == GOLDEN_GENERATED[(100, 0)]
 
 
 def test_enumerate_rels_enforces_its_cap():
