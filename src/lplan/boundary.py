@@ -127,8 +127,12 @@ def find_triplets(g: EmbeddedGraph) -> tuple[Triplet, ...]:
 
 @dataclass(frozen=True)
 class NecessaryReport:
-    cip_count: int
+    cips: tuple[Cip, ...]
     triplets: tuple[Triplet, ...]
+
+    @property
+    def cip_count(self) -> int:
+        return len(self.cips)
 
     @property
     def ok(self) -> bool:
@@ -144,4 +148,4 @@ class NecessaryReport:
 
 def necessary_conditions(g: EmbeddedGraph) -> NecessaryReport:
     """At most five CIPs and at least one admissible triplet."""
-    return NecessaryReport(cip_count=len(find_cips(g)), triplets=find_triplets(g))
+    return NecessaryReport(cips=find_cips(g), triplets=find_triplets(g))

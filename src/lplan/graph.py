@@ -6,6 +6,13 @@ clockwise order.  Faces are recovered by the usual dart-walk
 the rotation at v.  With clockwise rotations this walks interior faces
 counterclockwise and the outer face clockwise.  The same walk labels the
 wall segments of a floor plan (layout.rfp_from_rel).
+
+Every EmbeddedGraph is checked once, when it is built, and everything
+else is read off that one walk: Euler's count, the outer face (the face
+of the dart outer[0] -> outer[1]), the flood fill of faces_inside_cycle
+(which crosses an edge to the face of its reverse dart) and the
+separating triangles (the 3-cycles that are not face walks).  The
+canonical faces are computed only when something reads them.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ def rotate_min(seq: Sequence[VertexId]) -> tuple[VertexId, ...]:
     """Canonical cyclic form: rotate so the smallest element is first."""
     if not seq:
         return ()
-    k = min(range(len(seq)), key=lambda i: seq[i])
+    k = seq.index(min(seq))
     return tuple(seq[k:]) + tuple(seq[:k])
 
 
@@ -112,11 +119,11 @@ class EmbeddedGraph:
             if v not in rot or u not in rot[v]:
                 raise InconsistentEmbedding(f"outer edge ({v},{u}) missing")
         # Sphere condition via Euler; this also rejects disconnected input.
-        n, m = len(rot), len(self.edges)
-        if n - m + len(self.faces) != 2:
+        walks = self._walk[0]
+        if len(rot) - len(self.edges) + len(walks) != 2:
             raise InconsistentEmbedding("rotation system is not planar (Euler check)")
-        hits = [f for f in self.faces if cyclic_eq(f, self.outer)]
-        if len(hits) != 1:
+        # A dart lies on one face only, so no other face can match the outer cycle.
+        if not cyclic_eq(walks[self.outer_face_index], self.outer):
             raise InconsistentEmbedding("outer cycle does not bound exactly one face")
 
     # -- derived structure ------------------------------------------------
@@ -143,10 +150,7 @@ class EmbeddedGraph:
 
     @cached_property
     def outer_face_index(self) -> int:
-        for i, f in enumerate(self.faces):
-            if cyclic_eq(f, self.outer):
-                return i
-        raise InconsistentEmbedding("no outer face")  # pragma: no cover - _check guards
+        return self.dart_face[self.outer[:2]]
 
     @cached_property
     def inner_faces(self) -> tuple[tuple[VertexId, ...], ...]:
@@ -157,9 +161,6 @@ class EmbeddedGraph:
     def dart_face(self) -> dict[Dart, int]:
         """Face index on the left of each dart walk (trace containing the dart)."""
         return self._walk[1]
-
-    def degree(self, v: VertexId) -> int:
-        return len(self.rotation[v])
 
     @cached_property
     def outer_set(self) -> frozenset[VertexId]:
@@ -217,35 +218,19 @@ def is_biconnected(g: EmbeddedGraph) -> bool:
 def faces_inside_cycle(g: EmbeddedGraph, cycle: Sequence[VertexId]) -> frozenset[int]:
     """Indices of faces strictly inside a simple cycle of the embedding."""
     cyc_edges = {edge_key(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))}
-    # Flood fill over faces; crossing is allowed through any edge not on the cycle.
-    edge_faces: dict[Edge, list[int]] = {}
-    for fi, face in enumerate(g.faces):
-        k = len(face)
-        for i in range(k):
-            edge_faces.setdefault(edge_key(face[i], face[(i + 1) % k]), []).append(fi)
+    # Flood fill over faces from the outer one; an edge off the cycle leads
+    # to the face of its reverse dart.
+    walks, dart_face = g._walk
     reached = {g.outer_face_index}
     frontier = [g.outer_face_index]
     while frontier:
-        fi = frontier.pop()
-        face = g.faces[fi]
-        k = len(face)
-        for i in range(k):
-            e = edge_key(face[i], face[(i + 1) % k])
-            if e in cyc_edges:
-                continue
-            for fj in edge_faces[e]:
-                if fj not in reached:
-                    reached.add(fj)
-                    frontier.append(fj)
-    return frozenset(fi for fi in range(len(g.faces)) if fi not in reached)
-
-
-def vertices_inside_cycle(g: EmbeddedGraph, cycle: Sequence[VertexId]) -> frozenset[VertexId]:
-    """Vertices strictly inside a simple cycle (outer face side counts as outside)."""
-    inside: set[VertexId] = set()
-    for fi in faces_inside_cycle(g, cycle):
-        inside.update(g.faces[fi])
-    return frozenset(inside - set(cycle))
+        walk = walks[frontier.pop()]
+        for u, v in zip(walk, walk[1:] + walk[:1]):
+            fj = dart_face[(v, u)]
+            if fj not in reached and edge_key(u, v) not in cyc_edges:
+                reached.add(fj)
+                frontier.append(fj)
+    return frozenset(fi for fi in range(len(walks)) if fi not in reached)
 
 
 def _triangles(g: EmbeddedGraph) -> list[tuple[VertexId, VertexId, VertexId]]:
@@ -258,15 +243,14 @@ def _triangles(g: EmbeddedGraph) -> list[tuple[VertexId, VertexId, VertexId]]:
 
 
 def find_separating_triangles(g: EmbeddedGraph) -> tuple[tuple[VertexId, VertexId, VertexId], ...]:
-    """3-cycles with at least one vertex strictly inside, sorted ascending."""
-    face_set = {f for f in g.faces if len(f) == 3}
-    bad = []
-    for tri in _triangles(g):
-        if rotate_min(tri) in face_set or rotate_min(tri[::-1]) in face_set:
-            continue
-        if vertices_inside_cycle(g, tri):
-            bad.append(tri)
-    return tuple(bad)
+    """3-cycles with at least one vertex strictly inside, sorted ascending.
+
+    In a simple connected plane graph a 3-cycle with no vertex on one side
+    bounds a face there, so the separating ones are the 3-cycles that are
+    not face walks.
+    """
+    face_set = {tuple(sorted(walk)) for walk in g._walk[0] if len(walk) == 3}
+    return tuple(tri for tri in _triangles(g) if tri not in face_set)
 
 
 @dataclass(frozen=True)
@@ -286,7 +270,8 @@ class PtpgReport:
 
 def validate_ptpg(g: EmbeddedGraph) -> PtpgReport:
     """Check the properly-triangulated-planar conditions on an embedded graph."""
-    bad_faces = tuple(f for f in g.inner_faces if len(f) != 3)
+    k = g.outer_face_index
+    bad_faces = tuple(rotate_min(w) for i, w in enumerate(g._walk[0]) if len(w) != 3 and i != k)
     return PtpgReport(
         is_biconnected=is_biconnected(g),
         nontriangular_interior_faces=bad_faces,

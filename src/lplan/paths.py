@@ -392,38 +392,43 @@ class AugmentedGraph:
     def pole_ids(self) -> tuple[VertexId, ...]:
         return tuple(self.poles[k] for k in ("N", "E", "S", "W"))
 
-    def inner_vertices(self) -> tuple[VertexId, ...]:
-        skip = set(self.pole_ids)
-        return tuple(v for v in self.base.vertices if v not in skip)
+
+def _attach_all(
+    g: EmbeddedGraph, attachments: list[tuple[tuple[VertexId, ...], VertexId, str | None]]
+) -> EmbeddedGraph:
+    """g with a vertex added outside per (clockwise outer arc, id, label), built once.
+
+    Each arc must be consecutive on the boundary of its turn, span an edge
+    and repeat no vertex; then every step keeps a valid embedding and the
+    one build at the end checks them all.
+    """
+    rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
+    outer, labels = list(g.outer), dict(g.labels)
+    for arc, new_id, label in attachments:
+        if new_id in rot:
+            raise EmbeddingConflict(f"vertex id {new_id} already used")
+        pos = {v: i for i, v in enumerate(outer)}
+        if any(outer[(pos[u] + 1) % len(outer)] != v for u, v in zip(arc, arc[1:])):
+            raise EmbeddingConflict("attachment arc must be consecutive on the boundary")
+        if len(arc) < 2 or len(set(arc)) != len(arc):
+            raise EmbeddingConflict("attachment arc needs two or more distinct vertices")
+        rot[new_id] = list(reversed(arc))
+        for v in arc:
+            rot[v].insert(rot[v].index(outer[pos[v] - 1]) + 1, new_id)
+        rest = outer[pos[arc[-1]]:] + outer[:pos[arc[-1]]]
+        outer = [new_id] + rest[: rest.index(arc[0]) + 1]
+        if label is not None:
+            labels[new_id] = label
+    return EmbeddedGraph(
+        rotation={v: tuple(ns) for v, ns in rot.items()}, outer=tuple(outer), labels=labels
+    )
 
 
 def attach_outside(
     g: EmbeddedGraph, arc: tuple[VertexId, ...], new_id: VertexId, label: str | None = None
 ) -> EmbeddedGraph:
     """Add a vertex outside the boundary, adjacent to a clockwise outer arc."""
-    if new_id in g.rotation:
-        raise EmbeddingConflict(f"vertex id {new_id} already used")
-    if len(arc) < 1:
-        raise EmbeddingConflict("empty attachment arc")
-    n = len(g.outer)
-    for i in range(len(arc) - 1):
-        if g.outer[(g.outer_pos[arc[i]] + 1) % n] != arc[i + 1]:
-            raise EmbeddingConflict("attachment arc must be consecutive on the boundary")
-    rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
-    rot[new_id] = list(reversed(arc))
-    for v in arc:
-        pred = g.outer[(g.outer_pos[v] - 1) % n]
-        at = rot[v].index(pred) + 1
-        rot[v].insert(at, new_id)
-    outer = [new_id] + list(boundary_arc(g, arc[-1], arc[0]))
-    labels = dict(g.labels)
-    if label is not None:
-        labels[new_id] = label
-    return EmbeddedGraph(
-        rotation={v: tuple(ns) for v, ns in rot.items()},
-        outer=tuple(outer),
-        labels=labels,
-    )
+    return _attach_all(g, [(arc, new_id, label)])
 
 
 def augment_with_ne(g: EmbeddedGraph, ps: PathSet) -> tuple[EmbeddedGraph, VertexId]:
@@ -449,8 +454,10 @@ def four_completion(
     base = max(g.vertices) + 1
     ids = {"N": base, "E": base + 1, "S": base + 2, "W": base + 3}
     q1, q2, q3, q4 = qpaths
-    g = attach_outside(g, q1, ids["N"], label="N")
-    g = attach_outside(g, (ids["N"],) + q2, ids["E"], label="E")
-    g = attach_outside(g, (ids["E"],) + q3, ids["S"], label="S")
-    g = attach_outside(g, (ids["S"],) + q4 + (ids["N"],), ids["W"], label="W")
+    g = _attach_all(g, [
+        (q1, ids["N"], "N"),
+        ((ids["N"],) + q2, ids["E"], "E"),
+        ((ids["E"],) + q3, ids["S"], "S"),
+        ((ids["S"],) + q4 + (ids["N"],), ids["W"], "W"),
+    ])
     return AugmentedGraph(base=g, ne=ne, poles=ids, pprime=tuple(qpaths))

@@ -143,7 +143,6 @@ def plan(g: EmbeddedGraph, opts: PlanOptions | None = None) -> PlanResult:
             outcome="NoTriplet", graph=g, necessary=report, refusal_kind="no-triplet"
         )
 
-    cips = find_cips(g)
     candidates = _ordered_triplets(g, report.triplets)
     if opts.triplet is not None:
         pinned = [t for t in candidates if tuple(t) == tuple(opts.triplet)]
@@ -153,7 +152,7 @@ def plan(g: EmbeddedGraph, opts: PlanOptions | None = None) -> PlanResult:
 
     failures: list[TripletFailure] = []
     for triplet in candidates:
-        attempt = _plan_one(g, triplet, cips, report, failures)
+        attempt = _plan_one(g, triplet, report, failures)
         if attempt is not None:
             return attempt
 
@@ -174,7 +173,6 @@ def plan(g: EmbeddedGraph, opts: PlanOptions | None = None) -> PlanResult:
 def _plan_one(
     g: EmbeddedGraph,
     triplet: Triplet,
-    cips: tuple[Cip, ...],
     report: NecessaryReport,
     failures: list[TripletFailure],
 ) -> PlanResult | None:
@@ -184,7 +182,7 @@ def _plan_one(
         failures.append(TripletFailure(key, stage, reason, final))
 
     try:
-        ps = select_paths(g, triplet, cips)
+        ps = select_paths(g, triplet, report.cips)
     except Infeasible as exc:
         reason = "; ".join(str(v) for v in exc.violations) or "no admissible split set"
         fail("paths", reason, exc.final)

@@ -106,6 +106,7 @@ def test_necessary_conditions_pass_and_fail():
 
     five = necessary_conditions(samples.five_cip_thirteen_gon())
     assert five.ok and five.cip_count == 5
+    assert five.cips == find_cips(samples.five_cip_thirteen_gon())
 
 
 def test_report_dict_shape():

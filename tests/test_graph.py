@@ -7,11 +7,11 @@ from lplan.graph import (
     common_neighbors,
     cyclic_eq,
     edge_key,
+    faces_inside_cycle,
     find_separating_triangles,
     is_biconnected,
     rotate_min,
     validate_ptpg,
-    vertices_inside_cycle,
 )
 from lplan.oracle import GenSpec, generate_ptpg
 
@@ -69,6 +69,22 @@ def test_inconsistent_rotation_rejected():
         EmbeddedGraph(rotation={1: (2,), 2: (), 3: (1,)}, outer=(1, 2, 3))
 
 
+@pytest.mark.parametrize(
+    "make, outer",
+    [
+        (samples.pentagon_with_pocket, (5, 4, 3, 2, 1)),  # the boundary, counterclockwise
+        (samples.pentagon_with_pocket, (1, 2, 6)),  # an inner face, clockwise
+        (samples.nested_triangle, (1, 5, 3)),  # the boundary, counterclockwise
+        (samples.nested_triangle, (2, 4, 6)),  # an inner cycle that bounds no face
+        (samples.nested_triangle, (2, 6, 4)),
+    ],
+)
+def test_outer_cycle_must_bound_the_outer_face(make, outer):
+    g = make()
+    with pytest.raises(InconsistentEmbedding):
+        EmbeddedGraph(rotation=g.rotation, outer=outer)
+
+
 def test_tiny_outer_cycle_rejected():
     with pytest.raises(InconsistentEmbedding):
         EmbeddedGraph(rotation={1: (2,), 2: (1,)}, outer=(1, 2))
@@ -89,6 +105,10 @@ def test_separating_triangles_match_oracle(make):
     g = make()
     ours = {frozenset(t) for t in find_separating_triangles(g)}
     assert ours == brute_separating_triangles(g)
+    # Every triangle reported for not being a face walk encloses a vertex.
+    for t in find_separating_triangles(g):
+        inside = {v for fi in faces_inside_cycle(g, t) for v in g.faces[fi]}
+        assert inside - set(t)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -103,7 +123,7 @@ def test_nested_triangle_flagged():
     rep = validate_ptpg(g)
     assert not rep.verdict
     assert (2, 4, 6) in rep.separating_triangles
-    assert vertices_inside_cycle(g, (2, 4, 6))
+    assert faces_inside_cycle(g, (2, 4, 6))
 
 
 def test_wheel_is_a_valid_ptpg():

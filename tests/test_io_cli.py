@@ -174,6 +174,46 @@ def test_cli_check_json_payload(tmp_path, capsys):
     assert payload["cips"] == [[ "b", "c", "d"], ["d", "e", "a", "b"]]
 
 
+def _quad_holes_and_pockets():
+    """Two quadrilateral faces and two separating triangles, (1,2,6) and (3,4,8)."""
+    coords = {
+        1: (-3, 3), 2: (3, 3), 3: (3, -3), 4: (-3, -3),
+        5: (-1, 1), 6: (1, 1), 7: (1, -1), 8: (-1, -1), 9: (1, 2.3), 10: (-1, -2.3),
+    }
+    edges = [
+        (1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (7, 8), (8, 5),
+        (1, 5), (2, 6), (3, 7), (4, 8), (1, 6), (3, 8), (4, 5),
+        (9, 1), (9, 2), (9, 6), (10, 3), (10, 4), (10, 8),
+    ]
+    return samples.embed_by_coords(coords, edges, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "make, faces, triangles",
+    [
+        (samples.nested_triangle, [], [[2, 4, 6]]),
+        (_quad_holes_and_pockets, [[2, 6, 7, 3], [5, 8, 7, 6]], [[1, 2, 6], [3, 4, 8]]),
+    ],
+    ids=["nested_triangle", "quad_holes_and_pockets"],
+)
+def test_cli_check_json_golden(tmp_path, capsys, make, faces, triangles):
+    path = _write_graph(tmp_path, make)
+    assert main(["--format", "json", "check", path]) == 2
+    want = {
+        "candidate": False,
+        "cips": [],
+        "necessary": {"cip_count": 0, "pass": False, "triplets": []},
+        "ptpg": {
+            "biconnected": True,
+            "nontriangular_faces": faces,
+            "pass": False,
+            "separating_triangles": triangles,
+        },
+        "shortcuts": [],
+    }
+    assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 def test_cli_plan_writes_a_document(tmp_path, capsys):
     src = _write_graph(tmp_path, samples.pentagon_with_pocket)
     out = tmp_path / "plan.json"

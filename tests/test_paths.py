@@ -121,6 +121,10 @@ def test_attach_outside_rejects_non_arc():
     g = samples.pentagon_with_pocket()
     with pytest.raises(EmbeddingConflict):
         attach_outside(g, (1, 3), 99)  # not consecutive on the boundary
+    # A lone vertex or an arc past its own start would leave no embedding.
+    for arc in ((1,), (1, 2, 3, 4, 5, 1)):
+        with pytest.raises(EmbeddingConflict):
+            attach_outside(g, arc, 99)
 
 
 def test_augment_with_ne_pentagon():

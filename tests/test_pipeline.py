@@ -8,6 +8,7 @@ from oracles import geometric_adjacency
 
 from lplan import samples
 from lplan.boundary import find_cips
+from lplan.graph import EmbeddedGraph
 from lplan.pipeline import (
     InvalidInput,
     PlanOptions,
@@ -110,3 +111,20 @@ def test_rectangular_plan_refuses_five_or_more_cips(name):
     assert res.outcome == "TooManyCips"
     assert len(res.cips) == len(find_cips(g)) > 4
     assert res.plan is None
+
+
+def test_plan_builds_the_completion_once(monkeypatch):
+    g = samples.pentagon_with_pocket()
+    built: list[EmbeddedGraph] = []
+    check = EmbeddedGraph.__post_init__
+
+    def counted(self):
+        check(self)
+        built.append(self)
+
+    monkeypatch.setattr(EmbeddedGraph, "__post_init__", counted)
+    res = plan(g)
+    assert res.ok and tuple(res.triplet) == (1, 2, 3)
+    # the north-east augmentation, the four-completion and the dual of the plan
+    assert [len(h.vertices) - len(g.vertices) for h in built] == [1, 5, 0]
+    assert built[1] is res.completion.base
