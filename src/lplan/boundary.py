@@ -47,15 +47,14 @@ class Triplet:
 
 def boundary_arc(g: EmbeddedGraph, u: VertexId, v: VertexId) -> tuple[VertexId, ...]:
     """Clockwise outer arc from u to v, inclusive of both endpoints."""
-    n = len(g.outer)
-    i = g.outer_pos[u]
-    out = [u]
-    while g.outer[i] != v:
-        i = (i + 1) % n
-        out.append(g.outer[i])
-        if len(out) > n:
-            raise ValueError(f"vertex {v} not on the outer cycle")
-    return tuple(out)
+    if v not in g.outer_pos:
+        raise ValueError(f"vertex {v} not on the outer cycle")
+    return _arc(g, g.outer_pos[u], g.outer_pos[v])
+
+
+def _arc(g: EmbeddedGraph, i: int, j: int) -> tuple[VertexId, ...]:
+    """Clockwise outer arc from position i to position j, inclusive."""
+    return g.outer[i : j + 1] if i <= j else g.outer[i:] + g.outer[: j + 1]
 
 
 def is_boundary_edge(g: EmbeddedGraph, u: VertexId, v: VertexId) -> bool:
@@ -65,47 +64,67 @@ def is_boundary_edge(g: EmbeddedGraph, u: VertexId, v: VertexId) -> bool:
 
 
 def chords(g: EmbeddedGraph) -> list[Edge]:
-    out = []
-    for u, v in sorted(g.edges):
-        if u in g.outer_set and v in g.outer_set and not is_boundary_edge(g, u, v):
-            out.append((u, v))
-    return out
+    """Edges joining two non-consecutive outer vertices, sorted ascending."""
+    return sorted(
+        (u, v)
+        for u in g.outer
+        for v in g.rotation[u]
+        if v > u and v in g.outer_pos and not is_boundary_edge(g, u, v)
+    )
 
 
 def find_shortcuts(g: EmbeddedGraph) -> tuple[Shortcut, ...]:
+    pos = g.outer_pos
+    k = len(g.outer)
     out = []
     for u, v in chords(g):
-        arc_uv = boundary_arc(g, u, v)
-        arc_vu = boundary_arc(g, v, u)
-        if len(arc_uv) < len(arc_vu) or (len(arc_uv) == len(arc_vu) and u < v):
-            short = arc_uv
-        else:
-            short = arc_vu
+        i, j = pos[u], pos[v]
+        # Arc u..v has (j - i) % k + 1 vertices, arc v..u has (i - j) % k + 1.
+        d_uv, d_vu = (j - i) % k, (i - j) % k
+        short = _arc(g, i, j) if d_uv < d_vu or (d_uv == d_vu and u < v) else _arc(g, j, i)
         out.append(Shortcut(edge=(u, v), interior=short[1:-1]))
     return tuple(out)
 
 
-def _arc_is_cip(g: EmbeddedGraph, arc: tuple[VertexId, ...]) -> bool:
-    # No two non-consecutive arc vertices may be adjacent, apart from the
-    # chord joining the endpoints.
-    k = len(arc)
-    for i in range(k):
-        for j in range(i + 2, k):
-            if i == 0 and j == k - 1:
-                continue
-            if edge_key(arc[i], arc[j]) in g.edges:
-                return False
-    return True
-
-
 def find_cips(g: EmbeddedGraph) -> tuple[Cip, ...]:
+    """The CIPs ordered by the outer position of their first vertex, then length.
+
+    An arc of a chord is a CIP iff no other chord has both ends on it.
+    Drawn inside the outer cycle, chords do not cross, so as position
+    intervals [i, j] (i < j) they nest.  A chord's inner arc i..j is a CIP
+    iff no chord lies inside [i, j]; its wrapping arc j..i is a CIP iff no
+    chord contains [i, j], and none lies in [0, i] or in [j, k-1].  One
+    stack scan over the intervals sorted by (i, -j) finds for each whether
+    a chord lies inside it and whether one contains it.
+    """
+    pos = g.outer_pos
+    spans = sorted(
+        ((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in chords(g)),
+        key=lambda s: (s[0], -s[1]),
+    )
+    if not spans:
+        return ()
+    has_inner = [False] * len(spans)
+    contained = [False] * len(spans)
+    stack: list[int] = []
+    for x, (i, j) in enumerate(spans):
+        while stack and spans[stack[-1]][1] <= i:
+            stack.pop()
+        if stack:
+            has_inner[stack[-1]] = True
+            contained[x] = True
+        stack.append(x)
+    first_end = min(j for _, j in spans)  # no chord lies in [0, i] iff i < first_end
+    last_start = max(i for i, _ in spans)  # none lies in [j, k-1] iff j > last_start
     out = []
-    for u, v in chords(g):
-        for arc in (boundary_arc(g, u, v), boundary_arc(g, v, u)):
-            if _arc_is_cip(g, arc):
-                out.append(Cip(vertices=arc, chord=(u, v)))
-    out.sort(key=lambda c: (g.outer_pos[c.vertices[0]], len(c.vertices)))
-    return tuple(out)
+    for x, (i, j) in enumerate(spans):
+        chord = edge_key(g.outer[i], g.outer[j])
+        if not has_inner[x]:
+            out.append((i, j - i, Cip(vertices=_arc(g, i, j), chord=chord)))
+        if not contained[x] and i < first_end and j > last_start:
+            out.append((j, len(g.outer) - j + i, Cip(vertices=_arc(g, j, i), chord=chord)))
+    out.sort(key=lambda t: t[:2])
+    return tuple(c for _, _, c in out)
 
 
 def find_triplets(g: EmbeddedGraph) -> tuple[Triplet, ...]:

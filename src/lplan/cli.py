@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .boundary import find_cips, find_shortcuts, find_triplets, necessary_conditions
+from .boundary import find_shortcuts, necessary_conditions
 from .graph import InconsistentEmbedding, validate_ptpg
 from .io import ParseError, parse_graph, parse_plan, plan_to_doc, render_svg, serialize_graph, serialize_plan
 from .oracle import GenerationFailed, GenSpec, generate_ptpg
@@ -44,7 +44,7 @@ def _cmd_check(args) -> int:
     g = parse_graph(_read(args.graph))
     report = validate_ptpg(g)
     nec = necessary_conditions(g)
-    cips = find_cips(g)
+    cips = nec.cips
     shortcuts = find_shortcuts(g)
     candidate = report.verdict and nec.ok
     if args.format == "json":

@@ -7,8 +7,11 @@ the rotation at v.  With clockwise rotations this walks interior faces
 counterclockwise and the outer face clockwise.  The same walk labels the
 wall segments of a floor plan (layout.rfp_from_rel).
 
-Every EmbeddedGraph is checked once, when it is built, and everything
-else is read off that one walk: Euler's count, the outer face (the face
+Every EmbeddedGraph is checked once, when it is built.  The rotation
+must be symmetric and simple, and the graph connected (one depth-first
+pass): only then does Euler's count V - E + F = 2 certify a sphere, as
+a torus embedding plus a separate triangle also counts 2.  Everything
+else is read off the one walk: Euler's count, the outer face (the face
 of the dart outer[0] -> outer[1]), the flood fill of faces_inside_cycle
 (which crosses an edge to the face of its reverse dart) and the
 separating triangles (the 3-cycles that are not face walks).  The
@@ -79,6 +82,18 @@ def walk_darts(
     return walks, face
 
 
+def _is_connected(rotation: Mapping[VertexId, Sequence[VertexId]]) -> bool:
+    start = next(iter(rotation))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in rotation[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(rotation)
+
+
 @dataclass(frozen=True)
 class EmbeddedGraph:
     """Immutable embedded planar graph.
@@ -118,7 +133,10 @@ class EmbeddedGraph:
             u = self.outer[(i + 1) % len(self.outer)]
             if v not in rot or u not in rot[v]:
                 raise InconsistentEmbedding(f"outer edge ({v},{u}) missing")
-        # Sphere condition via Euler; this also rejects disconnected input.
+        # Euler's count alone cannot tell the sphere: over two components it
+        # sums, so a torus embedding plus a plane triangle also gives 2.
+        if not _is_connected(rot):
+            raise InconsistentEmbedding("graph is not connected")
         walks = self._walk[0]
         if len(rot) - len(self.edges) + len(walks) != 2:
             raise InconsistentEmbedding("rotation system is not planar (Euler check)")
@@ -210,8 +228,6 @@ def is_biconnected(g: EmbeddedGraph) -> bool:
                 low[p] = min(low[p], low[v])
                 if p != root and low[v] >= disc[p]:
                     return False
-    if len(disc) != len(verts):
-        return False
     return root_children <= 1
 
 
@@ -234,11 +250,13 @@ def faces_inside_cycle(g: EmbeddedGraph, cycle: Sequence[VertexId]) -> frozenset
 
 
 def _triangles(g: EmbeddedGraph) -> list[tuple[VertexId, VertexId, VertexId]]:
+    adj = g.adj
     out = []
-    for u, v in sorted(g.edges):
-        for w in common_neighbors(g, u, v):
-            if w > v:
-                out.append((u, v, w))
+    for u, nu in adj.items():
+        for v in nu:
+            if v > u:
+                out.extend((u, v, w) for w in nu & adj[v] if w > v)
+    out.sort()
     return out
 
 

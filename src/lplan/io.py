@@ -50,6 +50,7 @@ def doc_to_graph(doc: dict) -> EmbeddedGraph:
         raise ParseError("vertices", "expected a non-empty list")
     labels: dict[VertexId, str] = {}
     ids: list[VertexId] = []
+    known: set[VertexId] = set()
     for i, item in enumerate(doc["vertices"]):
         where = f"vertices[{i}]"
         if not isinstance(item, dict) or "id" not in item:
@@ -57,9 +58,10 @@ def doc_to_graph(doc: dict) -> EmbeddedGraph:
         v = item["id"]
         if not isinstance(v, int) or isinstance(v, bool):
             raise ParseError(f"{where}.id", "vertex ids must be integers")
-        if v in ids:
+        if v in known:
             raise ParseError(f"{where}.id", f"duplicate vertex id {v}")
         ids.append(v)
+        known.add(v)
         if "label" in item:
             if not isinstance(item["label"], str):
                 raise ParseError(f"{where}.label", "labels must be strings")
@@ -67,7 +69,6 @@ def doc_to_graph(doc: dict) -> EmbeddedGraph:
     if not isinstance(doc["rotation"], dict):
         raise ParseError("rotation", "expected an object keyed by vertex id")
     rotation: dict[VertexId, tuple[VertexId, ...]] = {}
-    known = set(ids)
     for key, nbrs in doc["rotation"].items():
         where = f"rotation.{key}"
         try:

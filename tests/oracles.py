@@ -12,6 +12,7 @@ import functools
 import itertools
 from collections import Counter
 
+from lplan.boundary import Cip, Shortcut
 from lplan.graph import EmbeddedGraph, VertexId
 from lplan.layout import FloorPlan
 from lplan.paths import AugmentedGraph, check_path_conditions, paths_from_splits
@@ -67,6 +68,67 @@ def brute_separating_triangles(g: EmbeddedGraph) -> set[frozenset]:
     return {
         frozenset(t) for t in brute_triangles(g) if frozenset(t) not in face_sets
     }
+
+
+# -- chords, shortcuts and CIPs by arc walks ------------------------------------
+
+
+def brute_arc(g: EmbeddedGraph, u: VertexId, v: VertexId) -> tuple[VertexId, ...]:
+    """Clockwise outer arc from u to v, inclusive, one step at a time."""
+    n = len(g.outer)
+    i = g.outer.index(u)
+    out = [u]
+    while out[-1] != v:
+        i = (i + 1) % n
+        out.append(g.outer[i])
+    return tuple(out)
+
+
+def brute_chords(g: EmbeddedGraph) -> list[tuple[VertexId, VertexId]]:
+    """Edges between outer vertices that are not outer edges, from all edges sorted."""
+    outer = set(g.outer)
+    ring = {frozenset((g.outer[i], g.outer[i - 1])) for i in range(len(g.outer))}
+    return [
+        (u, v)
+        for u, v in sorted(g.edges)
+        if u in outer and v in outer and frozenset((u, v)) not in ring
+    ]
+
+
+def brute_shortcuts(g: EmbeddedGraph) -> tuple[Shortcut, ...]:
+    """Each chord with the interior of its shorter arc (ties: the arc from the lower id)."""
+    out = []
+    for u, v in brute_chords(g):
+        arc_uv, arc_vu = brute_arc(g, u, v), brute_arc(g, v, u)
+        if len(arc_uv) < len(arc_vu) or (len(arc_uv) == len(arc_vu) and u < v):
+            short = arc_uv
+        else:
+            short = arc_vu
+        out.append(Shortcut(edge=(u, v), interior=short[1:-1]))
+    return tuple(out)
+
+
+def _arc_is_cip(g: EmbeddedGraph, arc: tuple[VertexId, ...]) -> bool:
+    """No two non-consecutive arc vertices adjacent, apart from the arc's ends."""
+    k = len(arc)
+    for i in range(k):
+        for j in range(i + 2, k):
+            if i == 0 and j == k - 1:
+                continue
+            if arc[j] in g.adj[arc[i]]:
+                return False
+    return True
+
+
+def brute_cips(g: EmbeddedGraph) -> tuple[Cip, ...]:
+    """Both arcs of every chord, tested pair by pair, by outer position then length."""
+    out = []
+    for u, v in brute_chords(g):
+        for arc in (brute_arc(g, u, v), brute_arc(g, v, u)):
+            if _arc_is_cip(g, arc):
+                out.append(Cip(vertices=arc, chord=(u, v)))
+    out.sort(key=lambda c: (g.outer.index(c.vertices[0]), len(c.vertices)))
+    return tuple(out)
 
 
 # -- ring words by enumeration ------------------------------------------------

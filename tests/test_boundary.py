@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from lplan import samples
@@ -10,6 +13,9 @@ from lplan.boundary import (
     is_boundary_edge,
     necessary_conditions,
 )
+from lplan.oracle import GenSpec, generate_ptpg
+
+from oracles import brute_chords, brute_cips, brute_shortcuts
 
 
 @pytest.fixture
@@ -113,3 +119,77 @@ def test_report_dict_shape():
     d = necessary_conditions(samples.pentagon_with_pocket()).as_dict()
     assert set(d) == {"cip_count", "triplets", "pass"}
     assert d["pass"] is True
+
+
+# -- the nested-chord scan against the arc-walking oracle ----------------------
+
+SAMPLES = (
+    samples.pentagon_with_pocket,
+    samples.two_fan_hexagon,
+    samples.chorded_hexagon,
+    samples.hexagon_ring,
+    samples.four_cip_eleven_gon,
+    samples.five_cip_thirteen_gon,
+    samples.six_cip_twelve_gon,
+    samples.octagon_with_fan,
+    samples.nested_triangle,
+    samples.wheel4,
+)
+
+
+def assert_matches_oracle(g):
+    assert chords(g) == brute_chords(g)
+    assert find_shortcuts(g) == brute_shortcuts(g)
+    assert find_cips(g) == brute_cips(g)
+
+
+@pytest.mark.parametrize("make", SAMPLES, ids=lambda f: f.__name__)
+def test_boundary_layer_matches_oracle_on_samples(make):
+    assert_matches_oracle(make())
+
+
+@pytest.mark.parametrize("n", (8, 12, 18, 26, 40))
+def test_boundary_layer_matches_oracle_on_generated_graphs(n):
+    for seed in range(10):
+        for target in (None, 0, 2, 3):
+            assert_matches_oracle(generate_ptpg(GenSpec(n=n, seed=seed, cip_target=target)))
+
+
+@pytest.mark.parametrize("target", (4, 5))
+def test_boundary_layer_matches_oracle_at_high_cip_targets(target):
+    for seed in range(4):
+        g = generate_ptpg(GenSpec(n=26, seed=seed, cip_target=target))
+        assert len(brute_cips(g)) == target
+        assert_matches_oracle(g)
+
+
+def outerplanar_triangulation(k: int, seed: int | None):
+    """A k-gon cut into triangles by k - 3 chords, every vertex on the outer cycle.
+
+    Vertices 1..k sit clockwise on a circle.  Ears are clipped at random
+    (seed) or all from vertex 1 (seed None, a fan).
+    """
+    rng = random.Random(seed)
+    ring = list(range(1, k + 1))
+    edges = [(ring[i - 1], ring[i]) for i in range(k)]
+    while len(ring) > 3:
+        i = 1 if seed is None else rng.randrange(len(ring))
+        edges.append((ring[i - 1], ring[(i + 1) % len(ring)]))
+        del ring[i]
+    coords = {v: (math.sin(2 * math.pi * v / k), math.cos(2 * math.pi * v / k)) for v in range(1, k + 1)}
+    return samples.embed_by_coords(coords, edges, outer=tuple(range(1, k + 1)))
+
+
+@pytest.mark.parametrize("k", (4, 5, 6, 7, 9, 12, 17))
+def test_boundary_layer_matches_oracle_on_small_outerplanar_triangulations(k):
+    for seed in (None, *range(25)):
+        g = outerplanar_triangulation(k, seed)
+        assert len(chords(g)) == k - 3
+        assert_matches_oracle(g)
+
+
+@pytest.mark.parametrize("seed", (None, 0, 1, 2))
+def test_boundary_layer_matches_oracle_on_a_large_outerplanar_triangulation(seed):
+    g = outerplanar_triangulation(400, seed)
+    assert len(chords(g)) == 397
+    assert_matches_oracle(g)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lplan import samples
@@ -12,7 +14,10 @@ from lplan.graph import (
     is_biconnected,
     rotate_min,
     validate_ptpg,
+    walk_darts,
+    _triangles,
 )
+from lplan.io import ParseError, parse_graph
 from lplan.oracle import GenSpec, generate_ptpg
 
 from oracles import brute_separating_triangles, brute_triangles, walk_faces
@@ -67,6 +72,25 @@ def test_outer_face_is_the_boundary():
 def test_inconsistent_rotation_rejected():
     with pytest.raises(InconsistentEmbedding):
         EmbeddedGraph(rotation={1: (2,), 2: (), 3: (1,)}, outer=(1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "rotation, message",
+    [
+        ({1: (2,), 2: (), 3: (1,)}, "edge (1,2) is not symmetric"),
+        ({1: (1, 2, 3), 2: (3, 1), 3: (1, 2)}, "loop at vertex 1"),
+        ({1: (2, 3, 2), 2: (3, 1), 3: (1, 2)}, "repeated neighbor at vertex 1"),
+        ({1: (2, 3, 9), 2: (3, 1), 3: (1, 2)}, "edge (1,9) is not symmetric"),
+        # at vertex 1 the repeat is checked before the one-sided edge (1,2)
+        ({1: (2, 2, 2), 2: (), 3: (4,), 4: ()}, "repeated neighbor at vertex 1"),
+        # the first defect in vertex order is reported, not the later loop
+        ({1: (2, 3), 2: (3,), 3: (1, 2, 3)}, "edge (1,2) is not symmetric"),
+    ],
+)
+def test_rotation_defects_are_reported_in_vertex_order(rotation, message):
+    with pytest.raises(InconsistentEmbedding) as exc:
+        EmbeddedGraph(rotation=rotation, outer=(1, 2, 3))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -161,3 +185,36 @@ def test_triangle_bruteforcer_sees_all_faces():
     tri_sets = {frozenset(t) for t in brute_triangles(g)}
     for f in g.inner_faces:
         assert frozenset(f) in tri_sets
+
+
+def torus_k7_plus_triangle():
+    """K7 embedded on the torus (7 - 21 + 14 = 0) beside a separate triangle.
+
+    Euler's count over both components is 10 - 24 + 16 = 2, as for a
+    plane graph, although the rotation system is not planar.
+    """
+    rotation = {i + 1: tuple((i + d) % 7 + 1 for d in (1, 3, 2, 6, 4, 5)) for i in range(7)}
+    rotation.update({8: (9, 10), 9: (10, 8), 10: (8, 9)})
+    return rotation
+
+
+@pytest.mark.parametrize("outer", ((8, 9, 10), (10, 9, 8)))
+def test_disconnected_rotation_system_is_rejected(outer):
+    rotation = torus_k7_plus_triangle()
+    assert len(walk_darts(rotation)[0]) == 16  # 14 torus faces and the triangle's two
+    with pytest.raises(InconsistentEmbedding, match="not connected"):
+        EmbeddedGraph(rotation=rotation, outer=outer)
+    doc = {
+        "vertices": [{"id": v} for v in sorted(rotation)],
+        "rotation": {str(v): list(nbrs) for v, nbrs in rotation.items()},
+        "outer": list(outer),
+    }
+    with pytest.raises(ParseError, match="not connected") as exc:
+        parse_graph(json.dumps(doc).encode())
+    assert exc.value.where == "document"
+
+
+@pytest.mark.parametrize("make", ALL_SAMPLES, ids=lambda f: f.__name__)
+def test_triangles_in_ascending_order(make):
+    g = make()
+    assert _triangles(g) == brute_triangles(g)

@@ -249,3 +249,19 @@ def test_cli_render_and_gen(tmp_path):
     assert main(["gen", "--n", "12", "--seed", "7", "--out", str(gen_path)]) == 0
     g = parse_graph(gen_path.read_bytes())
     assert len(g.vertices) == 12
+
+
+@pytest.mark.parametrize("at_end", (False, True), ids=("start", "end"))
+def test_duplicate_vertex_id_is_reported_at_its_second_occurrence(at_end):
+    doc = graph_to_doc(samples.pentagon_with_pocket())
+    verts = doc["vertices"]
+    if at_end:
+        verts.append(dict(verts[-1]))  # the last id again, as item 7
+    else:
+        verts.insert(1, dict(verts[0]))  # the first id again, as item 1
+    where = f"vertices[{len(verts) - 1 if at_end else 1}].id"
+    repeated = verts[-1]["id"] if at_end else verts[0]["id"]
+    with pytest.raises(ParseError) as exc:
+        doc_to_graph(doc)
+    assert exc.value.where == where
+    assert f"duplicate vertex id {repeated}" in str(exc.value)
