@@ -77,24 +77,19 @@ def doc_to_graph(doc: dict) -> EmbeddedGraph:
             raise ParseError(where, "keys must be integer vertex ids") from None
         if v not in known:
             raise ParseError(where, f"unknown vertex {v}")
-        if not isinstance(nbrs, list) or not all(
-            isinstance(u, int) and not isinstance(u, bool) for u in nbrs
-        ):
+        # type() is exact: it rejects True and 1.0, which equal known ids
+        if not isinstance(nbrs, list) or not {int}.issuperset(map(type, nbrs)):
             raise ParseError(where, "expected a list of vertex ids")
-        bad = [u for u in nbrs if u not in known]
-        if bad:
-            raise ParseError(where, f"unknown neighbours {bad}")
+        if not known.issuperset(nbrs):
+            raise ParseError(where, f"unknown neighbours {[u for u in nbrs if u not in known]}")
         rotation[v] = tuple(nbrs)
     missing = [v for v in ids if v not in rotation]
     if missing:
         raise ParseError("rotation", f"no neighbour list for vertices {missing}")
-    if not isinstance(doc["outer"], list) or not all(
-        isinstance(u, int) and not isinstance(u, bool) for u in doc["outer"]
-    ):
+    if not isinstance(doc["outer"], list) or not {int}.issuperset(map(type, doc["outer"])):
         raise ParseError("outer", "expected a list of vertex ids")
-    bad = [u for u in doc["outer"] if u not in known]
-    if bad:
-        raise ParseError("outer", f"unknown vertices {bad}")
+    if not known.issuperset(doc["outer"]):
+        raise ParseError("outer", f"unknown vertices {[u for u in doc['outer'] if u not in known]}")
     try:
         return EmbeddedGraph(rotation=rotation, outer=tuple(doc["outer"]), labels=labels)
     except InconsistentEmbedding as exc:

@@ -13,12 +13,93 @@ import itertools
 from collections import Counter
 
 from lplan.boundary import Cip, Shortcut
-from lplan.graph import EmbeddedGraph, VertexId
+from lplan.graph import Dart, EmbeddedGraph, InconsistentEmbedding, VertexId
 from lplan.layout import FloorPlan
 from lplan.paths import AugmentedGraph, check_path_conditions, paths_from_splits
 
 
-# -- faces and separating triangles ------------------------------------------
+# -- faces, 2-connectivity and separating triangles -----------------------------
+
+
+def brute_walk_darts(rotation) -> tuple[list[list[VertexId]], dict[Dart, int]]:
+    """Face walks and dart -> face, walked over darts keyed by vertex pairs.
+
+    Walks start at the first unvisited dart in vertex order and list the
+    tail of each dart; darts enter the map in walk order.
+    """
+    succ: dict[Dart, Dart] = {}
+    for v, nbrs in rotation.items():
+        k = len(nbrs)
+        for i, u in enumerate(nbrs):
+            succ[(u, v)] = (v, nbrs[(i + 1) % k])
+    face: dict[Dart, int] = {}
+    walks: list[list[VertexId]] = []
+    for v0 in sorted(rotation):
+        for u0 in rotation[v0]:
+            dart = (v0, u0)
+            if dart in face:
+                continue
+            fi = len(walks)
+            walk: list[VertexId] = []
+            while dart not in face:
+                face[dart] = fi
+                walk.append(dart[0])
+                dart = succ[dart]
+            if dart != (v0, u0):
+                raise InconsistentEmbedding("face walk did not close")
+            walks.append(walk)
+    return walks, face
+
+
+def brute_biconnected(g: EmbeddedGraph) -> bool:
+    """Tarjan's depth-first search: no cut vertex, and at least three vertices."""
+    verts = g.vertices
+    if len(verts) < 3:
+        return False
+    root = verts[0]
+    disc: dict[VertexId, int] = {}
+    low: dict[VertexId, int] = {}
+    parent: dict[VertexId, VertexId | None] = {root: None}
+    order = 0
+    root_children = 0
+    stack = [(root, iter(g.rotation[root]))]
+    disc[root] = low[root] = order
+    order += 1
+    while stack:
+        v, it = stack[-1]
+        advanced = False
+        for w in it:
+            if w not in disc:
+                parent[w] = v
+                disc[w] = low[w] = order
+                order += 1
+                if v == root:
+                    root_children += 1
+                stack.append((w, iter(g.rotation[w])))
+                advanced = True
+                break
+            elif w != parent[v]:
+                low[v] = min(low[v], disc[w])
+        if not advanced:
+            stack.pop()
+            p = parent[v]
+            if p is not None:
+                low[p] = min(low[p], low[v])
+                if p != root and low[v] >= disc[p]:
+                    return False
+    return root_children <= 1
+
+
+def edge_triangles(g: EmbeddedGraph) -> list[tuple[VertexId, VertexId, VertexId]]:
+    """All 3-cliques, one adjacency-set intersection per edge, sorted."""
+    adj = g.adj
+    out = []
+    for u, nu in adj.items():
+        for v in nu:
+            if v > u:
+                out.extend((u, v, w) for w in nu & adj[v] if w > v)
+    out.sort()
+    return out
 
 
 def walk_faces(g: EmbeddedGraph) -> list[tuple[VertexId, ...]]:

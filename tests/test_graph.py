@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from lplan import samples
+from lplan import layout, samples
 from lplan.graph import (
     EmbeddedGraph,
     InconsistentEmbedding,
@@ -15,12 +16,21 @@ from lplan.graph import (
     rotate_min,
     validate_ptpg,
     walk_darts,
-    _triangles,
 )
 from lplan.io import ParseError, parse_graph
 from lplan.oracle import GenSpec, generate_ptpg
+from lplan.pipeline import plan
+from lplan.rel import T1, T2
+from lplan.samples import embed_by_coords
 
-from oracles import brute_separating_triangles, brute_triangles, walk_faces
+from oracles import (
+    brute_biconnected,
+    brute_separating_triangles,
+    brute_triangles,
+    brute_walk_darts,
+    edge_triangles,
+    walk_faces,
+)
 
 ALL_SAMPLES = (
     samples.pentagon_with_pocket,
@@ -124,7 +134,36 @@ def test_common_neighbors_equal_set_intersection(make):
                 assert set(common_neighbors(g, u, v)) == g.adj[u] & g.adj[v]
 
 
-@pytest.mark.parametrize("make", ALL_SAMPLES, ids=lambda f: f.__name__)
+def k4():
+    """K4 with a triangle for its outer face: every edge has two triangular faces."""
+    coords = {1: (0, 2), 2: (2, -1), 3: (-2, -1), 4: (0, 0)}
+    edges = [(1, 2), (2, 3), (3, 1), (1, 4), (2, 4), (3, 4)]
+    return embed_by_coords(coords, edges, (1, 2, 3))
+
+
+def quad_beside_separating_triangle():
+    """Pentagon whose chord 1-3 has the quadrilateral face 1-3-4-6 on one side.
+
+    The triangle 1-2-3 encloses vertex 5, so the chord has two common
+    neighbours but only one triangular face.
+    """
+    coords = {1: (0, 3), 2: (3, 0), 3: (0, -3), 4: (-2, -2), 5: (1, 0), 6: (-2, 2)}
+    edges = [(1, 2), (2, 3), (3, 4), (4, 6), (6, 1), (1, 3), (5, 1), (5, 2), (5, 3)]
+    return embed_by_coords(coords, edges, (1, 2, 3, 4, 6))
+
+
+def nested_triangles_on_an_outer_edge():
+    """Separating triangles 1-2-3 and 1-2-4, one inside the other, both on outer edge 1-2."""
+    coords = {1: (-3, 3), 2: (3, 3), 3: (3, -3), 4: (1, 1.5), 5: (0.5, 2.5), 6: (-3, -3)}
+    edges = [(1, 2), (2, 3), (3, 6), (6, 1), (1, 3)]
+    edges += [(4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 4)]
+    return embed_by_coords(coords, edges, (1, 2, 3, 6))
+
+
+FILTER_CASES = (k4, quad_beside_separating_triangle, nested_triangles_on_an_outer_edge)
+
+
+@pytest.mark.parametrize("make", ALL_SAMPLES + FILTER_CASES, ids=lambda f: f.__name__)
 def test_separating_triangles_match_oracle(make):
     g = make()
     ours = {frozenset(t) for t in find_separating_triangles(g)}
@@ -171,13 +210,95 @@ def test_plannable_samples_are_ptpgs(make):
 
 
 def test_biconnectivity_negative():
-    # pendant vertex 4 hangs inside the triangle, so 1 is a cut vertex
-    g = EmbeddedGraph(
-        rotation={1: (2, 4, 3), 2: (3, 1), 3: (1, 2), 4: (1,)},
-        outer=(1, 2, 3),
+    rotations = (
+        # pendant vertex 4 hangs inside the triangle, so 1 is a cut vertex
+        {1: (2, 4, 3), 2: (3, 1), 3: (1, 2), 4: (1,)},
+        # the pendant path 1-4-5 inside the triangle: its edges are bridges
+        {1: (2, 4, 3), 2: (3, 1), 3: (1, 2), 4: (1, 5), 5: (4,)},
     )
-    assert not is_biconnected(g)
-    assert not validate_ptpg(g).verdict
+    for rotation in rotations:
+        g = EmbeddedGraph(rotation=rotation, outer=(1, 2, 3))
+        assert not is_biconnected(g)
+        assert not brute_biconnected(g)
+        assert not validate_ptpg(g).verdict
+
+
+def thinned_ptpg(seed: int) -> EmbeddedGraph:
+    """A generated PTPG less some random inner edges, kept connected.
+
+    The outer cycle stays, so what falls apart are the inner vertices:
+    pendant paths and trees, with their cut vertices and bridges.
+    """
+    g = generate_ptpg(GenSpec(n=8 + seed % 12, seed=seed))
+    rng = random.Random(seed)
+    ring = {edge_key(g.outer[i - 1], g.outer[i]) for i in range(len(g.outer))}
+    inner = sorted(g.edges - ring)
+    rng.shuffle(inner)
+    rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
+    for u, v in inner[: rng.randint(0, len(inner))]:
+        i, j = rot[u].index(v), rot[v].index(u)
+        del rot[u][i], rot[v][j]
+        try:
+            g = EmbeddedGraph(rotation=rot, outer=g.outer)
+        except InconsistentEmbedding:  # the edge was a bridge: put it back
+            rot[u].insert(i, v)
+            rot[v].insert(j, u)
+    return g
+
+
+def test_biconnectivity_matches_tarjan():
+    graphs = [make() for make in ALL_SAMPLES + FILTER_CASES]
+    graphs += [generate_ptpg(GenSpec(n=8 + 3 * seed, seed=seed)) for seed in range(8)]
+    graphs += [thinned_ptpg(seed) for seed in range(60)]
+    verdicts = [brute_biconnected(g) for g in graphs]
+    assert [is_biconnected(g) for g in graphs] == verdicts
+    assert True in verdicts and False in verdicts
+
+
+def assert_walk_matches_oracle(rotation):
+    walks, dart_face = walk_darts(rotation)
+    brute_walks, brute_face = brute_walk_darts(rotation)
+    assert walks == brute_walks
+    assert list(dart_face.items()) == list(brute_face.items())
+
+
+def assert_graph_walk_matches_oracle(g):
+    assert_walk_matches_oracle(g.rotation)
+    walks, dart_face = brute_walk_darts(g.rotation)
+    assert g.faces == tuple(rotate_min(w) for w in walks)
+    assert list(g.dart_face.items()) == list(dart_face.items())
+    assert g.outer_face_index == dart_face[g.outer[:2]]
+
+
+@pytest.mark.parametrize("make", ALL_SAMPLES + FILTER_CASES, ids=lambda f: f.__name__)
+def test_dart_walk_matches_oracle(make):
+    assert_graph_walk_matches_oracle(make())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dart_walk_matches_oracle_generated(seed):
+    assert_graph_walk_matches_oracle(generate_ptpg(GenSpec(n=8 + 3 * seed, seed=seed)))
+    assert_graph_walk_matches_oracle(thinned_ptpg(seed))
+
+
+@pytest.mark.parametrize(
+    "make",
+    (samples.pentagon_with_pocket, samples.hexagon_ring, samples.octagon_with_fan),
+    ids=lambda f: f.__name__,
+)
+def test_dart_walk_matches_oracle_on_rel_subgraphs(make):
+    res = plan(make())
+    assert res.ok
+    for color in (T1, T2):
+        assert_walk_matches_oracle(layout._sub_rotation(res.rel, color))
+
+
+def test_high_degree_wheel_is_a_ptpg():
+    n = 20000
+    rotation = {i: ((i - 2) % n + 1, i % n + 1, 0) for i in range(1, n + 1)}
+    rotation[0] = tuple(range(1, n + 1))
+    g = EmbeddedGraph(rotation=rotation, outer=tuple(range(1, n + 1)))
+    assert validate_ptpg(g).verdict
 
 
 def test_triangle_bruteforcer_sees_all_faces():
@@ -202,6 +323,7 @@ def torus_k7_plus_triangle():
 def test_disconnected_rotation_system_is_rejected(outer):
     rotation = torus_k7_plus_triangle()
     assert len(walk_darts(rotation)[0]) == 16  # 14 torus faces and the triangle's two
+    assert_walk_matches_oracle(rotation)
     with pytest.raises(InconsistentEmbedding, match="not connected"):
         EmbeddedGraph(rotation=rotation, outer=outer)
     doc = {
@@ -217,4 +339,4 @@ def test_disconnected_rotation_system_is_rejected(outer):
 @pytest.mark.parametrize("make", ALL_SAMPLES, ids=lambda f: f.__name__)
 def test_triangles_in_ascending_order(make):
     g = make()
-    assert _triangles(g) == brute_triangles(g)
+    assert edge_triangles(g) == brute_triangles(g)

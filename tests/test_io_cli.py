@@ -71,6 +71,23 @@ def test_graph_doc_errors(mutate, where):
     assert exc.value.where == where
 
 
+@pytest.mark.parametrize(
+    "nbrs, message",
+    [
+        ([2, True, 6], "expected a list of vertex ids"),
+        ([2, 1.0, 6], "expected a list of vertex ids"),  # 1.0 == 1, a known id
+        ([2, "5", 6], "expected a list of vertex ids"),
+        ([99, 2, 98, 6], "unknown neighbours [99, 98]"),
+    ],
+)
+def test_neighbour_list_errors(nbrs, message):
+    doc = graph_to_doc(samples.pentagon_with_pocket())
+    doc["rotation"]["1"] = nbrs
+    with pytest.raises(ParseError) as exc:
+        doc_to_graph(doc)
+    assert (exc.value.where, exc.value.reason) == ("rotation.1", message)
+
+
 def test_malformed_json_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_graph(b"{not json")
