@@ -55,7 +55,16 @@ def rotate_min(seq: Sequence[VertexId]) -> tuple[VertexId, ...]:
 
 
 def cyclic_eq(a: Sequence[VertexId], b: Sequence[VertexId]) -> bool:
-    return len(a) == len(b) and rotate_min(a) == rotate_min(b)
+    """Whether a is b read from another start; exact when b repeats no vertex."""
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    try:
+        k = b.index(a[0])
+    except ValueError:
+        return False
+    return tuple(a) == tuple(b[k:]) + tuple(b[:k])
 
 
 def _number_darts(
@@ -141,9 +150,17 @@ class EmbeddedGraph:
     labels: Mapping[VertexId, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        rot = {int(v): tuple(map(int, nbrs)) for v, nbrs in self.rotation.items()}
+        rot = {v: tuple(nbrs) for v, nbrs in self.rotation.items()}
+        outer = tuple(self.outer)
+        # type() is exact: True and 1.0 equal the id 1 but are not ids
+        if not (
+            {int}.issuperset(map(type, rot))
+            and {int}.issuperset(map(type, chain.from_iterable(rot.values())))
+            and {int}.issuperset(map(type, outer))
+        ):
+            raise InconsistentEmbedding("vertex ids must be of type int")
         object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "outer", tuple(int(v) for v in self.outer))
+        object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "labels", dict(self.labels))
         self._check()
 

@@ -21,9 +21,12 @@ stretches close into a single cycle through distinct points, only one
 level set has a boundary: the count is 0 outside the cycle and, as it
 cannot be negative, 1 inside, and the modules tile the region the cycle
 bounds.  rfp_from_rel requires that region to be the bounding box;
-plan_outline, profile_from_outline and dual_graph read the cycle and
-the two-sided stretches.  No cell grid is built, and a plan keeps its
-sweep (FloorPlan.walls), so plan_outline and dual_graph share it.
+plan_outline, profile_from_outline and plan_embedding read the cycle
+and the two-sided stretches.  No cell grid is built, and a plan keeps
+its sweep (FloorPlan.walls), so plan_outline and plan_embedding share
+it.  plan_embedding gives the dual's rotations and outer cycle as plain
+data, which plan() compares with the input; dual_graph builds them
+into a checked graph.
 """
 
 from __future__ import annotations
@@ -386,8 +389,16 @@ def verify_nontrivial_L(fp: FloorPlan, profile: CornerProfile) -> NonTrivialityV
 # -- dual graph of a plan ----------------------------------------------------
 
 
-def dual_graph(fp: FloorPlan) -> EmbeddedGraph:
-    """Adjacency-of-modules graph with the embedding read off the drawing."""
+def plan_embedding(
+    fp: FloorPlan,
+) -> tuple[dict[VertexId, tuple[VertexId, ...]], tuple[VertexId, ...]]:
+    """The clockwise rotation of every module and the modules along the outline.
+
+    This is the embedding of the plan's dual, read off the drawing without
+    building a graph.  Raises PointContactAmbiguity where four modules
+    meet at a point or a module lines the outline in separated stretches,
+    and ValueError where the outline is not one cycle.
+    """
     walls = fp.walls
     # A lattice point where four distinct modules meet leaves the diagonal
     # contacts undecidable.
@@ -421,7 +432,13 @@ def dual_graph(fp: FloorPlan) -> EmbeddedGraph:
         above, rightn, below, leftn = sides[v]
         ring = above + rightn[::-1] + below[::-1] + leftn  # clockwise from the top-left
         rotation[v] = tuple(u for i, u in enumerate(ring) if i == 0 or ring[i - 1] != u)
-    return EmbeddedGraph(rotation=rotation, outer=tuple(owners), labels=dict(fp.labels))
+    return rotation, tuple(owners)
+
+
+def dual_graph(fp: FloorPlan) -> EmbeddedGraph:
+    """Adjacency-of-modules graph with the embedding read off the drawing (plan_embedding)."""
+    rotation, outer = plan_embedding(fp)
+    return EmbeddedGraph(rotation=rotation, outer=outer, labels=dict(fp.labels))
 
 
 def plan_outline(fp: FloorPlan) -> tuple[tuple[int, int], ...]:

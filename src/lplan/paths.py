@@ -444,17 +444,25 @@ def four_completion(
     g: EmbeddedGraph,
     qpaths: tuple[tuple[VertexId, ...], ...],
     ne: VertexId | None = None,
+    ne_arc: tuple[VertexId, ...] | None = None,
 ) -> AugmentedGraph:
-    """Attach the four poles around paths Q1..Q4 covering the boundary."""
+    """Attach the four poles around paths Q1..Q4 covering the boundary.
+
+    With ne_arc, g does not hold the north-east helper yet: ne is attached
+    over that arc first, and the one build equals
+    four_completion(augment_with_ne(g, ps)[0], qpaths, ne=ne) for
+    ne_arc = ps.p1.
+    """
     if len(qpaths) != 4:
         raise EmbeddingConflict("four-completion needs exactly four paths")
     for i in range(4):
         if qpaths[i][-1] != qpaths[(i + 1) % 4][0]:
             raise EmbeddingConflict("completion paths must chain around the boundary")
-    base = max(g.vertices) + 1
+    first = [] if ne_arc is None else [(ne_arc, ne, "NE")]
+    base = (g.vertices[-1] if ne_arc is None else max(g.vertices[-1], ne)) + 1
     ids = {"N": base, "E": base + 1, "S": base + 2, "W": base + 3}
     q1, q2, q3, q4 = qpaths
-    g = _attach_all(g, [
+    g = _attach_all(g, first + [
         (q1, ids["N"], "N"),
         ((ids["N"],) + q2, ids["E"], "E"),
         ((ids["E"],) + q3, ids["S"], "S"),

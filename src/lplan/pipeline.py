@@ -2,10 +2,21 @@
 
 plan() walks the admissible corner triplets clockwise from the lowest
 numbered boundary vertex and runs, per triplet: path selection, the
-north-east augmentation, four-completion, labeling, corner label
-normalization, rectangle extraction, notch removal, and the
-non-triviality walk.  The first triplet that survives every stage
-wins; per-triplet failures are kept for the report.
+four-completion with the north-east module (one checked build),
+labeling, corner label normalization, rectangle extraction, notch
+removal, the non-triviality walk, and verification.  The first triplet
+that survives every stage wins; per-triplet failures are kept for the
+report.
+
+Verification asks that the plan reproduce the input's embedding, not
+only its edges: every module's rotation and the outline, read off the
+walls, must equal the input's up to a cyclic shift.  The input was
+checked when it was built, so no graph is built for the plan's dual.
+This refuses no plan the edge compare would accept, bar a mirror image:
+an internally triangulated disk plus an apex over its outer face is
+3-connected, so its embedding is unique up to reflection (Whitney
+1933), and a plan drawn from the input's own completion keeps the
+input's orientation.
 
 rectangular_plan() is the plain rectangular variant: four boundary
 paths, no north-east module, success exactly when the graph has at
@@ -26,14 +37,14 @@ from .flipping import (
     OracleViolation,
     normalize_labels,
 )
-from .graph import EmbeddedGraph, VertexId, validate_ptpg
+from .graph import EmbeddedGraph, VertexId, cyclic_eq, edge_key, validate_ptpg
 from .layout import (
     CornerProfile,
     FloorPlan,
     NonTrivialityVerdict,
     NotCornerModule,
     PointContactAmbiguity,
-    dual_graph,
+    plan_embedding,
     remove_ne,
     rfp_from_rel,
     verify_nontrivial_L,
@@ -44,13 +55,11 @@ from .paths import (
     Infeasible,
     PathSet,
     _pad_multisets,
-    augment_with_ne,
     completion_paths,
     four_completion,
     select_paths,
 )
-# is_valid_rel is imported for bench/spans.py, which times calls by this name.
-from .rel import NotConstructible, Rel, construct_rel, is_valid_rel  # noqa: F401
+from .rel import NotConstructible, Rel, construct_rel
 
 _RFP_PAD_CAP = 50000
 
@@ -117,15 +126,26 @@ def _ordered_triplets(g: EmbeddedGraph, triplets) -> list[Triplet]:
     return sorted(triplets, key=lambda t: (g.outer_pos[t.a] - shift) % n)
 
 
-def _graphs_match(g: EmbeddedGraph, dual: EmbeddedGraph) -> str | None:
-    if set(dual.vertices) != set(g.vertices):
-        return f"module set {sorted(dual.vertices)} != vertex set {sorted(g.vertices)}"
-    if dual.edges != g.edges:
-        missing = sorted(g.edges - dual.edges)
-        extra = sorted(dual.edges - g.edges)
-        return f"adjacency differs (missing {missing[:4]}, extra {extra[:4]})"
+def _plan_mismatch(g: EmbeddedGraph, fp: FloorPlan) -> str | None:
+    """How the plan's dual differs from g, embedding included; None when it is g.
+
+    Raises what plan_embedding raises on an unreadable plan.  Edge sets
+    are built only to name a difference.
+    """
+    rotation, outer = plan_embedding(fp)
+    if rotation.keys() != g.rotation.keys():
+        return f"module set {sorted(rotation)} != vertex set {sorted(g.vertices)}"
+    turned = [v for v, nbrs in g.rotation.items() if not cyclic_eq(rotation[v], nbrs)]
+    if turned or not cyclic_eq(outer, g.outer):
+        edges = {edge_key(u, v) for u, nbrs in rotation.items() for v in nbrs}
+        if edges != g.edges:
+            missing = sorted(g.edges - edges)
+            extra = sorted(edges - g.edges)
+            return f"adjacency differs (missing {missing[:4]}, extra {extra[:4]})"
+        where = f"the rotation of {turned[0]}" if turned else "the outline"
+        return f"every adjacency matches, but the embedding differs at {where}"
     for v, name in g.labels.items():
-        if dual.labels.get(v) != name:
+        if fp.labels.get(v) != name:
             return f"label of {v} lost"
     return None
 
@@ -188,9 +208,9 @@ def _plan_one(
         fail("paths", reason, exc.final)
         return None
 
+    ne = g.vertices[-1] + 1
     try:
-        g2, ne = augment_with_ne(g, ps)
-        ag = four_completion(g2, completion_paths(ps, ne), ne=ne)
+        ag = four_completion(g, completion_paths(ps, ne), ne=ne, ne_arc=ps.p1)
     except (EmbeddingConflict, ValueError) as exc:
         fail("completion", str(exc))
         return None
@@ -223,7 +243,7 @@ def _plan_one(
         return None
 
     try:
-        mismatch = _graphs_match(g, dual_graph(lplan))
+        mismatch = _plan_mismatch(g, lplan)
     except (PointContactAmbiguity, ValueError) as exc:
         fail("verify", str(exc))
         return None

@@ -124,6 +124,23 @@ def test_tiny_outer_cycle_rejected():
         EmbeddedGraph(rotation={1: (2,), 2: (1,)}, outer=(1, 2))
 
 
+@pytest.mark.parametrize("bad", ("1", True, 1.0), ids=("str", "bool", "float"))
+@pytest.mark.parametrize("place", ("key", "neighbour", "outer"))
+def test_vertex_ids_must_be_exact_ints(bad, place):
+    # bad stands for vertex 1 in one place; True and 1.0 even compare equal to 1
+    rotation = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
+    outer = (1, 2, 3)
+    assert EmbeddedGraph(rotation=rotation, outer=outer).vertices == (1, 2, 3)
+    if place == "key":
+        rotation = {bad: (2, 3), 2: (3, 1), 3: (1, 2)}
+    elif place == "neighbour":
+        rotation[2] = (3, bad)
+    else:
+        outer = (bad, 2, 3)
+    with pytest.raises(InconsistentEmbedding, match="vertex ids must be of type int"):
+        EmbeddedGraph(rotation=rotation, outer=outer)
+
+
 @pytest.mark.parametrize("make", ALL_SAMPLES, ids=lambda f: f.__name__)
 def test_common_neighbors_equal_set_intersection(make):
     g = make()

@@ -165,6 +165,49 @@ def test_four_completion_pentagon():
     assert rep.verdict, rep
 
 
+PLANNABLE = (
+    samples.pentagon_with_pocket,
+    samples.hexagon_ring,
+    samples.four_cip_eleven_gon,
+    samples.two_fan_hexagon,
+    samples.chorded_hexagon,
+    samples.octagon_with_fan,
+)
+
+
+def _completion_pairs(g):
+    """(one-attach, two-step) completions for every path set select_paths finds."""
+    cips = find_cips(g)
+    if len(cips) > 5:
+        return
+    for t in find_triplets(g):
+        try:
+            ps = select_paths(g, t, cips)
+        except Infeasible:
+            continue
+        ne = g.vertices[-1] + 1
+        qpaths = completion_paths(ps, ne)
+        g2, ne2 = augment_with_ne(g, ps)
+        assert ne2 == ne
+        yield four_completion(g, qpaths, ne=ne, ne_arc=ps.p1), four_completion(g2, qpaths, ne=ne)
+
+
+def test_one_attach_completion_equals_the_two_step_oracle():
+    graphs = [make() for make in PLANNABLE] + [
+        generate_ptpg(GenSpec(n=n, seed=seed)) for n in (10, 20, 30, 40) for seed in range(5)
+    ]
+    compared = 0
+    for g in graphs:
+        for one, two in _completion_pairs(g):
+            # dict order too: documents list vertices and labels in this order
+            assert list(one.base.rotation.items()) == list(two.base.rotation.items())
+            assert one.base.outer == two.base.outer
+            assert list(one.base.labels.items()) == list(two.base.labels.items())
+            assert (one.ne, one.poles, one.pprime) == (two.ne, two.poles, two.pprime)
+            compared += 1
+    assert compared >= 100
+
+
 def test_four_completion_requires_chained_paths():
     g = samples.pentagon_with_pocket()
     ps = select_paths(g, _triplet(g, (1, 2, 3)))

@@ -8,10 +8,13 @@ from oracles import geometric_adjacency
 
 from lplan import samples
 from lplan.boundary import find_cips
-from lplan.graph import EmbeddedGraph
+from lplan.graph import EmbeddedGraph, edge_key
+from lplan.layout import FloorPlan, Rect, dual_graph
+from lplan.paths import attach_outside
 from lplan.pipeline import (
     InvalidInput,
     PlanOptions,
+    _plan_mismatch,
     plan,
     rectangular_plan,
 )
@@ -113,8 +116,11 @@ def test_rectangular_plan_refuses_five_or_more_cips(name):
     assert res.plan is None
 
 
+PLANNABLE = sorted(name for name, outcome in PLAN_OUTCOMES.items() if outcome == "Plan")
+
+
 def test_plan_builds_the_completion_once(monkeypatch):
-    g = samples.pentagon_with_pocket()
+    graphs = {name: getattr(samples, name)() for name in PLANNABLE}
     built: list[EmbeddedGraph] = []
     check = EmbeddedGraph.__post_init__
 
@@ -123,8 +129,73 @@ def test_plan_builds_the_completion_once(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(EmbeddedGraph, "__post_init__", counted)
-    res = plan(g)
-    assert res.ok and tuple(res.triplet) == (1, 2, 3)
-    # the north-east augmentation, the four-completion and the dual of the plan
-    assert [len(h.vertices) - len(g.vertices) for h in built] == [1, 5, 0]
-    assert built[1] is res.completion.base
+    for name, g in graphs.items():
+        built.clear()
+        res = plan(g)
+        assert res.ok, name
+        # only the completion: the north-east module and the four poles in
+        # one build; the plan is verified against g without a graph of its own
+        assert [len(h.vertices) - len(g.vertices) for h in built] == [5], name
+        assert built[0] is res.completion.base, name
+
+
+# -- verification against the input's embedding ------------------------------
+
+
+def _with_outer_chord(g: EmbeddedGraph) -> tuple[EmbeddedGraph, tuple[int, int]]:
+    """g plus one edge drawn outside it, across the first outer vertex it can skip."""
+    n = len(g.outer)
+    for i in range(n):
+        a, b, c = g.outer[i - 1], g.outer[i], g.outer[(i + 1) % n]
+        if c in g.adj[a]:
+            continue
+        rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
+        # an outer vertex meets the outer face just after its predecessor
+        rot[a].insert(rot[a].index(g.outer[i - 2]) + 1, c)
+        rot[c].insert(rot[c].index(b) + 1, a)
+        h = EmbeddedGraph(
+            rotation={v: tuple(nbrs) for v, nbrs in rot.items()},
+            outer=tuple(v for v in g.outer if v != b),
+            labels=g.labels,
+        )
+        return h, edge_key(a, c)
+    raise AssertionError("no outer vertex can be skipped")
+
+
+@pytest.mark.parametrize("name", PLANNABLE)
+def test_a_mirrored_plan_has_the_edges_but_is_refused(name):
+    g = getattr(samples, name)()
+    fp = plan(g).plan
+    assert _plan_mismatch(g, fp) is None
+    w = fp.width
+    mirrored = FloorPlan(
+        rects={v: Rect(w - rc.x2, rc.y1, w - rc.x1, rc.y2) for v, rc in fp.rects.items()},
+        width=w,
+        height=fp.height,
+        labels=fp.labels,
+    )
+    assert dual_graph(mirrored).edges == g.edges  # an edge compare would accept it
+    assert _plan_mismatch(g, mirrored).startswith(
+        "every adjacency matches, but the embedding differs at the rotation of "
+    )
+
+
+@pytest.mark.parametrize("name", PLANNABLE)
+def test_verification_names_a_missing_module_contact_or_label(name):
+    g = getattr(samples, name)()
+    fp = plan(g).plan
+    top = g.vertices[-1] + 1
+    bigger = attach_outside(g, g.outer[:2], top)
+    assert _plan_mismatch(bigger, fp) == (
+        f"module set {sorted(g.vertices)} != vertex set {sorted(g.vertices) + [top]}"
+    )
+    chorded, chord = _with_outer_chord(g)
+    assert _plan_mismatch(chorded, fp) == f"adjacency differs (missing {[chord]}, extra [])"
+    for v in sorted(g.labels)[:1]:
+        unlabeled = FloorPlan(
+            rects=fp.rects,
+            width=fp.width,
+            height=fp.height,
+            labels={u: s for u, s in fp.labels.items() if u != v},
+        )
+        assert _plan_mismatch(g, unlabeled) == f"label of {v} lost"
