@@ -4,15 +4,19 @@ One human-writable format per object.  A graph document holds the
 vertex list, the clockwise rotation per vertex, and the clockwise
 outer cycle; a plan document holds the module rectangles plus the
 outline and corner data needed to redraw the plan without the solver.
+Both are written byte for byte as json.dumps(doc, indent=2,
+sort_keys=True) writes them, by a writer of their own (_dump): with an
+indent, json.dumps runs its pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .graph import EmbeddedGraph, InconsistentEmbedding, VertexId
-from .layout import FloorPlan
+from .layout import FloorPlan, plan_outline
 from .pipeline import PlanResult
 
 
@@ -21,6 +25,59 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {reason}")
         self.where = where
         self.reason = reason
+
+
+# -- writing ------------------------------------------------------------------
+
+
+def _dump(x: object, out: list[str], nl: str) -> None:
+    """Append x as json.dumps(x, indent=2, sort_keys=True) writes it, nl ending each line.
+
+    With an indent set, json.dumps runs its pure-Python encoder; this
+    writer dispatches on exact types instead.  Strings go through the
+    encoder's own quoting function and ints through int.__repr__, as
+    json does.  Anything else, and a dict with a key that is not a
+    string, is left to json.dumps, indented to fit.
+    """
+    t = type(x)
+    if t is str:
+        out.append(_quote(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif t is list and x:
+        _items(x, None, out, "[", nl)
+        out.append(nl + "]")
+    elif t is dict and x and {str}.issuperset(map(type, x)):
+        keys = sorted(x)
+        _items([x[k] for k in keys], keys, out, "{", nl)
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", nl))
+
+
+def _items(values: list, keys: list[str] | None, out: list[str], opening: str, nl: str) -> None:
+    """The members of a list or, with keys, of a dict, one to a line after opening."""
+    inner = nl + "  "
+    sep = opening + inner
+    for i, v in enumerate(values):
+        head = sep if keys is None else sep + _quote(keys[i]) + ": "
+        t = type(v)
+        if t is int:
+            out.append(head + int.__repr__(v))
+        elif t is str:
+            out.append(head + _quote(v))
+        else:
+            out.append(head)
+            _dump(v, out, inner)
+        sep = "," + inner
+
+
+def _document(doc: object) -> bytes:
+    """doc as json.dumps(doc, indent=2, sort_keys=True) plus a newline, in UTF-8."""
+    out: list[str] = []
+    _dump(doc, out, "\n")
+    out.append("\n")
+    return "".join(out).encode()
 
 
 # -- graph documents ----------------------------------------------------------
@@ -105,7 +162,7 @@ def parse_graph(data: bytes) -> EmbeddedGraph:
 
 
 def serialize_graph(g: EmbeddedGraph) -> bytes:
-    return (json.dumps(graph_to_doc(g), indent=2, sort_keys=True) + "\n").encode()
+    return _document(graph_to_doc(g))
 
 
 # -- plan documents -----------------------------------------------------------
@@ -118,8 +175,6 @@ def _name(g: EmbeddedGraph, v: VertexId) -> str:
 def plan_to_doc(result: PlanResult, include_trace: bool = False) -> dict:
     if not result.ok:
         raise ValueError("only successful results serialize to a plan document")
-    from .layout import plan_outline
-
     g = result.graph
     fp = result.plan
     assert fp is not None and result.profile is not None and result.pathset is not None
@@ -147,7 +202,7 @@ def plan_to_doc(result: PlanResult, include_trace: bool = False) -> dict:
 
 
 def serialize_plan(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    return _document(doc)
 
 
 def parse_plan(data: bytes) -> dict:
@@ -166,12 +221,19 @@ def parse_plan(data: bytes) -> dict:
         for key in ("label", "x", "y", "w", "h"):
             if key not in m:
                 raise ParseError(where, f"missing field {key!r}")
-        if not all(isinstance(m[k], int) for k in ("x", "y", "w", "h")):
+        if not isinstance(m["label"], str):
+            raise ParseError(f"{where}.label", "labels must be strings")
+        # type() is exact: it rejects True and 1.0
+        if not {int}.issuperset(type(m[k]) for k in ("x", "y", "w", "h")):
             raise ParseError(where, "coordinates must be integers")
         if m["w"] < 1 or m["h"] < 1:
             raise ParseError(where, "module sides must be positive")
-    doc.setdefault("outline", [])
-    doc.setdefault("concave_corners", [])
+    for key in ("outline", "concave_corners"):
+        points = doc.setdefault(key, [])
+        if not isinstance(points, list) or not all(
+            type(p) is list and len(p) == 2 and {int}.issuperset(map(type, p)) for p in points
+        ):
+            raise ParseError(key, "expected a list of [x, y] integer points")
     return doc
 
 
@@ -187,6 +249,10 @@ class SvgStyle:
     fill: str = "#f2ede3"
     line: str = "#20242b"
     marker: str = "#c0392b"
+
+
+# character data in XML; xml.sax.saxutils.escape would import urllib and ssl
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def render_svg(doc: dict, style: SvgStyle | None = None) -> bytes:
@@ -213,7 +279,7 @@ def render_svg(doc: dict, style: SvgStyle | None = None) -> bytes:
         cy = py(m["y"]) - m["h"] * st.scale // 2 + st.font_size // 2
         out.append(
             f'<text x="{cx}" y="{cy}" font-family="sans-serif" font-size="{st.font_size}" '
-            f'text-anchor="middle" fill="{st.line}">{m["label"]}</text>'
+            f'text-anchor="middle" fill="{st.line}">{m["label"].translate(_XML_TEXT)}</text>'
         )
     if doc.get("outline"):
         pts = " ".join(f"{px(x)},{py(y)}" for x, y in doc["outline"])

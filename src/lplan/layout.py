@@ -7,7 +7,9 @@ subgraph the vertical ones, and the shared dart walk (graph.walk_darts)
 labels every dart of a subgraph with its face in one pass.  A module's
 bottom wall is the T2 face entered just after its last outgoing T2
 edge, its top wall the face after its last incoming T2 edge; left and
-right walls come from the T1 subgraph the same way.  Coordinates are
+right walls come from the T1 subgraph the same way.  One pass over the
+rings, read as dart classes (rel.dart_classes), gives both subgraphs
+and every block's last edge (_read_rings).  Coordinates are
 longest-path depths of those segment nodes, which yields the unique
 compact integer drawing.
 
@@ -24,9 +26,12 @@ bounds.  rfp_from_rel requires that region to be the bounding box;
 plan_outline, profile_from_outline and plan_embedding read the cycle
 and the two-sided stretches.  No cell grid is built, and a plan keeps
 its sweep (FloorPlan.walls), so plan_outline and plan_embedding share
-it.  plan_embedding gives the dual's rotations and outer cycle as plain
-data, which plan() compares with the input; dual_graph builds them
-into a checked graph.
+it.  The L plan is not swept at all: remove_ne hands it the full
+plan's stretches with the NE module's side cleared, the empty ones
+dropped and the ones it alone split merged again (_walls_without), so
+a successful plan is swept once.  plan_embedding gives the dual's
+rotations and outer cycle as plain data, which plan() compares with
+the input; dual_graph builds them into a checked graph.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .graph import EmbeddedGraph, VertexId, edge_key, walk_darts
-from .rel import T1, T2, Rel
+from .graph import EmbeddedGraph, VertexId, walk_darts
+from .rel import _BLOCK_ORDER, T2, Rel, dart_classes
 
 FLOOR = "FLOOR"
 CEILING = "CEILING"
@@ -108,27 +113,41 @@ class NonTrivialityVerdict:
 # -- segment faces -----------------------------------------------------------
 
 
-def _sub_rotation(r: Rel, color: str) -> dict[VertexId, tuple[VertexId, ...]]:
-    out: dict[VertexId, tuple[VertexId, ...]] = {}
+def _read_rings(
+    r: Rel, modules: list[VertexId]
+) -> tuple[dict[VertexId, tuple[VertexId, ...]], dict[VertexId, tuple[VertexId, ...]], dict]:
+    """The T1 and T2 sub-rotations, and every module's block ends, in one pass.
+
+    Each ring is read as dart classes (rel.dart_classes): the class's
+    color bit sorts a neighbor into a sub-rotation, and a neighbor whose
+    class differs from the next one's ends its block.  ends[v] maps each
+    class around module v to the last neighbor, clockwise, of its block.
+    """
+    cls = dart_classes(r)
+    sub1: dict[VertexId, tuple[VertexId, ...]] = {}
+    sub2: dict[VertexId, tuple[VertexId, ...]] = {}
     for v, nbrs in r.graph.rotation.items():
-        kept = tuple(u for u in nbrs if r.color.get(edge_key(u, v)) == color)
-        if kept:
-            out[v] = kept
-    return out
-
-
-def _block_ends(r: Rel, v: VertexId) -> dict[str, VertexId]:
-    """Last neighbor, clockwise, of each block (T1out, T2in, ...) around v."""
-    ring = r.graph.rotation[v]
-    states = []
-    for u in ring:
-        e = edge_key(u, v)
-        states.append(r.color[e] + ("out" if r.orient[e][0] == v else "in"))
-    ends: dict[str, VertexId] = {}
-    for i, u in enumerate(ring):
-        if states[i] != states[(i + 1) % len(ring)]:
-            ends.setdefault(states[i], u)
-    return ends
+        t1: list[VertexId] = []
+        t2: list[VertexId] = []
+        for u in nbrs:
+            c = cls.get((v, u))
+            if c is not None:
+                (t2 if c & 1 else t1).append(u)
+        if t1:
+            sub1[v] = tuple(t1)
+        if t2:
+            sub2[v] = tuple(t2)
+    ends: dict[VertexId, dict[int, VertexId]] = {}
+    for v in modules:
+        ring = r.graph.rotation[v]
+        cs = [cls[v, u] for u in ring]
+        d = len(cs)
+        at: dict[int, VertexId] = {}
+        for i, u in enumerate(ring):
+            if cs[i] != cs[i + 1 - d]:  # the next position, cyclically
+                at.setdefault(cs[i], u)
+        ends[v] = at
+    return sub1, sub2, ends
 
 
 def _longest_paths(edges: list[tuple[object, object]], source: object) -> dict[object, int]:
@@ -159,8 +178,9 @@ def rfp_from_rel(r: Rel) -> FloorPlan:
     pn, pe, ps, pw = (r.poles[k] for k in ("N", "E", "S", "W"))
     pole_set = {pn, pe, ps, pw}
     modules = [v for v in g.vertices if v not in pole_set]
-    _, f1 = walk_darts(_sub_rotation(r, T1))
-    _, f2 = walk_darts(_sub_rotation(r, T2))
+    sub1, sub2, block_ends = _read_rings(r, modules)
+    _, f1 = walk_darts(sub1)
+    _, f2 = walk_darts(sub2)
 
     bottom: dict[VertexId, object] = {}
     top: dict[VertexId, object] = {}
@@ -168,14 +188,14 @@ def rfp_from_rel(r: Rel) -> FloorPlan:
     right: dict[VertexId, object] = {}
     for v in modules:
         adj = g.adj[v]
-        ends = _block_ends(r, v)
+        ends = block_ends[v]
         try:
-            bottom[v] = FLOOR if ps in adj else f2[(ends["T2out"], v)]
-            top[v] = CEILING if pn in adj else f2[(ends["T2in"], v)]
-            left[v] = WEST if pw in adj else f1[(ends["T1in"], v)]
-            right[v] = EAST if pe in adj else f1[(ends["T1out"], v)]
+            bottom[v] = FLOOR if ps in adj else f2[(ends[1], v)]
+            top[v] = CEILING if pn in adj else f2[(ends[3], v)]
+            left[v] = WEST if pw in adj else f1[(ends[2], v)]
+            right[v] = EAST if pe in adj else f1[(ends[0], v)]
         except KeyError as exc:
-            raise ValueError(f"vertex {v} has no {exc.args[0]} edge") from None
+            raise ValueError(f"vertex {v} has no {_BLOCK_ORDER[exc.args[0]]} edge") from None
 
     # Module thickness alone leaves side-by-side walls free to align into a
     # cross, losing the contact; adjacent pairs must overlap across the wall.
@@ -304,10 +324,38 @@ def corner_profile(fp: FloorPlan, ne: VertexId) -> CornerProfile:
 
 
 def remove_ne(fp: FloorPlan, ne: VertexId) -> tuple[FloorPlan, CornerProfile]:
+    """The plan without module ne, which inherits fp's sweep, and its corner."""
     profile = corner_profile(fp, ne)
     rest = {v: rc for v, rc in fp.rects.items() if v != ne}
     labels = {v: s for v, s in fp.labels.items() if v != ne}
-    return FloorPlan(rects=rest, width=fp.width, height=fp.height, labels=labels), profile
+    lplan = FloorPlan(rects=rest, width=fp.width, height=fp.height, labels=labels)
+    vars(lplan)["walls"] = _walls_without(fp.walls, ne)  # fills the cached_property
+    return lplan, profile
+
+
+def _walls_without(walls: list[Stretch], gone: VertexId) -> list[Stretch]:
+    """The stretches of a plan after module gone is taken out, as _stretches gives them.
+
+    The module's side of each stretch is cleared and stretches left with
+    no module are dropped.  A sweep splits a line only where the modules
+    on it change, so stretches that meet end to end with the same modules
+    were split by the module taken out alone, and are merged.
+    """
+    out: list[Stretch] = []
+    for axis, c, a, b, low, high in walls:
+        if low == gone:
+            low = None
+        elif high == gone:
+            high = None
+        if low is None and high is None:
+            continue
+        if out:
+            last = out[-1]
+            if last[3] == a and last[4] == low and last[5] == high and last[:2] == (axis, c):
+                out[-1] = (axis, c, last[2], b, low, high)
+                continue
+        out.append((axis, c, a, b, low, high))
+    return out
 
 
 def profile_from_outline(fp: FloorPlan) -> CornerProfile:

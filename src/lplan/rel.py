@@ -7,6 +7,13 @@ T2 outgoing, T1 incoming, T2 incoming.  At the poles all non-pole
 edges are uniform: into N as T1, out of S as T1, into E as T2, out
 of W as T2.
 
+A dart (v, u) reads as a class at v, 0..3 in that block order (the
+color bit plus 2 for an incoming edge; dart_classes reads them all in
+one pass).  is_valid_rel checks a ring by its classes alone: the ring
+is regular exactly when every cyclic step between neighboring classes
+is 0 or +1 mod 4 and the steps sum to 4.  Only a ring that fails is
+read again as runs, to name its blocks in the defect.
+
 construct_rel finds a labeling by exact search: every unpinned edge is
 a finite-domain variable over its four color/direction values, and the
 block pattern at each vertex is enforced by propagation.  Each filter
@@ -91,26 +98,52 @@ def _pole_name(r: Rel, v: VertexId) -> str | None:
     return None
 
 
-def _dart_state(r: Rel, v: VertexId, u: VertexId) -> str:
-    e = edge_key(u, v)
-    tail, _ = r.orient[e]
-    return r.color[e] + ("out" if tail == v else "in")
+# the class every non-pole dart at a pole reads as
+_POLE_CLASS = {name: _BLOCK_ORDER.index(col + d) for name, (col, d) in _POLE_RULE.items()}
 
 
-def _inner_vertex_defect(r: Rel, v: VertexId) -> str | None:
-    states = [_dart_state(r, v, u) for u in r.graph.rotation[v]]
-    runs: list[str] = []
-    for s in states:
-        if not runs or runs[-1] != s:
-            runs.append(s)
+def dart_classes(r: Rel) -> dict[tuple[VertexId, VertexId], int]:
+    """The class at v of every labeled dart (v, u), indexed by _BLOCK_ORDER.
+
+    The class is the color bit (0 T1, 1 T2) plus 2 when the edge points into v.
+    """
+    cls: dict[tuple[VertexId, VertexId], int] = {}
+    color = r.color
+    for e, (tail, head) in r.orient.items():
+        c = 0 if color[e] == T1 else 1
+        cls[tail, head] = c
+        cls[head, tail] = c | 2
+    return cls
+
+
+def _ring_defect(v: VertexId, classes: list[int]) -> str | None:
+    """None when the ring's classes, clockwise, form the four blocks in order.
+
+    They do exactly when every cyclic step between neighboring classes is
+    0 or +1 mod 4 and the steps sum to 4: then four runs pass T1out,
+    T2out, T1in, T2in once each.  On failure the message names the runs.
+    """
+    prev = classes[-1]
+    steps = 0
+    for c in classes:
+        step = (c - prev) & 3
+        if step > 1:
+            break
+        steps += step
+        prev = c
+    else:
+        if steps == 4:
+            return None
+    runs: list[int] = []
+    for c in classes:
+        if not runs or runs[-1] != c:
+            runs.append(c)
     if len(runs) > 1 and runs[0] == runs[-1]:
         runs.pop()
-    if sorted(runs) != sorted(_BLOCK_ORDER):
-        return f"vertex {v}: blocks {runs}"
-    i = runs.index("T1out")
-    if tuple(runs[i:] + runs[:i]) != _BLOCK_ORDER:
-        return f"vertex {v}: block order {runs}"
-    return None
+    names = [_BLOCK_ORDER[c] for c in runs]
+    if sorted(runs) != [0, 1, 2, 3]:
+        return f"vertex {v}: blocks {names}"
+    return f"vertex {v}: block order {names}"
 
 
 def _pole_defect(r: Rel, name: str) -> str | None:
@@ -134,10 +167,13 @@ def _vertex_defect(r: Rel, v: VertexId) -> str | None:
     name = _pole_name(r, v)
     if name is not None:
         return _pole_defect(r, name)
+    classes = []
     for u in r.graph.rotation[v]:
-        if edge_key(u, v) not in r.color:
+        e = edge_key(u, v)
+        if e not in r.color:
             return f"vertex {v}: edge to {u} unlabeled"
-    return _inner_vertex_defect(r, v)
+        classes.append((0 if r.color[e] == T1 else 1) | (2 if r.orient[e][0] != v else 0))
+    return _ring_defect(v, classes)
 
 
 def is_valid_rel(r: Rel) -> RelValidity:
@@ -150,14 +186,17 @@ def is_valid_rel(r: Rel) -> RelValidity:
             return RelValidity(False, f"orientation endpoints of {e} wrong")
         if r.color[e] not in (T1, T2):
             return RelValidity(False, f"bad color on {e}")
+    cls = dart_classes(r)
+    rot = r.graph.rotation
     for name in ("N", "E", "S", "W"):
-        d = _pole_defect(r, name)
-        if d:
-            return RelValidity(False, d)
+        v = r.poles[name]
+        want = _POLE_CLASS[name]
+        if any(cls[v, u] != want for u in rot[v] if u not in skip):
+            return RelValidity(False, _pole_defect(r, name))
     for v in r.graph.vertices:
         if v in skip:
             continue
-        d = _inner_vertex_defect(r, v)
+        d = _ring_defect(v, [cls[v, u] for u in rot[v]])
         if d:
             return RelValidity(False, d)
     return RelValidity(True)

@@ -16,6 +16,7 @@ from lplan.boundary import Cip, Shortcut
 from lplan.graph import Dart, EmbeddedGraph, InconsistentEmbedding, VertexId
 from lplan.layout import FloorPlan
 from lplan.paths import AugmentedGraph, check_path_conditions, paths_from_splits
+from lplan.rel import Rel
 
 
 # -- faces, 2-connectivity and separating triangles -----------------------------
@@ -317,6 +318,58 @@ def rel_filter_enumeration(ag: AugmentedGraph) -> set[tuple]:
         if all(vertex_ok(v, color, orient) for v in inner):
             survivors.add(canonical_labeling(color, orient))
     return survivors
+
+
+_BLOCKS = ("T1out", "T2out", "T1in", "T2in")
+_POLE_ROWS = {"N": ("T1", "in"), "E": ("T2", "in"), "S": ("T1", "out"), "W": ("T2", "out")}
+
+
+def brute_ring_defect(r: Rel, v: VertexId) -> str | None:
+    """The blocks around inner vertex v as runs of named dart states."""
+    states = []
+    for u in r.graph.rotation[v]:
+        e = (min(u, v), max(u, v))
+        states.append(r.color[e] + ("out" if r.orient[e][0] == v else "in"))
+    runs: list[str] = []
+    for s in states:
+        if not runs or runs[-1] != s:
+            runs.append(s)
+    if len(runs) > 1 and runs[0] == runs[-1]:
+        runs.pop()
+    if sorted(runs) != sorted(_BLOCKS):
+        return f"vertex {v}: blocks {runs}"
+    i = runs.index("T1out")
+    if tuple(runs[i:] + runs[:i]) != _BLOCKS:
+        return f"vertex {v}: block order {runs}"
+    return None
+
+
+def brute_rel_validity(r: Rel) -> tuple[bool, str | None]:
+    """is_valid_rel's verdict and first defect, every inner ring read as runs."""
+    poles = set(r.poles.values())
+    expected = {e for e in r.graph.edges if not (e[0] in poles and e[1] in poles)}
+    if set(r.color) != expected or set(r.orient) != expected:
+        return False, "labeled edge set mismatch"
+    for e, (tail, head) in r.orient.items():
+        if (min(tail, head), max(tail, head)) != e:
+            return False, f"orientation endpoints of {e} wrong"
+        if r.color[e] not in ("T1", "T2"):
+            return False, f"bad color on {e}"
+    for name in ("N", "E", "S", "W"):
+        p = r.poles[name]
+        for u in r.graph.rotation[p]:
+            if u in poles:
+                continue
+            e = (min(u, p), max(u, p))
+            d = "out" if r.orient[e][0] == p else "in"
+            if (r.color[e], d) != _POLE_ROWS[name]:
+                return False, f"pole {name}: edge to {u} is {r.color[e]} {d}"
+    for v in r.graph.vertices:
+        if v not in poles:
+            defect = brute_ring_defect(r, v)
+            if defect:
+                return False, defect
+    return True, None
 
 
 def canonical_labeling(color: dict, orient: dict) -> tuple:

@@ -306,8 +306,15 @@ def test_dart_walk_matches_oracle_generated(seed):
 def test_dart_walk_matches_oracle_on_rel_subgraphs(make):
     res = plan(make())
     assert res.ok
-    for color in (T1, T2):
-        assert_walk_matches_oracle(layout._sub_rotation(res.rel, color))
+    r = res.rel
+    modules = [v for v in r.graph.vertices if v not in r.pole_ids]
+    for color, sub in zip((T1, T2), layout._read_rings(r, modules)[:2]):
+        kept = {
+            v: tuple(u for u in nbrs if r.color.get(edge_key(u, v)) == color)
+            for v, nbrs in r.graph.rotation.items()
+        }
+        assert sub == {v: nbrs for v, nbrs in kept.items() if nbrs}
+        assert_walk_matches_oracle(sub)
 
 
 def test_high_degree_wheel_is_a_ptpg():

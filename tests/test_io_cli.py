@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from xml.etree import ElementTree
 
 import pytest
 
@@ -136,6 +137,60 @@ def test_parsed_plan_rejects_bad_modules():
     del bad["modules"][0]["x"]
     with pytest.raises(ParseError):
         parse_plan(serialize_plan(bad))
+
+
+def _set_outline(doc, value):
+    doc["outline"] = value
+
+
+def _set_corners(doc, value):
+    doc["concave_corners"] = value
+
+
+def _set_x(doc, value):
+    doc["modules"][0]["x"] = value
+
+
+def _set_label(doc, value):
+    doc["modules"][0]["label"] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, value, where",
+    (
+        (_set_outline, 5, "outline"),
+        (_set_outline, [[0, 4], [3]], "outline"),
+        (_set_outline, [[0, 4], [3, "4"]], "outline"),
+        (_set_corners, [[1]], "concave_corners"),
+        (_set_corners, [[3.0, 3]], "concave_corners"),
+        (_set_x, True, "modules[0]"),
+        (_set_x, 1.0, "modules[0]"),
+        (_set_label, 7, "modules[0].label"),
+        (_set_label, None, "modules[0].label"),
+    ),
+    ids=lambda x: getattr(x, "__name__", repr(x)),
+)
+def test_parsed_plan_rejects_malformed_points_and_fields(tmp_path, capsys, mutate, value, where):
+    doc = plan_to_doc(plan(samples.pentagon_with_pocket()))
+    mutate(doc, value)
+    data = json.dumps(doc).encode()
+    with pytest.raises(ParseError) as exc:
+        parse_plan(data)
+    assert exc.value.where == where
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main(["render", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+
+def test_render_svg_escapes_labels():
+    doc = plan_to_doc(plan(samples.pentagon_with_pocket()))
+    doc["modules"][0]["label"] = "a<b&c>"
+    svg = render_svg(parse_plan(serialize_plan(doc)))
+    root = ElementTree.fromstring(svg)
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert sorted(texts) == sorted(m["label"] for m in doc["modules"])
+    assert "a<b&c>" in texts
 
 
 def test_render_svg_draws_every_module():

@@ -27,6 +27,7 @@ from lplan.layout import (
     rfp_from_rel,
     verify_nontrivial_L,
 )
+from lplan.oracle import GenSpec, generate_ptpg
 from lplan.pipeline import plan
 
 PLANNABLE = (
@@ -224,8 +225,8 @@ def test_rect_extraction_rejects_an_uncovered_cell(monkeypatch):
 
 
 def test_a_plan_is_swept_once_for_its_dual_and_its_document(monkeypatch):
-    # One sweep checks the full plan's tiling, one serves the L plan's
-    # dual graph and then its outline in the plan document.
+    # One sweep checks the full plan's tiling; the L plan inherits it for
+    # its dual graph and then its outline in the plan document.
     from lplan.io import plan_to_doc
 
     sweeps = []
@@ -238,5 +239,34 @@ def test_a_plan_is_swept_once_for_its_dual_and_its_document(monkeypatch):
     monkeypatch.setattr(layout, "_stretches", counted)
     res = plan(samples.pentagon_with_pocket())
     doc = plan_to_doc(res)
-    assert sweeps == [len(res.full_plan.rects), len(res.plan.rects)]
+    assert sweeps == [len(res.full_plan.rects)]
     assert doc["outline"] == [[0, 4], [3, 4], [3, 3], [5, 3], [5, 0], [0, 0]]
+
+
+def _plans():
+    for make in PLANNABLE:
+        yield make.__name__, plan(make())
+    for seed in range(24):
+        n = 8 + (seed * 11) % 53  # n from 8 to 60
+        yield f"generated n={n} seed={seed}", plan(generate_ptpg(GenSpec(n=n, seed=seed)))
+
+
+def test_the_l_plan_inherits_the_sweep_a_fresh_one_would_give():
+    planned = 0
+    for name, res in _plans():
+        if not res.ok:
+            continue
+        planned += 1
+        assert res.plan.walls == layout._stretches(res.plan.rects), name
+    assert planned >= len(PLANNABLE) + 20
+
+
+@pytest.mark.parametrize("make", PLANNABLE, ids=lambda f: f.__name__)
+def test_taking_any_module_out_keeps_the_sweep(make):
+    # Out of a plan that tiles its box no stretches merge; out of the L,
+    # a module on the notch leaves stretches that do.
+    res = plan(make())
+    for fp in (res.full_plan, res.plan):
+        for v in fp.rects:
+            rest = {u: rc for u, rc in fp.rects.items() if u != v}
+            assert layout._walls_without(fp.walls, v) == layout._stretches(rest)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     brute_separating_triangles,
@@ -17,7 +18,7 @@ from oracles import (
 
 from lplan.boundary import find_cips
 from lplan.graph import find_separating_triangles, rotate_min, validate_ptpg
-from lplan.io import parse_graph, serialize_graph
+from lplan.io import parse_graph, serialize_graph, serialize_plan
 from lplan.oracle import GenSpec, generate_ptpg
 from lplan.paths import Infeasible, check_path_conditions, paths_from_splits
 from lplan.pipeline import plan, rectangular_plan
@@ -139,3 +140,28 @@ def test_selected_paths_pass_their_own_conditions(n, seed):
         return
     assert check_path_conditions(g, res.pathset) == ()
     assert res.pathset.splits[0] == res.pathset.p1[0]
+
+
+# Keys such as "10" and "2" sort differently as text than as numbers; the
+# default text strategy brings non-ASCII, quotes, backslashes and control
+# characters.
+KEYS = st.one_of(st.sampled_from(["10", "2", "", "a", "é", '"', "\\", "\n"]), st.text())
+LEAVES = st.one_of(st.integers(), st.text(), st.booleans(), st.none(), st.floats())
+NESTED = st.recursive(
+    LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.dictionaries(KEYS, kids, max_size=5),
+        st.tuples(kids, kids),
+        st.dictionaries(st.integers(), kids, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=st.dictionaries(KEYS, NESTED, max_size=6))
+@example(doc={"10": [], "2": {}, "": [[]], "x": {"\x00\t \ud800": ['"\\', -0, 10**30]}})
+def test_document_writer_matches_json_dumps(doc):
+    want = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    assert serialize_plan(doc) == want

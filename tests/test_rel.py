@@ -11,7 +11,13 @@ import sys
 import pytest
 
 from completions import tiny_completions
-from oracles import canonical_labeling, rel_filter_enumeration, ring_word_union
+from oracles import (
+    brute_rel_validity,
+    brute_ring_defect,
+    canonical_labeling,
+    rel_filter_enumeration,
+    ring_word_union,
+)
 
 from lplan import samples
 from lplan.graph import edge_key
@@ -24,6 +30,7 @@ from lplan.rel import (
     NotAlternating,
     NotFlippable,
     _block_feasible,
+    _vertex_defect,
     construct_rel,
     flip_edge,
     flip_vertex,
@@ -286,6 +293,81 @@ def test_is_valid_rel_catches_corruption():
     bad = r.clone()
     bad.color[pole_edge] = T2 if bad.color[pole_edge] == T1 else T1
     assert not is_valid_rel(bad).ok
+
+
+def _suite_rels():
+    """Labelings the suite builds: samples, generated plans, tiny completions."""
+    for make in PLANNABLE:
+        res = plan(make())
+        yield res.rel
+        yield construct_rel(res.completion)
+    for seed in range(12):
+        res = plan(generate_ptpg(GenSpec(n=8 + 3 * seed, seed=seed)))
+        if res.ok:
+            yield res.rel
+    for ag in tiny_completions():
+        yield from enumerate_rels(ag)
+
+
+def _corruptions(r, rng):
+    """One edge's color flipped, one edge's direction reversed, a pole row broken."""
+    poles = set(r.pole_ids)
+    inner = [e for e in sorted(r.color) if not (set(e) & poles)]
+    for e in rng.sample(inner, min(4, len(inner))):
+        bad = r.clone()
+        bad.color[e] = T2 if bad.color[e] == T1 else T1
+        yield bad, e
+        bad = r.clone()
+        bad.orient[e] = bad.orient[e][::-1]
+        yield bad, e
+    for p in r.pole_ids:
+        row = sorted(e for e in r.color if p in e and not set(e) <= poles)
+        e = rng.choice(row)
+        bad = r.clone()
+        if rng.random() < 0.5:
+            bad.color[e] = T2 if bad.color[e] == T1 else T1
+        else:
+            bad.orient[e] = bad.orient[e][::-1]
+        yield bad, e
+
+
+def test_is_valid_rel_matches_the_run_oracle():
+    rng = random.Random(9)
+    rels = 0
+    defects = set()
+    for r in _suite_rels():
+        rels += 1
+        got = is_valid_rel(r)
+        assert (got.ok, got.defect) == brute_rel_validity(r) == (True, None)
+        for bad, e in _corruptions(r, rng):
+            got = is_valid_rel(bad)
+            assert (got.ok, got.defect) == brute_rel_validity(bad)
+            if got.defect:
+                defects.add(got.defect.split(":")[1].split()[0])
+            for v in e:
+                if v not in bad.pole_ids:
+                    assert _vertex_defect(bad, v) == brute_ring_defect(bad, v)
+    assert rels >= 35
+    assert defects == {"edge", "blocks"}  # a broken pole row, a ring with too many runs
+
+
+def test_is_valid_rel_matches_the_run_oracle_on_random_labelings():
+    rng = random.Random(4)
+    verdicts = set()
+    for ag in tiny_completions():
+        r = construct_rel(ag)
+        for _ in range(150):
+            bad = r.clone()
+            for e in bad.color:
+                if set(e) & set(bad.pole_ids):
+                    continue
+                bad.color[e] = rng.choice((T1, T2))
+                if rng.random() < 0.5:
+                    bad.orient[e] = bad.orient[e][::-1]
+            got = is_valid_rel(bad)
+            assert (got.ok, got.defect) == brute_rel_validity(bad)
+            verdicts.add(got.defect.split(":")[1].split()[0] if got.defect else None)
+    assert verdicts == {None, "blocks", "block"}
 
 
 # -- exhaustive enumeration at desk scale ---------------------------------------
