@@ -110,19 +110,6 @@ def _dart_faces(walks: list[list[VertexId]]) -> dict[Dart, int]:
     return {(u, v): fi for fi, w in enumerate(walks) for u, v in zip(w, w[1:] + w[:1])}
 
 
-def walk_darts(
-    rotation: Mapping[VertexId, Sequence[VertexId]],
-) -> tuple[list[list[VertexId]], dict[Dart, int]]:
-    """Every face walk of a rotation system and the face index of every dart.
-
-    Walks start at the first unvisited dart in vertex order and list the
-    tail of each dart.  The rotation must be symmetric.
-    """
-    turn, tail, head = _number_darts(rotation, sorted(rotation))
-    walks = _walk(turn, tail, head)[1]
-    return walks, _dart_faces(walks)
-
-
 def _is_connected(rotation: Mapping[VertexId, Sequence[VertexId]]) -> bool:
     start = next(iter(rotation))
     seen = {start}

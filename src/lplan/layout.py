@@ -3,14 +3,14 @@
 Every interior vertex becomes an axis-aligned rectangle.  The wall
 segments of the plan correspond to faces of the two color subgraphs:
 faces of the T2 subgraph are the horizontal segments, faces of the T1
-subgraph the vertical ones, and the shared dart walk (graph.walk_darts)
-labels every dart of a subgraph with its face in one pass.  A module's
-bottom wall is the T2 face entered just after its last outgoing T2
-edge, its top wall the face after its last incoming T2 edge; left and
-right walls come from the T1 subgraph the same way.  One pass over the
-rings, read as dart classes (rel.dart_classes), gives both subgraphs
-and every block's last edge (_read_rings).  Coordinates are
-longest-path depths of those segment nodes, which yields the unique
+subgraph the vertical ones.  One pass over the rings, read as dart
+classes (rel.dart_classes), gives both subgraphs and every block's last
+edge (_read_rings), and each subgraph's darts are numbered and walked
+once (graph._walk).  A module's bottom wall is the T2 face of the dart
+(u, v) from the last edge u of its outgoing T2 block, read at v as
+face[turn[v][u]]; its top wall follows its last incoming T2 edge, and
+left and right walls come from T1 the same way.  Coordinates are
+longest-path depths of those face numbers, which yields the unique
 compact integer drawing.
 
 All geometry of a drawn plan comes from one sweep over its wall lines,
@@ -41,14 +41,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .graph import EmbeddedGraph, VertexId, walk_darts
+from .graph import EmbeddedGraph, VertexId, _number_darts, _walk
 from .rel import _BLOCK_ORDER, T2, Rel, dart_classes
-
-FLOOR = "FLOOR"
-CEILING = "CEILING"
-WEST = "WEST"
-EAST = "EAST"
-
 
 # (axis, line coordinate, start, end, module below or left, module above or right)
 Stretch = tuple[str, int, int, int, VertexId | None, VertexId | None]
@@ -150,73 +144,86 @@ def _read_rings(
     return sub1, sub2, ends
 
 
-def _longest_paths(edges: list[tuple[object, object]], source: object) -> dict[object, int]:
-    """Depth of every node below the sources of a DAG, in Kahn's topological order."""
-    succ: dict[object, list[object]] = {source: []}
-    indeg: dict[object, int] = {source: 0}
+def _numbered_faces(sub: dict[VertexId, tuple[VertexId, ...]]) -> tuple[dict, list[int], int]:
+    """A sub-rotation's position map turn, the face of every dart, and the face count."""
+    turn, tail, head = _number_darts(sub, sorted(sub))
+    face, walks = _walk(turn, tail, head)
+    return turn, face, len(walks)
+
+
+def _segments(r: Rel, modules: list[VertexId]) -> tuple[dict[VertexId, tuple[int, ...]], int, int]:
+    """Every module's bottom, top, left and right wall segment, and the x and y segment counts.
+
+    With k faces on an axis, its two sides are k and k + 1: west and
+    east, floor and ceiling.  A missing block raises ValueError.
+    """
+    pn, pe, ps, pw = (r.poles[k] for k in ("N", "E", "S", "W"))
+    sub1, sub2, block_ends = _read_rings(r, modules)
+    turn1, face1, k1 = _numbered_faces(sub1)
+    turn2, face2, k2 = _numbered_faces(sub2)
+    adj = r.graph.adj
+    sides = {}
+    for v in modules:
+        near, ends = adj[v], block_ends[v]
+        t1, t2 = turn1.get(v), turn2.get(v)
+        try:  # ends[c] is read before t1 or t2 is indexed: a missing block raises KeyError(c)
+            sides[v] = (
+                k2 if ps in near else face2[t2[ends[1]]],
+                k2 + 1 if pn in near else face2[t2[ends[3]]],
+                k1 if pw in near else face1[t1[ends[2]]],
+                k1 + 1 if pe in near else face1[t1[ends[0]]],
+            )
+        except KeyError as exc:
+            raise ValueError(f"vertex {v} has no {_BLOCK_ORDER[exc.args[0]]} edge") from None
+    return sides, k1 + 2, k2 + 2
+
+
+def _longest_paths(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Depth of every node 0..n-1 of a DAG below its sources, in Kahn's topological order."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
     for u, v in edges:
-        succ.setdefault(u, []).append(v)
-        succ.setdefault(v, [])
-        indeg.setdefault(u, 0)
-        indeg[v] = indeg.get(v, 0) + 1
-    order = [n for n, k in indeg.items() if k == 0]
-    depth = dict.fromkeys(order, 0)
+        succ[u].append(v)
+        indeg[v] += 1
+    order = [u for u in range(n) if not indeg[u]]
+    depth = [0] * n
     for u in order:
+        d = depth[u] + 1
         for v in succ[u]:
-            if depth.get(v, -1) <= depth[u]:
-                depth[v] = depth[u] + 1
+            if depth[v] < d:
+                depth[v] = d
             indeg[v] -= 1
             if not indeg[v]:
                 order.append(v)
-    if len(order) != len(indeg):
+    if len(order) != n:
         raise ValueError("segment graph has a cycle")
     return depth
 
 
 def rfp_from_rel(r: Rel) -> FloorPlan:
     g = r.graph
-    pn, pe, ps, pw = (r.poles[k] for k in ("N", "E", "S", "W"))
-    pole_set = {pn, pe, ps, pw}
+    pole_set = set(r.pole_ids)
     modules = [v for v in g.vertices if v not in pole_set]
-    sub1, sub2, block_ends = _read_rings(r, modules)
-    _, f1 = walk_darts(sub1)
-    _, f2 = walk_darts(sub2)
-
-    bottom: dict[VertexId, object] = {}
-    top: dict[VertexId, object] = {}
-    left: dict[VertexId, object] = {}
-    right: dict[VertexId, object] = {}
-    for v in modules:
-        adj = g.adj[v]
-        ends = block_ends[v]
-        try:
-            bottom[v] = FLOOR if ps in adj else f2[(ends[1], v)]
-            top[v] = CEILING if pn in adj else f2[(ends[3], v)]
-            left[v] = WEST if pw in adj else f1[(ends[2], v)]
-            right[v] = EAST if pe in adj else f1[(ends[0], v)]
-        except KeyError as exc:
-            raise ValueError(f"vertex {v} has no {_BLOCK_ORDER[exc.args[0]]} edge") from None
+    sides, nx, ny = _segments(r, modules)
 
     # Module thickness alone leaves side-by-side walls free to align into a
     # cross, losing the contact; adjacent pairs must overlap across the wall.
-    y_edges = [(bottom[v], top[v]) for v in modules]
-    x_edges = [(left[v], right[v]) for v in modules]
+    y_edges = [(b, t) for b, t, _, _ in sides.values()]
+    x_edges = [(lt, rt) for _, _, lt, rt in sides.values()]
     for e, (tail, head) in r.orient.items():
         if tail in pole_set or head in pole_set:
             continue
+        bt, tt, lt, rt = sides[tail]
+        bh, th, lh, rh = sides[head]
         if r.color[e] == T2:
-            y_edges.append((bottom[tail], top[head]))
-            y_edges.append((bottom[head], top[tail]))
+            y_edges += ((bt, th), (bh, tt))
         else:
-            x_edges.append((left[tail], right[head]))
-            x_edges.append((left[head], right[tail]))
-    ys = _longest_paths(y_edges, FLOOR)
-    xs = _longest_paths(x_edges, WEST)
-    rects = {
-        v: Rect(xs[left[v]], ys[bottom[v]], xs[right[v]], ys[top[v]]) for v in modules
-    }
-    width = max(xs[right[v]] for v in modules)
-    height = max(ys[top[v]] for v in modules)
+            x_edges += ((lt, rh), (lh, rt))
+    ys = _longest_paths(ny, y_edges)
+    xs = _longest_paths(nx, x_edges)
+    rects = {v: Rect(xs[lt], ys[b], xs[rt], ys[t]) for v, (b, t, lt, rt) in sides.items()}
+    width = max(rc.x2 for rc in rects.values())
+    height = max(rc.y2 for rc in rects.values())
     fp = FloorPlan(
         rects=rects,
         width=width,

@@ -16,13 +16,14 @@ read again as runs, to name its blocks in the defect.
 
 construct_rel finds a labeling by exact search: every unpinned edge is
 a finite-domain variable over its four color/direction values, and the
-block pattern at each vertex is enforced by propagation.  Each filter
-reads its ring through 16-entry tables (value set to dart-class mask and
-back) and checks the ring word with a linear, bit-parallel pass over
-20-bit phase states (_block_feasible).  The depth-first search runs on
-an explicit stack, with randomized restarts to dodge the occasional
-deep dead end.  flip_edge / flip_vertex / rotate_four_cycle are the
-local moves used during label normalization.
+block pattern at each vertex is enforced by propagation: one loop over
+the inner vertices, numbered 0..m-1, filters each ring with a linear,
+bit-parallel pass over 20-bit phase states, through tables that take a
+value set to its admitted states and a state back to the values it
+keeps (_propagate).  The depth-first search runs on an explicit stack,
+with randomized restarts to dodge the occasional deep dead end.
+flip_edge / flip_vertex / rotate_four_cycle are the local moves used
+during label normalization.
 """
 
 from __future__ import annotations
@@ -234,6 +235,7 @@ _ADMIT = tuple(
     for m in range(16)
 )
 _CLOSING = 0xFF000  # phases 3 and 4
+_AFTER = 0xF0000  # past the last position: one step back keeps the closing states
 
 
 def _state_classes(low: int) -> tuple[int, ...]:
@@ -245,42 +247,72 @@ def _state_classes(low: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_LOW_CLASSES = _state_classes(0)
-_HIGH_CLASSES = _state_classes(10)
+# Per key orientation: a value set's admitted states, the same cut to
+# phase 0 for position 0, and the values each 10-bit state slice keeps
+# (_CLASSES[first] permutes bits, so it distributes over the slices' OR).
+_TABLES = {
+    first: (
+        tuple(_ADMIT[m] for m in cls),
+        tuple(_ADMIT[m] & 0xF for m in cls),
+        tuple(cls[m] for m in _state_classes(0)),
+        tuple(cls[m] for m in _state_classes(10)),
+    )
+    for first, cls in _CLASSES.items()
+}
+
+Ring = list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...], int]]
 
 
-def _block_feasible(allowed: list[int]) -> list[int] | None:
-    """Per-position dart classes that extend to a full 4-block ring word.
+def _ring(positions: list[tuple[int, bool, int]]) -> Ring:
+    """A ring for _propagate from (edge, whether the vertex is the key's first, neighbor)."""
+    ring = []
+    for i, first, w in positions:
+        admit, opening, low, high = _TABLES[first]
+        ring.append((i, opening if not ring else admit, low, high, w))
+    return ring
 
-    allowed[p] is a bitmask of dart classes position p may take, clockwise.
-    A ring word is valid when, starting somewhere, classes run 0..3 without
-    skipping, each appearing at least once.  Returns, per position, the
-    classes that position takes in some valid word, or None when no valid
-    word exists.  A forward pass over the 20-bit phase states finds the
-    live states at every position, and a backward pass from the closing
-    states keeps those on a complete word: O(d) steps for d positions.
+
+def _propagate(
+    rings: list[Ring], dom: list[int], seeds, queued: list[bool], trail: list[tuple[int, int]]
+) -> bool:
+    """Filter rings until no value set shrinks; False when some ring admits no word.
+
+    rings[v] holds, clockwise, each position's edge, tables and neighbor,
+    refiltered when the edge shrinks; queued[w] stays True for the poles'
+    shared id.  A forward pass finds the live states at each position and
+    a backward pass from the closing states keeps those on a complete
+    word.  Singletons are skipped on the way back: they cannot shrink once
+    a word exists.  Old values of shrunk domains go to trail.
     """
-    d = len(allowed)
-    if d < 4:
-        return None
-    admit = _ADMIT
-    cur = allowed[0]  # phase 0: state bit x is class x
-    live = [cur]
-    for t in range(1, d):
-        cur = (cur | cur << 4) & admit[allowed[t]]
-        if not cur:
-            return None
-        live.append(cur)
-    cur &= _CLOSING
-    if not cur:
-        return None
-    low, high = _LOW_CLASSES, _HIGH_CLASSES
-    out = [0] * d
-    for t in range(d - 1, 0, -1):
-        out[t] = low[cur & 1023] | high[cur >> 10]
-        cur = (cur | cur >> 4) & live[t - 1]
-    out[0] = cur
-    return out
+    stack = list(seeds)
+    for v in stack:
+        queued[v] = True
+    while stack:
+        v = stack.pop()
+        queued[v] = False
+        ring = rings[v]
+        live = []
+        cur = 0xF
+        for i, admit, _, _, _ in ring:
+            cur = (cur | cur << 4) & admit[dom[i]]
+            live.append(cur)
+        if not cur & _CLOSING:
+            for w in stack:
+                queued[w] = False
+            return False
+        cur = _AFTER
+        for i, _, low, high, w in reversed(ring):
+            cur = (cur | cur >> 4) & live.pop()
+            old = dom[i]
+            if old & (old - 1):
+                new = low[cur & 1023] | high[cur >> 10]
+                if new != old:
+                    trail.append((i, old))
+                    dom[i] = new
+                    if not queued[w]:
+                        queued[w] = True
+                        stack.append(w)
+    return True
 
 
 def construct_rel(ag: AugmentedGraph) -> Rel:
@@ -290,12 +322,10 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
     (color times direction), held as a bitmask of the values it may
     still take.  Pole rows are pinned first: T1 into N, T1 out of S, T2
     into E, T2 out of W.  The block pattern at each inner vertex is
-    enforced by filtering its ring: table lookups turn value sets into
-    dart-class masks, the linear ring-word check (_block_feasible) keeps
-    the classes of some valid word, and lookups turn them back into
-    values.  Whenever an edge's value set shrinks, the opposite endpoint
-    is filtered again.  The filters only shrink domains, so propagation
-    reaches the same fixpoint in any order.
+    enforced by filtering its ring (_propagate), which keeps the values
+    of some valid ring word.  Whenever an edge's value set shrinks, the
+    opposite endpoint is filtered again.  The filters only shrink
+    domains, so propagation reaches the same fixpoint in any order.
 
     The search branches on a smallest-domain edge, in a shuffled edge
     order, tries its values in shuffled order and backtracks on wipeout.
@@ -332,51 +362,22 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
         if x not in poles:
             pin(x, pw, 1, True)  # T2, W -> x
 
-    # per ring position: edge index, value-set <-> class-mask table, and the
-    # neighbor to filter again when the edge shrinks (None for a pole)
-    rings: dict[VertexId, list[tuple[int, tuple[int, ...], VertexId | None]]] = {}
-    for v in g.vertices:
-        if v in poles:
-            continue
-        ring = []
-        for w in g.rotation[v]:
-            e = edge_key(v, w)
-            ring.append((index[e], _CLASSES[e[0] == v], None if w in poles else w))
-        rings[v] = ring
-
-    def filter_vertex(
-        v: VertexId, trail: list[tuple[int, int]], queue: list[VertexId], queued: set[VertexId]
-    ) -> bool:
-        ring = rings[v]
-        keep = _block_feasible([table[dom[i]] for i, table, _ in ring])
-        if keep is None:
-            return False
-        for (i, table, w), classes in zip(ring, keep):
-            old = dom[i]
-            new = old & table[classes]
-            if new != old:
-                trail.append((i, old))
-                dom[i] = new
-                if w is not None and w not in queued:
-                    queued.add(w)
-                    queue.append(w)
-        return True
-
-    def propagate(seeds: list[VertexId], trail: list[tuple[int, int]]) -> bool:
-        queue = list(seeds)
-        queued = set(queue)
-        while queue:
-            v = queue.pop()
-            queued.discard(v)
-            if not filter_vertex(v, trail, queue, queued):
-                return False
-        return True
+    # inner vertices as ids 0..m-1 in ascending order; the poles share id m
+    inner = [v for v in g.vertices if v not in poles]
+    m = len(inner)
+    dense = dict.fromkeys(poles, m)
+    dense.update((v, k) for k, v in enumerate(inner))
+    rings = [
+        _ring([(index[(v, w) if v < w else (w, v)], v < w, dense[w]) for w in g.rotation[v]])
+        for v in inner
+    ]
+    queued = [False] * m + [True]
 
     def undo(trail: list[tuple[int, int]]) -> None:
         for i, old in reversed(trail):
             dom[i] = old
 
-    if not propagate(sorted(rings), []):
+    if not _propagate(rings, dom, range(m), queued, []):
         raise NotConstructible("pole rows admit no block pattern")
 
     base = list(dom)
@@ -425,8 +426,8 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
                 return None
             trail = top[2] = [(pick, dom[pick])]
             dom[pick] = 1 << val
-            seeds = [x for x in edges[pick] if x not in poles]
-            if propagate(seeds, trail) and not branch(rng, stack):
+            seeds = [dense[x] for x in edges[pick] if x not in poles]
+            if _propagate(rings, dom, seeds, queued, trail) and not branch(rng, stack):
                 return True
         return False
 

@@ -7,6 +7,9 @@ from lplan import layout, samples
 from lplan.graph import (
     EmbeddedGraph,
     InconsistentEmbedding,
+    _dart_faces,
+    _number_darts,
+    _walk,
     common_neighbors,
     cyclic_eq,
     edge_key,
@@ -15,7 +18,6 @@ from lplan.graph import (
     is_biconnected,
     rotate_min,
     validate_ptpg,
-    walk_darts,
 )
 from lplan.io import ParseError, parse_graph
 from lplan.oracle import GenSpec, generate_ptpg
@@ -272,6 +274,12 @@ def test_biconnectivity_matches_tarjan():
     assert True in verdicts and False in verdicts
 
 
+def walk_darts(rotation):
+    """The library's numbered-dart walk over a rotation, as walks and dart -> face."""
+    walks = _walk(*_number_darts(rotation, sorted(rotation)))[1]
+    return walks, _dart_faces(walks)
+
+
 def assert_walk_matches_oracle(rotation):
     walks, dart_face = walk_darts(rotation)
     brute_walks, brute_face = brute_walk_darts(rotation)
@@ -315,6 +323,28 @@ def test_dart_walk_matches_oracle_on_rel_subgraphs(make):
         }
         assert sub == {v: nbrs for v, nbrs in kept.items() if nbrs}
         assert_walk_matches_oracle(sub)
+    # Each module's walls are the faces of the darts leaving its block ends,
+    # numbered as the oracle's walk numbers them; the sides come after.
+    sides, nx, ny = layout._segments(r, modules)
+    f1, f2 = (brute_walk_darts(sub)[1] for sub in layout._read_rings(r, modules)[:2])
+    assert nx == len(set(f1.values())) + 2 and ny == len(set(f2.values())) + 2
+    poles = [r.poles[k] for k in ("S", "N", "W", "E")]
+    for v in modules:
+        ring = r.graph.rotation[v]
+        cls = [
+            (r.color[edge_key(u, v)] == T2) + 2 * (r.orient[edge_key(u, v)][0] != v) for u in ring
+        ]
+        last = {}
+        for i, u in enumerate(ring):
+            if cls[i] != cls[(i + 1) % len(ring)]:
+                last.setdefault(cls[i], u)
+        want = []
+        for side, (c, faces, k) in enumerate(((1, f2, ny), (3, f2, ny), (2, f1, nx), (0, f1, nx))):
+            if poles[side] in r.graph.adj[v]:
+                want.append(k - 2 + side % 2)
+            else:
+                want.append(faces[(last[c], v)])
+        assert sides[v] == tuple(want), v
 
 
 def test_high_degree_wheel_is_a_ptpg():

@@ -29,6 +29,7 @@ from lplan.layout import (
 )
 from lplan.oracle import GenSpec, generate_ptpg
 from lplan.pipeline import plan
+from lplan.rel import T1, T2
 
 PLANNABLE = (
     samples.pentagon_with_pocket,
@@ -171,13 +172,73 @@ def test_nontriviality_walk_on_the_pentagon():
 
 def test_longest_paths_survive_a_deep_wall_chain():
     # Listed sink first, the chain is 3000 walls deep from its source.
-    depth = layout._longest_paths([(i + 1, i) for i in range(3000)], 3000)
+    depth = layout._longest_paths(3001, [(i + 1, i) for i in range(3000)])
     assert depth[3000] == 0 and depth[0] == 3000
 
 
 def test_longest_paths_reject_a_cycle():
     with pytest.raises(ValueError):
-        layout._longest_paths([(1, 2), (2, 3), (3, 1), (0, 1)], 0)
+        layout._longest_paths(4, [(1, 2), (2, 3), (3, 1), (0, 1)])
+
+
+# Per module: the refusal after all its edges are recolored T1, then T2.
+# A neighbor whose ring loses a block may be named first.
+BROKEN_RINGS = {
+    "pentagon_with_pocket": {
+        1: ((1, "T2out"), (1, "T1out")),
+        2: ((2, "T2out"), (2, "T1in")),
+        3: ((2, "T2out"), (3, "T1in")),
+        4: ((4, "T2in"), (2, "T1in")),
+        5: ((5, "T2out"), (5, "T1out")),
+        6: ((6, "T2out"), (6, "T1in")),
+        7: ((7, "T2out"), (6, "T1in")),
+        8: ((1, "T2out"), (8, "T1in")),
+    },
+    "hexagon_ring": {
+        1: ((1, "T2out"), (1, "T1out")),
+        2: ((2, "T2out"), (2, "T1in")),
+        3: ((2, "T2out"), (3, "T1in")),
+        4: ((4, "T2in"), (4, "T1out")),
+        5: ((5, "T2out"), (5, "T1out")),
+        6: ((6, "T2out"), (5, "T1out")),
+        7: ((2, "T2in"), (7, "T1in")),
+        8: ((8, "T2out"), (2, "T1in")),
+        9: ((5, "T2out"), (7, "T1in")),
+        10: ((1, "T2out"), (10, "T1in")),
+    },
+    "octagon_with_fan": {
+        1: ((1, "T2out"), (1, "T1out")),
+        2: ((2, "T2out"), (2, "T1in")),
+        3: ((3, "T2in"), (3, "T1in")),
+        4: ((4, "T2in"), (4, "T1out")),
+        5: ((5, "T2out"), (5, "T1out")),
+        6: ((6, "T2out"), (5, "T1out")),
+        7: ((7, "T2out"), (2, "T1in")),
+        8: ((2, "T2in"), (8, "T1out")),
+        9: ((5, "T2out"), (9, "T1in")),
+        10: ((1, "T2out"), (10, "T1in")),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    (samples.pentagon_with_pocket, samples.hexagon_ring, samples.octagon_with_fan),
+    ids=lambda f: f.__name__,
+)
+def test_a_ring_missing_a_block_is_refused_by_name(make):
+    rel = plan(make()).rel
+    want = BROKEN_RINGS[make.__name__]
+    assert sorted(want) == [v for v in rel.graph.vertices if v not in rel.pole_ids]
+    for v, expected in want.items():
+        for color, (w, block) in zip((T1, T2), expected):
+            broken = rel.clone()
+            for u in rel.graph.rotation[v]:
+                broken.color[edge_key(u, v)] = color
+            with pytest.raises(ValueError) as exc:
+                rfp_from_rel(broken)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == f"vertex {w} has no {block} edge", (v, color)
 
 
 def test_modules_ringing_a_hole_are_rejected():

@@ -29,7 +29,8 @@ from lplan.rel import (
     FourCycle,
     NotAlternating,
     NotFlippable,
-    _block_feasible,
+    _propagate,
+    _ring,
     _vertex_defect,
     construct_rel,
     flip_edge,
@@ -90,35 +91,70 @@ def test_pole_rows_follow_the_fixed_pattern():
 # -- the ring-word filter ------------------------------------------------------
 
 
+def ring_filter(values, firsts=None):
+    """One ring through the propagation loop: kept value sets per position, or None.
+
+    firsts[p] tells whether the ring's vertex is the first of edge p's key;
+    by default it is, and then every value is its own dart class.  The
+    neighbor id 1 stands for the poles, which the loop never filters.
+    """
+    if firsts is None:
+        firsts = [True] * len(values)
+    dom = list(values)
+    ring = _ring([(p, first, 1) for p, first in enumerate(firsts)])
+    trail = []
+    if not _propagate([ring], dom, [0], [False, True], trail):
+        assert dom == list(values)
+        return None
+    assert all(dom[p] != old for p, old in trail)
+    return dom
+
+
+def as_classes(mask, first):
+    """The dart classes a value set reads as, and back: at a key's second end class = value ^ 2."""
+    return mask if first else sum(1 << (c ^ 2) for c in range(4) if mask >> c & 1)
+
+
+def assert_ring_matches_the_word_oracle(values, firsts):
+    want = ring_word_union([as_classes(m, f) for m, f in zip(values, firsts)])
+    if want is not None:
+        want = [as_classes(m, f) for m, f in zip(want, firsts)]
+    assert ring_filter(values, firsts) == want, (values, firsts)
+    return want is not None
+
+
 def test_block_feasible_rejects_small_rings():
-    assert _block_feasible([0b1111] * 3) is None
+    assert ring_filter([0b1111] * 3) is None
 
 
 def test_block_feasible_fixed_ring_is_kept():
     # one dart per class, already in clockwise order: the unique word
-    assert _block_feasible([0b0001, 0b0010, 0b0100, 0b1000]) == [1, 2, 4, 8]
+    assert ring_filter([0b0001, 0b0010, 0b0100, 0b1000]) == [1, 2, 4, 8]
 
 
 def test_block_feasible_missing_class_is_infeasible():
     # no position may take class 2 (T1 incoming), so no ring word exists
-    assert _block_feasible([0b1011] * 5) is None
+    assert ring_filter([0b1011] * 5) is None
 
 
 def test_block_feasible_narrows_wide_masks():
     # rotated fixed word: the filter must keep exactly the rotation
-    out = _block_feasible([0b1000, 0b0001, 0b0010, 0b0100])
+    out = ring_filter([0b1000, 0b0001, 0b0010, 0b0100])
     assert out == [8, 1, 2, 4]
 
 
 def test_block_feasible_all_open():
-    out = _block_feasible([0b1111] * 4)
+    out = ring_filter([0b1111] * 4)
     assert out == [0b1111] * 4
 
 
 def test_block_feasible_matches_the_word_oracle_on_every_short_ring():
+    # each position is read in both key orientations, position 0 included
     for d in range(5):
-        for allowed in itertools.product(range(16), repeat=d):
-            assert _block_feasible(list(allowed)) == ring_word_union(list(allowed)), allowed
+        for values in itertools.product(range(16), repeat=d):
+            for parity in (0, 1):
+                firsts = [(p + parity) % 2 == 0 for p in range(d)]
+                assert_ring_matches_the_word_oracle(list(values), firsts)
 
 
 def test_block_feasible_matches_the_word_oracle_on_random_rings():
@@ -127,10 +163,9 @@ def test_block_feasible_matches_the_word_oracle_on_random_rings():
     for _ in range(20000):
         d = rng.randint(5, 14)
         wide = rng.choice((0.5, 0.75, 0.9))
-        allowed = [sum(1 << c for c in range(4) if rng.random() < wide) for _ in range(d)]
-        want = ring_word_union(allowed)
-        assert _block_feasible(allowed) == want, allowed
-        feasible += want is not None
+        values = [sum(1 << c for c in range(4) if rng.random() < wide) for _ in range(d)]
+        firsts = [rng.random() < 0.5 for _ in range(d)]
+        feasible += assert_ring_matches_the_word_oracle(values, firsts)
     assert 2000 < feasible < 18000  # both verdicts are well represented
 
 
