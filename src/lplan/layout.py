@@ -3,9 +3,9 @@
 Every interior vertex becomes an axis-aligned rectangle.  The wall
 segments of the plan correspond to faces of the two color subgraphs:
 faces of the T2 subgraph are the horizontal segments, faces of the T1
-subgraph the vertical ones.  One pass over the rings, read as dart
-classes (rel.dart_classes), gives both subgraphs and every block's last
-edge (_read_rings), and each subgraph's darts are numbered and walked
+subgraph the vertical ones.  One pass over the rings, read by position
+as dart classes, gives both subgraphs and every block's last edge
+(_read_rings), and each subgraph's darts are numbered and walked
 once (graph._walk).  A module's bottom wall is the T2 face of the dart
 (u, v) from the last edge u of its outgoing T2 block, read at v as
 face[turn[v][u]]; its top wall follows its last incoming T2 edge, and
@@ -42,7 +42,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .graph import EmbeddedGraph, VertexId, _number_darts, _walk
-from .rel import _BLOCK_ORDER, T2, Rel, dart_classes
+from .rel import _BLOCK_ORDER, T1, T2, Rel
 
 # (axis, line coordinate, start, end, module below or left, module above or right)
 Stretch = tuple[str, int, int, int, VertexId | None, VertexId | None]
@@ -112,35 +112,43 @@ def _read_rings(
 ) -> tuple[dict[VertexId, tuple[VertexId, ...]], dict[VertexId, tuple[VertexId, ...]], dict]:
     """The T1 and T2 sub-rotations, and every module's block ends, in one pass.
 
-    Each ring is read as dart classes (rel.dart_classes): the class's
-    color bit sorts a neighbor into a sub-rotation, and a neighbor whose
-    class differs from the next one's ends its block.  ends[v] maps each
-    class around module v to the last neighbor, clockwise, of its block.
+    Each ring is read once, by position, as dart classes (rel._BLOCK_ORDER:
+    the color bit plus 2 for an incoming edge): the color bit sorts a
+    neighbor into a sub-rotation, and a neighbor whose class differs from
+    the next one's ends its block.  ends[v] maps each class around module
+    v to the last neighbor, clockwise, of its block.
     """
-    cls = dart_classes(r)
+    color, orient = r.color, r.orient
+    wanted = set(modules)
     sub1: dict[VertexId, tuple[VertexId, ...]] = {}
     sub2: dict[VertexId, tuple[VertexId, ...]] = {}
+    ends: dict[VertexId, dict[int, VertexId]] = {}
     for v, nbrs in r.graph.rotation.items():
         t1: list[VertexId] = []
         t2: list[VertexId] = []
+        cs: list[int] = []
         for u in nbrs:
-            c = cls.get((v, u))
-            if c is not None:
-                (t2 if c & 1 else t1).append(u)
+            e = (v, u) if v < u else (u, v)
+            col = color.get(e)
+            if col is None:  # an edge between two poles
+                continue
+            if col == T1:
+                t1.append(u)
+                cs.append(0 if orient[e][0] == v else 2)
+            else:
+                t2.append(u)
+                cs.append(1 if orient[e][0] == v else 3)
         if t1:
             sub1[v] = tuple(t1)
         if t2:
             sub2[v] = tuple(t2)
-    ends: dict[VertexId, dict[int, VertexId]] = {}
-    for v in modules:
-        ring = r.graph.rotation[v]
-        cs = [cls[v, u] for u in ring]
-        d = len(cs)
-        at: dict[int, VertexId] = {}
-        for i, u in enumerate(ring):
-            if cs[i] != cs[i + 1 - d]:  # the next position, cyclically
-                at.setdefault(cs[i], u)
-        ends[v] = at
+        if v in wanted:  # a module's ring has no pole-pole edge: cs runs along nbrs
+            d = len(cs)
+            at: dict[int, VertexId] = {}
+            for i, u in enumerate(nbrs):
+                if cs[i] != cs[i + 1 - d]:  # the next position, cyclically
+                    at.setdefault(cs[i], u)
+            ends[v] = at
     return sub1, sub2, ends
 
 

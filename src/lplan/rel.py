@@ -8,8 +8,8 @@ edges are uniform: into N as T1, out of S as T1, into E as T2, out
 of W as T2.
 
 A dart (v, u) reads as a class at v, 0..3 in that block order (the
-color bit plus 2 for an incoming edge; dart_classes reads them all in
-one pass).  is_valid_rel checks a ring by its classes alone: the ring
+color bit plus 2 for an incoming edge).  is_valid_rel reads every
+dart's class in one pass and checks a ring by its classes alone: the ring
 is regular exactly when every cyclic step between neighboring classes
 is 0 or +1 mod 4 and the steps sum to 4.  Only a ring that fails is
 read again as runs, to name its blocks in the defect.
@@ -17,20 +17,23 @@ read again as runs, to name its blocks in the defect.
 construct_rel finds a labeling by exact search: every unpinned edge is
 a finite-domain variable over its four color/direction values, and the
 block pattern at each vertex is enforced by propagation: one loop over
-the inner vertices, numbered 0..m-1, filters each ring with a linear,
-bit-parallel pass over 20-bit phase states, through tables that take a
-value set to its admitted states and a state back to the values it
-keeps (_propagate).  The depth-first search runs on an explicit stack,
-with randomized restarts to dodge the occasional deep dead end.
-flip_edge / flip_vertex / rotate_four_cycle are the local moves used
-during label normalization.
+the inner vertices, numbered 0..m-1 and queued first in, first out,
+filters each ring with a linear, bit-parallel pass over 20-bit phase
+states, through tables that take a value set to its admitted states and
+a state back to the values it keeps (_propagate).  Filters only shrink
+domains, so every order, and a start from just the rings the pinned
+pole rows touch, reaches one fixpoint.  The depth-first search runs on
+an explicit stack, scans for its pick past the settled prefix of its
+edge order, and restarts at random to dodge the occasional deep dead
+end.  flip_edge / flip_vertex / rotate_four_cycle are the local moves
+of label normalization; each checks only the rings it changes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .graph import (
     Edge,
@@ -103,20 +106,6 @@ def _pole_name(r: Rel, v: VertexId) -> str | None:
 _POLE_CLASS = {name: _BLOCK_ORDER.index(col + d) for name, (col, d) in _POLE_RULE.items()}
 
 
-def dart_classes(r: Rel) -> dict[tuple[VertexId, VertexId], int]:
-    """The class at v of every labeled dart (v, u), indexed by _BLOCK_ORDER.
-
-    The class is the color bit (0 T1, 1 T2) plus 2 when the edge points into v.
-    """
-    cls: dict[tuple[VertexId, VertexId], int] = {}
-    color = r.color
-    for e, (tail, head) in r.orient.items():
-        c = 0 if color[e] == T1 else 1
-        cls[tail, head] = c
-        cls[head, tail] = c | 2
-    return cls
-
-
 def _ring_defect(v: VertexId, classes: list[int]) -> str | None:
     """None when the ring's classes, clockwise, form the four blocks in order.
 
@@ -182,12 +171,15 @@ def is_valid_rel(r: Rel) -> RelValidity:
     expected = {e for e in r.graph.edges if not (e[0] in skip and e[1] in skip)}
     if set(r.color) != expected or set(r.orient) != expected:
         return RelValidity(False, "labeled edge set mismatch")
+    cls: dict[tuple[VertexId, VertexId], int] = {}  # the class at v of dart (v, u)
     for e, (tail, head) in r.orient.items():
         if edge_key(tail, head) != e:
             return RelValidity(False, f"orientation endpoints of {e} wrong")
-        if r.color[e] not in (T1, T2):
+        col = r.color[e]
+        if col not in (T1, T2):
             return RelValidity(False, f"bad color on {e}")
-    cls = dart_classes(r)
+        cls[tail, head] = c = 0 if col == T1 else 1
+        cls[head, tail] = c | 2
     rot = r.graph.rotation
     for name in ("N", "E", "S", "W"):
         v = r.poles[name]
@@ -278,17 +270,16 @@ def _propagate(
     """Filter rings until no value set shrinks; False when some ring admits no word.
 
     rings[v] holds, clockwise, each position's edge, tables and neighbor,
-    refiltered when the edge shrinks; queued[w] stays True for the poles'
-    shared id.  A forward pass finds the live states at each position and
-    a backward pass from the closing states keeps those on a complete
-    word.  Singletons are skipped on the way back: they cannot shrink once
-    a word exists.  Old values of shrunk domains go to trail.
+    queued first in, first out when the edge shrinks; queued[w] stays True
+    for the poles' shared id.  A forward pass finds each position's live
+    states, and a backward pass from the closing states keeps those on a
+    complete word, skipping singletons: they cannot shrink once a word
+    exists.  Old values of shrunk domains go to trail.
     """
-    stack = list(seeds)
-    for v in stack:
+    queue = list(seeds)
+    for v in queue:
         queued[v] = True
-    while stack:
-        v = stack.pop()
+    for v in queue:  # the loop reaches what it appends
         queued[v] = False
         ring = rings[v]
         live = []
@@ -297,7 +288,7 @@ def _propagate(
             cur = (cur | cur << 4) & admit[dom[i]]
             live.append(cur)
         if not cur & _CLOSING:
-            for w in stack:
+            for w in queue:
                 queued[w] = False
             return False
         cur = _AFTER
@@ -311,8 +302,40 @@ def _propagate(
                     dom[i] = new
                     if not queued[w]:
                         queued[w] = True
-                        stack.append(w)
+                        queue.append(w)
     return True
+
+
+def _search_space(
+    ag: AugmentedGraph,
+) -> tuple[list[Edge], list[int], list[Ring], dict[VertexId, int], list[int]]:
+    """The sorted edges, their value sets, the rings, dense ids and first seeds.
+
+    Value sets are pinned on the pole rows.  Inner vertices are ids 0..m-1
+    in ascending order, rings[k] is the ring of id k, and the poles share
+    id m.  The seeds are the rings the pinning can narrow: those with a
+    pole edge or fewer than four edges.
+    """
+    g = ag.base
+    poles = set(ag.pole_ids)
+    edges = sorted(e for e in g.edges if not (e[0] in poles and e[1] in poles))
+    index = {e: i for i, e in enumerate(edges)}
+    dom = [_FULL] * len(edges)
+    for name, p in ag.poles.items():  # a value is its class at the key's first end
+        for x in g.rotation[p]:
+            if x not in poles:
+                e = edge_key(x, p)
+                dom[index[e]] = 1 << (_POLE_CLASS[name] ^ (0 if e[0] == p else 2))
+    inner = [v for v in g.vertices if v not in poles]
+    m = len(inner)
+    dense = dict.fromkeys(poles, m)
+    dense.update((v, k) for k, v in enumerate(inner))
+    rings = [
+        _ring([(index[(v, w) if v < w else (w, v)], v < w, dense[w]) for w in g.rotation[v]])
+        for v in inner
+    ]
+    seeds = [k for k, ring in enumerate(rings) if len(ring) < 4 or any(p[4] == m for p in ring)]
+    return edges, dom, rings, dense, seeds
 
 
 def construct_rel(ag: AugmentedGraph) -> Rel:
@@ -324,60 +347,31 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
     into E, T2 out of W.  The block pattern at each inner vertex is
     enforced by filtering its ring (_propagate), which keeps the values
     of some valid ring word.  Whenever an edge's value set shrinks, the
-    opposite endpoint is filtered again.  The filters only shrink
-    domains, so propagation reaches the same fixpoint in any order.
+    opposite endpoint is queued, first in, first out.  The filters only
+    shrink domains, so propagation reaches the same fixpoint and the
+    same wipeout in any order.  It starts from the rings with a pinned
+    edge or fewer than four edges: an all-open ring of four or more
+    admits every value at every position, so its filter changes nothing.
 
     The search branches on a smallest-domain edge, in a shuffled edge
     order, tries its values in shuffled order and backtracks on wipeout.
-    Branching is common: on the planted-mid benchmark inputs of seed 1
-    it took 8,934 search nodes over 339 calls.  A DFS that overruns its
-    node quota restarts with a fresh shuffle and a doubled quota, up to
-    _NODE_CAP nodes in all; only a DFS that finishes inside its quota
-    may declare infeasibility.
+    Domains only shrink below a choice point, so each records the settled
+    prefix of the order, its singletons, and the scans below start past
+    it.  On the planted-mid inputs of seed 1 the search took 8,928 nodes
+    over 338 calls.  A DFS that overruns its node quota restarts with a
+    fresh shuffle and a doubled quota, up to _NODE_CAP nodes in all; only
+    a DFS that finishes inside its quota may declare infeasibility.
     """
     g = ag.base
     poles = set(ag.pole_ids)
-    pn, pe, ps, pw = (ag.poles[k] for k in ("N", "E", "S", "W"))
-
-    edges = sorted(e for e in g.edges if not (e[0] in poles and e[1] in poles))
-    index = {e: i for i, e in enumerate(edges)}
-    dom = [_FULL] * len(edges)
-
-    def pin(x: VertexId, pole: VertexId, val_tail: int, tail_is_pole: bool) -> None:
-        e = edge_key(x, pole)
-        tail_first = (e[0] == pole) == tail_is_pole
-        val = val_tail if tail_first else val_tail + 2
-        dom[index[e]] &= 1 << val
-
-    for x in g.rotation[pn]:
-        if x not in poles:
-            pin(x, pn, 0, False)  # T1, x -> N
-    for x in g.rotation[ps]:
-        if x not in poles:
-            pin(x, ps, 0, True)  # T1, S -> x
-    for x in g.rotation[pe]:
-        if x not in poles:
-            pin(x, pe, 1, False)  # T2, x -> E
-    for x in g.rotation[pw]:
-        if x not in poles:
-            pin(x, pw, 1, True)  # T2, W -> x
-
-    # inner vertices as ids 0..m-1 in ascending order; the poles share id m
-    inner = [v for v in g.vertices if v not in poles]
-    m = len(inner)
-    dense = dict.fromkeys(poles, m)
-    dense.update((v, k) for k, v in enumerate(inner))
-    rings = [
-        _ring([(index[(v, w) if v < w else (w, v)], v < w, dense[w]) for w in g.rotation[v]])
-        for v in inner
-    ]
-    queued = [False] * m + [True]
+    edges, dom, rings, dense, seeds = _search_space(ag)
+    queued = [False] * len(rings) + [True]
 
     def undo(trail: list[tuple[int, int]]) -> None:
         for i, old in reversed(trail):
             dom[i] = old
 
-    if not _propagate(rings, dom, range(m), queued, []):
+    if not _propagate(rings, dom, seeds, queued, []):
         raise NotConstructible("pole rows admit no block pattern")
 
     base = list(dom)
@@ -385,9 +379,12 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
 
     def branch(rng: random.Random, stack: list[list]) -> bool:
         """Open a choice point on a smallest open domain; False when none is open."""
+        start = stack[-1][3] if stack else 0
+        while start < len(order) and _SIZE[dom[order[start]]] == 1:
+            start += 1
         pick = None
         size = 5
-        for i in order:
+        for i in islice(order, start, None):
             c = _SIZE[dom[i]]
             if 1 < c < size:
                 pick, size = i, c
@@ -397,7 +394,7 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
             return False
         vals = [v for v in range(4) if dom[pick] >> v & 1]
         rng.shuffle(vals)
-        stack.append([pick, iter(vals), None])
+        stack.append([pick, iter(vals), None, start])
         return True
 
     def solve(rng: random.Random, quota: int) -> bool | None:
@@ -405,8 +402,8 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
 
         True leaves dom solved, False means that no labeling exists, and
         None that the search would take more than quota nodes.  Each
-        choice point holds its edge, its untried values and the trail of
-        the value on trial.
+        choice point holds its edge, its untried values, the trail of the
+        value on trial and the settled prefix.
         """
         stack: list[list] = []
         if not branch(rng, stack):
@@ -414,7 +411,7 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
         nodes = 0
         while stack:
             top = stack[-1]
-            pick, vals, trail = top
+            pick, vals, trail, _ = top
             if trail is not None:
                 undo(trail)
             val = next(vals, None)
@@ -527,7 +524,7 @@ def is_flippable_vertex(r: Rel, v: VertexId) -> bool:
 
 
 def rotate_four_cycle(r: Rel, cyc: FourCycle) -> str:
-    """Exchange colors inside an alternating 4-cycle; returns cw/ccw/empty."""
+    """Exchange colors inside an alternating 4-cycle of a valid r; returns cw/ccw/empty."""
     w = cyc.vertices
     ring = [edge_key(w[i], w[(i + 1) % 4]) for i in range(4)]
     if len(set(w)) != 4 or any(e not in r.color for e in ring):
@@ -548,6 +545,7 @@ def rotate_four_cycle(r: Rel, cyc: FourCycle) -> str:
         and dart_face[(e[1], e[0])] in inside
     ]
     snapshot = {e: (r.color[e], r.orient[e]) for e in target}
+    touched = {v for e in target for v in e}  # only these rings change; r is valid elsewhere
     for mode in ("cw", "ccw"):
         for e in target:
             col, (s, t) = snapshot[e]
@@ -555,7 +553,7 @@ def rotate_four_cycle(r: Rel, cyc: FourCycle) -> str:
                 r.color[e], r.orient[e] = (T2, (s, t)) if col == T1 else (T1, (t, s))
             else:
                 r.color[e], r.orient[e] = (T2, (t, s)) if col == T1 else (T1, (s, t))
-        if is_valid_rel(r).ok:
+        if all(_vertex_defect(r, v) is None for v in touched):
             return mode
         for e in target:
             r.color[e], r.orient[e] = snapshot[e]

@@ -13,10 +13,10 @@ import itertools
 from collections import Counter
 
 from lplan.boundary import Cip, Shortcut
-from lplan.graph import Dart, EmbeddedGraph, InconsistentEmbedding, VertexId
+from lplan.graph import Dart, EmbeddedGraph, InconsistentEmbedding, VertexId, faces_inside_cycle
 from lplan.layout import FloorPlan
 from lplan.paths import AugmentedGraph, check_path_conditions, paths_from_splits
-from lplan.rel import Rel
+from lplan.rel import Rel, is_valid_rel
 
 
 # -- faces, 2-connectivity and separating triangles -----------------------------
@@ -370,6 +370,85 @@ def brute_rel_validity(r: Rel) -> tuple[bool, str | None]:
             if defect:
                 return False, defect
     return True, None
+
+
+def _classes_at(mask: int, v: VertexId, e: tuple[VertexId, VertexId]) -> int:
+    """The dart classes at v that a set of edge values reads as, and back.
+
+    Bit 0 of a value is the color (0 T1, 1 T2) and bit 1 reverses the
+    direction of the sorted key e, so a value is its own class at e[0] and
+    has its direction bit flipped at e[1].
+    """
+    return mask if v == e[0] else sum(1 << (c ^ 2) for c in range(4) if mask >> c & 1)
+
+
+def ring_fixpoint(ag: AugmentedGraph, pins: dict | None = None) -> dict | None:
+    """Every labeled edge's value set once refiltering each ring changes nothing.
+
+    The pole rows are pinned, pins (edge -> value mask) narrows further
+    edges, and then every inner ring in turn is cut to ring_word_union of
+    its dart classes, round after round, until a whole round shrinks no
+    value set.  None when some ring admits no word.
+    """
+    g = ag.base
+    poles = set(ag.pole_ids)
+    dom = {e: 0b1111 for e in g.edges if not (e[0] in poles and e[1] in poles)}
+    for name, (col, sense) in _POLE_ROWS.items():
+        p = ag.poles[name]
+        for x in g.adj[p]:
+            if x not in poles:
+                e = (min(x, p), max(x, p))
+                tail = x if sense == "in" else p
+                dom[e] = 1 << ((col == "T2") + 2 * (tail != e[0]))
+    for e, m in (pins or {}).items():
+        dom[e] &= m
+    rings = [
+        (v, [(min(v, w), max(v, w)) for w in g.rotation[v]])
+        for v in g.vertices
+        if v not in poles
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for v, ring in rings:
+            kept = ring_word_union([_classes_at(dom[e], v, e) for e in ring])
+            if kept is None:
+                return None
+            for e, m in zip(ring, kept):
+                m = _classes_at(m, v, e)
+                if m != dom[e]:
+                    dom[e] = m
+                    changed = True
+    return dom
+
+
+def rotate_by_trial(r: Rel, w: tuple[VertexId, ...]) -> str | None:
+    """rotate_four_cycle on an alternating 4-cycle, checked on the whole labeling.
+
+    Each sense is applied to every edge strictly inside the cycle and kept
+    when is_valid_rel accepts the labeling.  Returns "empty", "cw" or
+    "ccw" with r rotated, or None with r unchanged when neither sense is
+    valid.
+    """
+    inside = faces_inside_cycle(r.graph, w)
+    if not inside:
+        return "empty"
+    ring = {(min(a, b), max(a, b)) for a, b in zip(w, w[1:] + w[:1])}
+    face = r.graph.dart_face
+    target = [
+        e for e in r.color if e not in ring and face[e] in inside and face[e[::-1]] in inside
+    ]
+    before = {e: (r.color[e], r.orient[e]) for e in target}
+    for mode in ("cw", "ccw"):
+        for e, (col, (s, t)) in before.items():
+            along = (mode == "cw") == (col == "T1")
+            r.color[e] = "T2" if col == "T1" else "T1"
+            r.orient[e] = (s, t) if along else (t, s)
+        if is_valid_rel(r).ok:
+            return mode
+        for e, (col, o) in before.items():
+            r.color[e], r.orient[e] = col, o
+    return None
 
 
 def canonical_labeling(color: dict, orient: dict) -> tuple:

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,9 @@ from oracles import (
     brute_ring_defect,
     canonical_labeling,
     rel_filter_enumeration,
+    ring_fixpoint,
     ring_word_union,
+    rotate_by_trial,
 )
 
 from lplan import samples
@@ -31,6 +34,7 @@ from lplan.rel import (
     NotFlippable,
     _propagate,
     _ring,
+    _search_space,
     _vertex_defect,
     construct_rel,
     flip_edge,
@@ -169,6 +173,61 @@ def test_block_feasible_matches_the_word_oracle_on_random_rings():
     assert 2000 < feasible < 18000  # both verdicts are well represented
 
 
+# -- propagation order ---------------------------------------------------------
+
+
+def _propagation_cases():
+    """Completions for the propagation oracle: tiny, samples and generated, n <= 120."""
+    yield from tiny_completions()
+    for make in PLANNABLE:
+        yield _completion(make)
+    for key in ((30, 0), (60, 1), (100, 0), (120, 0)):
+        yield _generated_completion(*key)
+
+
+def test_propagation_reaches_the_round_robin_fixpoint():
+    # From the pole-row seeds, and then from the endpoints of up to three
+    # edges pinned at once, the queue must reach the oracle's value sets,
+    # or wipe out exactly when the oracle does; a wipeout's trail restores
+    # the state before the pins.
+    rng = random.Random(11)
+    verdicts = {True: 0, False: 0}
+    narrower = 0
+    for ag in _propagation_cases():
+        edges, dom, rings, dense, seeds = _search_space(ag)
+        narrower += len(seeds) < len(rings)
+        idle = [False] * len(rings) + [True]
+        queued = list(idle)
+        assert _propagate(rings, dom, seeds, queued, [])
+        assert dict(zip(edges, dom)) == ring_fixpoint(ag)
+        pins = {}
+        for _ in range(12):
+            wide = [i for i, m in enumerate(dom) if m & (m - 1)]
+            if not wide:
+                break
+            picks = rng.sample(wide, min(3, len(wide)))
+            new = {i: 1 << rng.choice([v for v in range(4) if dom[i] >> v & 1]) for i in picks}
+            before = list(dom)
+            trail = [(i, dom[i]) for i in picks]
+            for i, m in new.items():
+                dom[i] = m
+            seeds = [dense[x] for i in picks for x in edges[i] if x not in ag.pole_ids]
+            ok = _propagate(rings, dom, seeds, queued, trail)
+            assert queued == idle
+            want = ring_fixpoint(ag, {**pins, **{edges[i]: m for i, m in new.items()}})
+            assert ok == (want is not None)
+            verdicts[ok] += 1
+            if ok:
+                assert dict(zip(edges, dom)) == want
+                pins.update((edges[i], m) for i, m in new.items())
+            else:
+                for j, old in reversed(trail):
+                    dom[j] = old
+                assert dom == before
+    assert narrower >= 4  # the seeding skips rings on the larger completions
+    assert min(verdicts.values()) >= 10, verdicts
+
+
 # -- local moves ---------------------------------------------------------------
 
 
@@ -300,6 +359,46 @@ def test_rotate_four_cycle_round_trip():
     pytest.skip("no rotatable interior 4-cycle in the sample labelings")
 
 
+def _alternating_four_cycles(r):
+    """Every 4-cycle of r's graph whose four edges are labeled in alternating colors, once."""
+    g = r.graph
+    seen = set()
+    for a in g.vertices:
+        for b, c, d in itertools.product(g.adj[a], repeat=3):
+            w = (a, b, c, d)
+            if len(set(w)) < 4 or c not in g.adj[b] or d not in g.adj[c]:
+                continue
+            ring = [edge_key(w[i], w[(i + 1) % 4]) for i in range(4)]
+            if frozenset(ring) in seen or any(e not in r.color for e in ring):
+                continue
+            seen.add(frozenset(ring))
+            labs = [r.color[e] for e in ring]
+            if labs[0] == labs[2] != labs[1] == labs[3]:
+                yield w
+
+
+def test_rotation_checks_agree_with_whole_labeling_checks():
+    # rotate_four_cycle checks only the rings it changes; the oracle checks
+    # the whole labeling after each sense.  Mode, NotFlippable and the
+    # labeling left behind must agree on every alternating 4-cycle.
+    rels = [construct_rel(_completion(make)) for make in PLANNABLE]
+    rels += [construct_rel(_generated_completion(*key)) for key in sorted(GOLDEN_GENERATED)]
+    seen = Counter()
+    for r in rels:
+        for w in _alternating_four_cycles(r):
+            probe, want = r.clone(), r.clone()
+            try:
+                got = rotate_four_cycle(probe, FourCycle(w))
+            except NotFlippable:
+                got = None
+            assert got == rotate_by_trial(want, w), w
+            assert (probe.color, probe.orient) == (want.color, want.orient)
+            seen[got] += 1
+    # Every 4-cycle of a completion encloses faces, and on these valid
+    # labelings one sense always holds.
+    assert set(seen) == {"cw", "ccw"} and sum(seen.values()) >= 150, seen
+
+
 # -- validity negatives --------------------------------------------------------
 
 
@@ -421,7 +520,8 @@ def test_enumerate_rels_matches_the_filter_oracle():
 # order: the shuffled edge order, the pick rule, the value shuffles and the
 # restarts.  These digests of sorted(color) and sorted(orient) pin that
 # order: a faster search that keeps it keeps them.  The searches on the
-# generated graphs branch, at 60 to 82 choice points each.
+# generated graphs branch, at 60 to 82 choice points each on the first
+# three; the last one restarts.
 
 
 def _digest(r) -> str:
@@ -448,6 +548,8 @@ GOLDEN_GENERATED = {
     (100, 0): "4283049119c1d2c5",
     (100, 1): "8a713f91b4f559f9",
     (120, 0): "11b816dce30e3870",
+    # This search overruns the first 400-node quota once and restarts.
+    (150, 2): "84fc88b2af8f85e3",
 }
 
 
