@@ -24,12 +24,11 @@ from .layout import (
     rfp_from_rel,
     verify_nontrivial_L,
 )
-from .oracle import GenSpec, enumerate_rels, generate_ptpg, stretcher_is_trivial
+from .gen import GenSpec, generate_ptpg
 from .paths import (
     AugmentedGraph,
     Infeasible,
     PathSet,
-    augment_with_ne,
     check_path_conditions,
     completion_paths,
     four_completion,
@@ -70,12 +69,10 @@ __all__ = [
     "Rel",
     "Shortcut",
     "Triplet",
-    "augment_with_ne",
     "check_path_conditions",
     "completion_paths",
     "construct_rel",
     "dual_graph",
-    "enumerate_rels",
     "find_cips",
     "find_shortcuts",
     "find_triplets",
@@ -97,7 +94,6 @@ __all__ = [
     "select_paths",
     "serialize_graph",
     "serialize_plan",
-    "stretcher_is_trivial",
     "validate_ptpg",
     "verify_nontrivial_L",
 ]

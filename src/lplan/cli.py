@@ -17,7 +17,7 @@ import sys
 from .boundary import find_shortcuts, necessary_conditions
 from .graph import InconsistentEmbedding, validate_ptpg
 from .io import ParseError, parse_graph, parse_plan, plan_to_doc, render_svg, serialize_graph, serialize_plan
-from .oracle import GenerationFailed, GenSpec, generate_ptpg
+from .gen import GenerationFailed, GenSpec, generate_ptpg
 from .pipeline import InvalidInput, PlanOptions, plan
 
 
@@ -163,7 +163,7 @@ def _cmd_render(args) -> int:
 def _cmd_gen(args) -> int:
     try:
         g = generate_ptpg(GenSpec(n=args.n, seed=args.seed, cip_target=args.cip_target))
-    except GenerationFailed as exc:
+    except (GenerationFailed, ValueError) as exc:  # ValueError: fewer than three vertices
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write(args.out, serialize_graph(g))

@@ -134,6 +134,8 @@ def doc_to_graph(doc: dict) -> EmbeddedGraph:
             raise ParseError(where, "keys must be integer vertex ids") from None
         if v not in known:
             raise ParseError(where, f"unknown vertex {v}")
+        if v in rotation:
+            raise ParseError(where, f"duplicate neighbour list for vertex {v}")
         # type() is exact: it rejects True and 1.0, which equal known ids
         if not isinstance(nbrs, list) or not {int}.issuperset(map(type, nbrs)):
             raise ParseError(where, "expected a list of vertex ids")

@@ -24,21 +24,24 @@ level set has a boundary: the count is 0 outside the cycle and, as it
 cannot be negative, 1 inside, and the modules tile the region the cycle
 bounds.  rfp_from_rel requires that region to be the bounding box;
 plan_outline, profile_from_outline and plan_embedding read the cycle
-and the two-sided stretches.  No cell grid is built, and a plan keeps
-its sweep (FloorPlan.walls), so plan_outline and plan_embedding share
-it.  The L plan is not swept at all: remove_ne hands it the full
-plan's stretches with the NE module's side cleared, the empty ones
-dropped and the ones it alone split merged again (_walls_without), so
-a successful plan is swept once.  plan_embedding gives the dual's
+and the two-sided stretches, and verify_nontrivial_L reads the
+non-triviality walk off the stretches on the two notch walls.  No cell
+grid is built, and a plan keeps its sweep (FloorPlan.walls), so these
+readers share it.  The L plan is not swept at all: remove_ne hands it
+the full plan's stretches with the NE module's side cleared, the empty
+ones dropped and the ones it alone split merged again (_walls_without),
+so a successful plan is swept once.  plan_embedding gives the dual's
 rotations and outer cycle as plain data, which plan() compares with
 the input; dual_graph builds them into a checked graph.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping
 
 from .graph import EmbeddedGraph, VertexId, _number_darts, _walk
@@ -46,6 +49,7 @@ from .rel import _BLOCK_ORDER, T1, T2, Rel
 
 # (axis, line coordinate, start, end, module below or left, module above or right)
 Stretch = tuple[str, int, int, int, VertexId | None, VertexId | None]
+_line = itemgetter(0, 1)  # a stretch's line; walls are sorted by it
 
 
 class NotCornerModule(ValueError):
@@ -70,9 +74,6 @@ class Rect:
     @property
     def height(self) -> int:
         return self.y2 - self.y1
-
-    def contains_point(self, x: int, y: int) -> bool:
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
 
 
 @dataclass(frozen=True)
@@ -392,60 +393,52 @@ def profile_from_outline(fp: FloorPlan) -> CornerProfile:
     return CornerProfile(nx=nx, ny=ny, notch=Rect(nx, ny, W, H))
 
 
-def _share_wall(a: Rect, b: Rect) -> str | None:
-    """'H' when side by side, 'V' when stacked; None without positive contact."""
-    if a.x2 == b.x1 or b.x2 == a.x1:
-        lo, hi = max(a.y1, b.y1), min(a.y2, b.y2)
-        if hi - lo > 0:
-            return "H"
-    if a.y2 == b.y1 or b.y2 == a.y1:
-        lo, hi = max(a.x1, b.x1), min(a.x2, b.x2)
-        if hi - lo > 0:
-            return "V"
-    return None
-
-
 def verify_nontrivial_L(fp: FloorPlan, profile: CornerProfile) -> NonTrivialityVerdict:
     """Walk the two notch walls; a bend in the walk certifies non-triviality.
 
     The walk lists the modules carrying the vertical wall above the
     concave corner (top to bottom) and then the horizontal wall right of
     it (left to right).  The plan is a proper L exactly when some module
-    meets its two walk neighbors in different orientations.
+    meets its two walk neighbors in different orientations.  Everything
+    is read off the plan's sweep: the walls' modules are those left of
+    the stretches on x = nx above ny and below those on y = ny right of
+    nx, the modules meeting the corner are those on a stretch through
+    it, and two walk neighbors touch where they share a stretch.  No
+    module is on both walls: the first wall's modules reach above ny,
+    the second's end at ny.
     """
-    nx, ny, H, W = profile.nx, profile.ny, fp.height, fp.width
-    w1 = [
-        v
-        for v, rc in fp.rects.items()
-        if rc.x2 == nx and min(rc.y2, H) - max(rc.y1, ny) > 0
-    ]
-    w1.sort(key=lambda v: -fp.rects[v].y2)
-    w2 = [
-        v
-        for v, rc in fp.rects.items()
-        if rc.y2 == ny and min(rc.x2, W) - max(rc.x1, nx) > 0
-    ]
-    w2.sort(key=lambda v: fp.rects[v].x1)
-    both = set(w1) & set(w2)
-    if both:
-        raise ValueError(f"modules {sorted(both)} lie on both notch walls")
-    at_corner = [
-        v for v, rc in fp.rects.items() if rc.contains_point(nx, ny)
-    ]
+    nx, ny = profile.nx, profile.ny
+    walls = fp.walls
+    sides: list[list[VertexId]] = []  # the first bottom to top, the second left to right
+    at_corner: set[VertexId | None] = set()
+    for line, at in ((("x", nx), ny), (("y", ny), nx)):
+        side: list[VertexId] = []
+        lo = bisect_left(walls, line, key=_line)
+        for _, _, a, b, low, high in walls[lo : bisect_right(walls, line, lo, key=_line)]:
+            if a <= at <= b:
+                at_corner.update((low, high))
+            if b > at and low is not None and (not side or side[-1] != low):
+                side.append(low)
+        sides.append(side)
+    at_corner.discard(None)
     if len(at_corner) != 2:
         raise ValueError(f"{len(at_corner)} modules meet the concave corner, need 2")
-    walk = tuple(w1 + w2)
+    walk = tuple(sides[0][::-1] + sides[1])
     if len(walk) < 3:
         return NonTrivialityVerdict(False, walk, None)
+    walked = set(walk)
+    contact = {
+        (low, high): axis for axis, _, _, _, low, high in walls if low in walked and high in walked
+    }
     orients = []
-    for i in range(len(walk) - 1):
-        o = _share_wall(fp.rects[walk[i]], fp.rects[walk[i + 1]])
-        if o is None:
-            raise ValueError(f"walk neighbors {walk[i]},{walk[i + 1]} do not touch")
-        orients.append(o)
+    for u, v in zip(walk, walk[1:]):
+        axis = contact.get((u, v)) or contact.get((v, u))
+        if axis is None:
+            raise ValueError(f"walk neighbors {u},{v} do not touch")
+        orients.append(axis)
     for i in range(len(orients) - 1):
         if orients[i] != orients[i + 1]:
-            return NonTrivialityVerdict(True, walk, (walk[i], walk[i + 1], walk[i + 2]))
+            return NonTrivialityVerdict(True, walk, walk[i : i + 3])
     return NonTrivialityVerdict(False, walk, None)
 
 

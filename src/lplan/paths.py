@@ -431,11 +431,6 @@ def attach_outside(
     return _attach_all(g, [(arc, new_id, label)])
 
 
-def augment_with_ne(g: EmbeddedGraph, ps: PathSet) -> tuple[EmbeddedGraph, VertexId]:
-    ne = max(g.vertices) + 1
-    return attach_outside(g, ps.p1, ne, label="NE"), ne
-
-
 def completion_paths(ps: PathSet, ne: VertexId) -> tuple[tuple[VertexId, ...], ...]:
     return (ps.p5 + (ne,), (ne,) + ps.p2, ps.p3, ps.p4)
 
@@ -449,9 +444,7 @@ def four_completion(
     """Attach the four poles around paths Q1..Q4 covering the boundary.
 
     With ne_arc, g does not hold the north-east helper yet: ne is attached
-    over that arc first, and the one build equals
-    four_completion(augment_with_ne(g, ps)[0], qpaths, ne=ne) for
-    ne_arc = ps.p1.
+    over that arc first, in the same build.
     """
     if len(qpaths) != 4:
         raise EmbeddingConflict("four-completion needs exactly four paths")

@@ -82,9 +82,6 @@ class Rel:
     def label(self, u: VertexId, v: VertexId) -> str:
         return self.color[edge_key(u, v)]
 
-    def direction(self, u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
-        return self.orient[edge_key(u, v)]
-
     def clone(self) -> "Rel":
         return Rel(self.graph, dict(self.poles), dict(self.color), dict(self.orient))
 
@@ -480,15 +477,6 @@ def flip_edge(r: Rel, u: VertexId, v: VertexId) -> None:
     raise NotFlippable(f"flip of {e} admits no valid direction")
 
 
-def is_flippable_edge(r: Rel, u: VertexId, v: VertexId) -> bool:
-    probe = r.clone()
-    try:
-        flip_edge(probe, u, v)
-    except NotFlippable:
-        return False
-    return True
-
-
 def flip_vertex(r: Rel, v: VertexId) -> None:
     """Toggle the colors of all four edges at a degree-4 interior vertex."""
     if v in set(r.pole_ids):
@@ -512,15 +500,6 @@ def flip_vertex(r: Rel, v: VertexId) -> None:
     for k in keys:
         r.color[k], r.orient[k] = old[k]
     raise NotFlippable(f"vertex flip at {v} admits no valid directions")
-
-
-def is_flippable_vertex(r: Rel, v: VertexId) -> bool:
-    probe = r.clone()
-    try:
-        flip_vertex(probe, v)
-    except NotFlippable:
-        return False
-    return True
 
 
 def rotate_four_cycle(r: Rel, cyc: FourCycle) -> str:

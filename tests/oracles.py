@@ -3,20 +3,53 @@
 Everything here is deliberately naive: exhaustive search, set algebra,
 geometry read straight off the rectangles.  Nothing below shares logic
 with the modules it checks beyond the plain data containers, so a bug
-would have to be made twice to slip through.
+would have to be made twice to slip through.  The exceptions are named
+where they occur: enumerate_rels, the flip probes and the two-step
+completion call the library's own checks or moves.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
+from collections import Counter, deque
+from dataclasses import replace
 
 from lplan.boundary import Cip, Shortcut
-from lplan.graph import Dart, EmbeddedGraph, InconsistentEmbedding, VertexId, faces_inside_cycle
-from lplan.layout import FloorPlan
-from lplan.paths import AugmentedGraph, check_path_conditions, paths_from_splits
-from lplan.rel import Rel, is_valid_rel
+from lplan.graph import (
+    Dart,
+    EmbeddedGraph,
+    InconsistentEmbedding,
+    VertexId,
+    edge_key,
+    faces_inside_cycle,
+)
+from lplan.layout import CornerProfile, FloorPlan, NonTrivialityVerdict, Rect
+from lplan.paths import (
+    AugmentedGraph,
+    PathSet,
+    attach_outside,
+    check_path_conditions,
+    paths_from_splits,
+)
+from lplan.rel import (
+    _BLOCK_ORDER,
+    NotFlippable,
+    Rel,
+    T1,
+    T2,
+    flip_edge,
+    flip_vertex,
+    is_valid_rel,
+)
+
+
+class CapExceeded(RuntimeError):
+    pass
+
+
+class ScaleExceeded(RuntimeError):
+    pass
 
 
 # -- faces, 2-connectivity and separating triangles -----------------------------
@@ -320,6 +353,66 @@ def rel_filter_enumeration(ag: AugmentedGraph) -> set[tuple]:
     return survivors
 
 
+def _partial_block_ok(r: Rel, v: VertexId) -> bool:
+    ring = r.graph.rotation[v]
+    seq = []
+    for u in ring:
+        e = edge_key(u, v)
+        if e not in r.color:
+            continue
+        tail, _ = r.orient[e]
+        seq.append(_BLOCK_ORDER.index(r.color[e] + ("out" if tail == v else "in")))
+    descents = sum(1 for i in range(len(seq)) if seq[i] > seq[(i + 1) % len(seq)])
+    return descents <= 1
+
+
+def enumerate_rels(ag: AugmentedGraph, cap: int = 12) -> list[Rel]:
+    """Every valid label/direction assignment on ag, by brute force.
+
+    Pole-incident edges are forced by the pole rules, so the search
+    space is the interior edges only: 4 states each.  Partial rings are
+    pruned as soon as they descend twice, and each full assignment is
+    judged by the library's is_valid_rel.
+    """
+    poles = set(ag.pole_ids)
+    g = ag.base
+    free = sorted(e for e in g.edges if e[0] not in poles and e[1] not in poles)
+    if len(free) > cap:
+        raise CapExceeded(f"{len(free)} interior edges exceed cap {cap}")
+    r = Rel(graph=g, poles=dict(ag.poles), color={}, orient={})
+    for name, p in ag.poles.items():
+        color = T1 if name in ("N", "S") else T2
+        for w in g.adj[p]:
+            if w in poles:
+                continue
+            e = edge_key(w, p)
+            r.color[e] = color
+            r.orient[e] = (w, p) if name in ("N", "E") else (p, w)
+
+    out: list[Rel] = []
+    inner = set(g.vertices) - poles
+
+    def rec(i: int) -> None:
+        if i == len(free):
+            if is_valid_rel(r).ok:
+                out.append(r.clone())
+            return
+        e = free[i]
+        u, v = e
+        for color, orient in (
+            (T1, (u, v)), (T1, (v, u)), (T2, (u, v)), (T2, (v, u)),
+        ):
+            r.color[e] = color
+            r.orient[e] = orient
+            if all(_partial_block_ok(r, w) for w in e if w in inner):
+                rec(i + 1)
+            del r.color[e]
+            del r.orient[e]
+
+    rec(0)
+    return out
+
+
 _BLOCKS = ("T1out", "T2out", "T1in", "T2in")
 _POLE_ROWS = {"N": ("T1", "in"), "E": ("T2", "in"), "S": ("T1", "out"), "W": ("T2", "out")}
 
@@ -451,6 +544,24 @@ def rotate_by_trial(r: Rel, w: tuple[VertexId, ...]) -> str | None:
     return None
 
 
+def is_flippable_edge(r: Rel, u: VertexId, v: VertexId) -> bool:
+    """Whether the library's flip_edge succeeds, tried on a clone of r."""
+    try:
+        flip_edge(r.clone(), u, v)
+    except NotFlippable:
+        return False
+    return True
+
+
+def is_flippable_vertex(r: Rel, v: VertexId) -> bool:
+    """Whether the library's flip_vertex succeeds, tried on a clone of r."""
+    try:
+        flip_vertex(r.clone(), v)
+    except NotFlippable:
+        return False
+    return True
+
+
 def canonical_labeling(color: dict, orient: dict) -> tuple:
     return (
         tuple(sorted(color.items())),
@@ -461,18 +572,27 @@ def canonical_labeling(color: dict, orient: dict) -> tuple:
 # -- floor-plan geometry -------------------------------------------------------
 
 
-def geometric_adjacency(fp: FloorPlan) -> set[tuple[VertexId, VertexId]]:
-    """Module pairs sharing a wall segment of positive length."""
-    pairs = set()
+def wall_contacts(fp: FloorPlan) -> dict[tuple[VertexId, VertexId], str]:
+    """Module pairs sharing a wall segment of positive length.
+
+    A pair (u, v) with u < v maps to 'H' when the two sit side by side
+    and to 'V' when they are stacked.
+    """
+    pairs = {}
     for u, v in itertools.combinations(sorted(fp.rects), 2):
         a, b = fp.rects[u], fp.rects[v]
         touch_x = a.x2 == b.x1 or b.x2 == a.x1
         touch_y = a.y2 == b.y1 or b.y2 == a.y1
         if touch_x and min(a.y2, b.y2) - max(a.y1, b.y1) > 0:
-            pairs.add((u, v))
+            pairs[u, v] = "H"
         elif touch_y and min(a.x2, b.x2) - max(a.x1, b.x1) > 0:
-            pairs.add((u, v))
+            pairs[u, v] = "V"
     return pairs
+
+
+def geometric_adjacency(fp: FloorPlan) -> set[tuple[VertexId, VertexId]]:
+    """Module pairs sharing a wall segment of positive length."""
+    return set(wall_contacts(fp))
 
 
 def covered_cells(fp: FloorPlan) -> set[tuple[int, int]]:
@@ -484,8 +604,12 @@ def covered_cells(fp: FloorPlan) -> set[tuple[int, int]]:
     return cells
 
 
-def concave_corner_count(fp: FloorPlan) -> int:
-    """Lattice points where exactly three of the four incident cells are covered."""
+def concave_corner_count(fp: FloorPlan) -> int | None:
+    """Lattice points where exactly three of the four incident cells are covered.
+
+    None when two diagonally opposite cells alone are covered at some
+    point: the covered region pinches there.
+    """
     cells = covered_cells(fp)
     n = 0
     for x in range(fp.width + 1):
@@ -496,8 +620,11 @@ def concave_corner_count(fp: FloorPlan) -> int:
                 (x - 1, y) in cells,
                 (x, y) in cells,
             ]
-            if sum(around) == 3:
+            k = sum(around)
+            if k == 3:
                 n += 1
+            elif k == 2 and around[0] == around[3]:
+                return None
     return n
 
 
@@ -506,7 +633,126 @@ def no_overlaps(fp: FloorPlan) -> bool:
     return total == len(covered_cells(fp))
 
 
-# -- path-set feasibility by exhaustion ----------------------------------------
+def scan_nontrivial_L(fp: FloorPlan, profile: CornerProfile) -> NonTrivialityVerdict:
+    """verify_nontrivial_L by whole-plan scans over the rectangles.
+
+    The notch walls' modules are found by their coordinates, the modules
+    at the corner by closed-rectangle containment, and walk contacts by
+    wall_contacts.  Same verdict, walk, witness and errors; the both-walls
+    error is kept as it was written, though no rectangle can raise it.
+    """
+    nx, ny, H, W = profile.nx, profile.ny, fp.height, fp.width
+    rects = fp.rects
+    w1 = [v for v, rc in rects.items() if rc.x2 == nx and min(rc.y2, H) - max(rc.y1, ny) > 0]
+    w1.sort(key=lambda v: -rects[v].y2)
+    w2 = [v for v, rc in rects.items() if rc.y2 == ny and min(rc.x2, W) - max(rc.x1, nx) > 0]
+    w2.sort(key=lambda v: rects[v].x1)
+    both = set(w1) & set(w2)
+    if both:
+        raise ValueError(f"modules {sorted(both)} lie on both notch walls")
+    at_corner = [v for v, rc in rects.items() if rc.x1 <= nx <= rc.x2 and rc.y1 <= ny <= rc.y2]
+    if len(at_corner) != 2:
+        raise ValueError(f"{len(at_corner)} modules meet the concave corner, need 2")
+    walk = tuple(w1 + w2)
+    if len(walk) < 3:
+        return NonTrivialityVerdict(False, walk, None)
+    contacts = wall_contacts(fp)
+    orients = []
+    for u, v in zip(walk, walk[1:]):
+        o = contacts.get((min(u, v), max(u, v)))
+        if o is None:
+            raise ValueError(f"walk neighbors {u},{v} do not touch")
+        orients.append(o)
+    for i in range(len(orients) - 1):
+        if orients[i] != orients[i + 1]:
+            return NonTrivialityVerdict(True, walk, walk[i : i + 3])
+    return NonTrivialityVerdict(False, walk, None)
+
+
+# -- the brute-force stretcher ---------------------------------------------------
+
+
+_STRETCH_CAP = 400_000
+# side -> the Rect field a move of that side changes, and its sign when the module grows
+_SIDES = {"W": ("x1", -1), "E": ("x2", 1), "S": ("y1", -1), "N": ("y2", 1)}
+
+
+def _outside(rc: Rect, side: str) -> list[tuple[int, int]]:
+    """The unit cells just outside one side of rc."""
+    if side in "WE":
+        x = rc.x1 - 1 if side == "W" else rc.x2
+        return [(x, y) for y in range(rc.y1, rc.y2)]
+    y = rc.y1 - 1 if side == "S" else rc.y2
+    return [(x, y) for x in range(rc.x1, rc.x2)]
+
+
+def stretcher_is_trivial(fp: FloorPlan) -> bool:
+    """True when some sequence of outer-wall unit moves loses a concave corner.
+
+    Exhaustive search over whole-wall stretch/shrink moves that keep
+    every module inside the original bounding box and preserve the
+    module adjacency relation exactly, contact orientations included.
+    A wall may move when some cell just outside it is uncovered.  The
+    modules of fp must lie inside its box.
+    """
+    if len(fp.rects) > 10:
+        raise ScaleExceeded(f"{len(fp.rects)} modules exceed the oracle scale")
+    w, h = fp.width, fp.height
+    target_adj = wall_contacts(fp)
+    init_corners = concave_corner_count(fp)
+    if init_corners is None:
+        raise ValueError("initial plan has a point pinch")
+    if init_corners == 0:
+        return False
+
+    ids = sorted(fp.rects)
+    start = tuple(fp.rects[m] for m in ids)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = dict(zip(ids, queue.popleft()))
+        cells = covered_cells(FloorPlan(cur, w, h, {}))
+        for m in ids:
+            rc = cur[m]
+            for side, (field, grow) in _SIDES.items():
+                if all(c in cells for c in _outside(rc, side)):
+                    continue
+                for d in (1, -1):
+                    new = replace(rc, **{field: getattr(rc, field) + grow * d})
+                    if new.width < 1 or new.height < 1:
+                        continue
+                    if new.x1 < 0 or new.y1 < 0 or new.x2 > w or new.y2 > h:
+                        continue
+                    nxt = FloorPlan({**cur, m: new}, w, h, {})
+                    key = tuple(nxt.rects[i] for i in ids)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if len(seen) > _STRETCH_CAP:
+                        raise ScaleExceeded("stretch state space exceeds the oracle cap")
+                    if not no_overlaps(nxt) or wall_contacts(nxt) != target_adj:
+                        continue
+                    corners = concave_corner_count(nxt)
+                    if corners is None:
+                        continue
+                    if corners < init_corners:
+                        return True
+                    queue.append(key)
+    return False
+
+
+# -- path sets and completions --------------------------------------------------
+
+
+def augment_with_ne(g: EmbeddedGraph, ps: PathSet) -> tuple[EmbeddedGraph, VertexId]:
+    """g with the north-east helper attached over ps.p1, built on its own.
+
+    The first step of the two-step completion that pipeline.plan does in
+    one build: four_completion(augment_with_ne(g, ps)[0], qpaths, ne=ne)
+    equals four_completion(g, qpaths, ne=ne, ne_arc=ps.p1).
+    """
+    ne = max(g.vertices) + 1
+    return attach_outside(g, ps.p1, ne, label="NE"), ne
 
 
 def feasible_split_multisets(g: EmbeddedGraph, triplet, cips) -> int:

@@ -21,21 +21,23 @@ import pytest
 from conftest import record
 
 from completions import tiny_completions
-from oracles import canonical_labeling, concave_corner_count, rel_filter_enumeration
+from oracles import (
+    canonical_labeling,
+    concave_corner_count,
+    enumerate_rels,
+    is_flippable_edge,
+    is_flippable_vertex,
+    rel_filter_enumeration,
+    stretcher_is_trivial,
+)
 
 from lplan import samples
 from lplan.boundary import find_cips
 from lplan.cli import main
 from lplan.flipping import normalize_labels
+from lplan.gen import GenSpec, GenerationFailed, generate_ptpg
 from lplan.graph import EmbeddedGraph
 from lplan.io import serialize_graph
-from lplan.oracle import (
-    GenSpec,
-    GenerationFailed,
-    enumerate_rels,
-    generate_ptpg,
-    stretcher_is_trivial,
-)
 from lplan.layout import dual_graph, profile_from_outline, verify_nontrivial_L
 from lplan.pipeline import PlanOptions, plan, rectangular_plan
 from lplan.rel import (
@@ -47,8 +49,6 @@ from lplan.rel import (
     construct_rel,
     flip_edge,
     flip_vertex,
-    is_flippable_edge,
-    is_flippable_vertex,
     is_valid_rel,
     rotate_four_cycle,
 )

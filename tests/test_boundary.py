@@ -13,7 +13,7 @@ from lplan.boundary import (
     is_boundary_edge,
     necessary_conditions,
 )
-from lplan.oracle import GenSpec, generate_ptpg
+from lplan.gen import GenSpec, generate_ptpg
 
 from oracles import brute_chords, brute_cips, brute_shortcuts
 

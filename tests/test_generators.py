@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from oracles import brute_separating_triangles
+from oracles import ScaleExceeded, brute_separating_triangles, stretcher_is_trivial
 
 from lplan import samples
 from lplan.boundary import find_cips
+from lplan.gen import GenSpec, GenerationFailed, flip_interior_edge, generate_ptpg
 from lplan.graph import validate_ptpg
+from lplan.io import serialize_graph
 from lplan.layout import FloorPlan, Rect
-from lplan.oracle import (
-    GenSpec,
-    GenerationFailed,
-    ScaleExceeded,
-    flip_interior_edge,
-    generate_ptpg,
-    stretcher_is_trivial,
-)
 from lplan.pipeline import plan
 
 
@@ -88,3 +84,42 @@ def test_stretcher_scale_cap():
     )
     with pytest.raises(ScaleExceeded):
         stretcher_is_trivial(fp)
+
+
+# sha256 prefixes of the generated documents, n 3-60 and seeds 0-4 in that
+# order, a failed generation written as b"failed\n"; per CIP target.
+GOLDEN_GENERATION = {
+    None: "5900a44d85191322",
+    2: "76bb60d24266015c",
+    4: "cc24cf74220547c1",
+    5: "c961a6ab89bf58bb",
+}
+
+
+@pytest.mark.parametrize("target", sorted(GOLDEN_GENERATION, key=str))
+def test_generated_documents_are_the_golden_ones(target):
+    digest = hashlib.sha256()
+    for n in range(3, 61):
+        for seed in range(5):
+            try:
+                g = generate_ptpg(GenSpec(n=n, seed=seed, cip_target=target))
+            except GenerationFailed:
+                digest.update(b"failed\n")
+            else:
+                digest.update(serialize_graph(g))
+    assert digest.hexdigest()[:16] == GOLDEN_GENERATION[target]
+
+
+def test_stretcher_verdicts_are_the_golden_ones():
+    # Per n, one character per seed: N for a plan the stretcher cannot
+    # flatten, T for one it can, - for a refused graph.
+    rows = []
+    for n in range(6, 10):
+        row = ""
+        for seed in range(400):
+            res = plan(generate_ptpg(GenSpec(n=n, seed=seed)))
+            row += "-" if not res.ok else "T" if stretcher_is_trivial(res.plan) else "N"
+        rows.append(row)
+    assert [row.count("N") for row in rows] == [272, 307, 306, 315]
+    assert not any("T" in row for row in rows)
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] == "8ee07c25a3f3aa39"

@@ -20,7 +20,7 @@ from lplan.graph import (
     validate_ptpg,
 )
 from lplan.io import ParseError, parse_graph
-from lplan.oracle import GenSpec, generate_ptpg
+from lplan.gen import GenSpec, generate_ptpg
 from lplan.pipeline import plan
 from lplan.rel import T1, T2
 from lplan.samples import embed_by_coords

@@ -323,6 +323,30 @@ def test_cli_render_and_gen(tmp_path):
     assert len(g.vertices) == 12
 
 
+@pytest.mark.parametrize("n", (2, -1))
+def test_cli_gen_rejects_too_few_vertices(capsys, n):
+    assert main(["gen", "--n", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least three vertices\n"
+
+
+@pytest.mark.parametrize("first", ("01", "1"))
+def test_a_vertex_named_by_two_rotation_keys_is_reported_at_the_second(first):
+    # "01" and "1" both name vertex 1; the first list repeats a neighbour.
+    second = "1" if first == "01" else "01"
+    doc = graph_to_doc(samples.pentagon_with_pocket())
+    lists = {"01": [6, 6, 6, 2], "1": [5, 2, 6]}
+    rotation = {first: lists[first]}
+    rotation.update((k, v) for k, v in doc["rotation"].items() if k != "1")
+    rotation[second] = lists[second]
+    doc["rotation"] = rotation
+    with pytest.raises(ParseError) as exc:
+        parse_graph(json.dumps(doc).encode())
+    assert exc.value.where == f"rotation.{second}"
+    assert "duplicate neighbour list for vertex 1" in str(exc.value)
+
+
 @pytest.mark.parametrize("at_end", (False, True), ids=("start", "end"))
 def test_duplicate_vertex_id_is_reported_at_its_second_occurrence(at_end):
     doc = graph_to_doc(samples.pentagon_with_pocket())

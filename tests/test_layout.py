@@ -9,6 +9,7 @@ from oracles import (
     covered_cells,
     geometric_adjacency,
     no_overlaps,
+    scan_nontrivial_L,
 )
 
 from lplan import layout, samples
@@ -27,7 +28,7 @@ from lplan.layout import (
     rfp_from_rel,
     verify_nontrivial_L,
 )
-from lplan.oracle import GenSpec, generate_ptpg
+from lplan.gen import GenSpec, generate_ptpg
 from lplan.pipeline import plan
 from lplan.rel import T1, T2
 
@@ -331,3 +332,46 @@ def test_taking_any_module_out_keeps_the_sweep(make):
         for v in fp.rects:
             rest = {u: rc for u, rc in fp.rects.items() if u != v}
             assert layout._walls_without(fp.walls, v) == layout._stretches(rest)
+
+
+def _verdict_or_error(verify, fp, profile):
+    try:
+        return verify(fp, profile)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_the_notch_walk_off_the_sweep_matches_the_scans():
+    fixtures = [samples.trivial_l_plan(), samples.staircase_l_plan()]
+    cases = [(fp, profile_from_outline(fp)) for fp in fixtures]
+    graphs = [make() for make in PLANNABLE]
+    graphs += [generate_ptpg(GenSpec(n=n, seed=seed)) for n in range(6, 61) for seed in range(4)]
+    for g in graphs:
+        res = plan(g)
+        if res.ok:
+            cases.append((res.plan, res.profile))
+    assert len(cases) > 150
+    for fp, profile in cases:
+        got = _verdict_or_error(verify_nontrivial_L, fp, profile)
+        assert isinstance(got, layout.NonTrivialityVerdict)
+        assert got == _verdict_or_error(scan_nontrivial_L, fp, profile)
+
+
+def test_the_notch_walk_refuses_as_the_scans_do():
+    pentagon = plan(samples.pentagon_with_pocket())
+    rects = dict(pentagon.plan.rects)
+    assert rects[2] == Rect(2, 1, 4, 3) and pentagon.profile.nx == pentagon.profile.ny == 3
+    # Module 2 cut in two at x = 3: its west half ends on both notch lines
+    # at the corner, so three modules meet there, and it is on neither wall.
+    rects[2], rects[8] = Rect(2, 1, 3, 3), Rect(3, 1, 4, 3)
+    three = FloorPlan(rects=rects, width=5, height=4, labels={})
+    # The staircase with its top module lifted one unit off the one below.
+    stair = samples.staircase_l_plan()
+    lifted = {**stair.rects, 1: Rect(0, 3, 1, 4)}
+    gap = FloorPlan(rects=lifted, width=3, height=4, labels={})
+    for fp, profile, message in (
+        (three, pentagon.profile, "3 modules meet the concave corner, need 2"),
+        (gap, CornerProfile(nx=1, ny=1, notch=Rect(1, 1, 3, 4)), "walk neighbors 1,2 do not touch"),
+    ):
+        assert _verdict_or_error(verify_nontrivial_L, fp, profile) == message
+        assert _verdict_or_error(scan_nontrivial_L, fp, profile) == message

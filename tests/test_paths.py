@@ -5,8 +5,8 @@ import pytest
 
 from lplan import samples
 from lplan.boundary import find_cips, find_triplets
+from lplan.gen import GenSpec, generate_ptpg
 from lplan.graph import validate_ptpg
-from lplan.oracle import GenSpec, generate_ptpg
 from lplan.paths import (
     COMMON_NEIGHBOR,
     SHORTCUT_P5,
@@ -14,7 +14,6 @@ from lplan.paths import (
     Infeasible,
     _pad_multisets,
     attach_outside,
-    augment_with_ne,
     check_path_conditions,
     completion_paths,
     four_completion,
@@ -22,7 +21,7 @@ from lplan.paths import (
     select_paths,
 )
 
-from oracles import feasible_split_multisets
+from oracles import augment_with_ne, feasible_split_multisets
 
 
 def _triplet(g, abc):

@@ -199,3 +199,14 @@ def test_verification_names_a_missing_module_contact_or_label(name):
             labels={u: s for u, s in fp.labels.items() if u != v},
         )
         assert _plan_mismatch(g, unlabeled) == f"label of {v} lost"
+
+
+def test_every_exported_name_resolves():
+    import lplan
+
+    assert len(set(lplan.__all__)) == len(lplan.__all__)
+    for name in lplan.__all__:
+        assert getattr(lplan, name, None) is not None, name
+    # The brute-force references are test code, not part of the package.
+    for name in ("augment_with_ne", "enumerate_rels", "stretcher_is_trivial"):
+        assert name not in lplan.__all__ and not hasattr(lplan, name)

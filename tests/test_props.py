@@ -12,22 +12,22 @@ from oracles import (
     brute_separating_triangles,
     concave_corner_count,
     geometric_adjacency,
+    is_flippable_edge,
+    is_flippable_vertex,
     no_overlaps,
     walk_faces,
 )
 
 from lplan.boundary import find_cips
+from lplan.gen import GenSpec, generate_ptpg
 from lplan.graph import find_separating_triangles, rotate_min, validate_ptpg
 from lplan.io import parse_graph, serialize_graph, serialize_plan
-from lplan.oracle import GenSpec, generate_ptpg
 from lplan.paths import Infeasible, check_path_conditions, paths_from_splits
 from lplan.pipeline import plan, rectangular_plan
 from lplan.rel import (
     construct_rel,
     flip_edge,
     flip_vertex,
-    is_flippable_edge,
-    is_flippable_vertex,
     is_valid_rel,
 )
 

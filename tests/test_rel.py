@@ -15,7 +15,11 @@ from completions import tiny_completions
 from oracles import (
     brute_rel_validity,
     brute_ring_defect,
+    CapExceeded,
     canonical_labeling,
+    enumerate_rels,
+    is_flippable_edge,
+    is_flippable_vertex,
     rel_filter_enumeration,
     ring_fixpoint,
     ring_word_union,
@@ -24,7 +28,7 @@ from oracles import (
 
 from lplan import samples
 from lplan.graph import edge_key
-from lplan.oracle import CapExceeded, GenSpec, enumerate_rels, generate_ptpg
+from lplan.gen import GenSpec, generate_ptpg
 from lplan.pipeline import plan
 from lplan.rel import (
     T1,
@@ -39,8 +43,6 @@ from lplan.rel import (
     construct_rel,
     flip_edge,
     flip_vertex,
-    is_flippable_edge,
-    is_flippable_vertex,
     is_valid_rel,
     rotate_four_cycle,
 )
@@ -88,7 +90,7 @@ def test_pole_rows_follow_the_fixed_pattern():
             if w in poles:
                 continue
             assert r.label(p, w) == col
-            tail, _ = r.direction(p, w)
+            tail, _ = r.orient[edge_key(p, w)]
             assert (tail == p) == (sense == "out")
 
 
