@@ -71,13 +71,11 @@ def flip_interior_edge(g: EmbeddedGraph, u: VertexId, v: VertexId) -> EmbeddedGr
         n = len(g.outer)
         if (pos[u] + 1) % n == pos[v] or (pos[v] + 1) % n == pos[u]:
             return None
-    faces = g.faces
-    f1 = faces[g.dart_face[(u, v)]]
-    f2 = faces[g.dart_face[(v, u)]]
-    if g.outer_face_index in (g.dart_face[(u, v)], g.dart_face[(v, u)]):
+    fu, fv = g._face[g._turn[v][u]], g._face[g._turn[u][v]]  # the faces of darts u->v, v->u
+    if g.outer_face_index in (fu, fv):
         return None
-    p = next(w for w in f1 if w not in (u, v))
-    q = next(w for w in f2 if w not in (u, v))
+    p = next(w for w in g.faces[fu] if w not in (u, v))
+    q = next(w for w in g.faces[fv] if w not in (u, v))
     if p == q or q in g.adj[p]:
         return None
     for end in (u, v):

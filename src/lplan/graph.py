@@ -4,33 +4,32 @@ A graph is given by clockwise rotation lists plus the outer cycle in
 clockwise order.  With the vertices in ascending order, dart off[v] + i
 runs from v to rotation[v][i].  Faces are recovered by the usual dart
 walk: (u, v) continues with (v, w) where w follows u in the rotation at
-v, so with clockwise rotations interior faces are walked
-counterclockwise and the outer face clockwise.  The position map
-turn[v] = {u: off[v] + (i + 1) mod deg v} for u = rotation[v][i] names
-that next dart in one lookup; the walk runs over flat lists indexed by
-dart number, each face from its lowest unvisited dart.  The same walk
-labels the wall segments of a floor plan (layout.rfp_from_rel).
+v, so interior faces are walked counterclockwise and the outer face
+clockwise.  The position map turn[v] = {u: off[v] + (i + 1) mod deg v}
+for u = rotation[v][i] names that next dart in one lookup; its keys are
+the neighbour sets (adj).  The walk runs over flat lists indexed by dart
+number, each face from its lowest unvisited dart; it also labels the
+wall segments of a floor plan (layout.rfp_from_rel).
 
-Every EmbeddedGraph is checked once, when it is built.  The keys of
-turn[v] are v's neighbours, so the loop, repeat and symmetry tests cost
-O(1) per dart.  The graph must be connected (one depth-first pass): only
-then does Euler's count V - E + F = 2, with E the darts over two,
-certify a sphere, as a torus embedding plus a separate triangle also
-counts 2.  The rest is read off the one walk: the outer face (the face
-of the dart outer[0] -> outer[1]), 2-connectivity (a connected plane
-graph on three or more vertices is 2-connected iff no face walk repeats
-a vertex; Diestel, Graph Theory, Prop. 4.2.6), the flood fill of
-faces_inside_cycle and the separating triangles (the 3-cycles that are
-not face walks).  The dart -> face map and the canonical faces are built
-only when something reads them.
+Every EmbeddedGraph is checked once, when it is built, and whole: a loop
+or a repeated neighbour shows in the sizes of the turn rows, and a dart
+without its reverse stops the walk with a KeyError.  Only then does the
+per-vertex loop run, to name the first defect.  The graph must be
+connected: only then does Euler's count V - E + F = 2 (E the darts over
+two) certify a sphere.  The rest is read off the walk: the outer face,
+2-connectivity (no face walk repeats a vertex; Diestel, Graph Theory,
+Prop. 4.2.6) and the separating triangles, the 3-cycles that are not
+face walks; they exist iff the common neighbours summed over the edges
+exceed three per triangular face (K3's two faces count once).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import Mapping, Sequence
+from itertools import chain, compress, repeat
+from operator import and_, contains, lt
+from typing import KeysView, Mapping, Sequence
 
 
 VertexId = int
@@ -76,10 +75,10 @@ def _number_darts(
     head: list[VertexId] = []
     for v in verts:
         nbrs = rotation[v]
-        o, k = len(head), len(nbrs)
-        turn[v] = dict(zip(nbrs, chain(range(o + 1, o + k), (o,))))
-        tail += [v] * k
+        o = len(head)
         head += nbrs
+        turn[v] = dict(zip(nbrs, [*range(o + 1, len(head)), o]))
+        tail += [v] * len(nbrs)
     return turn, tail, head
 
 
@@ -106,10 +105,6 @@ def _walk(
     return face, walks
 
 
-def _dart_faces(walks: list[list[VertexId]]) -> dict[Dart, int]:
-    return {(u, v): fi for fi, w in enumerate(walks) for u, v in zip(w, w[1:] + w[:1])}
-
-
 def _is_connected(rotation: Mapping[VertexId, Sequence[VertexId]]) -> bool:
     start = next(iter(rotation))
     seen = {start}
@@ -120,6 +115,18 @@ def _is_connected(rotation: Mapping[VertexId, Sequence[VertexId]]) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == len(rotation)
+
+
+def _check_rotation(rot: Mapping[VertexId, Sequence[VertexId]], turn: Mapping) -> None:
+    """Raise for the first loop, repeated neighbour or one-sided edge, in vertex order."""
+    for v, nbrs in rot.items():
+        if v in turn[v]:
+            raise InconsistentEmbedding(f"loop at vertex {v}")
+        if len(turn[v]) != len(nbrs):
+            raise InconsistentEmbedding(f"repeated neighbor at vertex {v}")
+        for u in nbrs:
+            if u not in turn or v not in turn[u]:
+                raise InconsistentEmbedding(f"edge ({v},{u}) is not symmetric")
 
 
 @dataclass(frozen=True)
@@ -154,14 +161,13 @@ class EmbeddedGraph:
     def _check(self) -> None:
         rot = self.rotation
         turn, tail, head = _number_darts(rot, self.vertices)
-        for v, nbrs in rot.items():
-            if v in turn[v]:
-                raise InconsistentEmbedding(f"loop at vertex {v}")
-            if len(turn[v]) != len(nbrs):
-                raise InconsistentEmbedding(f"repeated neighbor at vertex {v}")
-            for u in nbrs:
-                if u not in turn or v not in turn[u]:
-                    raise InconsistentEmbedding(f"edge ({v},{u}) is not symmetric")
+        if sum(map(len, turn.values())) != len(head) or any(map(contains, turn.values(), turn)):
+            _check_rotation(rot, turn)  # a repeated neighbour or a loop
+        try:
+            face, walks = _walk(turn, tail, head)
+        except KeyError:  # a dart without its reverse
+            _check_rotation(rot, turn)
+            raise
         if len(self.outer) < 3:
             raise InconsistentEmbedding("outer cycle needs at least 3 vertices")
         if len(set(self.outer)) != len(self.outer):
@@ -174,7 +180,6 @@ class EmbeddedGraph:
         # sums, so a torus embedding plus a plane triangle also gives 2.
         if not _is_connected(rot):
             raise InconsistentEmbedding("graph is not connected")
-        face, walks = _walk(turn, tail, head)
         if len(rot) - len(head) // 2 + len(walks) != 2:
             raise InconsistentEmbedding("rotation system is not planar (Euler check)")
         object.__setattr__(self, "_turn", turn)
@@ -191,8 +196,8 @@ class EmbeddedGraph:
         return tuple(sorted(self.rotation))
 
     @cached_property
-    def adj(self) -> dict[VertexId, frozenset[VertexId]]:
-        return {v: frozenset(nbrs) for v, nbrs in self.rotation.items()}
+    def adj(self) -> dict[VertexId, KeysView[VertexId]]:
+        return {v: t.keys() for v, t in self._turn.items()}
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -213,11 +218,6 @@ class EmbeddedGraph:
         return tuple(f for i, f in enumerate(self.faces) if i != k)
 
     @cached_property
-    def dart_face(self) -> dict[Dart, int]:
-        """Face index on the left of each dart walk (trace containing the dart)."""
-        return _dart_faces(self._walks)
-
-    @cached_property
     def outer_set(self) -> frozenset[VertexId]:
         return frozenset(self.outer)
 
@@ -236,21 +236,26 @@ def is_biconnected(g: EmbeddedGraph) -> bool:
 
 
 def faces_inside_cycle(g: EmbeddedGraph, cycle: Sequence[VertexId]) -> frozenset[int]:
-    """Indices of faces strictly inside a simple cycle of the embedding."""
-    cyc_edges = {edge_key(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))}
-    # Flood fill over faces from the outer one; an edge off the cycle leads
-    # to the face of its reverse dart.
-    walks, dart_face = g._walks, g.dart_face
-    reached = {g.outer_face_index}
-    frontier = [g.outer_face_index]
-    while frontier:
+    """Indices of faces strictly inside a simple cycle of the embedding.
+
+    The faces beside one cycle edge are flooded in lockstep, never across the
+    cycle; once one side meets the outer face, the other is flooded to the end.
+    """
+    cyc_edges = {edge_key(cycle[i - 1], cycle[i]) for i in range(len(cycle))}
+    turn, face, walks, outer = g._turn, g._face, g._walks, g.outer_face_index
+    sides = [({fi}, [fi]) for fi in (face[turn[cycle[1]][cycle[0]]], face[turn[cycle[0]][cycle[1]]])]
+    i = 1 if outer in sides[0][0] else 0  # side i never holds the outer face
+    while sides[i][1]:
+        seen, frontier = sides[i]
         walk = walks[frontier.pop()]
-        for u, v in zip(walk, walk[1:] + walk[:1]):
-            fj = dart_face[(v, u)]
-            if fj not in reached and edge_key(u, v) not in cyc_edges:
-                reached.add(fj)
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            fj = face[turn[a][b]]  # the face of the reverse dart b -> a
+            if fj not in seen and edge_key(a, b) not in cyc_edges:
+                seen.add(fj)
                 frontier.append(fj)
-    return frozenset(fi for fi in range(len(walks)) if fi not in reached)
+        if outer in seen or outer not in sides[1 - i][0]:
+            i = 1 - i
+    return frozenset(sides[i][0])
 
 
 def find_separating_triangles(g: EmbeddedGraph) -> tuple[tuple[VertexId, VertexId, VertexId], ...]:
@@ -258,26 +263,20 @@ def find_separating_triangles(g: EmbeddedGraph) -> tuple[tuple[VertexId, VertexI
 
     In a simple connected plane graph a 3-cycle with no vertex on one side
     bounds a face there, so the separating ones are the 3-cycles that are
-    not face walks.  A triangular face beside edge uv accounts for one
-    common neighbour of u and v (both faces share one only in K3), so only
-    an edge with more common neighbours than triangular faces beside it can
-    lie on a separating triangle.
+    not face walks.  Summed over the edges, |N(u) & N(v)| counts every
+    3-cycle three times, and each triangular face is one 3-cycle (K3's two
+    faces are the same one): the 3-cycles are listed only when the sums differ.
     """
-    adj, turn, face, walks = g.adj, g._turn, g._face, g._walks
-    tri = [len(walk) == 3 for walk in walks]
-    found = []
-    d = 0
-    for u in g.vertices:
-        au = adj[u]
-        for v in g.rotation[u]:
-            # dart d runs u -> v; turn[u][v] follows v -> u on that dart's face
-            if v > u and len(au & adj[v]) > tri[face[d]] + tri[face[turn[u][v]]]:
-                found.extend((u, v, w) for w in au & adj[v] if w > v)
-            d += 1
-    if not found:
+    adj, walks = g.adj, g._walks
+    tails = list(chain.from_iterable(map(repeat, adj, map(len, adj.values()))))
+    heads = list(chain.from_iterable(adj.values()))
+    up = list(map(lt, tails, heads))
+    pairs = map(and_, map(adj.__getitem__, compress(tails, up)), map(adj.__getitem__, compress(heads, up)))
+    tri_faces = list(map(len, walks)).count(3)
+    if sum(map(len, pairs)) == 3 * (1 if len(walks) == 2 == tri_faces else tri_faces):
         return ()
-    face_set = {tuple(sorted(walk)) for walk in walks if len(walk) == 3}
-    return tuple(sorted(t for t in found if t not in face_set))
+    cycles = {(u, v, w) for u, v in zip(tails, heads) if u < v for w in adj[u] & adj[v] if w > v}
+    return tuple(sorted(cycles - {tuple(sorted(walk)) for walk in walks if len(walk) == 3}))
 
 
 @dataclass(frozen=True)

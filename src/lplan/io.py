@@ -6,14 +6,18 @@ outer cycle; a plan document holds the module rectangles plus the
 outline and corner data needed to redraw the plan without the solver.
 Both are written byte for byte as json.dumps(doc, indent=2,
 sort_keys=True) writes them, by a writer of their own (_dump): with an
-indent, json.dumps runs its pure-Python encoder.
+indent, json.dumps runs its pure-Python encoder.  Each part of a graph
+document is checked whole, by exact types and set operations; only a
+part that fails is read again item by item, to name its first defect.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import contains, itemgetter
 
 from .graph import EmbeddedGraph, InconsistentEmbedding, VertexId
 from .layout import FloorPlan, plan_outline
@@ -97,18 +101,38 @@ def graph_to_doc(g: EmbeddedGraph) -> dict:
     }
 
 
-def doc_to_graph(doc: dict) -> EmbeddedGraph:
-    if not isinstance(doc, dict):
-        raise ParseError("document", "expected a JSON object")
-    for key in ("vertices", "rotation", "outer"):
-        if key not in doc:
-            raise ParseError("document", f"missing field {key!r}")
-    if not isinstance(doc["vertices"], list) or not doc["vertices"]:
-        raise ParseError("vertices", "expected a non-empty list")
+def _vertices_whole(items: list) -> tuple[list[VertexId], dict[VertexId, str]] | None:
+    """The ids and labels of a vertex list that passes every check whole, else None."""
+    if {dict}.issuperset(map(type, items)) and all(map(contains, items, repeat("id"))):
+        ids = list(map(itemgetter("id"), items))
+        if {int}.issuperset(map(type, ids)) and len(set(ids)) == len(ids):
+            has = list(map(contains, items, repeat("label")))
+            labels = dict(zip(compress(ids, has), map(itemgetter("label"), compress(items, has))))
+            if {str}.issuperset(map(type, labels.values())):
+                return ids, labels
+    return None
+
+
+def _rotation_whole(rot: dict, known: set[VertexId]) -> dict[VertexId, tuple[VertexId, ...]] | None:
+    """The neighbour lists, if they pass every check whole, else None."""
+    try:
+        keys = list(map(int, rot))
+    except (TypeError, ValueError):
+        return None
+    nbrs = rot.values()
+    if known.issuperset(keys) and len(set(keys)) == len(keys) and {list}.issuperset(map(type, nbrs)):
+        flat = list(chain.from_iterable(nbrs))
+        if {int}.issuperset(map(type, flat)) and known.issuperset(flat):
+            return dict(zip(keys, map(tuple, nbrs)))
+    return None
+
+
+def _read_vertices(items: list) -> tuple[list[VertexId], dict[VertexId, str]]:
+    """The ids and labels of a vertex list, item by item: raises ParseError at the first defect."""
     labels: dict[VertexId, str] = {}
     ids: list[VertexId] = []
     known: set[VertexId] = set()
-    for i, item in enumerate(doc["vertices"]):
+    for i, item in enumerate(items):
         where = f"vertices[{i}]"
         if not isinstance(item, dict) or "id" not in item:
             raise ParseError(where, "expected an object with an 'id'")
@@ -123,10 +147,13 @@ def doc_to_graph(doc: dict) -> EmbeddedGraph:
             if not isinstance(item["label"], str):
                 raise ParseError(f"{where}.label", "labels must be strings")
             labels[v] = item["label"]
-    if not isinstance(doc["rotation"], dict):
-        raise ParseError("rotation", "expected an object keyed by vertex id")
+    return ids, labels
+
+
+def _read_rotation(rot: dict, known: set[VertexId]) -> dict[VertexId, tuple[VertexId, ...]]:
+    """The neighbour lists, item by item: raises ParseError at the first defect."""
     rotation: dict[VertexId, tuple[VertexId, ...]] = {}
-    for key, nbrs in doc["rotation"].items():
+    for key, nbrs in rot.items():
         where = f"rotation.{key}"
         try:
             v = int(key)
@@ -142,8 +169,26 @@ def doc_to_graph(doc: dict) -> EmbeddedGraph:
         if not known.issuperset(nbrs):
             raise ParseError(where, f"unknown neighbours {[u for u in nbrs if u not in known]}")
         rotation[v] = tuple(nbrs)
-    missing = [v for v in ids if v not in rotation]
-    if missing:
+    return rotation
+
+
+def doc_to_graph(doc: dict) -> EmbeddedGraph:
+    if not isinstance(doc, dict):
+        raise ParseError("document", "expected a JSON object")
+    for key in ("vertices", "rotation", "outer"):
+        if key not in doc:
+            raise ParseError("document", f"missing field {key!r}")
+    items = doc["vertices"]
+    if not isinstance(items, list) or not items:
+        raise ParseError("vertices", "expected a non-empty list")
+    ids, labels = _vertices_whole(items) or _read_vertices(items)
+    known = set(ids)
+    rot = doc["rotation"]
+    if not isinstance(rot, dict):
+        raise ParseError("rotation", "expected an object keyed by vertex id")
+    rotation = _rotation_whole(rot, known) or _read_rotation(rot, known)
+    if len(rotation) != len(known):
+        missing = [v for v in ids if v not in rotation]
         raise ParseError("rotation", f"no neighbour list for vertices {missing}")
     if not isinstance(doc["outer"], list) or not {int}.issuperset(map(type, doc["outer"])):
         raise ParseError("outer", "expected a list of vertex ids")

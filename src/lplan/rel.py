@@ -514,15 +514,8 @@ def rotate_four_cycle(r: Rel, cyc: FourCycle) -> str:
     inside = faces_inside_cycle(r.graph, w)
     if not inside:
         return "empty"
-    dart_face = r.graph.dart_face
-    ring_set = set(ring)
-    target = [
-        e
-        for e in r.color
-        if e not in ring_set
-        and dart_face[(e[0], e[1])] in inside
-        and dart_face[(e[1], e[0])] in inside
-    ]
+    faces = map(r.graph._walks.__getitem__, inside)  # their edges off the ring are inside
+    target = {edge_key(f[j - 1], f[j]) for f in faces for j in range(len(f))} - set(ring)
     snapshot = {e: (r.color[e], r.orient[e]) for e in target}
     touched = {v for e in target for v in e}  # only these rings change; r is valid elsewhere
     for mode in ("cw", "ccw"):

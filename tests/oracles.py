@@ -22,7 +22,6 @@ from lplan.graph import (
     InconsistentEmbedding,
     VertexId,
     edge_key,
-    faces_inside_cycle,
 )
 from lplan.layout import CornerProfile, FloorPlan, NonTrivialityVerdict, Rect
 from lplan.paths import (
@@ -83,6 +82,11 @@ def brute_walk_darts(rotation) -> tuple[list[list[VertexId]], dict[Dart, int]]:
                 raise InconsistentEmbedding("face walk did not close")
             walks.append(walk)
     return walks, face
+
+
+def dart_faces(walks: list[list[VertexId]]) -> dict[Dart, int]:
+    """Dart -> face index, read off face walks given as the tails of their darts."""
+    return {(u, v): fi for fi, w in enumerate(walks) for u, v in zip(w, w[1:] + w[:1])}
 
 
 def brute_biconnected(g: EmbeddedGraph) -> bool:
@@ -183,6 +187,23 @@ def brute_separating_triangles(g: EmbeddedGraph) -> set[frozenset]:
     return {
         frozenset(t) for t in brute_triangles(g) if frozenset(t) not in face_sets
     }
+
+
+def brute_faces_inside_cycle(g: EmbeddedGraph, cycle) -> frozenset[int]:
+    """Faces not reached from the outer face without crossing the cycle: a flood over every face."""
+    walks, dart_face = brute_walk_darts(g.rotation)
+    cyc_edges = {edge_key(cycle[i - 1], cycle[i]) for i in range(len(cycle))}
+    start = dart_face[(g.outer[0], g.outer[1])]
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        walk = walks[frontier.pop()]
+        for u, v in zip(walk, walk[1:] + walk[:1]):
+            fj = dart_face[(v, u)]
+            if fj not in reached and edge_key(u, v) not in cyc_edges:
+                reached.add(fj)
+                frontier.append(fj)
+    return frozenset(fi for fi in range(len(walks)) if fi not in reached)
 
 
 # -- chords, shortcuts and CIPs by arc walks ------------------------------------
@@ -523,11 +544,11 @@ def rotate_by_trial(r: Rel, w: tuple[VertexId, ...]) -> str | None:
     "ccw" with r rotated, or None with r unchanged when neither sense is
     valid.
     """
-    inside = faces_inside_cycle(r.graph, w)
+    inside = brute_faces_inside_cycle(r.graph, w)
     if not inside:
         return "empty"
     ring = {(min(a, b), max(a, b)) for a, b in zip(w, w[1:] + w[:1])}
-    face = r.graph.dart_face
+    face = dart_faces(r.graph._walks)
     target = [
         e for e in r.color if e not in ring and face[e] in inside and face[e[::-1]] in inside
     ]

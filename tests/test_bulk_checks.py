@@ -1,0 +1,403 @@
+"""The whole-graph checks at parse, build and validation against the per-item readings.
+
+A document, a rotation system or a graph is first checked whole; only
+when that check fails is it read again item by item, to name the first
+defect.  Each test here hands both paths the same input: a malformed
+input must give the text the per-item reading gives when called
+directly, and a valid one the same graph.
+"""
+
+from __future__ import annotations
+
+import copy
+import itertools
+import random
+
+import pytest
+
+from lplan import io, samples
+from lplan.gen import GenSpec, generate_ptpg
+from lplan.graph import (
+    EmbeddedGraph,
+    InconsistentEmbedding,
+    _check_rotation,
+    _number_darts,
+    edge_key,
+    faces_inside_cycle,
+    find_separating_triangles,
+)
+from lplan.io import ParseError, doc_to_graph, graph_to_doc
+from lplan.pipeline import plan
+from lplan.samples import embed_by_coords
+
+from completions import tiny_completions
+from oracles import brute_faces_inside_cycle, brute_separating_triangles
+from test_graph import ALL_SAMPLES as SAMPLES, k4
+
+# -- graph documents ----------------------------------------------------------
+
+
+def item_by_item(doc: dict):
+    """The per-item readers on doc's vertex list and rotation: (ids, labels, rotation)."""
+    ids, labels = io._read_vertices(doc["vertices"])
+    return ids, labels, io._read_rotation(doc["rotation"], set(ids))
+
+
+def per_item_error(doc: dict) -> str:
+    with pytest.raises(ParseError) as exc:
+        item_by_item(doc)
+    return str(exc.value)
+
+
+def _set(path, value):
+    def mutate(doc):
+        *keys, last = path
+        node = doc
+        for k in keys:
+            node = node[k]
+        node[last] = value
+
+    mutate.__name__ = f"{'.'.join(map(str, path))}={value!r}"
+    return mutate
+
+
+def _both(*mutations):
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
+
+    mutate.__name__ = " & ".join(m.__name__ for m in mutations)
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        *keys, last = path
+        node = doc
+        for k in keys:
+            node = node[k]
+        del node[last]
+
+    mutate.__name__ = f"del {'.'.join(map(str, path))}"
+    return mutate
+
+
+def _add_key(key, value):
+    def mutate(doc):
+        doc["rotation"][key] = value
+
+    mutate.__name__ = f"rotation[{key!r}]={value!r}"
+    return mutate
+
+
+# Each mutation of the pentagon's document (vertices 1..7, vertex i at
+# vertices[i - 1]) leaves the top level well formed, so the defect lies in
+# the vertex list or the rotation.  The texts are the ones the parse gave
+# before the whole-part checks came in.
+MALFORMED_DOCS = (
+    (_set(("vertices", 2), 5), "vertices[2]: expected an object with an 'id'"),
+    (_set(("vertices", 2), [3]), "vertices[2]: expected an object with an 'id'"),
+    (_set(("vertices", 2), None), "vertices[2]: expected an object with an 'id'"),
+    (_drop(("vertices", 4, "id")), "vertices[4]: expected an object with an 'id'"),
+    (_set(("vertices", 3, "id"), True), "vertices[3].id: vertex ids must be integers"),
+    (_set(("vertices", 3, "id"), 4.0), "vertices[3].id: vertex ids must be integers"),
+    (_set(("vertices", 3, "id"), "4"), "vertices[3].id: vertex ids must be integers"),
+    (_set(("vertices", 3, "id"), None), "vertices[3].id: vertex ids must be integers"),
+    (_set(("vertices", 5, "id"), 2), "vertices[5].id: duplicate vertex id 2"),
+    (_set(("vertices", 0, "label"), 7), "vertices[0].label: labels must be strings"),
+    (_set(("vertices", 0, "label"), None), "vertices[0].label: labels must be strings"),
+    (_set(("rotation", "1"), [5, True, 6]), "rotation.1: expected a list of vertex ids"),
+    (_set(("rotation", "1"), [5, 2.0, 6]), "rotation.1: expected a list of vertex ids"),
+    (_set(("rotation", "1"), [5, "2", 6]), "rotation.1: expected a list of vertex ids"),
+    (_set(("rotation", "1"), (5, 2, 6)), "rotation.1: expected a list of vertex ids"),
+    (_set(("rotation", "1"), "526"), "rotation.1: expected a list of vertex ids"),
+    (_set(("rotation", "1"), [5, 99, 6, 98]), "rotation.1: unknown neighbours [99, 98]"),
+    (_add_key("x", [1]), "rotation.x: keys must be integer vertex ids"),
+    (_add_key("1.0", [1]), "rotation.1.0: keys must be integer vertex ids"),
+    (_add_key("99", [1]), "rotation.99: unknown vertex 99"),
+    (_add_key("01", [5, 2, 6]), "rotation.01: duplicate neighbour list for vertex 1"),
+    (_add_key(" 2", [4, 7, 6, 1, 3]), "rotation. 2: duplicate neighbour list for vertex 2"),
+    # two defects at once: the earlier part, or the earlier item, is named
+    (
+        _both(_set(("vertices", 6, "id"), True), _set(("rotation", "1"), [99])),
+        "vertices[6].id: vertex ids must be integers",
+    ),
+    (
+        _both(_set(("vertices", 6, "label"), 1), _set(("vertices", 1, "id"), 1)),
+        "vertices[1].id: duplicate vertex id 1",
+    ),
+    (
+        _both(_set(("rotation", "3"), [True]), _add_key("01", [5, 2, 6])),
+        "rotation.3: expected a list of vertex ids",
+    ),
+    (
+        _both(_add_key("x", [1]), _set(("rotation", "2"), [99])),
+        "rotation.2: unknown neighbours [99]",
+    ),
+    (
+        _both(_drop(("vertices", 0, "id")), _set(("vertices", 3, "id"), 1.0)),
+        "vertices[0]: expected an object with an 'id'",
+    ),
+)
+
+
+@pytest.mark.parametrize("mutate, text", MALFORMED_DOCS, ids=lambda x: getattr(x, "__name__", ""))
+def test_malformed_documents_name_the_per_item_defect(mutate, text):
+    doc = graph_to_doc(samples.pentagon_with_pocket())
+    mutate(doc)
+    assert per_item_error(copy.deepcopy(doc)) == text
+    with pytest.raises(ParseError) as exc:
+        doc_to_graph(doc)
+    assert str(exc.value) == text
+
+
+_VALUES = (True, False, 1.0, 2.5, "1", "a", None, [1], {"id": 1}, -1, 10**6)
+
+
+def _random_defect(doc: dict, rng: random.Random) -> None:
+    items = doc["vertices"]
+    i = rng.choice([i for i, item in enumerate(items) if type(item) is dict])
+    kind = rng.randrange(7)
+    if kind == 0:
+        items[i]["id"] = rng.choice(_VALUES)
+    elif kind == 1:
+        items[i]["label"] = rng.choice(_VALUES)
+    elif kind == 2:
+        items[i] = rng.choice(_VALUES)
+    elif kind == 3:
+        items[i]["id"] = rng.choice([it["id"] for it in items if type(it) is dict and "id" in it])
+    elif kind == 4:
+        key = rng.choice(list(doc["rotation"]))
+        nbrs = list(doc["rotation"][key])
+        nbrs[rng.randrange(len(nbrs))] = rng.choice(_VALUES)
+        doc["rotation"][key] = nbrs
+    elif kind == 5:
+        key = rng.choice(list(doc["rotation"]))
+        doc["rotation"][rng.choice(("0" + key, key + ".0", "v" + key, str(-1)))] = [1]
+    else:
+        items[i].pop("id", None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_malformed_documents_name_the_per_item_defect(seed):
+    rng = random.Random(seed)
+    base = graph_to_doc(generate_ptpg(GenSpec(n=12 + 3 * seed, seed=seed)))
+    for v in base["vertices"][::2]:
+        v["label"] = f"m{v['id']}"
+    named = 0
+    for _ in range(60):
+        doc = copy.deepcopy(base)
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            _random_defect(doc, rng)
+        try:
+            ids, labels, rotation = item_by_item(copy.deepcopy(doc))
+        except ParseError as exc:
+            named += 1
+            with pytest.raises(ParseError) as got:
+                doc_to_graph(doc)
+            assert str(got.value) == str(exc)
+        else:  # both parts read: what follows is common to both readings
+            g = doc_to_graph(doc)
+            assert (list(g.rotation.items()), g.labels) == (list(rotation.items()), labels)
+    assert named > 40
+
+
+@pytest.mark.parametrize("make", SAMPLES, ids=lambda f: f.__name__)
+def test_valid_documents_read_as_item_by_item(make):
+    g = make()
+    doc = graph_to_doc(g)
+    ids, labels, rotation = item_by_item(doc)
+    got = doc_to_graph(doc)
+    assert list(got.rotation.items()) == list(rotation.items())
+    assert list(got.labels.items()) == list(labels.items()) == list(g.labels.items())
+    assert list(got.rotation) == ids
+
+
+def test_integer_like_keys_read_as_item_by_item():
+    # int() reads " 1" and "01" as 1; both readings accept such keys alike
+    doc = graph_to_doc(samples.pentagon_with_pocket())
+    doc["rotation"] = {f" 0{k}": nbrs for k, nbrs in doc["rotation"].items()}
+    assert list(doc_to_graph(doc).rotation.items()) == list(item_by_item(doc)[2].items())
+
+
+# -- rotation systems ---------------------------------------------------------
+
+
+def named_defect(rotation: dict) -> str:
+    rot = {v: tuple(nbrs) for v, nbrs in rotation.items()}
+    with pytest.raises(InconsistentEmbedding) as exc:
+        _check_rotation(rot, _number_darts(rot, sorted(rot))[0])
+    return str(exc.value)
+
+
+# The texts are the ones the build gave before the whole-graph checks came in.
+BROKEN_ROTATIONS = (
+    # a dart without its reverse, into a vertex or not
+    ({1: (2, 3), 2: (3,), 3: (1, 2)}, "edge (1,2) is not symmetric"),
+    ({1: (2, 3), 2: (3, 1), 3: (1,)}, "edge (2,3) is not symmetric"),
+    ({1: (2, 3, 9), 2: (3, 1), 3: (1, 2)}, "edge (1,9) is not symmetric"),
+    ({1: (), 2: (), 3: (1,)}, "edge (3,1) is not symmetric"),
+    # loops
+    ({1: (1, 2, 3), 2: (3, 1), 3: (1, 2)}, "loop at vertex 1"),
+    ({1: (2, 3), 2: (3, 1, 2), 3: (1, 2)}, "loop at vertex 2"),
+    # repeated neighbours, one with both darts present
+    ({1: (2, 3, 2), 2: (3, 1), 3: (1, 2)}, "repeated neighbor at vertex 1"),
+    ({1: (2, 3), 2: (3, 1, 3), 3: (1, 2)}, "repeated neighbor at vertex 2"),
+    ({1: (2, 3), 2: (3, 1), 3: (1, 2, 2)}, "repeated neighbor at vertex 3"),
+    # two defects: the first in the rotation's own vertex order is named
+    ({1: (2, 2, 2), 2: (), 3: (4,), 4: ()}, "repeated neighbor at vertex 1"),
+    ({1: (2, 3), 2: (3,), 3: (1, 2, 3)}, "edge (1,2) is not symmetric"),
+    ({3: (1, 2, 3), 1: (2, 3), 2: (3,)}, "loop at vertex 3"),
+)
+
+
+@pytest.mark.parametrize("rotation, text", BROKEN_ROTATIONS, ids=str)
+def test_broken_rotations_name_the_per_item_defect(rotation, text):
+    assert named_defect(rotation) == text
+    with pytest.raises(InconsistentEmbedding) as exc:
+        EmbeddedGraph(rotation=rotation, outer=(1, 2, 3))
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_broken_rotations_name_the_per_item_defect(seed):
+    rng = random.Random(seed)
+    g = generate_ptpg(GenSpec(n=10 + 2 * seed, seed=seed))
+    for _ in range(30):
+        rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
+        for _ in range(rng.choice((1, 2))):
+            v = rng.choice(g.vertices)
+            kind = rng.randrange(4)
+            if kind == 0:
+                rot[v].pop(rng.randrange(len(rot[v])))  # drops one dart
+            elif kind == 1:
+                rot[v].insert(rng.randrange(len(rot[v]) + 1), v)
+            elif kind == 2:
+                rot[v].insert(rng.randrange(len(rot[v]) + 1), rng.choice(rot[v]))
+            else:
+                rot[v].append(max(g.vertices) + 1)
+        want = named_defect(rot)
+        with pytest.raises(InconsistentEmbedding) as exc:
+            EmbeddedGraph(rotation=rot, outer=g.outer)
+        assert str(exc.value) == want
+
+
+# -- separating triangles -----------------------------------------------------
+
+
+def cycle_graph(n: int) -> EmbeddedGraph:
+    rotation = {i: ((i - 2) % n + 1, i % n + 1) for i in range(1, n + 1)}
+    return EmbeddedGraph(rotation=rotation, outer=tuple(range(1, n + 1)))
+
+
+def outer_triangle() -> EmbeddedGraph:
+    """A triangle around a hexagon wheel: the outer triangle bounds the outer face."""
+    coords = {1: (0, 10), 2: (9, -5), 3: (-9, -5), 0: (0, 0)}
+    ring = [10 + i for i in range(6)]
+    ring_at = [(0, 3), (3, 1), (3, -2), (0, -3), (-3, -2), (-3, 1)]
+    coords.update(zip(ring, ring_at))
+    edges = [(1, 2), (2, 3), (3, 1)]
+    edges += [(0, r) for r in ring] + list(zip(ring, ring[1:] + ring[:1]))
+    edges += [(1, 10), (1, 11), (1, 15), (2, 11), (2, 12), (2, 13), (3, 13), (3, 14), (3, 15)]
+    return embed_by_coords(coords, edges, (1, 2, 3))
+
+
+def plant(g: EmbeddedGraph, face: tuple[int, int, int]) -> EmbeddedGraph:
+    """g with a new vertex inside the triangular face walk, joined to its three corners."""
+    x = max(g.vertices) + 1
+    a, b, c = face  # walked a -> b -> c: c follows a at b, a follows b at c, b follows c at a
+    rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
+    for v, before in ((b, a), (c, b), (a, c)):
+        rot[v].insert(rot[v].index(before) + 1, x)
+    rot[x] = [a, c, b]
+    return EmbeddedGraph(rotation=rot, outer=g.outer)
+
+
+def planted_graphs():
+    """Generated PTPGs with vertices planted in faces, inside one another too."""
+    for seed in range(10):
+        rng = random.Random(seed)
+        g = generate_ptpg(GenSpec(n=8 + 2 * seed, seed=seed))
+        for _ in range(1 + seed % 4):
+            g = plant(g, rng.choice([f for f in g.inner_faces if len(f) == 3]))
+            yield g
+
+
+def _graphs_for_triangles():
+    yield from (make() for make in SAMPLES)
+    yield EmbeddedGraph(rotation={1: (2, 3), 2: (3, 1), 3: (1, 2)}, outer=(1, 2, 3))  # K3
+    yield k4()
+    yield from (cycle_graph(n) for n in range(4, 8))
+    yield outer_triangle()
+    yield plant(outer_triangle(), (0, 11, 10))
+    yield from planted_graphs()
+
+
+def test_separating_triangles_match_oracle_on_bulk_cases():
+    seen_some = seen_none = 0
+    for g in _graphs_for_triangles():
+        got = find_separating_triangles(g)
+        assert {frozenset(t) for t in got} == brute_separating_triangles(g)
+        assert list(got) == sorted(got) and all(list(t) == sorted(t) for t in got)
+        seen_some += bool(got)
+        seen_none += not got
+    assert seen_some > 20 and seen_none > 8
+
+
+def test_planting_makes_the_face_separate():
+    g = outer_triangle()
+    assert find_separating_triangles(g) == ()
+    assert find_separating_triangles(plant(g, (0, 11, 10))) == ((0, 10, 11),)
+
+
+# -- faces inside a cycle -----------------------------------------------------
+
+
+def short_cycles(g: EmbeddedGraph):
+    """Every 3- and 4-cycle of g, once each."""
+    seen = set()
+    for a in g.vertices:
+        for b, c in itertools.permutations(g.rotation[a], 2):
+            cycles = [(a, b, c)] if c in g.adj[b] else []
+            cycles += [(a, b, d, c) for d in g.rotation[b] if d != a and d in g.adj[c]]
+            for cyc in cycles:
+                ring = frozenset(edge_key(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
+                if ring not in seen:
+                    seen.add(ring)
+                    yield cyc
+
+
+def _graphs_for_cycles():
+    yield from (make() for make in SAMPLES)
+    yield from (ag.base for ag in tiny_completions())
+    for make in (samples.pentagon_with_pocket, samples.hexagon_ring, samples.octagon_with_fan):
+        yield plan(make()).completion.base
+    for seed in range(3):
+        yield plan(generate_ptpg(GenSpec(n=12 + 4 * seed, seed=seed))).completion.base
+    yield from itertools.islice(planted_graphs(), 0, None, 4)
+
+
+def test_faces_inside_cycle_match_the_full_flood():
+    cycles = 0
+    for g in _graphs_for_cycles():
+        for cyc in short_cycles(g):
+            got = faces_inside_cycle(g, cyc)
+            assert got == brute_faces_inside_cycle(g, cyc), cyc
+            assert got == faces_inside_cycle(g, cyc[::-1]) == faces_inside_cycle(g, cyc[1:] + cyc[:1])
+            cycles += 1
+    assert cycles > 500
+
+
+# -- adjacency views ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", SAMPLES, ids=lambda f: f.__name__)
+def test_adj_is_a_set_like_view_of_the_rotation(make):
+    g = make()
+    for v in g.vertices:
+        nbrs = g.adj[v]
+        assert nbrs == set(g.rotation[v])
+        assert len(nbrs) == len(g.rotation[v])
+        assert all(u in nbrs for u in g.rotation[v]) and v not in nbrs
+        for u in g.rotation[v]:
+            assert nbrs & g.adj[u] == set(g.rotation[v]) & set(g.rotation[u])

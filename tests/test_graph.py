@@ -7,7 +7,6 @@ from lplan import layout, samples
 from lplan.graph import (
     EmbeddedGraph,
     InconsistentEmbedding,
-    _dart_faces,
     _number_darts,
     _walk,
     common_neighbors,
@@ -30,6 +29,7 @@ from oracles import (
     brute_separating_triangles,
     brute_triangles,
     brute_walk_darts,
+    dart_faces,
     edge_triangles,
     walk_faces,
 )
@@ -277,7 +277,7 @@ def test_biconnectivity_matches_tarjan():
 def walk_darts(rotation):
     """The library's numbered-dart walk over a rotation, as walks and dart -> face."""
     walks = _walk(*_number_darts(rotation, sorted(rotation)))[1]
-    return walks, _dart_faces(walks)
+    return walks, dart_faces(walks)
 
 
 def assert_walk_matches_oracle(rotation):
@@ -291,7 +291,7 @@ def assert_graph_walk_matches_oracle(g):
     assert_walk_matches_oracle(g.rotation)
     walks, dart_face = brute_walk_darts(g.rotation)
     assert g.faces == tuple(rotate_min(w) for w in walks)
-    assert list(g.dart_face.items()) == list(dart_face.items())
+    assert list(dart_faces(g._walks).items()) == list(dart_face.items())
     assert g.outer_face_index == dart_face[g.outer[:2]]
 
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from xml.etree import ElementTree
 
 import pytest
@@ -361,3 +365,19 @@ def test_duplicate_vertex_id_is_reported_at_its_second_occurrence(at_end):
         doc_to_graph(doc)
     assert exc.value.where == where
     assert f"duplicate vertex id {repeated}" in str(exc.value)
+
+
+def test_python_dash_m_lplan_runs_from_a_checkout(tmp_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    graph = tmp_path / "g.json"
+    graph.write_bytes(serialize_graph(samples.pentagon_with_pocket()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lplan", "plan", str(graph), "--out", str(tmp_path / "p.json")],
+        capture_output=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    want = serialize_plan(plan_to_doc(plan(samples.pentagon_with_pocket())))
+    assert (tmp_path / "p.json").read_bytes() == want
