@@ -6,13 +6,12 @@ clockwise conventions of EmbeddedGraph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Edge, EmbeddedGraph, VertexId, common_neighbors, edge_key
 
 
-@dataclass(frozen=True)
-class Shortcut:
+class Shortcut(NamedTuple):
     """Interior edge joining two non-consecutive outer vertices.
 
     interior holds the outer vertices strictly between the endpoints on
@@ -23,8 +22,7 @@ class Shortcut:
     interior: tuple[VertexId, ...]
 
 
-@dataclass(frozen=True)
-class Cip:
+class Cip(NamedTuple):
     """Corner implying path: a chord's boundary arc with no inner split pair."""
 
     vertices: tuple[VertexId, ...]
@@ -35,14 +33,10 @@ class Cip:
         return self.vertices[1:-1]
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(NamedTuple):
     a: VertexId
     b: VertexId
     c: VertexId
-
-    def __iter__(self):
-        return iter((self.a, self.b, self.c))
 
 
 def boundary_arc(g: EmbeddedGraph, u: VertexId, v: VertexId) -> tuple[VertexId, ...]:
@@ -144,8 +138,7 @@ def find_triplets(g: EmbeddedGraph) -> tuple[Triplet, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class NecessaryReport:
+class NecessaryReport(NamedTuple):
     cips: tuple[Cip, ...]
     triplets: tuple[Triplet, ...]
 

@@ -89,12 +89,18 @@ def _cmd_check(args) -> int:
 
 
 def _resolve_triplet(g, spec: str):
-    by_label = {name: v for v, name in g.labels.items()}
+    by_label: dict[str, list] = {}
+    for v, name in g.labels.items():
+        by_label.setdefault(name, []).append(v)
     out = []
     for token in spec.split(","):
         token = token.strip()
         if token in by_label:
-            out.append(by_label[token])
+            ids = by_label[token]
+            if len(ids) > 1:
+                named = ", ".join(map(str, sorted(ids)))
+                raise InvalidInput(f"label {token!r} in --triplet names vertices {named}")
+            out.append(ids[0])
         else:
             try:
                 out.append(int(token))

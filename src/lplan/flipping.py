@@ -14,6 +14,7 @@ wholesale before the chain resumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .boundary import Triplet
 from .graph import VertexId, common_neighbors, edge_key
@@ -32,8 +33,7 @@ class CycleNotFound(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class WorkItem:
+class WorkItem(NamedTuple):
     x: VertexId
     y: VertexId
     c: VertexId
@@ -43,20 +43,20 @@ class WorkItem:
         return edge_key(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class FlipRecord:
+class FlipRecord(NamedTuple):
     action: str  # "flip" | "rotate" | "pre"
     detail: tuple
 
 
 @dataclass
 class FlipWorklist:
+    """The open flip chain, innermost item last, and the moves made so far."""
+
     stack: list[WorkItem] = field(default_factory=list)
     trace: list[FlipRecord] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class NormalizeReport:
+class NormalizeReport(NamedTuple):
     trace: tuple[FlipRecord, ...]
     passes: int
 
@@ -158,8 +158,6 @@ def resolve_repeat(r: Rel, wl: FlipWorklist, j: int, child: WorkItem) -> None:
         mode = rotate_four_cycle(r, FourCycle(w))
     except (NotAlternating, NotFlippable) as exc:
         raise CycleNotFound(str(exc)) from exc
-    if mode == "empty":
-        raise CycleNotFound(f"cycle {w} encloses no faces")
     wl.trace.append(FlipRecord("rotate", (w, mode)))
     del wl.stack[j:]
     if wl.stack:

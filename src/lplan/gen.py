@@ -1,18 +1,19 @@
 """Deterministic random PTPGs, for `lplan gen` and for tests.
 
 A graph grows from a triangle by attaching one vertex at a time over a
-random outer arc of two to four vertices, then separating triangles are
-flipped away and the result is checked with validate_ptpg.
+random outer arc of two to four vertices, on plain rotation lists; it is
+built, and so checked, once.  Then separating triangles are flipped away
+and the result is checked with validate_ptpg.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boundary import find_cips
 from .graph import EmbeddedGraph, VertexId, edge_key, find_separating_triangles, validate_ptpg
-from .paths import attach_outside
+from .paths import attach_vertex
 
 _GEN_ATTEMPTS = 128
 _REPAIR_ROUNDS = 64
@@ -22,38 +23,33 @@ class GenerationFailed(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     n: int
     seed: int
     cip_target: int | None = None
 
 
-def _triangle() -> EmbeddedGraph:
-    return EmbeddedGraph(
-        rotation={1: (2, 3), 2: (3, 1), 3: (1, 2)}, outer=(1, 2, 3), labels={}
-    )
+def _grow_once(
+    rot: dict[VertexId, list[VertexId]], outer: list[VertexId], rng: random.Random
+) -> list[VertexId]:
+    """Attach vertex len(rot) + 1 over a random clean outer arc; returns the new outer cycle.
 
-
-def _grow_once(g: EmbeddedGraph, rng: random.Random) -> EmbeddedGraph:
-    n = len(g.outer)
+    The candidates are the arcs of two to four consecutive outer vertices,
+    by start and then length, whose non-consecutive vertices are not
+    adjacent: the new apex would close a separating triangle over them.
+    """
+    n = len(outer)
+    ring = outer + outer[:3]
     arcs = []
-    for start in range(n):
-        for length in (2, 3, 4):
-            if length > n:
-                continue
-            arc = tuple(g.outer[(start + k) % n] for k in range(length))
-            # Skip arcs whose non-consecutive vertices are already adjacent:
-            # the new apex would close a separating triangle over the arc.
-            clean = all(
-                arc[j] not in g.adj[arc[i]]
-                for i in range(length)
-                for j in range(i + 2, length)
-            )
-            if clean:
-                arcs.append(arc)
+    for s in range(n):
+        a, b, c, d = ring[s : s + 4]
+        arcs.append((a, b))
+        if c not in rot[a]:
+            arcs.append((a, b, c))
+            if n > 3 and d not in rot[a] and d not in rot[b]:
+                arcs.append((a, b, c, d))
     arc = arcs[rng.randrange(len(arcs))]
-    return attach_outside(g, arc, max(g.vertices) + 1)
+    return attach_vertex(rot, outer, arc, len(rot) + 1)
 
 
 def flip_interior_edge(g: EmbeddedGraph, u: VertexId, v: VertexId) -> EmbeddedGraph | None:
@@ -113,10 +109,13 @@ def _repair(g: EmbeddedGraph) -> EmbeddedGraph | None:
 
 def _generate_once(n: int, seed: int) -> EmbeddedGraph | None:
     rng = random.Random(seed)
-    g = _triangle()
-    while len(g.vertices) < n:
-        g = _grow_once(g, rng)
-    g = _repair(g)
+    rot = {1: [2, 3], 2: [3, 1], 3: [1, 2]}
+    outer = [1, 2, 3]
+    while len(rot) < n:
+        outer = _grow_once(rot, outer, rng)
+    g = _repair(
+        EmbeddedGraph(rotation={v: tuple(ns) for v, ns in rot.items()}, outer=tuple(outer))
+    )
     if g is None or not validate_ptpg(g).verdict:
         return None
     return g

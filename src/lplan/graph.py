@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import and_, contains, lt
-from typing import KeysView, Mapping, Sequence
+from typing import KeysView, Mapping, NamedTuple, Sequence
 
 
 VertexId = int
@@ -279,8 +279,7 @@ def find_separating_triangles(g: EmbeddedGraph) -> tuple[tuple[VertexId, VertexI
     return tuple(sorted(cycles - {tuple(sorted(walk)) for walk in walks if len(walk) == 3}))
 
 
-@dataclass(frozen=True)
-class PtpgReport:
+class PtpgReport(NamedTuple):
     is_biconnected: bool
     nontriangular_interior_faces: tuple[tuple[VertexId, ...], ...]
     separating_triangles: tuple[tuple[VertexId, VertexId, VertexId], ...]

@@ -14,10 +14,10 @@ part that fails is read again item by item, to name its first defect.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import contains, itemgetter
+from typing import NamedTuple
 
 from .graph import EmbeddedGraph, InconsistentEmbedding, VertexId
 from .layout import FloorPlan, plan_outline
@@ -287,8 +287,7 @@ def parse_plan(data: bytes) -> dict:
 # -- SVG ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SvgStyle:
+class SvgStyle(NamedTuple):
     scale: int = 40
     stroke: int = 1
     margin: int = 20

@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .graph import EmbeddedGraph, VertexId, _number_darts, _walk
 from .rel import _BLOCK_ORDER, T1, T2, Rel
@@ -60,8 +60,7 @@ class PointContactAmbiguity(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     x1: int
     y1: int
     x2: int
@@ -78,6 +77,8 @@ class Rect:
 
 @dataclass(frozen=True)
 class FloorPlan:
+    """Modules as rectangles in a width x height box; walls is swept once, on first use."""
+
     rects: Mapping[VertexId, Rect]
     width: int
     height: int
@@ -89,8 +90,7 @@ class FloorPlan:
         return _stretches(self.rects)
 
 
-@dataclass(frozen=True)
-class CornerProfile:
+class CornerProfile(NamedTuple):
     """Concave corner left by removing the north-east module."""
 
     nx: int
@@ -98,8 +98,7 @@ class CornerProfile:
     notch: Rect
 
 
-@dataclass(frozen=True)
-class NonTrivialityVerdict:
+class NonTrivialityVerdict(NamedTuple):
     nontrivial: bool
     walk: tuple[VertexId, ...]
     witness: tuple[VertexId, VertexId, VertexId] | None

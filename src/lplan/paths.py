@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .boundary import Cip, Triplet, boundary_arc, chords, find_cips
 from .graph import EmbeddedGraph, VertexId, common_neighbors, edge_key
@@ -27,8 +27,7 @@ _COMBO_CAP = 512
 _PAD_CAP = 20000
 
 
-@dataclass(frozen=True)
-class PathViolation:
+class PathViolation(NamedTuple):
     kind: str
     witness: tuple
 
@@ -36,8 +35,7 @@ class PathViolation:
         return f"{self.kind}{self.witness}"
 
 
-@dataclass(frozen=True)
-class PathSet:
+class PathSet(NamedTuple):
     p1: tuple[VertexId, ...]
     p2: tuple[VertexId, ...]
     p3: tuple[VertexId, ...]
@@ -381,8 +379,7 @@ class EmbeddingConflict(ValueError):
     """The requested outside attachment does not fit the embedding."""
 
 
-@dataclass(frozen=True)
-class AugmentedGraph:
+class AugmentedGraph(NamedTuple):
     base: EmbeddedGraph
     ne: VertexId | None
     poles: dict[str, VertexId]
@@ -393,30 +390,40 @@ class AugmentedGraph:
         return tuple(self.poles[k] for k in ("N", "E", "S", "W"))
 
 
+def attach_vertex(
+    rot: dict[VertexId, list[VertexId]],
+    outer: list[VertexId],
+    arc: tuple[VertexId, ...],
+    new_id: VertexId,
+) -> list[VertexId]:
+    """Add new_id outside the clockwise outer cycle over arc, in rot; returns the new outer cycle.
+
+    The arc must be consecutive on the cycle, span an edge and repeat no
+    vertex; then the step keeps a valid embedding, so a caller that
+    attaches many vertices checks them all with one build at the end.
+    """
+    if new_id in rot:
+        raise EmbeddingConflict(f"vertex id {new_id} already used")
+    pos = {v: i for i, v in enumerate(outer)}
+    if any(outer[(pos[u] + 1) % len(outer)] != v for u, v in zip(arc, arc[1:])):
+        raise EmbeddingConflict("attachment arc must be consecutive on the boundary")
+    if len(arc) < 2 or len(set(arc)) != len(arc):
+        raise EmbeddingConflict("attachment arc needs two or more distinct vertices")
+    rot[new_id] = list(reversed(arc))
+    for v in arc:
+        rot[v].insert(rot[v].index(outer[pos[v] - 1]) + 1, new_id)
+    rest = outer[pos[arc[-1]]:] + outer[:pos[arc[-1]]]
+    return [new_id] + rest[: rest.index(arc[0]) + 1]
+
+
 def _attach_all(
     g: EmbeddedGraph, attachments: list[tuple[tuple[VertexId, ...], VertexId, str | None]]
 ) -> EmbeddedGraph:
-    """g with a vertex added outside per (clockwise outer arc, id, label), built once.
-
-    Each arc must be consecutive on the boundary of its turn, span an edge
-    and repeat no vertex; then every step keeps a valid embedding and the
-    one build at the end checks them all.
-    """
+    """g with a vertex added outside per (clockwise outer arc, id, label), built once."""
     rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
     outer, labels = list(g.outer), dict(g.labels)
     for arc, new_id, label in attachments:
-        if new_id in rot:
-            raise EmbeddingConflict(f"vertex id {new_id} already used")
-        pos = {v: i for i, v in enumerate(outer)}
-        if any(outer[(pos[u] + 1) % len(outer)] != v for u, v in zip(arc, arc[1:])):
-            raise EmbeddingConflict("attachment arc must be consecutive on the boundary")
-        if len(arc) < 2 or len(set(arc)) != len(arc):
-            raise EmbeddingConflict("attachment arc needs two or more distinct vertices")
-        rot[new_id] = list(reversed(arc))
-        for v in arc:
-            rot[v].insert(rot[v].index(outer[pos[v] - 1]) + 1, new_id)
-        rest = outer[pos[arc[-1]]:] + outer[:pos[arc[-1]]]
-        outer = [new_id] + rest[: rest.index(arc[0]) + 1]
+        outer = attach_vertex(rot, outer, arc, new_id)
         if label is not None:
             labels[new_id] = label
     return EmbeddedGraph(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boundary import Cip, NecessaryReport, Triplet, boundary_arc, chords, find_cips, necessary_conditions
 from .flipping import (
@@ -70,21 +70,18 @@ class InvalidInput(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class PlanOptions:
+class PlanOptions(NamedTuple):
     triplet: tuple[VertexId, VertexId, VertexId] | None = None
 
 
-@dataclass(frozen=True)
-class TripletFailure:
+class TripletFailure(NamedTuple):
     triplet: tuple[VertexId, VertexId, VertexId]
     stage: str
     reason: str
     final: bool = False
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(NamedTuple):
     outcome: str  # Plan | NoTriplet | TooManyCips | InfeasibleAllTriplets
     graph: EmbeddedGraph
     necessary: NecessaryReport
@@ -271,8 +268,7 @@ def _plan_one(
 # -- plain rectangular pipeline ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RectResult:
+class RectResult(NamedTuple):
     outcome: str  # Plan | TooManyCips | Exhausted
     graph: EmbeddedGraph
     cips: tuple[Cip, ...]

@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice, product
+from typing import NamedTuple
 
 from .graph import (
     Edge,
@@ -63,13 +64,14 @@ class NotAlternating(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FourCycle:
+class FourCycle(NamedTuple):
     vertices: tuple[VertexId, VertexId, VertexId, VertexId]
 
 
 @dataclass
 class Rel:
+    """A regular edge labeling: a T1/T2 color and a direction per edge, changed in place."""
+
     graph: EmbeddedGraph
     poles: dict[str, VertexId]
     color: dict[Edge, str]
@@ -86,8 +88,7 @@ class Rel:
         return Rel(self.graph, dict(self.poles), dict(self.color), dict(self.orient))
 
 
-@dataclass(frozen=True)
-class RelValidity:
+class RelValidity(NamedTuple):
     ok: bool
     defect: str | None = None
 
@@ -503,7 +504,7 @@ def flip_vertex(r: Rel, v: VertexId) -> None:
 
 
 def rotate_four_cycle(r: Rel, cyc: FourCycle) -> str:
-    """Exchange colors inside an alternating 4-cycle of a valid r; returns cw/ccw/empty."""
+    """Exchange colors inside an alternating 4-cycle of a valid r; returns cw or ccw."""
     w = cyc.vertices
     ring = [edge_key(w[i], w[(i + 1) % 4]) for i in range(4)]
     if len(set(w)) != 4 or any(e not in r.color for e in ring):
@@ -512,8 +513,6 @@ def rotate_four_cycle(r: Rel, cyc: FourCycle) -> str:
     if labs[0] != labs[2] or labs[1] != labs[3] or labs[0] == labs[1]:
         raise NotAlternating(f"cycle {w} is not alternating: {labs}")
     inside = faces_inside_cycle(r.graph, w)
-    if not inside:
-        return "empty"
     faces = map(r.graph._walks.__getitem__, inside)  # their edges off the ring are inside
     target = {edge_key(f[j - 1], f[j]) for f in faces for j in range(len(f))} - set(ring)
     snapshot = {e: (r.color[e], r.orient[e]) for e in target}

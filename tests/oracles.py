@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter, deque
-from dataclasses import replace
 
 from lplan.boundary import Cip, Shortcut
 from lplan.graph import (
@@ -540,13 +539,10 @@ def rotate_by_trial(r: Rel, w: tuple[VertexId, ...]) -> str | None:
     """rotate_four_cycle on an alternating 4-cycle, checked on the whole labeling.
 
     Each sense is applied to every edge strictly inside the cycle and kept
-    when is_valid_rel accepts the labeling.  Returns "empty", "cw" or
-    "ccw" with r rotated, or None with r unchanged when neither sense is
-    valid.
+    when is_valid_rel accepts the labeling.  Returns "cw" or "ccw" with r
+    rotated, or None with r unchanged when neither sense is valid.
     """
     inside = brute_faces_inside_cycle(r.graph, w)
-    if not inside:
-        return "empty"
     ring = {(min(a, b), max(a, b)) for a, b in zip(w, w[1:] + w[:1])}
     face = dart_faces(r.graph._walks)
     target = [
@@ -739,7 +735,7 @@ def stretcher_is_trivial(fp: FloorPlan) -> bool:
                 if all(c in cells for c in _outside(rc, side)):
                     continue
                 for d in (1, -1):
-                    new = replace(rc, **{field: getattr(rc, field) + grow * d})
+                    new = rc._replace(**{field: getattr(rc, field) + grow * d})
                     if new.width < 1 or new.height < 1:
                         continue
                     if new.x1 < 0 or new.y1 < 0 or new.x2 > w or new.y2 > h:

@@ -197,10 +197,11 @@ def _one_rotatable_cycle(r):
                         continue
                     cyc = FourCycle((a, b, c, d))
                     try:
-                        if rotate_four_cycle(r.clone(), cyc) != "empty":
-                            return cyc
+                        sense = rotate_four_cycle(r.clone(), cyc)
                     except (NotAlternating, NotFlippable):
                         continue
+                    assert sense in ("cw", "ccw")
+                    return cyc
     return None
 
 

@@ -13,6 +13,8 @@ import pytest
 
 from lplan import samples
 from lplan.cli import main
+from lplan.gen import GenSpec, generate_ptpg
+from lplan.graph import EmbeddedGraph
 from lplan.io import (
     ParseError,
     doc_to_graph,
@@ -311,6 +313,18 @@ def test_cli_plan_refusals_and_errors(tmp_path, capsys):
 
     assert main(["plan", str(tmp_path / "missing.json")]) == 1
     assert main(["plan", five, "--triplet", "1,2"]) == 1
+
+
+def test_cli_triplet_rejects_a_label_shared_by_two_vertices(tmp_path, capsys):
+    g = generate_ptpg(GenSpec(n=12, seed=3))
+    shared = EmbeddedGraph(rotation=g.rotation, outer=g.outer, labels={3: "x", 5: "x"})
+    path = tmp_path / "shared.json"
+    path.write_bytes(serialize_graph(shared))
+    assert main(["plan", str(path)]) == 0
+    assert "triplet: (8,x,7)" in capsys.readouterr().out
+    assert main(["plan", str(path), "--triplet", "8,x,7"]) == 1
+    assert capsys.readouterr().err == "error: label 'x' in --triplet names vertices 3, 5\n"
+    assert main(["plan", str(path), "--triplet", "8,3,7"]) == 0
 
 
 def test_cli_render_and_gen(tmp_path):

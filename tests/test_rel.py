@@ -338,9 +338,9 @@ def test_rotate_four_cycle_round_trip():
                             sense = rotate_four_cycle(probe, cyc)
                         except (NotAlternating, NotFlippable):
                             continue
-                        if sense != "empty":
-                            hit = (cyc, sense)
-                            break
+                        assert sense in ("cw", "ccw")
+                        hit = (cyc, sense)
+                        break
                     if hit:
                         break
                 if hit:
