@@ -24,7 +24,6 @@ from .layout import (
     rfp_from_rel,
     verify_nontrivial_L,
 )
-from .gen import GenSpec, generate_ptpg
 from .paths import (
     AugmentedGraph,
     Infeasible,
@@ -45,6 +44,14 @@ from .pipeline import (
 from .rel import Rel, construct_rel, flip_edge, flip_vertex, is_valid_rel, rotate_four_cycle
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # the generator loads on first use; planning never needs it
+    if name in ("GenSpec", "generate_ptpg"):
+        from . import gen
+        return getattr(gen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AugmentedGraph",

@@ -17,7 +17,6 @@ import sys
 from .boundary import find_shortcuts, necessary_conditions
 from .graph import InconsistentEmbedding, validate_ptpg
 from .io import ParseError, parse_graph, parse_plan, plan_to_doc, render_svg, serialize_graph, serialize_plan
-from .gen import GenerationFailed, GenSpec, generate_ptpg
 from .pipeline import InvalidInput, PlanOptions, plan
 
 
@@ -167,6 +166,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .gen import GenerationFailed, GenSpec, generate_ptpg  # only `lplan gen` needs it
+
     try:
         g = generate_ptpg(GenSpec(n=args.n, seed=args.seed, cip_target=args.cip_target))
     except (GenerationFailed, ValueError) as exc:  # ValueError: fewer than three vertices

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .boundary import Triplet
 from .graph import VertexId, common_neighbors, edge_key
-from .rel import T1, T2, FourCycle, NotAlternating, NotFlippable, Rel, flip_edge, rotate_four_cycle
+from .rel import T1, FourCycle, NotAlternating, NotFlippable, Rel, flip_edge, rotate_four_cycle
 
 
 class NormalizationFailed(RuntimeError):

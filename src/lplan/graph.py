@@ -19,8 +19,9 @@ connected: only then does Euler's count V - E + F = 2 (E the darts over
 two) certify a sphere.  The rest is read off the walk: the outer face,
 2-connectivity (no face walk repeats a vertex; Diestel, Graph Theory,
 Prop. 4.2.6) and the separating triangles, the 3-cycles that are not
-face walks; they exist iff the common neighbours summed over the edges
-exceed three per triangular face (K3's two faces count once).
+face walks: they exist iff the 3-cycles, each u < v < w counted once as a
+common higher neighbour of an edge u < v (Chiba and Nishizeki's forward
+listing, 1985), outnumber the triangular faces.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import and_, contains, lt
+from operator import contains, ne
 from typing import KeysView, Mapping, NamedTuple, Sequence
 
 
@@ -230,11 +231,6 @@ def common_neighbors(g: EmbeddedGraph, u: VertexId, v: VertexId) -> tuple[Vertex
     return tuple(sorted(g.adj[u] & g.adj[v]))
 
 
-def is_biconnected(g: EmbeddedGraph) -> bool:
-    """No face walk repeats a vertex; in a simple graph one of three darts or fewer cannot."""
-    return all(len(set(walk)) == len(walk) for walk in g._walks if len(walk) > 3)
-
-
 def faces_inside_cycle(g: EmbeddedGraph, cycle: Sequence[VertexId]) -> frozenset[int]:
     """Indices of faces strictly inside a simple cycle of the embedding.
 
@@ -263,20 +259,25 @@ def find_separating_triangles(g: EmbeddedGraph) -> tuple[tuple[VertexId, VertexI
 
     In a simple connected plane graph a 3-cycle with no vertex on one side
     bounds a face there, so the separating ones are the 3-cycles that are
-    not face walks.  Summed over the edges, |N(u) & N(v)| counts every
-    3-cycle three times, and each triangular face is one 3-cycle (K3's two
-    faces are the same one): the 3-cycles are listed only when the sums differ.
+    not face walks.  With H(v) the neighbours above v, each 3-cycle
+    u < v < w is counted once, in |H(u) & H(v)| over the edges u < v, and
+    each triangular face is a 3-cycle, a distinct one but for K3's two:
+    the 3-cycles are listed only when they outnumber the triangular faces.
     """
-    adj, walks = g.adj, g._walks
-    tails = list(chain.from_iterable(map(repeat, adj, map(len, adj.values()))))
-    heads = list(chain.from_iterable(adj.values()))
-    up = list(map(lt, tails, heads))
-    pairs = map(and_, map(adj.__getitem__, compress(tails, up)), map(adj.__getitem__, compress(heads, up)))
-    tri_faces = list(map(len, walks)).count(3)
-    if sum(map(len, pairs)) == 3 * (1 if len(walks) == 2 == tri_faces else tri_faces):
+    return _separating_triangles(g, list(map(len, g._walks)).count(3))
+
+
+def _triangle_count(up: Mapping[VertexId, set[VertexId]]) -> int:
+    """The 3-cycles u < v < w, each once, from up[x], the neighbours of x above x."""
+    return sum([len(hu & up[v]) for hu in up.values() for v in hu])
+
+
+def _separating_triangles(g: EmbeddedGraph, tri_faces: int) -> tuple[tuple[VertexId, ...], ...]:
+    up = {v: {w for w in nbrs if w > v} for v, nbrs in g.rotation.items()}
+    if _triangle_count(up) <= tri_faces:  # only K3 has fewer: its two faces are one 3-cycle
         return ()
-    cycles = {(u, v, w) for u, v in zip(tails, heads) if u < v for w in adj[u] & adj[v] if w > v}
-    return tuple(sorted(cycles - {tuple(sorted(walk)) for walk in walks if len(walk) == 3}))
+    cycles = {(u, v, w) for u, hu in up.items() for v in hu for w in hu & up[v]}
+    return tuple(sorted(cycles - {tuple(sorted(walk)) for walk in g._walks if len(walk) == 3}))
 
 
 class PtpgReport(NamedTuple):
@@ -294,11 +295,12 @@ class PtpgReport(NamedTuple):
 
 
 def validate_ptpg(g: EmbeddedGraph) -> PtpgReport:
-    """Check the properly-triangulated-planar conditions on an embedded graph."""
-    k = g.outer_face_index
-    bad_faces = tuple(rotate_min(w) for i, w in enumerate(g._walks) if len(w) != 3 and i != k)
+    """Check the PTPG conditions, reading face lengths once and walking only the longer faces."""
+    walks, k = g._walks, g.outer_face_index
+    lens = list(map(len, walks))
+    long = list(compress(range(len(lens)), map(ne, lens, repeat(3))))  # a triangle repeats no vertex
     return PtpgReport(
-        is_biconnected=is_biconnected(g),
-        nontriangular_interior_faces=bad_faces,
-        separating_triangles=find_separating_triangles(g),
+        is_biconnected=all(len(set(walks[i])) == lens[i] for i in long),
+        nontriangular_interior_faces=tuple(rotate_min(walks[i]) for i in long if i != k),
+        separating_triangles=_separating_triangles(g, len(lens) - len(long)),
     )

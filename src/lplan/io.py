@@ -20,7 +20,7 @@ from operator import contains, itemgetter
 from typing import NamedTuple
 
 from .graph import EmbeddedGraph, InconsistentEmbedding, VertexId
-from .layout import FloorPlan, plan_outline
+from .layout import plan_outline
 from .pipeline import PlanResult
 
 

@@ -217,7 +217,7 @@ def _plan_one(
         return None
 
     try:
-        rel = construct_rel(ag)  # checks its labeling with is_valid_rel
+        rel = construct_rel(ag)  # checks its labeling as is_valid_rel does
     except NotConstructible as exc:
         fail("rel", str(exc))
         return None

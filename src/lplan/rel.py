@@ -25,8 +25,11 @@ domains, so every order, and a start from just the rings the pinned
 pole rows touch, reaches one fixpoint.  The depth-first search runs on
 an explicit stack, scans for its pick past the settled prefix of its
 edge order, and restarts at random to dodge the occasional deep dead
-end.  flip_edge / flip_vertex / rotate_four_cycle are the local moves
-of label normalization; each checks only the rings it changes.
+end.  The solved value sets are checked in place, in is_valid_rel's
+order and with its ring rule, so a defect reads as is_valid_rel would
+name it; the labeling's dicts are built only after the check passes.
+flip_edge / flip_vertex / rotate_four_cycle are the local moves of
+label normalization; each checks only the rings it changes.
 """
 
 from __future__ import annotations
@@ -93,13 +96,6 @@ class RelValidity(NamedTuple):
     defect: str | None = None
 
 
-def _pole_name(r: Rel, v: VertexId) -> str | None:
-    for name, pid in r.poles.items():
-        if pid == v:
-            return name
-    return None
-
-
 # the class every non-pole dart at a pole reads as
 _POLE_CLASS = {name: _BLOCK_ORDER.index(col + d) for name, (col, d) in _POLE_RULE.items()}
 
@@ -137,22 +133,20 @@ def _ring_defect(v: VertexId, classes: list[int]) -> str | None:
 def _pole_defect(r: Rel, name: str) -> str | None:
     v = r.poles[name]
     skip = set(r.pole_ids)
-    want_col, want_dir = _POLE_RULE[name]
     for u in r.graph.rotation[v]:
         if u in skip:
             continue
         e = edge_key(u, v)
         if e not in r.color:
             return f"pole {name}: edge to {u} unlabeled"
-        tail, _ = r.orient[e]
-        d = "out" if tail == v else "in"
-        if (r.color[e], d) != (want_col, want_dir):
+        d = "out" if r.orient[e][0] == v else "in"
+        if (r.color[e], d) != _POLE_RULE[name]:
             return f"pole {name}: edge to {u} is {r.color[e]} {d}"
     return None
 
 
 def _vertex_defect(r: Rel, v: VertexId) -> str | None:
-    name = _pole_name(r, v)
+    name = next((k for k, p in r.poles.items() if p == v), None)
     if name is not None:
         return _pole_defect(r, name)
     classes = []
@@ -206,6 +200,7 @@ _NODE_CAP = 250000
 # is its own inverse it also maps kept classes back to kept values.
 
 _FULL = 0b1111
+_COLOR = (T1, T2, T1, T2)  # the color of each value
 _CLASSES = {
     True: tuple(range(16)),
     False: tuple((m & 0b0011) << 2 | m >> 2 for m in range(16)),
@@ -237,29 +232,21 @@ def _state_classes(low: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Per key orientation: a value set's admitted states, the same cut to
-# phase 0 for position 0, and the values each 10-bit state slice keeps
-# (_CLASSES[first] permutes bits, so it distributes over the slices' OR).
+# Per key orientation: a value set's admitted states and the values each
+# 10-bit state slice keeps (_CLASSES[first] permutes bits, so it
+# distributes over the slices' OR); position 0 opens with the admitted
+# states cut to phase 0.
 _TABLES = {
     first: (
         tuple(_ADMIT[m] for m in cls),
-        tuple(_ADMIT[m] & 0xF for m in cls),
         tuple(cls[m] for m in _state_classes(0)),
         tuple(cls[m] for m in _state_classes(10)),
     )
     for first, cls in _CLASSES.items()
 }
+_OPENING = {first: tuple(_ADMIT[m] & 0xF for m in cls) for first, cls in _CLASSES.items()}
 
 Ring = list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...], int]]
-
-
-def _ring(positions: list[tuple[int, bool, int]]) -> Ring:
-    """A ring for _propagate from (edge, whether the vertex is the key's first, neighbor)."""
-    ring = []
-    for i, first, w in positions:
-        admit, opening, low, high = _TABLES[first]
-        ring.append((i, opening if not ring else admit, low, high, w))
-    return ring
 
 
 def _propagate(
@@ -304,65 +291,60 @@ def _propagate(
     return True
 
 
-def _search_space(
-    ag: AugmentedGraph,
-) -> tuple[list[Edge], list[int], list[Ring], dict[VertexId, int], list[int]]:
-    """The sorted edges, their value sets, the rings, dense ids and first seeds.
+def _search_space(ag: AugmentedGraph) -> tuple[list[Edge], list[int], list[Ring], dict, list[int], dict]:
+    """The sorted edges, their value sets, the rings, dense ids, first seeds and rows.
 
-    Value sets are pinned on the pole rows.  Inner vertices are ids 0..m-1
-    in ascending order, rings[k] is the ring of id k, and the poles share
-    id m.  The seeds are the rings the pinning can narrow: those with a
-    pole edge or fewer than four edges.
+    Edges are numbered vertex by vertex over the sorted higher neighbors,
+    and rows[v][w] is the number of edge vw.  The pole rows are pinned.
+    Inner vertices are ids 0..m-1 in ascending order, rings[k] is the ring
+    of id k, and the poles share id m.  The seeds are the rings the
+    pinning can narrow: those with a pole edge or fewer than four edges.
     """
     g = ag.base
+    rot = g.rotation
     poles = set(ag.pole_ids)
-    edges = sorted(e for e in g.edges if not (e[0] in poles and e[1] in poles))
-    index = {e: i for i, e in enumerate(edges)}
+    rows: dict[VertexId, dict[VertexId, int]] = {v: {} for v in g.vertices}
+    edges: list[Edge] = []
+    for v, row in rows.items():
+        for w in sorted([w for w in rot[v] if w > v and not (v in poles and w in poles)]):
+            row[w] = rows[w][v] = len(edges)
+            edges.append((v, w))
     dom = [_FULL] * len(edges)
     for name, p in ag.poles.items():  # a value is its class at the key's first end
-        for x in g.rotation[p]:
-            if x not in poles:
-                e = edge_key(x, p)
-                dom[index[e]] = 1 << (_POLE_CLASS[name] ^ (0 if e[0] == p else 2))
+        for x, i in rows[p].items():
+            dom[i] = 1 << (_POLE_CLASS[name] ^ (0 if p < x else 2))
     inner = [v for v in g.vertices if v not in poles]
     m = len(inner)
     dense = dict.fromkeys(poles, m)
     dense.update((v, k) for k, v in enumerate(inner))
-    rings = [
-        _ring([(index[(v, w) if v < w else (w, v)], v < w, dense[w]) for w in g.rotation[v]])
-        for v in inner
-    ]
-    seeds = [k for k, ring in enumerate(rings) if len(ring) < 4 or any(p[4] == m for p in ring)]
-    return edges, dom, rings, dense, seeds
+    rings = []
+    for v in inner:
+        row, nbrs = rows[v], rot[v]
+        ring = [(row[w], *_TABLES[v < w], dense[w]) for w in nbrs]
+        ring[0] = (ring[0][0], _OPENING[v < nbrs[0]], *ring[0][2:])
+        rings.append(ring)
+    seeds = [k for k, v in enumerate(inner) if len(rot[v]) < 4 or not poles.isdisjoint(rot[v])]
+    return edges, dom, rings, dense, seeds, rows
 
 
 def construct_rel(ag: AugmentedGraph) -> Rel:
     """Find a labeling by exact search over edge colors and directions.
 
     Every edge except the four boundary ones is a four-valued variable
-    (color times direction), held as a bitmask of the values it may
-    still take.  Pole rows are pinned first: T1 into N, T1 out of S, T2
-    into E, T2 out of W.  The block pattern at each inner vertex is
-    enforced by filtering its ring (_propagate), which keeps the values
-    of some valid ring word.  Whenever an edge's value set shrinks, the
-    opposite endpoint is queued, first in, first out.  The filters only
-    shrink domains, so propagation reaches the same fixpoint and the
-    same wipeout in any order.  It starts from the rings with a pinned
-    edge or fewer than four edges: an all-open ring of four or more
-    admits every value at every position, so its filter changes nothing.
-
-    The search branches on a smallest-domain edge, in a shuffled edge
-    order, tries its values in shuffled order and backtracks on wipeout.
-    Domains only shrink below a choice point, so each records the settled
-    prefix of the order, its singletons, and the scans below start past
-    it.  On the planted-mid inputs of seed 1 the search took 8,928 nodes
-    over 338 calls.  A DFS that overruns its node quota restarts with a
-    fresh shuffle and a doubled quota, up to _NODE_CAP nodes in all; only
-    a DFS that finishes inside its quota may declare infeasibility.
+    (color times direction), held as a bitmask of the values it may still
+    take; the pole rows are pinned (_search_space) and the rings filtered
+    to their fixpoint (_propagate).  The search branches on a
+    smallest-domain edge, in a shuffled edge order, tries its values in
+    shuffled order and backtracks on wipeout.  Domains only shrink below
+    a choice point, so each records the settled prefix of the order, its
+    singletons, and the scans below start past it.  A DFS that overruns
+    its node quota restarts with a fresh shuffle and a doubled quota, up
+    to _NODE_CAP nodes in all; only a DFS that finishes inside its quota
+    may declare infeasibility.
     """
     g = ag.base
     poles = set(ag.pole_ids)
-    edges, dom, rings, dense, seeds = _search_space(ag)
+    edges, dom, rings, dense, seeds, rows = _search_space(ag)
     queued = [False] * len(rings) + [True]
 
     def undo(trail: list[tuple[int, int]]) -> None:
@@ -445,17 +427,25 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
         spent += quota + 1  # the overrunning search tried quota + 1 values
         attempt += 1
 
-    color: dict[Edge, str] = {}
-    orient: dict[Edge, tuple[VertexId, VertexId]] = {}
-    for e, d in zip(edges, dom):
-        val = d.bit_length() - 1
-        color[e] = T1 if val & 1 == 0 else T2
-        orient[e] = (e[0], e[1]) if val < 2 else (e[1], e[0])
-    live = Rel(graph=g, poles=dict(ag.poles), color=color, orient=orient)
-    rep = is_valid_rel(live)
-    if not rep.ok:
-        raise NotConstructible(f"constructed labeling invalid: {rep.defect}")
-    return live
+    # pole rows N, E, S, W, then inner rings; edges, ends and colors hold by construction
+    vals = [d.bit_length() - 1 for d in dom]  # a value is its class at the key's first end
+
+    def labeling() -> Rel:
+        color = dict(zip(edges, map(_COLOR.__getitem__, vals)))
+        orient = dict(zip(edges, [e if x < 2 else e[::-1] for e, x in zip(edges, vals)]))
+        return Rel(graph=g, poles=dict(ag.poles), color=color, orient=orient)
+
+    for name, p in zip("NESW", ag.pole_ids):
+        want = _POLE_CLASS[name]
+        if any(vals[i] ^ (0 if p < x else 2) != want for x, i in rows[p].items()):
+            raise NotConstructible(f"constructed labeling invalid: {_pole_defect(labeling(), name)}")
+    for v in g.vertices:
+        if v not in poles:
+            row = rows[v]
+            defect = _ring_defect(v, [vals[row[w]] ^ (0 if v < w else 2) for w in g.rotation[v]])
+            if defect:
+                raise NotConstructible(f"constructed labeling invalid: {defect}")
+    return labeling()
 
 
 # -- local moves -------------------------------------------------------------

@@ -5,7 +5,8 @@ geometry read straight off the rectangles.  Nothing below shares logic
 with the modules it checks beyond the plain data containers, so a bug
 would have to be made twice to slip through.  The exceptions are named
 where they occur: enumerate_rels, the flip probes and the two-step
-completion call the library's own checks or moves.
+completion call the library's own checks or moves, and ring_of shares
+the label search's filter tables.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from lplan.paths import (
 )
 from lplan.rel import (
     _BLOCK_ORDER,
+    _OPENING,
+    _TABLES,
     NotFlippable,
     Rel,
     T1,
@@ -174,6 +177,11 @@ def brute_triangles(g: EmbeddedGraph) -> list[tuple[VertexId, VertexId, VertexId
                 if w > v:
                     out.append((u, v, w))
     return out
+
+
+def common_neighbour_sum(g: EmbeddedGraph) -> int:
+    """|N(u) & N(v)| summed over the edges u < v: every 3-cycle three times."""
+    return sum(len(g.adj[u] & g.adj[v]) for u in g.vertices for v in g.adj[u] if u < v)
 
 
 def brute_separating_triangles(g: EmbeddedGraph) -> set[frozenset]:
@@ -483,6 +491,54 @@ def brute_rel_validity(r: Rel) -> tuple[bool, str | None]:
             if defect:
                 return False, defect
     return True, None
+
+
+def ring_of(positions) -> list[tuple]:
+    """A ring for rel._propagate from (edge, whether the vertex is the key's first, neighbor).
+
+    It shares the library's filter tables; position 0 opens in phase 0.
+    """
+    ring = []
+    for i, first, w in positions:
+        admit, low, high = _TABLES[first]
+        ring.append((i, _OPENING[first] if not ring else admit, low, high, w))
+    return ring
+
+
+def keyed_search_space(ag: AugmentedGraph):
+    """The label search's set-up built from sorted edge keys and a tuple-keyed index.
+
+    Returns rel._search_space's edges, value sets, rings, dense ids and
+    seeds, as the search built them before it numbered edges per vertex.
+    """
+    g = ag.base
+    poles = set(ag.pole_ids)
+    edges = sorted(e for e in g.edges if not (e[0] in poles and e[1] in poles))
+    index = {e: i for i, e in enumerate(edges)}
+    dom = [0b1111] * len(edges)
+    for name, p in ag.poles.items():
+        pinned = _BLOCKS.index("".join(_POLE_ROWS[name]))  # the class at the pole
+        for x in g.rotation[p]:
+            if x not in poles:
+                e = edge_key(x, p)
+                dom[index[e]] = 1 << (pinned if e[0] == p else pinned ^ 2)
+    inner = [v for v in g.vertices if v not in poles]
+    m = len(inner)
+    dense = dict.fromkeys(poles, m)
+    dense.update((v, k) for k, v in enumerate(inner))
+    rings = [ring_of([(index[edge_key(v, w)], v < w, dense[w]) for w in g.rotation[v]]) for v in inner]
+    seeds = [k for k, ring in enumerate(rings) if len(ring) < 4 or any(p[4] == m for p in ring)]
+    return edges, dom, rings, dense, seeds
+
+
+def labeling_from_values(ag: AugmentedGraph, edges, dom) -> Rel:
+    """The labeling that one value per edge spells: bit 0 the color, bit 1 the key reversed."""
+    color, orient = {}, {}
+    for (a, b), mask in zip(edges, dom):
+        val = mask.bit_length() - 1
+        color[a, b] = "T2" if val & 1 else "T1"
+        orient[a, b] = (b, a) if val & 2 else (a, b)
+    return Rel(graph=ag.base, poles=dict(ag.poles), color=color, orient=orient)
 
 
 def _classes_at(mask: int, v: VertexId, e: tuple[VertexId, VertexId]) -> int:

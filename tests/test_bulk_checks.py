@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,17 +23,28 @@ from lplan.graph import (
     InconsistentEmbedding,
     _check_rotation,
     _number_darts,
+    PtpgReport,
+    _triangle_count,
     edge_key,
     faces_inside_cycle,
     find_separating_triangles,
+    rotate_min,
+    validate_ptpg,
 )
 from lplan.io import ParseError, doc_to_graph, graph_to_doc
 from lplan.pipeline import plan
 from lplan.samples import embed_by_coords
 
 from completions import tiny_completions
-from oracles import brute_faces_inside_cycle, brute_separating_triangles
-from test_graph import ALL_SAMPLES as SAMPLES, k4
+from oracles import (
+    brute_biconnected,
+    brute_faces_inside_cycle,
+    brute_separating_triangles,
+    brute_triangles,
+    common_neighbour_sum,
+    walk_faces,
+)
+from test_graph import ALL_SAMPLES as SAMPLES, k4, thinned_ptpg, wheel
 
 # -- graph documents ----------------------------------------------------------
 
@@ -348,6 +360,86 @@ def test_planting_makes_the_face_separate():
     g = outer_triangle()
     assert find_separating_triangles(g) == ()
     assert find_separating_triangles(plant(g, (0, 11, 10))) == ((0, 10, 11),)
+
+
+def two_connected_with_long_faces(seed: int) -> EmbeddedGraph:
+    """A generated PTPG, planted in up to two faces, less random inner edges.
+
+    An edge goes only while the graph stays 2-connected; the outer cycle
+    stays, and the faces either side of a removed edge merge into one.
+    """
+    rng = random.Random(seed)
+    g = generate_ptpg(GenSpec(n=6 + seed % 25, seed=seed))
+    for _ in range(seed % 3):
+        g = plant(g, rng.choice([f for f in g.inner_faces if len(f) == 3]))
+    ring = {edge_key(g.outer[i - 1], g.outer[i]) for i in range(len(g.outer))}
+    inner = sorted(g.edges - ring)
+    rng.shuffle(inner)
+    rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
+    for u, v in inner[: rng.randint(1, max(1, len(inner) // 2))]:
+        i, j = rot[u].index(v), rot[v].index(u)
+        del rot[u][i], rot[v][j]
+        h = EmbeddedGraph(rotation=rot, outer=g.outer)
+        if brute_biconnected(h):
+            g = h
+        else:
+            rot[u].insert(i, v)
+            rot[v].insert(j, u)
+    return g
+
+
+def _graphs_for_counts():
+    yield from (generate_ptpg(GenSpec(n=n, seed=n % 7)) for n in (6, 7, 9, 12, 20, 35, 60, 100, 150, 200))
+    yield from planted_graphs()
+    yield EmbeddedGraph(rotation={1: (2, 3), 2: (3, 1), 3: (1, 2)}, outer=(1, 2, 3))  # K3
+    yield k4()
+    yield wheel(300)
+    yield from (two_connected_with_long_faces(seed) for seed in range(40))
+    yield from (thinned_ptpg(seed) for seed in range(20))
+
+
+def test_triangle_count_is_the_edge_sum_over_three():
+    # Each 3-cycle once over the higher neighbour sets, against every
+    # 3-cycle three times over the edges; the verdict against brute force.
+    kinds = Counter()
+    for g in _graphs_for_counts():
+        up = {v: {w for w in g.adj[v] if w > v} for v in g.vertices}
+        got = _triangle_count(up)
+        assert 3 * got == common_neighbour_sum(g)
+        assert got == len(brute_triangles(g))
+        sep = find_separating_triangles(g)
+        assert {frozenset(t) for t in sep} == brute_separating_triangles(g)
+        kinds[bool(sep), any(len(f) > 3 for f in g.inner_faces)] += 1
+    assert min(kinds.values()) >= 5 and len(kinds) == 4, kinds
+
+
+def test_triangle_count_on_the_high_degree_wheel():
+    g = wheel(20000)
+    up = {v: {w for w in g.adj[v] if w > v} for v in g.vertices}
+    assert 3 * _triangle_count(up) == common_neighbour_sum(g) == 3 * 20000
+    assert find_separating_triangles(g) == ()
+
+
+def _cyclic_min(face) -> tuple:
+    """The smallest rotation of a face walk: one form even when a walk repeats a vertex."""
+    return min(tuple(face[i:]) + tuple(face[:i]) for i in range(len(face)))
+
+
+def test_ptpg_report_matches_walk_tarjan_and_brute_triangles():
+    verdicts = Counter()
+    for g in _graphs_for_counts():
+        faces = walk_faces(g)
+        outer = next(f for f in faces if (g.outer[0], g.outer[1]) in zip(f, f[1:] + f[:1]))
+        rep = validate_ptpg(g)
+        assert rep.is_biconnected == brute_biconnected(g)
+        assert all(rotate_min(f) == f for f in rep.nontriangular_interior_faces)
+        assert sorted(map(_cyclic_min, rep.nontriangular_interior_faces)) == sorted(
+            _cyclic_min(f) for f in faces if len(f) != 3 and f is not outer
+        )
+        want = tuple(sorted(tuple(sorted(t)) for t in brute_separating_triangles(g)))
+        assert rep == PtpgReport(rep.is_biconnected, rep.nontriangular_interior_faces, want)
+        verdicts[rep.is_biconnected, bool(rep.nontriangular_interior_faces), bool(want)] += 1
+    assert len(verdicts) >= 5, verdicts
 
 
 # -- faces inside a cycle -----------------------------------------------------

@@ -14,7 +14,6 @@ from lplan.graph import (
     edge_key,
     faces_inside_cycle,
     find_separating_triangles,
-    is_biconnected,
     rotate_min,
     validate_ptpg,
 )
@@ -237,7 +236,7 @@ def test_biconnectivity_negative():
     )
     for rotation in rotations:
         g = EmbeddedGraph(rotation=rotation, outer=(1, 2, 3))
-        assert not is_biconnected(g)
+        assert not validate_ptpg(g).is_biconnected
         assert not brute_biconnected(g)
         assert not validate_ptpg(g).verdict
 
@@ -270,7 +269,7 @@ def test_biconnectivity_matches_tarjan():
     graphs += [generate_ptpg(GenSpec(n=8 + 3 * seed, seed=seed)) for seed in range(8)]
     graphs += [thinned_ptpg(seed) for seed in range(60)]
     verdicts = [brute_biconnected(g) for g in graphs]
-    assert [is_biconnected(g) for g in graphs] == verdicts
+    assert [validate_ptpg(g).is_biconnected for g in graphs] == verdicts
     assert True in verdicts and False in verdicts
 
 
@@ -347,12 +346,15 @@ def test_dart_walk_matches_oracle_on_rel_subgraphs(make):
         assert sides[v] == tuple(want), v
 
 
-def test_high_degree_wheel_is_a_ptpg():
-    n = 20000
+def wheel(n: int) -> EmbeddedGraph:
+    """A hub 0 inside the rim 1..n: the hub's degree is n."""
     rotation = {i: ((i - 2) % n + 1, i % n + 1, 0) for i in range(1, n + 1)}
     rotation[0] = tuple(range(1, n + 1))
-    g = EmbeddedGraph(rotation=rotation, outer=tuple(range(1, n + 1)))
-    assert validate_ptpg(g).verdict
+    return EmbeddedGraph(rotation=rotation, outer=tuple(range(1, n + 1)))
+
+
+def test_high_degree_wheel_is_a_ptpg():
+    assert validate_ptpg(wheel(20000)).verdict
 
 
 def test_triangle_bruteforcer_sees_all_faces():

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import random
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -20,13 +21,16 @@ from oracles import (
     enumerate_rels,
     is_flippable_edge,
     is_flippable_vertex,
+    keyed_search_space,
+    labeling_from_values,
     rel_filter_enumeration,
     ring_fixpoint,
+    ring_of,
     ring_word_union,
     rotate_by_trial,
 )
 
-from lplan import samples
+from lplan import rel as relmod, samples
 from lplan.graph import edge_key
 from lplan.gen import GenSpec, generate_ptpg
 from lplan.pipeline import plan
@@ -35,9 +39,9 @@ from lplan.rel import (
     T2,
     FourCycle,
     NotAlternating,
+    NotConstructible,
     NotFlippable,
     _propagate,
-    _ring,
     _search_space,
     _vertex_defect,
     construct_rel,
@@ -107,7 +111,7 @@ def ring_filter(values, firsts=None):
     if firsts is None:
         firsts = [True] * len(values)
     dom = list(values)
-    ring = _ring([(p, first, 1) for p, first in enumerate(firsts)])
+    ring = ring_of([(p, first, 1) for p, first in enumerate(firsts)])
     trail = []
     if not _propagate([ring], dom, [0], [False, True], trail):
         assert dom == list(values)
@@ -196,7 +200,7 @@ def test_propagation_reaches_the_round_robin_fixpoint():
     verdicts = {True: 0, False: 0}
     narrower = 0
     for ag in _propagation_cases():
-        edges, dom, rings, dense, seeds = _search_space(ag)
+        edges, dom, rings, dense, seeds, _ = _search_space(ag)
         narrower += len(seeds) < len(rings)
         idle = [False] * len(rings) + [True]
         queued = list(idle)
@@ -228,6 +232,80 @@ def test_propagation_reaches_the_round_robin_fixpoint():
                 assert dom == before
     assert narrower >= 4  # the seeding skips rings on the larger completions
     assert min(verdicts.values()) >= 10, verdicts
+
+
+# -- the search's set-up and its closing check -----------------------------------
+
+
+def _setup_cases():
+    """Completions for the set-up and closing-check tests: tiny, samples, generated n <= 150."""
+    yield from tiny_completions()
+    for make in PLANNABLE:
+        yield _completion(make)
+    for key in ((20, 1), (30, 0), (45, 2), (60, 1), (80, 1), (100, 0), (100, 1), (120, 0), (150, 2)):
+        yield _generated_completion(*key)
+
+
+def test_search_space_matches_the_keyed_construction():
+    for ag in _setup_cases():
+        poles = set(ag.pole_ids)
+        edges, dom, rings, dense, seeds, rows = _search_space(ag)
+        assert edges == sorted(e for e in ag.base.edges if not set(e) <= poles)
+        assert (edges, dom, rings, dense, seeds) == keyed_search_space(ag)
+        assert list(rows) == list(ag.base.vertices)
+        for v, row in rows.items():
+            assert set(row) == {w for w in ag.base.adj[v] if not {v, w} <= poles}
+            assert all(edges[i] == edge_key(v, w) for w, i in row.items())
+
+
+def test_constructed_labelings_hold_their_edges_ends_and_colors():
+    # The closing check reads only the pole rows and the rings: the rest
+    # of is_valid_rel's checks must hold by construction.
+    for ag in _setup_cases():
+        r = construct_rel(ag)
+        poles = set(ag.pole_ids)
+        want = {e for e in ag.base.edges if not set(e) <= poles}
+        assert set(r.color) == set(r.orient) == want
+        assert all(r.orient[e] in (e, e[::-1]) for e in want)
+        assert set(r.color.values()) <= {T1, T2}
+        assert is_valid_rel(r) == (True, None)
+
+
+def test_closing_check_names_the_defect_is_valid_rel_names(monkeypatch):
+    # One value is changed behind the search's back, in the propagation
+    # that leaves every value set a singleton: construct_rel must refuse
+    # the labeling with is_valid_rel's text, or return it when it is valid.
+    rng = random.Random(5)
+    real = relmod._propagate
+    seen = Counter()
+    for ag in _setup_cases():
+        edges = _search_space(ag)[0]
+        pole_row = [i for i, e in enumerate(edges) if set(e) & set(ag.pole_ids)]
+        for trial in range(6):
+            pick = rng.choice(pole_row) if trial % 3 == 0 else rng.randrange(len(edges))
+            solved = []
+
+            def corrupting(rings, dom, seeds, queued, trail, pick=pick, solved=solved):
+                ok = real(rings, dom, seeds, queued, trail)
+                if ok and not solved and all(d & (d - 1) == 0 for d in dom):
+                    solved.append(dom)
+                    dom[pick] = 1 << rng.choice([x for x in range(4) if not dom[pick] >> x & 1])
+                return ok
+
+            monkeypatch.setattr(relmod, "_propagate", corrupting)
+            try:
+                r = construct_rel(ag)
+            except NotConstructible as exc:
+                want = is_valid_rel(labeling_from_values(ag, edges, solved[0]))
+                assert not want.ok
+                assert str(exc) == "constructed labeling invalid: " + want.defect
+                seen[want.defect.split()[0]] += 1
+            else:
+                assert is_valid_rel(r).ok
+                got = labeling_from_values(ag, edges, solved[0])
+                assert (r.color, r.orient) == (got.color, got.orient)
+                seen["valid"] += 1
+    assert seen["pole"] >= 15 and seen["vertex"] >= 30, seen
 
 
 # -- local moves ---------------------------------------------------------------
@@ -555,6 +633,14 @@ GOLDEN_GENERATED = {
 }
 
 
+# construct_rel's _propagate calls (the first, then one per search node
+# that propagates) and its attempts (one seeded shuffle each), recorded
+# before the search numbered its edges per vertex.  Nodes are calls - 1 +
+# attempts - 1: an attempt that overruns its quota ends on a node that
+# does not propagate.
+GOLDEN_EFFORT = {(100, 0): (61, 1), (100, 1): (75, 1), (120, 0): (83, 1), (150, 2): (478, 2)}
+
+
 @functools.lru_cache(maxsize=None)
 def _generated_completion(n: int, seed: int):
     return _completion(lambda: generate_ptpg(GenSpec(n=n, seed=seed)))
@@ -572,6 +658,26 @@ def test_golden_labelings_of_samples(make):
 @pytest.mark.parametrize("key", sorted(GOLDEN_GENERATED), ids=lambda k: f"n{k[0]}-seed{k[1]}")
 def test_golden_labelings_of_branching_searches(key):
     assert _digest(construct_rel(_generated_completion(*key))) == GOLDEN_GENERATED[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_EFFORT), ids=lambda k: f"n{k[0]}-seed{k[1]}")
+def test_golden_search_effort(key, monkeypatch):
+    calls = Counter()
+    real = relmod._propagate
+
+    def counted(*args):
+        calls["propagate"] += 1
+        return real(*args)
+
+    def seeded(seed):
+        calls["attempt"] += 1
+        return random.Random(seed)
+
+    monkeypatch.setattr(relmod, "_propagate", counted)
+    monkeypatch.setattr(relmod, "random", types.SimpleNamespace(Random=seeded))
+    r = construct_rel(_generated_completion(*key))
+    assert _digest(r) == GOLDEN_GENERATED[key]
+    assert (calls["propagate"], calls["attempt"]) == GOLDEN_EFFORT[key]
 
 
 def test_branching_search_needs_no_call_stack():
