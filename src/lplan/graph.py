@@ -8,8 +8,7 @@ v, so interior faces are walked counterclockwise and the outer face
 clockwise.  The position map turn[v] = {u: off[v] + (i + 1) mod deg v}
 for u = rotation[v][i] names that next dart in one lookup; its keys are
 the neighbour sets (adj).  The walk runs over flat lists indexed by dart
-number, each face from its lowest unvisited dart; it also labels the
-wall segments of a floor plan (layout.rfp_from_rel).
+number, each face from its lowest unvisited dart.
 
 Every EmbeddedGraph is checked once, when it is built, and whole: a loop
 or a repeated neighbour shows in the sizes of the turn rows, and a dart
@@ -35,7 +34,6 @@ from typing import KeysView, Mapping, NamedTuple, Sequence
 
 VertexId = int
 Edge = tuple[VertexId, VertexId]
-Dart = tuple[VertexId, VertexId]
 
 
 class InconsistentEmbedding(ValueError):

@@ -1,17 +1,13 @@
 """Rectangular floor plans from regular edge labelings, and plan geometry.
 
-Every interior vertex becomes an axis-aligned rectangle.  The wall
-segments of the plan correspond to faces of the two color subgraphs:
-faces of the T2 subgraph are the horizontal segments, faces of the T1
-subgraph the vertical ones.  One pass over the rings, read by position
-as dart classes, gives both subgraphs and every block's last edge
-(_read_rings), and each subgraph's darts are numbered and walked
-once (graph._walk).  A module's bottom wall is the T2 face of the dart
-(u, v) from the last edge u of its outgoing T2 block, read at v as
-face[turn[v][u]]; its top wall follows its last incoming T2 edge, and
-left and right walls come from T1 the same way.  Coordinates are
-longest-path depths of those face numbers, which yields the unique
-compact integer drawing.
+Every interior vertex becomes an axis-aligned rectangle.  Its sides lie
+on maximal wall segments, and each coordinate is the longest-path depth
+of a segment, which yields the unique compact integer drawing (Kant and
+He 1997).  The modules above and below a horizontal segment touch in
+one chain of T1 edges, so a segment is a class of one union-find over
+the labeling's edges: a T1 edge u -> v joins the top of u with the bottom
+of v, a T2 edge the right of u with the left of v, and the poles S, N,
+W and E hold the floor, ceiling, west and east walls.
 
 All geometry of a drawn plan comes from one sweep over its wall lines,
 which yields every elementary wall stretch with the module on each side
@@ -44,8 +40,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
-from .graph import EmbeddedGraph, VertexId, _number_darts, _walk
-from .rel import _BLOCK_ORDER, T1, T2, Rel
+from .graph import EmbeddedGraph, VertexId
+from .rel import T1, Rel
 
 # (axis, line coordinate, start, end, module below or left, module above or right)
 Stretch = tuple[str, int, int, int, VertexId | None, VertexId | None]
@@ -104,86 +100,7 @@ class NonTrivialityVerdict(NamedTuple):
     witness: tuple[VertexId, VertexId, VertexId] | None
 
 
-# -- segment faces -----------------------------------------------------------
-
-
-def _read_rings(
-    r: Rel, modules: list[VertexId]
-) -> tuple[dict[VertexId, tuple[VertexId, ...]], dict[VertexId, tuple[VertexId, ...]], dict]:
-    """The T1 and T2 sub-rotations, and every module's block ends, in one pass.
-
-    Each ring is read once, by position, as dart classes (rel._BLOCK_ORDER:
-    the color bit plus 2 for an incoming edge): the color bit sorts a
-    neighbor into a sub-rotation, and a neighbor whose class differs from
-    the next one's ends its block.  ends[v] maps each class around module
-    v to the last neighbor, clockwise, of its block.
-    """
-    color, orient = r.color, r.orient
-    wanted = set(modules)
-    sub1: dict[VertexId, tuple[VertexId, ...]] = {}
-    sub2: dict[VertexId, tuple[VertexId, ...]] = {}
-    ends: dict[VertexId, dict[int, VertexId]] = {}
-    for v, nbrs in r.graph.rotation.items():
-        t1: list[VertexId] = []
-        t2: list[VertexId] = []
-        cs: list[int] = []
-        for u in nbrs:
-            e = (v, u) if v < u else (u, v)
-            col = color.get(e)
-            if col is None:  # an edge between two poles
-                continue
-            if col == T1:
-                t1.append(u)
-                cs.append(0 if orient[e][0] == v else 2)
-            else:
-                t2.append(u)
-                cs.append(1 if orient[e][0] == v else 3)
-        if t1:
-            sub1[v] = tuple(t1)
-        if t2:
-            sub2[v] = tuple(t2)
-        if v in wanted:  # a module's ring has no pole-pole edge: cs runs along nbrs
-            d = len(cs)
-            at: dict[int, VertexId] = {}
-            for i, u in enumerate(nbrs):
-                if cs[i] != cs[i + 1 - d]:  # the next position, cyclically
-                    at.setdefault(cs[i], u)
-            ends[v] = at
-    return sub1, sub2, ends
-
-
-def _numbered_faces(sub: dict[VertexId, tuple[VertexId, ...]]) -> tuple[dict, list[int], int]:
-    """A sub-rotation's position map turn, the face of every dart, and the face count."""
-    turn, tail, head = _number_darts(sub, sorted(sub))
-    face, walks = _walk(turn, tail, head)
-    return turn, face, len(walks)
-
-
-def _segments(r: Rel, modules: list[VertexId]) -> tuple[dict[VertexId, tuple[int, ...]], int, int]:
-    """Every module's bottom, top, left and right wall segment, and the x and y segment counts.
-
-    With k faces on an axis, its two sides are k and k + 1: west and
-    east, floor and ceiling.  A missing block raises ValueError.
-    """
-    pn, pe, ps, pw = (r.poles[k] for k in ("N", "E", "S", "W"))
-    sub1, sub2, block_ends = _read_rings(r, modules)
-    turn1, face1, k1 = _numbered_faces(sub1)
-    turn2, face2, k2 = _numbered_faces(sub2)
-    adj = r.graph.adj
-    sides = {}
-    for v in modules:
-        near, ends = adj[v], block_ends[v]
-        t1, t2 = turn1.get(v), turn2.get(v)
-        try:  # ends[c] is read before t1 or t2 is indexed: a missing block raises KeyError(c)
-            sides[v] = (
-                k2 if ps in near else face2[t2[ends[1]]],
-                k2 + 1 if pn in near else face2[t2[ends[3]]],
-                k1 if pw in near else face1[t1[ends[2]]],
-                k1 + 1 if pe in near else face1[t1[ends[0]]],
-            )
-        except KeyError as exc:
-            raise ValueError(f"vertex {v} has no {_BLOCK_ORDER[exc.args[0]]} edge") from None
-    return sides, k1 + 2, k2 + 2
+# -- segments ----------------------------------------------------------------
 
 
 def _longest_paths(n: int, edges: list[tuple[int, int]]) -> list[int]:
@@ -208,27 +125,89 @@ def _longest_paths(n: int, edges: list[tuple[int, int]]) -> list[int]:
     return depth
 
 
-def rfp_from_rel(r: Rel) -> FloorPlan:
+def _segment_graph(r: Rel) -> tuple[dict[VertexId, tuple[int, int, int, int]], tuple, tuple]:
+    """Every module's bottom, top, left and right segment, and the y and x segment orders.
+
+    An order is the axis's segment count and the pairs (a, b) of segments
+    with a below or left of b.  A missing block raises ValueError.
+    """
     g = r.graph
-    pole_set = set(r.pole_ids)
-    modules = [v for v in g.vertices if v not in pole_set]
-    sides, nx, ny = _segments(r, modules)
+    poles = r.pole_ids
+    modules = [v for v in g.vertices if v not in poles]
+    # Every vertex has four slots, bottom, top, left and right: 4i to 4i + 3.
+    # A pole's one wall is the top of S, the bottom of N, the right of W and
+    # the left of E; its other slots stay alone in a valid labeling.
+    slot = {v: 4 * i for i, v in enumerate(g.vertices)}
+    root = list(range(4 * len(slot)))  # a slot's parent, always a lower slot
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    color, up, across = r.color, [], []  # T1 edges (below, above), T2 edges (left, right)
+    for e, th in r.orient.items():
+        (up if color[e] == T1 else across).append(th)
+    for pairs, (a, b) in ((up, (1, 0)), (across, (3, 2))):
+        for t, h in pairs:
+            x, y = find(slot[t] + a), find(slot[h] + b)
+            if x < y:
+                root[y] = x
+            else:
+                root[x] = y
+    for x, p in enumerate(root):  # parents come first, so each is a root by now
+        root[x] = root[p]
+
+    # A module lacks a block only where its side does not lie on a pole.
+    adj = g.adj
+    pn, pe, ps, pw = poles
+    blocks = (
+        (ps, "T2out", {t for t, _ in across}),
+        (pn, "T2in", {h for _, h in across}),
+        (pw, "T1in", {h for _, h in up}),
+        (pe, "T1out", {t for t, _ in up}),
+    )
+    if any(set(modules).difference(have, adj[p]) for p, _, have in blocks):
+        for v in modules:
+            for p, name, have in blocks:
+                if v not in have and p not in adj[v]:
+                    raise ValueError(f"vertex {v} has no {name} edge")
+
+    # Segments are numbered per axis, y before x, in the order modules meet them.
+    ynum: dict[int, int] = {}
+    xnum: dict[int, int] = {}
+    sides = {}
+    for v in modules:
+        i = slot[v]
+        sides[v] = (
+            ynum.setdefault(root[i], len(ynum)),
+            ynum.setdefault(root[i + 1], len(ynum)),
+            xnum.setdefault(root[i + 2], len(xnum)),
+            xnum.setdefault(root[i + 3], len(xnum)),
+        )
 
     # Module thickness alone leaves side-by-side walls free to align into a
     # cross, losing the contact; adjacent pairs must overlap across the wall.
     y_edges = [(b, t) for b, t, _, _ in sides.values()]
     x_edges = [(lt, rt) for _, _, lt, rt in sides.values()]
-    for e, (tail, head) in r.orient.items():
-        if tail in pole_set or head in pole_set:
-            continue
-        bt, tt, lt, rt = sides[tail]
-        bh, th, lh, rh = sides[head]
-        if r.color[e] == T2:
+    for t, h in across:
+        if t in sides and h in sides:
+            bt, tt, _, _ = sides[t]
+            bh, th, _, _ = sides[h]
             y_edges += ((bt, th), (bh, tt))
-        else:
+    for t, h in up:
+        if t in sides and h in sides:
+            _, _, lt, rt = sides[t]
+            _, _, lh, rh = sides[h]
             x_edges += ((lt, rh), (lh, rt))
-    ys = _longest_paths(ny, y_edges)
-    xs = _longest_paths(nx, x_edges)
+    return sides, (len(ynum), y_edges), (len(xnum), x_edges)
+
+
+def rfp_from_rel(r: Rel) -> FloorPlan:
+    g = r.graph
+    sides, y_order, x_order = _segment_graph(r)
+    ys = _longest_paths(*y_order)
+    xs = _longest_paths(*x_order)
     rects = {v: Rect(xs[lt], ys[b], xs[rt], ys[t]) for v, (b, t, lt, rt) in sides.items()}
     width = max(rc.x2 for rc in rects.values())
     height = max(rc.y2 for rc in rects.values())
@@ -236,7 +215,7 @@ def rfp_from_rel(r: Rel) -> FloorPlan:
         rects=rects,
         width=width,
         height=height,
-        labels={v: g.labels[v] for v in modules if v in g.labels},
+        labels={v: g.labels[v] for v in sides if v in g.labels},
     )
     if plan_outline(fp) != ((0, height), (width, height), (width, 0), (0, 0)):
         raise ValueError("modules do not tile their bounding box")

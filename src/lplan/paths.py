@@ -431,13 +431,6 @@ def _attach_all(
     )
 
 
-def attach_outside(
-    g: EmbeddedGraph, arc: tuple[VertexId, ...], new_id: VertexId, label: str | None = None
-) -> EmbeddedGraph:
-    """Add a vertex outside the boundary, adjacent to a clockwise outer arc."""
-    return _attach_all(g, [(arc, new_id, label)])
-
-
 def completion_paths(ps: PathSet, ne: VertexId) -> tuple[tuple[VertexId, ...], ...]:
     return (ps.p5 + (ne,), (ne,) + ps.p2, ps.p3, ps.p4)
 

@@ -5,8 +5,9 @@ geometry read straight off the rectangles.  Nothing below shares logic
 with the modules it checks beyond the plain data containers, so a bug
 would have to be made twice to slip through.  The exceptions are named
 where they occur: enumerate_rels, the flip probes and the two-step
-completion call the library's own checks or moves, and ring_of shares
-the label search's filter tables.
+completion call the library's own checks or moves, ring_of shares
+the label search's filter tables, and face_walk_segments walks faces
+with the graph core's numbered-dart walk.
 """
 
 from __future__ import annotations
@@ -17,17 +18,18 @@ from collections import Counter, deque
 
 from lplan.boundary import Cip, Shortcut
 from lplan.graph import (
-    Dart,
     EmbeddedGraph,
     InconsistentEmbedding,
     VertexId,
+    _number_darts,
+    _walk,
     edge_key,
 )
 from lplan.layout import CornerProfile, FloorPlan, NonTrivialityVerdict, Rect
 from lplan.paths import (
     AugmentedGraph,
     PathSet,
-    attach_outside,
+    _attach_all,
     check_path_conditions,
     paths_from_splits,
 )
@@ -43,6 +45,9 @@ from lplan.rel import (
     flip_vertex,
     is_valid_rel,
 )
+
+
+Dart = tuple[VertexId, VertexId]
 
 
 class CapExceeded(RuntimeError):
@@ -642,6 +647,121 @@ def canonical_labeling(color: dict, orient: dict) -> tuple:
     )
 
 
+# -- wall segments by face walks ------------------------------------------------
+
+
+def read_rings(r: Rel, modules: list[VertexId]) -> tuple[dict, dict, dict]:
+    """The T1 and T2 sub-rotations, and every module's block ends, in one pass.
+
+    Each ring is read by position as dart classes (rel._BLOCK_ORDER: the
+    color bit plus 2 for an incoming edge): the color bit sorts a neighbor
+    into a sub-rotation, and a neighbor whose class differs from the next
+    one's ends its block.  ends[v] maps each class around module v to the
+    last neighbor, clockwise, of its block.
+    """
+    color, orient = r.color, r.orient
+    wanted = set(modules)
+    sub1: dict[VertexId, tuple[VertexId, ...]] = {}
+    sub2: dict[VertexId, tuple[VertexId, ...]] = {}
+    ends: dict[VertexId, dict[int, VertexId]] = {}
+    for v, nbrs in r.graph.rotation.items():
+        t1: list[VertexId] = []
+        t2: list[VertexId] = []
+        cs: list[int] = []
+        for u in nbrs:
+            e = edge_key(u, v)
+            col = color.get(e)
+            if col is None:  # an edge between two poles
+                continue
+            (t1 if col == T1 else t2).append(u)
+            cs.append((col != T1) + 2 * (orient[e][0] != v))
+        if t1:
+            sub1[v] = tuple(t1)
+        if t2:
+            sub2[v] = tuple(t2)
+        if v in wanted:  # a module's ring has no pole-pole edge: cs runs along nbrs
+            d = len(cs)
+            at: dict[int, VertexId] = {}
+            for i, u in enumerate(nbrs):
+                if cs[i] != cs[i + 1 - d]:  # the next position, cyclically
+                    at.setdefault(cs[i], u)
+            ends[v] = at
+    return sub1, sub2, ends
+
+
+def _numbered_faces(sub: dict[VertexId, tuple[VertexId, ...]]) -> tuple[dict, list[int], int]:
+    """A sub-rotation's position map turn, the face of every dart, and the face count."""
+    turn, tail, head = _number_darts(sub, sorted(sub))
+    face, walks = _walk(turn, tail, head)
+    return turn, face, len(walks)
+
+
+def face_walk_segments(r: Rel) -> tuple[dict[VertexId, tuple[int, ...]], int, int]:
+    """Every module's bottom, top, left and right wall segment, and the x and y face counts.
+
+    The reference for layout._segment_graph's union-find: the horizontal
+    segments are the faces of the T2 subgraph and the vertical ones those
+    of T1, each walked by the graph core's numbered-dart walk (itself
+    checked against brute_walk_darts).  A module's bottom wall is the T2
+    face of the dart (u, v) from the last edge u of its outgoing T2 block;
+    its top wall follows its last incoming T2 edge, and its left and right
+    walls come from T1 the same way.  With k faces on an axis, its two
+    sides are k and k + 1: west and east, floor and ceiling.  A missing
+    block raises ValueError.
+    """
+    modules = [v for v in r.graph.vertices if v not in r.pole_ids]
+    pn, pe, ps, pw = r.pole_ids
+    sub1, sub2, block_ends = read_rings(r, modules)
+    turn1, face1, k1 = _numbered_faces(sub1)
+    turn2, face2, k2 = _numbered_faces(sub2)
+    adj = r.graph.adj
+    sides = {}
+    for v in modules:
+        near, ends = adj[v], block_ends[v]
+        t1, t2 = turn1.get(v), turn2.get(v)
+        try:  # ends[c] is read before t1 or t2 is indexed: a missing block raises KeyError(c)
+            sides[v] = (
+                k2 if ps in near else face2[t2[ends[1]]],
+                k2 + 1 if pn in near else face2[t2[ends[3]]],
+                k1 if pw in near else face1[t1[ends[2]]],
+                k1 + 1 if pe in near else face1[t1[ends[0]]],
+            )
+        except KeyError as exc:
+            raise ValueError(f"vertex {v} has no {_BLOCK_ORDER[exc.args[0]]} edge") from None
+    return sides, k1 + 2, k2 + 2
+
+
+def face_walk_rects(r: Rel) -> dict[VertexId, Rect]:
+    """The compact drawing on face_walk_segments: each coordinate is a segment's depth.
+
+    Adjacent modules overlap across their wall, and a depth is the longest
+    chain of segments below or left of it, found by relaxing every pair
+    until none changes rather than in a topological order.
+    """
+    sides, nx, ny = face_walk_segments(r)
+    orders = [(b, t) for b, t, _, _ in sides.values()], [(lt, rt) for _, _, lt, rt in sides.values()]
+    for e, (u, v) in r.orient.items():
+        if u in sides and v in sides:
+            (bu, tu, lu, ru), (bv, tv, lv, rv) = sides[u], sides[v]
+            if r.color[e] == T2:
+                orders[0].extend(((bu, tv), (bv, tu)))
+            else:
+                orders[1].extend(((lu, rv), (lv, ru)))
+    ys, xs = [0] * ny, [0] * nx
+    for depth, pairs in zip((ys, xs), orders):
+        for _ in range(len(depth)):
+            changed = False
+            for a, b in pairs:
+                if depth[b] <= depth[a]:
+                    depth[b] = depth[a] + 1
+                    changed = True
+            if not changed:
+                break
+        else:
+            raise ValueError("segment graph has a cycle")
+    return {v: Rect(xs[lt], ys[b], xs[rt], ys[t]) for v, (b, t, lt, rt) in sides.items()}
+
+
 # -- floor-plan geometry -------------------------------------------------------
 
 
@@ -815,6 +935,13 @@ def stretcher_is_trivial(fp: FloorPlan) -> bool:
 
 
 # -- path sets and completions --------------------------------------------------
+
+
+def attach_outside(
+    g: EmbeddedGraph, arc: tuple[VertexId, ...], new_id: VertexId, label: str | None = None
+) -> EmbeddedGraph:
+    """Add a vertex outside the boundary, adjacent to a clockwise outer arc."""
+    return _attach_all(g, [(arc, new_id, label)])
 
 
 def augment_with_ne(g: EmbeddedGraph, ps: PathSet) -> tuple[EmbeddedGraph, VertexId]:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lplan import layout, samples
+from lplan import samples
 from lplan.graph import (
     EmbeddedGraph,
     InconsistentEmbedding,
@@ -30,6 +30,8 @@ from oracles import (
     brute_walk_darts,
     dart_faces,
     edge_triangles,
+    face_walk_segments,
+    read_rings,
     walk_faces,
 )
 
@@ -315,17 +317,18 @@ def test_dart_walk_matches_oracle_on_rel_subgraphs(make):
     assert res.ok
     r = res.rel
     modules = [v for v in r.graph.vertices if v not in r.pole_ids]
-    for color, sub in zip((T1, T2), layout._read_rings(r, modules)[:2]):
+    for color, sub in zip((T1, T2), read_rings(r, modules)[:2]):
         kept = {
             v: tuple(u for u in nbrs if r.color.get(edge_key(u, v)) == color)
             for v, nbrs in r.graph.rotation.items()
         }
         assert sub == {v: nbrs for v, nbrs in kept.items() if nbrs}
         assert_walk_matches_oracle(sub)
-    # Each module's walls are the faces of the darts leaving its block ends,
-    # numbered as the oracle's walk numbers them; the sides come after.
-    sides, nx, ny = layout._segments(r, modules)
-    f1, f2 = (brute_walk_darts(sub)[1] for sub in layout._read_rings(r, modules)[:2])
+    # The face-walk reference for the plan's wall segments: each module's
+    # walls are the faces of the darts leaving its block ends, numbered as
+    # the oracle's walk numbers them; the sides come after.
+    sides, nx, ny = face_walk_segments(r)
+    f1, f2 = (brute_walk_darts(sub)[1] for sub in read_rings(r, modules)[:2])
     assert nx == len(set(f1.values())) + 2 and ny == len(set(f2.values())) + 2
     poles = [r.poles[k] for k in ("S", "N", "W", "E")]
     for v in modules:

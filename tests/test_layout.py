@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
+from completions import tiny_completions
 from oracles import (
     concave_corner_count,
     covered_cells,
+    enumerate_rels,
+    face_walk_rects,
+    face_walk_segments,
     geometric_adjacency,
+    is_flippable_edge,
+    is_flippable_vertex,
     no_overlaps,
     scan_nontrivial_L,
 )
@@ -30,7 +39,17 @@ from lplan.layout import (
 )
 from lplan.gen import GenSpec, generate_ptpg
 from lplan.pipeline import plan
-from lplan.rel import T1, T2
+from lplan.rel import (
+    T1,
+    T2,
+    FourCycle,
+    NotAlternating,
+    NotFlippable,
+    construct_rel,
+    flip_edge,
+    flip_vertex,
+    rotate_four_cycle,
+)
 
 PLANNABLE = (
     samples.pentagon_with_pocket,
@@ -169,6 +188,93 @@ def test_nontriviality_walk_on_the_pentagon():
     assert res.verdict.nontrivial
     assert res.verdict.walk == (1, 2, 3)
     assert res.verdict.witness == (1, 2, 3)
+
+
+def assert_segments_match_face_walks(r):
+    """The union-find's segments are the face walks', up to renumbering, and draw the same plan."""
+    sides, (ny, _), (nx, _) = layout._segment_graph(r)
+    want, wx, wy = face_walk_segments(r)
+    assert list(sides) == list(want)
+    for axis, count, faces in (((0, 1), ny, wy), ((2, 3), nx, wx)):
+        pairs = {(sides[v][i], want[v][i]) for v in sides for i in axis}
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs}) == count
+        assert faces == count + 1  # the color subgraph's outer face is on no module side
+    assert rfp_from_rel(r).rects == face_walk_rects(r)
+
+
+def test_segments_match_face_walks_on_every_tiny_labeling():
+    rels = [r for ag in tiny_completions() for r in enumerate_rels(ag)]
+    assert len(rels) == 15
+    for r in rels:
+        assert_segments_match_face_walks(r)
+
+
+@pytest.mark.parametrize("make", PLANNABLE, ids=lambda f: f.__name__)
+def test_segments_match_face_walks_on_samples(make):
+    res = plan(make())
+    assert_segments_match_face_walks(construct_rel(res.completion))  # before normalization
+    assert_segments_match_face_walks(res.rel)
+
+
+@pytest.mark.parametrize("n, seed", [(8, 0), (12, 1), (20, 2), (35, 1), (60, 2), (100, 1), (150, 2)])
+def test_segments_match_face_walks_on_generated(n, seed):
+    res = plan(generate_ptpg(GenSpec(n=n, seed=seed)))
+    assert res.ok
+    assert_segments_match_face_walks(construct_rel(res.completion))
+    assert_segments_match_face_walks(res.rel)
+
+
+def _rotate_some_four_cycle(r, rng) -> bool:
+    g, poles = r.graph, set(r.pole_ids)
+    inner = [v for v in g.vertices if v not in poles]
+    cycles = [
+        FourCycle((a, b, c, d))
+        for a in inner
+        for b in g.adj[a]
+        for c in g.adj[b]
+        for d in g.adj[c]
+        if a in g.adj[d] and len({a, b, c, d}) == 4 and poles.isdisjoint((b, c, d))
+    ]
+    rng.shuffle(cycles)
+    for cyc in cycles:
+        try:
+            rotate_four_cycle(r.clone(), cyc)
+        except (NotAlternating, NotFlippable):
+            continue
+        rotate_four_cycle(r, cyc)
+        return True
+    return False
+
+
+def test_segments_match_face_walks_under_fuzzed_moves():
+    # Flips and 4-cycle rotations as in criterion c05, each labeling checked.
+    rng = random.Random(20261019)
+    checked = Counter()
+    for seed in range(2000, 2012):
+        res = plan(generate_ptpg(GenSpec(n=8 + seed % 7, seed=seed)))
+        if not res.ok:
+            continue
+        r = construct_rel(res.completion)
+        poles = set(r.pole_ids)
+        edges = [e for e in sorted(r.color) if poles.isdisjoint(e)]
+        inner = [v for v in r.graph.vertices if v not in poles]
+        for _ in range(30):
+            move = rng.choice(("edge", "edge", "vertex", "rotation"))
+            if move == "edge":
+                flippable = [e for e in edges if is_flippable_edge(r, *e)]
+                if not flippable:
+                    continue
+                flip_edge(r, *rng.choice(flippable))
+            elif move == "vertex":
+                flippable = [v for v in inner if is_flippable_vertex(r, v)]
+                if not flippable:
+                    continue
+                flip_vertex(r, rng.choice(flippable))
+            elif not _rotate_some_four_cycle(r, rng):
+                continue
+            assert_segments_match_face_walks(r)
+            checked[move] += 1
+    assert set(checked) == {"edge", "vertex", "rotation"} and sum(checked.values()) >= 200
 
 
 def test_longest_paths_survive_a_deep_wall_chain():

@@ -13,7 +13,6 @@ from lplan.paths import (
     EmbeddingConflict,
     Infeasible,
     _pad_multisets,
-    attach_outside,
     check_path_conditions,
     completion_paths,
     four_completion,
@@ -21,7 +20,7 @@ from lplan.paths import (
     select_paths,
 )
 
-from oracles import augment_with_ne, feasible_split_multisets
+from oracles import attach_outside, augment_with_ne, feasible_split_multisets
 
 
 def _triplet(g, abc):

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import geometric_adjacency
+from oracles import attach_outside, geometric_adjacency
 
 from lplan import samples
 from lplan.boundary import find_cips
 from lplan.graph import EmbeddedGraph, edge_key
 from lplan.layout import FloorPlan, Rect, dual_graph
-from lplan.paths import attach_outside
 from lplan.pipeline import (
     InvalidInput,
     PlanOptions,

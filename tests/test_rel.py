@@ -662,6 +662,8 @@ def test_golden_labelings_of_branching_searches(key):
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_EFFORT), ids=lambda k: f"n{k[0]}-seed{k[1]}")
 def test_golden_search_effort(key, monkeypatch):
+    # _generated_completion runs plan(): on a cold cache, not under the counters
+    ag = _generated_completion(*key)
     calls = Counter()
     real = relmod._propagate
 
@@ -675,7 +677,7 @@ def test_golden_search_effort(key, monkeypatch):
 
     monkeypatch.setattr(relmod, "_propagate", counted)
     monkeypatch.setattr(relmod, "random", types.SimpleNamespace(Random=seeded))
-    r = construct_rel(_generated_completion(*key))
+    r = construct_rel(ag)
     assert _digest(r) == GOLDEN_GENERATED[key]
     assert (calls["propagate"], calls["attempt"]) == GOLDEN_EFFORT[key]
 
