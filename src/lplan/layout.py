@@ -19,9 +19,9 @@ stretches close into a single cycle through distinct points, only one
 level set has a boundary: the count is 0 outside the cycle and, as it
 cannot be negative, 1 inside, and the modules tile the region the cycle
 bounds.  rfp_from_rel requires that region to be the bounding box;
-plan_outline, profile_from_outline and plan_embedding read the cycle
-and the two-sided stretches, and verify_nontrivial_L reads the
-non-triviality walk off the stretches on the two notch walls.  No cell
+plan_outline and plan_embedding read the cycle and the two-sided
+stretches, and verify_nontrivial_L reads the non-triviality walk off
+the stretches on the two notch walls.  No cell
 grid is built, and a plan keeps its sweep (FloorPlan.walls), so these
 readers share it.  The L plan is not swept at all: remove_ne hands it
 the full plan's stretches with the NE module's side cleared, the empty
@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .graph import EmbeddedGraph, VertexId
 from .rel import T1, Rel
@@ -103,7 +103,7 @@ class NonTrivialityVerdict(NamedTuple):
 # -- segments ----------------------------------------------------------------
 
 
-def _longest_paths(n: int, edges: list[tuple[int, int]]) -> list[int]:
+def _longest_paths(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """Depth of every node 0..n-1 of a DAG below its sources, in Kahn's topological order."""
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
@@ -128,8 +128,8 @@ def _longest_paths(n: int, edges: list[tuple[int, int]]) -> list[int]:
 def _segment_graph(r: Rel) -> tuple[dict[VertexId, tuple[int, int, int, int]], tuple, tuple]:
     """Every module's bottom, top, left and right segment, and the y and x segment orders.
 
-    An order is the axis's segment count and the pairs (a, b) of segments
-    with a below or left of b.  A missing block raises ValueError.
+    An order is the axis's segment count and the set of pairs (a, b) of
+    segments with a below or left of b.  A missing block raises ValueError.
     """
     g = r.graph
     poles = r.pole_ids
@@ -200,10 +200,15 @@ def _segment_graph(r: Rel) -> tuple[dict[VertexId, tuple[int, int, int, int]], t
             _, _, lt, rt = sides[t]
             _, _, lh, rh = sides[h]
             x_edges += ((lt, rh), (lh, rt))
-    return sides, (len(ynum), y_edges), (len(xnum), x_edges)
+    # Pairs repeat along a wall; depths do not depend on their order.
+    return sides, (len(ynum), set(y_edges)), (len(xnum), set(x_edges))
 
 
 def rfp_from_rel(r: Rel) -> FloorPlan:
+    """The rectangular dual of r, which must be a valid REL, as construct_rel returns.
+
+    An invalid labeling may draw a tiling with the wrong contacts without raising.
+    """
     g = r.graph
     sides, y_order, x_order = _segment_graph(r)
     ys = _longest_paths(*y_order)
@@ -350,25 +355,6 @@ def _walls_without(walls: list[Stretch], gone: VertexId) -> list[Stretch]:
                 continue
         out.append((axis, c, a, b, low, high))
     return out
-
-
-def profile_from_outline(fp: FloorPlan) -> CornerProfile:
-    """Read the concave corner off a plan whose north-east notch is empty."""
-    W, H = fp.width, fp.height
-    corners = plan_outline(fp)
-    if corners == ((0, H), (W, H), (W, 0), (0, 0)):
-        raise NotCornerModule("plan has no notch")
-    nx = max((x for x, y in corners if y == H), default=0)
-    ny = max((y for x, y in corners if x == W), default=0)
-    if nx == 0:
-        want = ((0, ny), (W, ny), (W, 0), (0, 0))
-    elif ny == 0:
-        want = ((0, H), (nx, H), (nx, 0), (0, 0))
-    else:
-        want = ((0, H), (nx, H), (nx, ny), (W, ny), (W, 0), (0, 0))
-    if corners != want:
-        raise NotCornerModule("uncovered cells are not a north-east rectangle")
-    return CornerProfile(nx=nx, ny=ny, notch=Rect(nx, ny, W, H))
 
 
 def verify_nontrivial_L(fp: FloorPlan, profile: CornerProfile) -> NonTrivialityVerdict:

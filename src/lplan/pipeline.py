@@ -18,18 +18,17 @@ an internally triangulated disk plus an apex over its outer face is
 1933), and a plan drawn from the input's own completion keeps the
 input's orientation.
 
-rectangular_plan() is the plain rectangular variant: four boundary
-paths, no north-east module, success exactly when the graph has at
-most four corner-implying paths.
+rectangular_plan() is the plain rectangular variant: four corners
+picked by rule, no north-east module, one completion and one labeling;
+it succeeds exactly when the graph has at most four corner-implying
+paths, unless the label search hits its cap.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from typing import NamedTuple
 
-from .boundary import Cip, NecessaryReport, Triplet, boundary_arc, chords, find_cips, necessary_conditions
+from .boundary import Cip, NecessaryReport, Triplet, boundary_arc, find_cips, necessary_conditions
 from .flipping import (
     CycleNotFound,
     NormalizationFailed,
@@ -54,14 +53,11 @@ from .paths import (
     EmbeddingConflict,
     Infeasible,
     PathSet,
-    _pad_multisets,
     completion_paths,
     four_completion,
     select_paths,
 )
 from .rel import NotConstructible, Rel, construct_rel
-
-_RFP_PAD_CAP = 50000
 
 
 class InvalidInput(ValueError):
@@ -269,7 +265,7 @@ def _plan_one(
 
 
 class RectResult(NamedTuple):
-    outcome: str  # Plan | TooManyCips | Exhausted
+    outcome: str  # Plan | TooManyCips | Exhausted (the label search's cap only)
     graph: EmbeddedGraph
     cips: tuple[Cip, ...]
     plan: FloorPlan | None = None
@@ -282,30 +278,19 @@ class RectResult(NamedTuple):
         return self.outcome == "Plan"
 
 
-def _rect_paths(g: EmbeddedGraph, counts: Counter) -> list[tuple[VertexId, ...]] | None:
-    order = sorted(counts, key=lambda v: g.outer_pos[v])
-    cuts: list[VertexId] = []
-    for v in order:
-        cuts.extend([v] * counts[v])
-    paths = []
-    for i in range(4):
-        u, v = cuts[i], cuts[(i + 1) % 4]
-        paths.append((u,) if u == v else boundary_arc(g, u, v))
-    chord_list = chords(g)
-    for p in paths:
-        pv = set(p)
-        if any(x in pv and y in pv for x, y in chord_list):
-            return None
-    # The first pole attaches without a chained companion, so its path
-    # must span an edge; rotate a degenerate path out of front position.
-    shift = next((i for i in range(4) if len(paths[i]) >= 2), None)
-    if shift is None:
-        return None
-    return paths[shift:] + paths[:shift]
-
-
 def rectangular_plan(g: EmbeddedGraph) -> RectResult:
-    """Four-corner rectangular partition; no notch, no corner triplet."""
+    """Four-corner rectangular partition; no notch, no corner triplet.
+
+    The corners are the first interior vertex of each CIP, then the
+    lowest-position outer vertices not chosen, four in all; K3, the one
+    PTPG with a triangular outline, doubles its first.  CIP interiors are
+    disjoint, as chords do not cross and minimal arcs do not nest.  Each
+    side of a chord holds a CIP inside it, so no pole path holds both
+    ends of a chord, and four distinct corners make each pole path a
+    proper arc.  So the completion has no separating triangle, and it
+    has a regular edge labeling (Kozminski and Kinnen 1985; Kant and He
+    1997).  Exhausted means only that the label search hit its cap.
+    """
     _require_ptpg(g)
     cips = find_cips(g)
     if len(cips) > 4:
@@ -315,41 +300,21 @@ def rectangular_plan(g: EmbeddedGraph) -> RectResult:
             cips=cips,
             reason=f"{len(cips)} corner-implying paths, at most 4 usable corners",
         )
-    cand = [list(c.interior) for c in cips]
-    combos = list(itertools.islice(itertools.product(*cand), 512)) or [()]
-    n = len(g.outer)
-    budget = _RFP_PAD_CAP
-    last_reason = "no chord-free corner assignment found"
-    for combo in combos:
-        base = Counter(combo)
-        if any(m > 2 for m in base.values()):
-            continue
-        scan = list(g.outer)
-        need = 4 - sum(base.values())
-        for extra in _pad_multisets(scan, base, need):
-            budget -= 1
-            if budget < 0:
-                return RectResult(outcome="Exhausted", graph=g, cips=cips, reason="search budget exhausted")
-            counts = Counter(base)
-            counts.update(extra)
-            paths = _rect_paths(g, counts)
-            if paths is None:
-                continue
-            try:
-                ag = four_completion(g, tuple(paths))
-            except EmbeddingConflict as exc:
-                last_reason = str(exc)
-                continue
-            if not validate_ptpg(ag.base).verdict:
-                last_reason = "completion has separating structure"
-                continue
-            try:
-                rel = construct_rel(ag)
-                fp = rfp_from_rel(rel)
-            except (NotConstructible, ValueError) as exc:
-                last_reason = str(exc)
-                continue
-            return RectResult(
-                outcome="Plan", graph=g, cips=cips, plan=fp, completion=ag, rel=rel
-            )
-    return RectResult(outcome="Exhausted", graph=g, cips=cips, reason=last_reason)
+    corners = {c.interior[0] for c in cips}
+    corners.update([v for v in g.outer if v not in corners][: 4 - len(corners)])
+    cuts = sorted(corners, key=g.outer_pos.__getitem__)
+    cuts += cuts[: 4 - len(cuts)]
+    paths = tuple(
+        (u,) if u == v else boundary_arc(g, u, v) for u, v in zip(cuts, cuts[1:] + cuts[:1])
+    )
+    ag = four_completion(g, paths)
+    report = validate_ptpg(ag.base)
+    if not report.verdict:
+        raise ValueError(f"corners {cuts} give a completion that is not a PTPG: {report}")
+    try:
+        rel = construct_rel(ag)
+    except NotConstructible as exc:
+        return RectResult(outcome="Exhausted", graph=g, cips=cips, reason=str(exc))
+    return RectResult(
+        outcome="Plan", graph=g, cips=cips, plan=rfp_from_rel(rel), completion=ag, rel=rel
+    )

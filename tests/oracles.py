@@ -6,8 +6,10 @@ with the modules it checks beyond the plain data containers, so a bug
 would have to be made twice to slip through.  The exceptions are named
 where they occur: enumerate_rels, the flip probes and the two-step
 completion call the library's own checks or moves, ring_of shares
-the label search's filter tables, and face_walk_segments walks faces
-with the graph core's numbered-dart walk.
+the label search's filter tables, face_walk_segments walks faces
+with the graph core's numbered-dart walk, padded_rectangular_plan
+completes, labels and draws with the library, and profile_from_outline
+reads the library's outline.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import functools
 import itertools
 from collections import Counter, deque
 
-from lplan.boundary import Cip, Shortcut
+from lplan.boundary import Cip, Shortcut, boundary_arc, chords, find_cips
 from lplan.graph import (
     EmbeddedGraph,
     InconsistentEmbedding,
@@ -24,23 +26,38 @@ from lplan.graph import (
     _number_darts,
     _walk,
     edge_key,
+    validate_ptpg,
 )
-from lplan.layout import CornerProfile, FloorPlan, NonTrivialityVerdict, Rect
+from lplan.layout import (
+    CornerProfile,
+    FloorPlan,
+    NonTrivialityVerdict,
+    NotCornerModule,
+    Rect,
+    plan_outline,
+    rfp_from_rel,
+)
 from lplan.paths import (
     AugmentedGraph,
+    EmbeddingConflict,
     PathSet,
     _attach_all,
+    _pad_multisets,
     check_path_conditions,
+    four_completion,
     paths_from_splits,
 )
+from lplan.pipeline import RectResult, _require_ptpg
 from lplan.rel import (
     _BLOCK_ORDER,
     _OPENING,
     _TABLES,
+    NotConstructible,
     NotFlippable,
     Rel,
     T1,
     T2,
+    construct_rel,
     flip_edge,
     flip_vertex,
     is_valid_rel,
@@ -826,6 +843,25 @@ def no_overlaps(fp: FloorPlan) -> bool:
     return total == len(covered_cells(fp))
 
 
+def profile_from_outline(fp: FloorPlan) -> CornerProfile:
+    """Read the concave corner off a plan whose north-east notch is empty."""
+    W, H = fp.width, fp.height
+    corners = plan_outline(fp)
+    if corners == ((0, H), (W, H), (W, 0), (0, 0)):
+        raise NotCornerModule("plan has no notch")
+    nx = max((x for x, y in corners if y == H), default=0)
+    ny = max((y for x, y in corners if x == W), default=0)
+    if nx == 0:
+        want = ((0, ny), (W, ny), (W, 0), (0, 0))
+    elif ny == 0:
+        want = ((0, H), (nx, H), (nx, 0), (0, 0))
+    else:
+        want = ((0, H), (nx, H), (nx, ny), (W, ny), (W, 0), (0, 0))
+    if corners != want:
+        raise NotCornerModule("uncovered cells are not a north-east rectangle")
+    return CornerProfile(nx=nx, ny=ny, notch=Rect(nx, ny, W, H))
+
+
 def scan_nontrivial_L(fp: FloorPlan, profile: CornerProfile) -> NonTrivialityVerdict:
     """verify_nontrivial_L by whole-plan scans over the rectangles.
 
@@ -976,3 +1012,82 @@ def feasible_split_multisets(g: EmbeddedGraph, triplet, cips) -> int:
         except ValueError:
             continue
     return hits
+
+
+def _rect_paths(g: EmbeddedGraph, counts: Counter) -> list[tuple[VertexId, ...]] | None:
+    order = sorted(counts, key=lambda v: g.outer_pos[v])
+    cuts: list[VertexId] = []
+    for v in order:
+        cuts.extend([v] * counts[v])
+    paths = []
+    for i in range(4):
+        u, v = cuts[i], cuts[(i + 1) % 4]
+        paths.append((u,) if u == v else boundary_arc(g, u, v))
+    chord_list = chords(g)
+    for p in paths:
+        pv = set(p)
+        if any(x in pv and y in pv for x, y in chord_list):
+            return None
+    # The first pole attaches without a chained companion, so its path
+    # must span an edge; rotate a degenerate path out of front position.
+    shift = next((i for i in range(4) if len(paths[i]) >= 2), None)
+    if shift is None:
+        return None
+    return paths[shift:] + paths[:shift]
+
+
+def padded_rectangular_plan(g: EmbeddedGraph) -> RectResult:
+    """rectangular_plan by search: corners from CIP representatives padded every way.
+
+    Tries up to 512 combinations of one interior vertex per CIP, each
+    padded to four corner instances in every way _pad_multisets yields
+    (50000 tries in all), and keeps the first whose pole paths carry no
+    chord and whose completion validates, labels and draws.  It runs the
+    library's completion, labeling and drawing, so it checks the corner
+    choice only.  Budget or a dead end gives Exhausted.
+    """
+    _require_ptpg(g)
+    cips = find_cips(g)
+    if len(cips) > 4:
+        return RectResult(
+            outcome="TooManyCips",
+            graph=g,
+            cips=cips,
+            reason=f"{len(cips)} corner-implying paths, at most 4 usable corners",
+        )
+    cand = [list(c.interior) for c in cips]
+    combos = list(itertools.islice(itertools.product(*cand), 512)) or [()]
+    budget = 50000
+    last_reason = "no chord-free corner assignment found"
+    for combo in combos:
+        base = Counter(combo)
+        if any(m > 2 for m in base.values()):
+            continue
+        need = 4 - sum(base.values())
+        for extra in _pad_multisets(list(g.outer), base, need):
+            budget -= 1
+            if budget < 0:
+                return RectResult(outcome="Exhausted", graph=g, cips=cips, reason="search budget exhausted")
+            counts = Counter(base)
+            counts.update(extra)
+            paths = _rect_paths(g, counts)
+            if paths is None:
+                continue
+            try:
+                ag = four_completion(g, tuple(paths))
+            except EmbeddingConflict as exc:
+                last_reason = str(exc)
+                continue
+            if not validate_ptpg(ag.base).verdict:
+                last_reason = "completion has separating structure"
+                continue
+            try:
+                rel = construct_rel(ag)
+                fp = rfp_from_rel(rel)
+            except (NotConstructible, ValueError) as exc:
+                last_reason = str(exc)
+                continue
+            return RectResult(
+                outcome="Plan", graph=g, cips=cips, plan=fp, completion=ag, rel=rel
+            )
+    return RectResult(outcome="Exhausted", graph=g, cips=cips, reason=last_reason)

@@ -27,6 +27,7 @@ from oracles import (
     enumerate_rels,
     is_flippable_edge,
     is_flippable_vertex,
+    profile_from_outline,
     rel_filter_enumeration,
     stretcher_is_trivial,
 )
@@ -38,7 +39,7 @@ from lplan.flipping import normalize_labels
 from lplan.gen import GenSpec, GenerationFailed, generate_ptpg
 from lplan.graph import EmbeddedGraph
 from lplan.io import serialize_graph
-from lplan.layout import dual_graph, profile_from_outline, verify_nontrivial_L
+from lplan.layout import dual_graph, verify_nontrivial_L
 from lplan.pipeline import PlanOptions, plan, rectangular_plan
 from lplan.rel import (
     T1,

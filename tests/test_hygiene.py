@@ -1,4 +1,5 @@
-"""Import hygiene: no module imports a name it never reads, and planning loads no generator."""
+"""Import hygiene: no module imports a name it never reads, the package defines
+no top-level name that nothing reads, and planning loads no generator."""
 
 from __future__ import annotations
 
@@ -40,6 +41,45 @@ def test_the_scan_names_unread_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def unread_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Top-level names, not dunder or exported, that no source reads as a name or attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            found += [f"{module}: {t}" for t in targets if t not in read | exported and t[:2] != "__"]
+    return sorted(found)
+
+
+def test_the_scan_names_unread_definitions():
+    sources = {
+        "a.py": "X = 1\n_y: int = 2\n__all__ = []\ndef f(): return g.h\nclass C: pass\n",
+        "b.py": "from a import f\nf()\n",
+    }
+    assert unread_definitions(sources, {"C"}) == ["a.py: X", "a.py: _y"]
+
+
+def test_every_definition_is_read_or_exported():
+    # The bundled fixtures are read by tests and docs, not by the package.
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "samples.py"}
+    assert unread_definitions(sources, set(lplan.__all__)) == []
 
 
 def test_planning_does_not_load_the_generator():

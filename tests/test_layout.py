@@ -18,6 +18,7 @@ from oracles import (
     is_flippable_edge,
     is_flippable_vertex,
     no_overlaps,
+    profile_from_outline,
     scan_nontrivial_L,
 )
 
@@ -32,7 +33,6 @@ from lplan.layout import (
     corner_profile,
     dual_graph,
     plan_outline,
-    profile_from_outline,
     remove_ne,
     rfp_from_rel,
     verify_nontrivial_L,

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import attach_outside, geometric_adjacency
+from oracles import attach_outside, geometric_adjacency, padded_rectangular_plan
 
 from lplan import samples
 from lplan.boundary import find_cips
-from lplan.graph import EmbeddedGraph, edge_key
+from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
+from lplan.graph import EmbeddedGraph, edge_key, validate_ptpg
 from lplan.layout import FloorPlan, Rect, dual_graph
 from lplan.pipeline import (
     InvalidInput,
@@ -85,20 +86,25 @@ def test_pin_survives_on_a_successful_graph():
 # -- rectangular variant -------------------------------------------------------
 
 
-RECT_OK = (
-    "pentagon_with_pocket",
-    "hexagon_ring",
-    "four_cip_eleven_gon",
-    "two_fan_hexagon",
-    "chorded_hexagon",
-    "octagon_with_fan",
-    "wheel4",
-)
+def k3() -> EmbeddedGraph:
+    return EmbeddedGraph(rotation={1: (2, 3), 2: (3, 1), 3: (1, 2)}, outer=(1, 2, 3))
+
+
+RECT_OK = {
+    "pentagon_with_pocket": samples.pentagon_with_pocket,
+    "hexagon_ring": samples.hexagon_ring,
+    "four_cip_eleven_gon": samples.four_cip_eleven_gon,
+    "two_fan_hexagon": samples.two_fan_hexagon,
+    "chorded_hexagon": samples.chorded_hexagon,
+    "octagon_with_fan": samples.octagon_with_fan,
+    "wheel4": samples.wheel4,
+    "k3": k3,  # three outer vertices: one corner is doubled
+}
 
 
 @pytest.mark.parametrize("name", RECT_OK)
 def test_rectangular_plan_succeeds_with_few_cips(name):
-    g = getattr(samples, name)()
+    g = RECT_OK[name]()
     res = rectangular_plan(g)
     assert res.ok, res.reason
     assert len(res.cips) <= 4
@@ -113,6 +119,39 @@ def test_rectangular_plan_refuses_five_or_more_cips(name):
     assert res.outcome == "TooManyCips"
     assert len(res.cips) == len(find_cips(g)) > 4
     assert res.plan is None
+
+
+def _rect_sweep():
+    """The samples, c04's 200 graphs, and graphs grown to two to four CIPs.
+
+    No graph has exactly one CIP (each side of a chord holds one), so a
+    target of one is left out: it never generates.
+    """
+    yield from (getattr(samples, name)() for name in PLAN_OUTCOMES)
+    yield k3()
+    specs = [GenSpec(n=6 + i % 55, seed=1000 + i) for i in range(200)]
+    specs += [GenSpec(n, seed, k) for k in (2, 3, 4) for n in range(8, 61, 2) for seed in range(4)]
+    for spec in specs:
+        try:
+            yield generate_ptpg(spec)
+        except GenerationFailed:
+            pass
+
+
+def test_rectangular_corners_match_the_padded_search():
+    seen = 0
+    for g in _rect_sweep():
+        res, ref = rectangular_plan(g), padded_rectangular_plan(g)
+        assert res.ok == ref.ok, (g.outer, res.outcome, ref.outcome)
+        if not res.ok:
+            assert res.outcome == ref.outcome == "TooManyCips"
+            continue
+        seen += 1
+        corners = {path[0] for path in res.completion.pprime}
+        assert all(corners & set(c.interior) for c in res.cips), (g.outer, corners)
+        assert validate_ptpg(res.completion.base).verdict
+        assert geometric_adjacency(res.plan) == g.edges
+    assert seen > 500
 
 
 PLANNABLE = sorted(name for name, outcome in PLAN_OUTCOMES.items() if outcome == "Plan")
