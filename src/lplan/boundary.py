@@ -51,20 +51,12 @@ def _arc(g: EmbeddedGraph, i: int, j: int) -> tuple[VertexId, ...]:
     return g.outer[i : j + 1] if i <= j else g.outer[i:] + g.outer[: j + 1]
 
 
-def is_boundary_edge(g: EmbeddedGraph, u: VertexId, v: VertexId) -> bool:
-    n = len(g.outer)
-    i, j = g.outer_pos[u], g.outer_pos[v]
-    return (i + 1) % n == j or (j + 1) % n == i
-
-
 def chords(g: EmbeddedGraph) -> list[Edge]:
-    """Edges joining two non-consecutive outer vertices, sorted ascending."""
-    return sorted(
-        (u, v)
-        for u in g.outer
-        for v in g.rotation[u]
-        if v > u and v in g.outer_pos and not is_boundary_edge(g, u, v)
-    )
+    """Edges joining two non-consecutive outer vertices, sorted ascending.
+
+    The graph computes them once and keeps them as g.chords.
+    """
+    return list(g.chords)
 
 
 def find_shortcuts(g: EmbeddedGraph) -> tuple[Shortcut, ...]:

@@ -170,7 +170,7 @@ def _cmd_gen(args) -> int:
 
     try:
         g = generate_ptpg(GenSpec(n=args.n, seed=args.seed, cip_target=args.cip_target))
-    except (GenerationFailed, ValueError) as exc:  # ValueError: fewer than three vertices
+    except (GenerationFailed, ValueError) as exc:  # ValueError: a spec no graph meets
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write(args.out, serialize_graph(g))

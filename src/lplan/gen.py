@@ -125,10 +125,14 @@ def generate_ptpg(spec: GenSpec) -> EmbeddedGraph:
     """Deterministic random PTPG with spec.n vertices.
 
     With cip_target set, nearby derived seeds are scanned for a graph
-    with exactly that many corner implying paths.
+    with exactly that many corner implying paths.  A chord has a CIP on
+    each side, so no graph has exactly one, and a target of one or less
+    than zero raises ValueError at once.
     """
     if spec.n < 3:
         raise ValueError("need at least three vertices")
+    if spec.cip_target is not None and (spec.cip_target == 1 or spec.cip_target < 0):
+        raise ValueError(f"no graph has {spec.cip_target} corner implying paths")
     for attempt in range(_GEN_ATTEMPTS):
         g = _generate_once(spec.n, (spec.seed + 0x9E3779B1 * attempt) & 0x7FFFFFFF)
         if g is None:

@@ -221,6 +221,17 @@ class EmbeddedGraph:
         return frozenset(self.outer)
 
     @cached_property
+    def chords(self) -> tuple[Edge, ...]:
+        """Edges joining two non-consecutive outer vertices, sorted ascending."""
+        pos, k = self.outer_pos, len(self.outer)
+        return tuple(sorted(
+            (u, v)
+            for u in self.outer
+            for v in self.rotation[u]
+            if v > u and v in pos and 1 < (pos[v] - pos[u]) % k < k - 1
+        ))
+
+    @cached_property
     def outer_pos(self) -> dict[VertexId, int]:
         return {v: i for i, v in enumerate(self.outer)}
 

@@ -3,28 +3,26 @@
 The outer boundary is cut at five split instances (a multiset of outer
 vertices, multiplicity at most 2, never the middle triplet vertex b).
 P1 is the arc containing b; a repeated split vertex yields a degenerate
-single-vertex path.  Feasibility of a candidate set is decided by
-check_path_conditions; select_paths searches split sets in a fixed
-deterministic order so equal inputs give equal outputs.
+single-vertex path.  check_path_conditions lists the defects of a
+candidate set.  select_paths decides a triplet with one scan over the
+two ends of P1 that applies exactly those rules: it returns the first
+admissible set in a documented order, and its Infeasible is a
+certificate that no set exists.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from .boundary import Cip, Triplet, boundary_arc, chords, find_cips
-from .graph import EmbeddedGraph, VertexId, common_neighbors, edge_key
+from .boundary import Cip, Triplet, boundary_arc, find_cips
+from .graph import EmbeddedGraph, VertexId
 
 FOUR_CONSECUTIVE = "FourConsecutiveCommonVertex"
 SHORTCUT_P5 = "ShortcutP5Side"
 SHORTCUT_P2 = "ShortcutP2Side"
 COMMON_NEIGHBOR = "CommonNeighborAcross"
 CHORD_WITHIN = "ChordWithinPath"
-
-_COMBO_CAP = 512
-_PAD_CAP = 20000
 
 
 class PathViolation(NamedTuple):
@@ -54,17 +52,16 @@ class PathSet(NamedTuple):
 
 
 class Infeasible(Exception):
-    """No admissible path set exists for this triplet.
+    """No admissible path set exists for this triplet; a certificate.
 
-    final is True when the refusal is certified (five CIPs force the
-    splits), False when the deterministic search was merely exhausted.
+    violations holds the defects of one witness set when five CIPs fix
+    the splits (see select_paths), and is empty otherwise.
     """
 
-    def __init__(self, triplet: Triplet, violations: tuple[PathViolation, ...], final: bool):
+    def __init__(self, triplet: Triplet, violations: tuple[PathViolation, ...]):
         super().__init__(f"no path set for triplet {tuple(triplet)}")
         self.triplet = triplet
         self.violations = violations
-        self.final = final
 
 
 def paths_from_splits(
@@ -75,14 +72,12 @@ def paths_from_splits(
         raise ValueError("need exactly five split instances")
     if split_counts.get(triplet.b):
         raise ValueError("b can not be a split vertex")
-    n = len(g.outer)
-    start = (g.outer_pos[triplet.b] + 1) % n
-    inst: list[VertexId] = []
-    for k in range(n):
-        v = g.outer[(start + k) % n]
-        inst.extend([v] * split_counts.get(v, 0))
-    # Scanning clockwise from just after b yields (s2, s3, s4, s5, s1).
-    s2, s3, s4, s5, s1 = inst
+    n, pos = len(g.outer), g.outer_pos
+    if not pos.keys() >= split_counts.keys():
+        raise ValueError("split instances must be outer vertices")
+    start = pos[triplet.b] + 1
+    # Clockwise from just after b, the instances read (s2, s3, s4, s5, s1).
+    s2, s3, s4, s5, s1 = sorted(split_counts.elements(), key=lambda v: (pos[v] - start) % n)
     cuts = [s1, s2, s3, s4, s5, s1]
     segs = []
     for i in range(5):
@@ -95,25 +90,18 @@ def paths_from_splits(
 
 
 def _validate_structure(g: EmbeddedGraph, ps: PathSet) -> None:
-    walk: list[VertexId] = []
-    for i, p in enumerate(ps.paths):
+    paths = ps.paths
+    for i, p in enumerate(paths):
         if not p:
             raise ValueError(f"path {i + 1} is empty")
-        nxt = ps.paths[(i + 1) % 5]
-        if p[-1] != nxt[0]:
+        if p[-1] != paths[(i + 1) % 5][0]:
             raise ValueError("consecutive paths must share an end vertex")
-        walk.extend(p[:-1] if len(p) > 1 else p)
     # Degenerate paths contribute their lone vertex twice; strip that.
-    flat: list[VertexId] = []
-    for v in walk:
-        if not flat or flat[-1] != v:
-            flat.append(v)
-    if flat and flat[0] == flat[-1]:
-        flat.pop()
-    if sorted(flat) != sorted(g.outer):
+    walk = [v for p in paths for v in p[:-1] or p]
+    flat = [v for v, u in zip(walk, walk[-1:] + walk) if v != u]
+    if len(flat) != len(g.outer) or set(flat) != g.outer_set:
         raise ValueError("paths do not cover the outer cycle")
-    a, b, c = ps.triplet
-    if b not in ps.p1 or a not in ps.p1 or c not in ps.p1:
+    if not set(ps.triplet) <= set(ps.p1):
         raise ValueError("triplet must lie on P1")
 
 
@@ -122,254 +110,155 @@ def check_path_conditions(g: EmbeddedGraph, ps: PathSet) -> tuple[PathViolation,
     _validate_structure(g, ps)
     a, b, c = ps.triplet
     s1, s2 = ps.p1[0], ps.p1[-1]
-    out: list[PathViolation] = []
+    splits = ps.splits
+    out = [
+        PathViolation(FOUR_CONSECUTIVE, (v,)) for v in sorted(set(splits)) if splits.count(v) > 2
+    ]
 
-    counts = Counter(ps.splits)
-    for v, m in sorted(counts.items()):
-        if m >= 3:
-            out.append(PathViolation(FOUR_CONSECUTIVE, (v,)))
-
-    chord_list = chords(g)
-    for i, p in enumerate(ps.paths):
+    chord_list = g.chords
+    for i, p in enumerate(ps.paths, 1):
         pv = set(p)
-        for x, y in chord_list:
-            if x in pv and y in pv:
-                out.append(PathViolation(CHORD_WITHIN, (x, y, i + 1)))
+        out += [PathViolation(CHORD_WITHIN, (x, y, i)) for x, y in chord_list if x in pv and y in pv]
 
     # Shortcut ranges include b itself; both walls meet P1's wall at the
     # corner, so an edge landing on b is just as fatal as one landing on c.
+    # Both ranges lie on P1, so a shortcut must leave P1.
     c_side = set(boundary_arc(g, b, s2))
     a_side = set(boundary_arc(g, s1, b))
-    p5, p2 = set(ps.p5), set(ps.p2)
+    p1 = set(ps.p1)
+    p5, p2 = set(ps.p5) - p1, set(ps.p2) - p1
     for x, y in chord_list:
         for u, v in ((x, y), (y, x)):
-            if u in p5 and v in c_side and not (u in ps.p1 and v in ps.p1):
+            if u in p5 and v in c_side:
                 out.append(PathViolation(SHORTCUT_P5, (u, v)))
-            if u in p2 and v in a_side and not (u in ps.p1 and v in ps.p1):
+            if u in p2 and v in a_side:
                 out.append(PathViolation(SHORTCUT_P2, (u, v)))
 
-    a_tail = boundary_arc(g, s1, a)
-    c_tail = boundary_arc(g, c, s2)
-    for x in a_tail:
-        for y in c_tail:
-            if x == y:
-                continue
-            shared = [k for k in common_neighbors(g, x, y) if k != b]
-            if shared:
-                out.append(PathViolation(COMMON_NEIGHBOR, (x, y, shared[0])))
+    c_tail = [(y, g.adj[y] - {b}) for y in boundary_arc(g, c, s2)]
+    for x in boundary_arc(g, s1, a):
+        for y, near in c_tail:
+            if x != y and not near.isdisjoint(g.adj[x]):
+                out.append(PathViolation(COMMON_NEIGHBOR, (x, y, min(near & g.adj[x]))))
     return tuple(out)
 
 
-# -- deterministic search ---------------------------------------------------
+# -- the scan ----------------------------------------------------------------
 
 
-def _cip_candidates(cip: Cip, triplet: Triplet) -> list[VertexId]:
-    a, b, c = triplet
-    inner = [v for v in cip.interior if v != b]
-    ordered = [v for v in (a, c) if v in inner]
-    ordered += [v for v in inner if v not in ordered]
-    return ordered
+def _place(
+    s2: int, s1: int, arcs: list[tuple[int, int]], top3: int, low5: int
+) -> tuple[int, int, int] | None:
+    """The first (s3, s4, s5) by s3 up, s5 down, s4 up, or None.
 
-
-def _pad_multisets(scan: list[VertexId], counts: Counter, need: int):
-    """All ways to add `need` split instances, lexicographic in scan order.
-
-    A vertex takes at most 2 - counts[v] instances, the larger takes
-    first; the search is iterative, so long boundaries cannot exhaust
-    the interpreter stack.
+    arcs are the CIPs (x, y) lying in [s2, s1], in order; each interior
+    x < v < y needs a split.  s3 may not exceed top3, s5 not fall below
+    low5.  s3 is s2 or the first interior vertex of the first CIP: a split
+    that meets no interior is placed no better further up.
     """
-    budget = [2 - counts.get(v, 0) for v in scan]
-    takes: list[int] = []  # instances taken at scan[0], scan[1], ...
-    acc: list[VertexId] = []
-    left = need
-    while True:
-        i = len(takes)
-        if left and i < len(scan) and budget[i] >= 0:
-            t = min(budget[i], left)
-            takes.append(t)
-            acc.extend([scan[i]] * t)
-            left -= t
+    for s3, rest in [(s2, arcs)] + [(x + 1, arcs[1:]) for x, _ in arcs[:1]]:
+        if s3 > top3 or len(rest) > 2:
             continue
-        if not left:
-            yield list(acc)
-        # Backtrack to the last position that can take one instance fewer.
-        while takes and not takes[-1]:
-            takes.pop()
-        if not takes:
-            return
-        takes[-1] -= 1
-        acc.pop()
-        left += 1
-
-
-class _Defer(Exception):
-    """Internal: this CIP-representative combination is deferred."""
-
-
-def _corner_forcings(
-    g: EmbeddedGraph,
-    triplet: Triplet,
-    arcs: list[tuple[VertexId, ...]],
-) -> set[str]:
-    """Which corner split the shortcut/common-neighbor rules demand.
-
-    arcs[0] is the arc holding the triplet (endpoints alpha1, alpha2),
-    the rest follow clockwise.  Returns a subset of {"a", "c"}.
-    """
-    a, b, c = triplet
-    p1 = arcs[0]
-    alpha1, alpha2 = p1[0], p1[-1]
-    dirs: set[str] = set()
-    chord_set = set(chords(g))
-
-    if len(arcs) >= 2:
-        last_arc, second_arc = arcs[-1], arcs[1]
-        if any(edge_key(x, c) in chord_set for x in last_arc if x != c):
-            dirs.add("a")  # splitting at c would leave this shortcut on the P5 side
-        if any(edge_key(a, y) in chord_set for y in second_arc if y != a):
-            dirs.add("c")
-
-    a_range = [v for v in boundary_arc(g, alpha1, a)[:-1] if v != c]
-    c_range = [v for v in boundary_arc(g, c, alpha2)[1:] if v != a]
-    if any(k != b for x in a_range for k in common_neighbors(g, x, c)):
-        dirs.add("a")
-    if any(k != b for y in c_range for k in common_neighbors(g, a, y)):
-        dirs.add("c")
-    return dirs
-
-
-def _try_combo(
-    g: EmbeddedGraph,
-    triplet: Triplet,
-    cips: tuple[Cip, ...],
-    combo: tuple[VertexId, ...],
-    relaxed: bool,
-) -> PathSet | None:
-    """Corner decision plus padding for one CIP-representative choice.
-
-    Raises _Defer in strict mode when a forced corner split would have to
-    be degenerate or when the forcing rules conflict.
-    """
-    a, b, c = triplet
-    counts = Counter(combo)
-    n = len(g.outer)
-
-    def wrap_arc(s: VertexId) -> tuple[VertexId, ...]:
-        pos = g.outer_pos[s]
-        return tuple(g.outer[(pos + k) % n] for k in range(n)) + (s,)
-
-    if combo:
-        start = (g.outer_pos[b] + 1) % n
-        order = sorted(set(combo), key=lambda v: (g.outer_pos[v] - start) % n)
-        if len(order) == 1:
-            arcs = [wrap_arc(order[0])]
-        else:
-            cuts = [order[-1]] + order  # arc holding b first, then clockwise
-            arcs = [boundary_arc(g, cuts[i], cuts[i + 1]) for i in range(len(order))]
-    else:
-        # No CIPs: seed a split at a; the lone arc wraps the whole boundary.
-        counts[a] += 1
-        arcs = [wrap_arc(a)]
-
-    alpha1, alpha2 = arcs[0][0], arcs[0][-1]
-    dirs = _corner_forcings(g, triplet, arcs)
-
-    corner_options: list[VertexId | None]
-    if dirs == {"a", "c"}:
-        if not relaxed:
-            raise _Defer
-        corner_options = [a, c]
-    elif dirs == {"a"}:
-        if counts.get(a) and not relaxed:
-            raise _Defer
-        corner_options = [a]
-    elif dirs == {"c"}:
-        if counts.get(c) and not relaxed:
-            raise _Defer
-        corner_options = [c]
-    else:
-        if alpha1 == a or alpha2 == c:
-            corner_options = [None]  # a corner split is already present
-        else:
-            len_a = len(boundary_arc(g, a, alpha2))
-            len_c = len(boundary_arc(g, alpha1, c))
-            corner_options = [a] if len_a <= len_c else [c]
-
-    start = g.outer_pos[a]
-    scan = [g.outer[(start + k) % n] for k in range(n)]
-    scan = [v for v in scan if v != b]
-
-    for corner in corner_options:
-        cur = Counter(counts)
-        if corner is not None:
-            if cur.get(corner, 0) >= 2:
-                continue
-            cur[corner] += 1
-        need = 5 - sum(cur.values())
-        if need < 0:
+        if len(rest) == 2:  # s4 and s5 split one CIP each
+            if rest[1][1] - 1 >= low5:
+                return s3, rest[0][0] + 1, rest[1][1] - 1
             continue
-        budget = _PAD_CAP
-        for extra in _pad_multisets(scan, cur, need):
-            budget -= 1
-            if budget < 0:
-                break
-            full = Counter(cur)
-            full.update(extra)
-            if any(not (set(cip.interior) & set(full)) for cip in cips):
-                continue
-            ps = paths_from_splits(g, triplet, full)
-            if not check_path_conditions(g, ps):
-                return ps
+        # s5 = s1; a doubled s2 leaves s4 the next vertex up
+        s4 = rest[0][0] + 1 if rest else s3 + (s3 == s2)
+        if s4 < s1:
+            return s3, s4, s1
     return None
+
+
+def _witness(
+    g: EmbeddedGraph, triplet: Triplet, cips: tuple[Cip, ...]
+) -> tuple[PathViolation, ...]:
+    """The defects of one split per CIP at its first interior vertex but b, a or c first."""
+    a, b, c = triplet
+    picks = []
+    for cip in cips:
+        inner = [v for v in cip.interior if v != b]
+        if not inner:
+            return ()
+        picks.append(a if a in inner else c if c in inner else inner[0])
+    return check_path_conditions(g, paths_from_splits(g, triplet, Counter(picks)))
 
 
 def select_paths(
     g: EmbeddedGraph, triplet: Triplet, cips: tuple[Cip, ...] | None = None
 ) -> PathSet:
-    """Deterministic path-set search for one triplet.
+    """The first admissible path set for one triplet; Infeasible if none.
 
-    Raises Infeasible on failure; final=True only in the five-CIP case,
-    where the CIP interiors force the splits and any surviving violation
-    certifies that no path set for this triplet works.
+    Number the outer vertices clockwise from c = 0 to a = m - 1, leaving
+    out b; the splits sit at s2 <= s3 <= s4 <= s5 <= s1.  The rules of
+    check_path_conditions then read:
+
+    - P1 = s1 .. a b c .. s2 holds no chord, and no vertex but b
+      neighbours both of its tails.  Both rules only get worse as a tail
+      grows, so s2 scans up from c and, for each s2, s1 scans down from
+      a; each loop stops at the first failure.
+    - No vertex of (s2, s3] has a chord to the a-side tail or to b, and
+      none of [s5, s1) one to the c-side tail or to b: s3 stays below the
+      first, s5 above the last such vertex.
+    - s3, s4 and s5 split every CIP lying in [s2, s1].  Those CIPs have
+      disjoint interiors, so a pair (s2, s1) with more than three of
+      them has no path set.
+
+    The set returned is the first admissible one in the order s2
+    ascending, s1 descending, s3 ascending, s5 descending, s4 ascending.
+    So Infeasible certifies that no path set exists.  With five CIPs its
+    violations are those of the set that splits each CIP at its first
+    interior vertex other than b, a or c first; otherwise they are empty.
     """
     if cips is None:
         cips = find_cips(g)
-    k = len(cips)
-    if k > 5:
+    if len(cips) > 5:
         raise ValueError("more than five CIPs; necessary conditions fail")
-
-    cand = [_cip_candidates(cip, triplet) for cip in cips]
-    if any(not cl for cl in cand):
-        # A CIP whose interior is only b can not be covered; with an
-        # admissible triplet this does not occur (it needs chord (a, c)).
-        raise Infeasible(triplet, (), final=(k == 5))
-
-    if k == 5:
-        first_viol: tuple[PathViolation, ...] | None = None
-        for combo in itertools.islice(itertools.product(*cand), _COMBO_CAP):
-            ps = paths_from_splits(g, triplet, Counter(combo))
-            viol = check_path_conditions(g, ps)
-            if not viol:
-                return ps
-            if first_viol is None:
-                first_viol = viol
-        raise Infeasible(triplet, first_viol or (), final=True)
-
-    combos = list(itertools.islice(itertools.product(*cand), _COMBO_CAP)) or [()]
-    deferred: list[tuple[VertexId, ...]] = []
-    for combo in combos:
-        try:
-            ps = _try_combo(g, triplet, cips, combo, relaxed=False)
-        except _Defer:
-            deferred.append(combo)
-            continue
-        if ps is not None:
-            return ps
-    for combo in deferred:
-        ps = _try_combo(g, triplet, cips, combo, relaxed=True)
-        if ps is not None:
-            return ps
-    raise Infeasible(triplet, (), final=False)
+    a, b, c = triplet
+    m = len(g.outer) - 1
+    i = g.outer_pos[c]
+    ring = (g.outer[i:] + g.outer[:i])[:m]  # c = 0, ..., a = m - 1; b left out
+    pos = dict(zip(ring, range(m)))
+    spans: list[tuple[int, int]] = []  # the chords as positions x < y
+    at_b: list[int] = []  # the chord partners of b
+    for u, v in g.chords:
+        x, y = pos.get(u, -1), pos.get(v, -1)
+        if x < 0 or y < 0:
+            at_b.append(max(x, y))
+        else:
+            spans.append((x, y) if x < y else (y, x))
+    bmin, bmax = min(at_b, default=m), max(at_b, default=-1)
+    arcs = sorted((pos.get(cip.vertices[0], m), pos.get(cip.vertices[-1], m)) for cip in cips)
+    arcs = [(x, y) for x, y in arcs if x < y < m]  # the CIPs not around b
+    # No chord may lie in a tail: s2 stays below every chord's end and b's
+    # partners, s1 above every chord's start and b's partners.
+    ceiling = min([bmin, m] + [y for _, y in spans])
+    floor = max([bmax] + [x for x, _ in spans])
+    adj = g.adj
+    near: set[VertexId] = set()  # the neighbours of the c-side tail but b
+    j0 = 0
+    for s2 in range(ceiling):
+        # s1 and s5 lie above every chord from the c-side tail and b
+        low = max([s2, bmax] + [y for x, y in spans if x <= s2])
+        near.update(adj[ring[s2]])
+        near.discard(b)
+        if max(low, floor) >= m - 1 or not near.isdisjoint(adj[a]):
+            break
+        while j0 < len(arcs) and arcs[j0][0] < s2:
+            j0 += 1
+        # Below the fourth CIP's end at most three CIPs lie in [s2, s1].
+        start = m - 1 if j0 + 3 >= len(arcs) else arcs[j0 + 3][1] - 1
+        fresh = range(start, m - 1)  # tail vertices not yet checked for a shared neighbour
+        for s1 in range(start, max(low, floor), -1):
+            if any(not near.isdisjoint(adj[ring[y]]) for y in fresh):
+                break
+            fresh = (s1 - 1,)
+            # s3 lies below every chord to the a-side tail and b
+            top = min([bmin] + [x for x, y in spans if y >= s1])
+            inside = [arc for arc in arcs[j0 : j0 + 3] if arc[1] <= s1]
+            picks = _place(s2, s1, inside, top - 1, low + 1)
+            if picks is not None:
+                return paths_from_splits(g, triplet, Counter(ring[s] for s in (s2, s1) + picks))
+    raise Infeasible(triplet, _witness(g, triplet, cips) if len(cips) == 5 else ())
 
 
 # -- NE augmentation and four-completion ------------------------------------

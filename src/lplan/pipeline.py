@@ -170,9 +170,9 @@ def plan(g: EmbeddedGraph, opts: PlanOptions | None = None) -> PlanResult:
             return attempt
 
     kind = "all-triplets-infeasible"
-    if opts.triplet is not None and failures and failures[-1].final:
-        # The split positions were forced by five CIPs and still violate
-        # the feasibility conditions for the requested corner.
+    if opts.triplet is not None and report.cip_count == 5 and failures[-1].stage == "paths":
+        # Five CIPs fix the splits, and no path set exists for the
+        # requested corner.
         kind = "five-cips-fixed-triplet"
     return PlanResult(
         outcome="InfeasibleAllTriplets",
@@ -198,7 +198,7 @@ def _plan_one(
         ps = select_paths(g, triplet, report.cips)
     except Infeasible as exc:
         reason = "; ".join(str(v) for v in exc.violations) or "no admissible split set"
-        fail("paths", reason, exc.final)
+        fail("paths", reason, final=True)
         return None
 
     ne = g.vertices[-1] + 1

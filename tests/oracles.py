@@ -8,8 +8,9 @@ where they occur: enumerate_rels, the flip probes and the two-step
 completion call the library's own checks or moves, ring_of shares
 the label search's filter tables, face_walk_segments walks faces
 with the graph core's numbered-dart walk, padded_rectangular_plan
-completes, labels and draws with the library, and profile_from_outline
-reads the library's outline.
+completes, labels and draws with the library, profile_from_outline
+reads the library's outline, and path_sets cuts the boundary with the
+library's paths_from_splits.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from lplan.paths import (
     EmbeddingConflict,
     PathSet,
     _attach_all,
-    _pad_multisets,
     check_path_conditions,
     four_completion,
     paths_from_splits,
@@ -247,6 +247,13 @@ def brute_arc(g: EmbeddedGraph, u: VertexId, v: VertexId) -> tuple[VertexId, ...
         i = (i + 1) % n
         out.append(g.outer[i])
     return tuple(out)
+
+
+def is_boundary_edge(g: EmbeddedGraph, u: VertexId, v: VertexId) -> bool:
+    """Whether u and v are consecutive on the outer cycle."""
+    n = len(g.outer)
+    i, j = g.outer_pos[u], g.outer_pos[v]
+    return (i + 1) % n == j or (j + 1) % n == i
 
 
 def brute_chords(g: EmbeddedGraph) -> list[tuple[VertexId, VertexId]]:
@@ -991,27 +998,63 @@ def augment_with_ne(g: EmbeddedGraph, ps: PathSet) -> tuple[EmbeddedGraph, Verte
     return attach_outside(g, ps.p1, ne, label="NE"), ne
 
 
-def feasible_split_multisets(g: EmbeddedGraph, triplet, cips) -> int:
-    """How many 5-instance split choices pass the path conditions.
+def path_sets(g: EmbeddedGraph, triplet, cips):
+    """Every path set whose splits meet each CIP interior, in select_paths' order.
 
-    Exhausts every multiset over the boundary (b excluded, at most two
-    instances per vertex) that covers each CIP interior.  Checks the
-    library's own condition list, so this exercises the search layer,
-    not the conditions themselves.
+    Splits are numbered clockwise from c = 0 to a = m - 1, b left out,
+    and read as s2 <= s3 <= s4 <= s5 <= s1, no vertex more than twice.
+    The order is s2 ascending, s1 descending, s3 ascending, s5 descending,
+    s4 ascending.  Sorts every multiset up front.
     """
-    boundary = [v for v in g.outer if v != triplet.b]
-    hits = 0
-    for comb in set(itertools.combinations(sorted(boundary * 2), 5)):
-        counts = Counter(comb)
-        if any(not (set(c.interior) & set(counts)) for c in cips):
+    i = g.outer_pos[triplet.c]
+    ring = [v for v in g.outer[i:] + g.outer[:i] if v != triplet.b]
+    keyed = []
+    for t in itertools.combinations_with_replacement(range(len(ring)), 5):
+        splits = {ring[s] for s in t}
+        if max(map(t.count, t)) <= 2 and all(splits & set(c.interior) for c in cips):
+            keyed.append(((t[0], -t[4], t[1], -t[3], t[2]), t))
+    for _, t in sorted(keyed):
+        yield paths_from_splits(g, triplet, Counter(ring[s] for s in t))
+
+
+def feasible_split_multisets(g: EmbeddedGraph, triplet, cips) -> int:
+    """How many path sets of path_sets pass the path conditions.
+
+    Checks the library's own condition list, so this exercises the
+    search layer, not the conditions themselves.
+    """
+    return sum(not check_path_conditions(g, ps) for ps in path_sets(g, triplet, cips))
+
+
+def pad_multisets(scan: list[VertexId], counts: Counter, need: int):
+    """All ways to add `need` split instances, lexicographic in scan order.
+
+    A vertex takes at most 2 - counts[v] instances, the larger takes
+    first; the search is iterative, so long boundaries cannot exhaust
+    the interpreter stack.
+    """
+    budget = [2 - counts.get(v, 0) for v in scan]
+    takes: list[int] = []  # instances taken at scan[0], scan[1], ...
+    acc: list[VertexId] = []
+    left = need
+    while True:
+        i = len(takes)
+        if left and i < len(scan) and budget[i] >= 0:
+            t = min(budget[i], left)
+            takes.append(t)
+            acc.extend([scan[i]] * t)
+            left -= t
             continue
-        ps = paths_from_splits(g, triplet, counts)
-        try:
-            if not check_path_conditions(g, ps):
-                hits += 1
-        except ValueError:
-            continue
-    return hits
+        if not left:
+            yield list(acc)
+        # Backtrack to the last position that can take one instance fewer.
+        while takes and not takes[-1]:
+            takes.pop()
+        if not takes:
+            return
+        takes[-1] -= 1
+        acc.pop()
+        left += 1
 
 
 def _rect_paths(g: EmbeddedGraph, counts: Counter) -> list[tuple[VertexId, ...]] | None:
@@ -1040,7 +1083,7 @@ def padded_rectangular_plan(g: EmbeddedGraph) -> RectResult:
     """rectangular_plan by search: corners from CIP representatives padded every way.
 
     Tries up to 512 combinations of one interior vertex per CIP, each
-    padded to four corner instances in every way _pad_multisets yields
+    padded to four corner instances in every way pad_multisets yields
     (50000 tries in all), and keeps the first whose pole paths carry no
     chord and whose completion validates, labels and draws.  It runs the
     library's completion, labeling and drawing, so it checks the corner
@@ -1064,7 +1107,7 @@ def padded_rectangular_plan(g: EmbeddedGraph) -> RectResult:
         if any(m > 2 for m in base.values()):
             continue
         need = 4 - sum(base.values())
-        for extra in _pad_multisets(list(g.outer), base, need):
+        for extra in pad_multisets(list(g.outer), base, need):
             budget -= 1
             if budget < 0:
                 return RectResult(outcome="Exhausted", graph=g, cips=cips, reason="search budget exhausted")

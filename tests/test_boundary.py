@@ -10,12 +10,11 @@ from lplan.boundary import (
     find_cips,
     find_shortcuts,
     find_triplets,
-    is_boundary_edge,
     necessary_conditions,
 )
 from lplan.gen import GenSpec, generate_ptpg
 
-from oracles import brute_chords, brute_cips, brute_shortcuts
+from oracles import brute_chords, brute_cips, brute_shortcuts, is_boundary_edge
 
 
 @pytest.fixture

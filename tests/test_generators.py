@@ -42,6 +42,11 @@ def test_generation_failure_paths():
         generate_ptpg(GenSpec(n=6, seed=0, cip_target=9))
     with pytest.raises(ValueError):
         generate_ptpg(GenSpec(n=2, seed=0))
+    # A chord has a CIP on each side: one CIP never occurs, so such a
+    # target is refused before any attempt.
+    for target in (1, -1):
+        with pytest.raises(ValueError, match="corner implying paths"):
+            generate_ptpg(GenSpec(n=60, seed=0, cip_target=target))
 
 
 def test_flip_interior_edge_keeps_the_triangulation():

@@ -5,22 +5,28 @@ import pytest
 
 from lplan import samples
 from lplan.boundary import find_cips, find_triplets
-from lplan.gen import GenSpec, generate_ptpg
+from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import validate_ptpg
 from lplan.paths import (
     COMMON_NEIGHBOR,
     SHORTCUT_P5,
     EmbeddingConflict,
     Infeasible,
-    _pad_multisets,
     check_path_conditions,
     completion_paths,
     four_completion,
     paths_from_splits,
     select_paths,
 )
+from lplan.pipeline import PlanOptions, plan
 
-from oracles import attach_outside, augment_with_ne, feasible_split_multisets
+from oracles import (
+    attach_outside,
+    augment_with_ne,
+    feasible_split_multisets,
+    pad_multisets,
+    path_sets,
+)
 
 
 def _triplet(g, abc):
@@ -56,7 +62,7 @@ def test_select_paths_pentagon_exact():
 def test_select_paths_four_cip_exact():
     g = samples.four_cip_eleven_gon()
     ps = select_paths(g, _triplet(g, (1, 2, 3)))
-    assert ps.paths == ((1, 2, 3, 4, 5), (5, 6, 7), (7, 8, 9), (9, 10, 11), (11, 1))
+    assert ps.paths == ((1, 2, 3, 4, 5), (5, 6, 7), (7, 8, 9), (9, 10, 11, 1), (1,))
 
 
 def test_bad_split_choice_reports_shortcut():
@@ -73,9 +79,10 @@ def test_five_cip_refusal_is_final():
     g = samples.five_cip_thirteen_gon()
     with pytest.raises(Infeasible) as exc:
         select_paths(g, _triplet(g, (2, 3, 4)))
-    assert exc.value.final
     pairs = {v.witness[:2] for v in exc.value.violations}
     assert (12, 3) in pairs or (5, 3) in pairs
+    (failure,) = plan(g, PlanOptions(triplet=(2, 3, 4))).failures
+    assert failure.stage == "paths" and failure.final
 
 
 def test_search_exhaustion_matches_brute_force():
@@ -85,34 +92,22 @@ def test_search_exhaustion_matches_brute_force():
     cips = find_cips(g)
     assert len(cips) == 4
     for t in find_triplets(g):
-        with pytest.raises(Infeasible) as exc:
+        with pytest.raises(Infeasible):
             select_paths(g, t, cips)
-        assert not exc.value.final
         assert feasible_split_multisets(g, t, cips) == 0
+    assert all(f.final for f in plan(g).failures)
 
 
 def test_common_neighbor_condition_fires():
     # degenerate a-side and c-side tails that share a neighbour besides b
     g = samples.octagon_with_fan()
-    trips = find_triplets(g)
-    assert trips, "fixture should admit a triplet"
-    found = False
-    for t in trips:
-        boundary = [v for v in g.outer if v != t.b]
-        import itertools
-
-        for comb in set(itertools.combinations(sorted(boundary * 2), 5)):
-            try:
-                ps = paths_from_splits(g, t, Counter(comb))
-            except ValueError:
-                continue
-            kinds = {v.kind for v in check_path_conditions(g, ps)}
-            if COMMON_NEIGHBOR in kinds:
-                found = True
-                break
-        if found:
-            break
-    assert found
+    kinds = {
+        v.kind
+        for t in find_triplets(g)
+        for ps in path_sets(g, t, find_cips(g))
+        for v in check_path_conditions(g, ps)
+    }
+    assert COMMON_NEIGHBOR in kinds
 
 
 def test_attach_outside_rejects_non_arc():
@@ -224,7 +219,7 @@ def test_pad_multisets_order_is_descending_takes_in_scan_order():
         for takes in sorted(itertools.product(*(range(c + 1) for c in caps)), reverse=True)
         if sum(takes) == 3
     ]
-    assert list(_pad_multisets(scan, counts, 3)) == want
+    assert list(pad_multisets(scan, counts, 3)) == want
 
 
 def test_pad_multisets_survives_a_long_scan():
@@ -232,4 +227,52 @@ def test_pad_multisets_survives_a_long_scan():
     # choice sits 3000 positions deep.
     scan = list(range(3000))
     counts = Counter({v: 2 for v in scan[:-1]})
-    assert list(_pad_multisets(scan, counts, 1)) == [[2999]]
+    assert list(pad_multisets(scan, counts, 1)) == [[2999]]
+
+
+# Triplets that have a path set which a capped search over one vertex per
+# CIP plus padding missed: (n, seed, cip_target, triplet).
+MISSED = (
+    (12, 9, 4, (4, 1, 7)),
+    (12, 13, 4, (4, 1, 9)),
+    (13, 8, 4, (8, 7, 13)),
+    (13, 9, 4, (4, 1, 7)),
+    (13, 10, 4, (9, 6, 11)),
+    (14, 0, 4, (8, 5, 13)),
+    (14, 9, 4, (11, 7, 10)),
+    (14, 12, 4, (6, 4, 7)),
+)
+
+
+def _scan_inputs():
+    graphs = [make() for make in PLANNABLE] + [samples.five_cip_thirteen_gon()]
+    for n in range(6, 15):
+        for target in (None, 2, 3, 4, 5):
+            for seed in range(1, 15, 3):
+                try:
+                    graphs.append(generate_ptpg(GenSpec(n=n, seed=seed, cip_target=target)))
+                except GenerationFailed:
+                    pass
+    graphs += [generate_ptpg(GenSpec(n, seed, target)) for n, seed, target, _ in MISSED]
+    return graphs
+
+
+def test_select_paths_returns_the_oracles_first_admissible_set():
+    # select_paths finds a path set exactly when exhaustive enumeration
+    # does, and the first one in the order path_sets documents
+    found = refused = 0
+    for g in _scan_inputs():
+        cips = find_cips(g)
+        for t in find_triplets(g):
+            want = next((ps for ps in path_sets(g, t, cips) if not check_path_conditions(g, ps)), None)
+            try:
+                got = select_paths(g, t, cips)
+            except Infeasible:
+                got = None
+            assert got == want, (g.outer, tuple(t))
+            found += got is not None
+            refused += got is None
+    assert found > 300 and refused > 50
+    for n, seed, target, t in MISSED:
+        g = generate_ptpg(GenSpec(n, seed, target))
+        assert select_paths(g, _triplet(g, t), find_cips(g))

@@ -64,6 +64,31 @@ def test_pinned_triplet_with_five_cips_is_a_final_refusal():
     assert res.failures[-1].final
 
 
+def test_pinned_refusal_with_four_cips_is_not_a_five_cip_refusal():
+    g = generate_ptpg(GenSpec(n=12, seed=41))
+    assert len(find_cips(g)) == 4
+    res = plan(g, PlanOptions(triplet=(11, 1, 6)))
+    assert res.outcome == "InfeasibleAllTriplets"
+    assert res.refusal_kind == "all-triplets-infeasible"
+    assert res.failures[-1].stage == "paths" and res.failures[-1].final
+
+
+@pytest.mark.parametrize(
+    "spec, triplet",
+    [
+        (GenSpec(12, 9, cip_target=4), (4, 1, 7)),
+        (GenSpec(12, 13, cip_target=4), (4, 1, 9)),
+        (GenSpec(14, 0, cip_target=4), (8, 5, 13)),
+    ],
+    ids=lambda x: "-".join(map(str, x)),
+)
+def test_pinned_triplets_with_a_path_set_plan(spec, triplet):
+    # path sets that a search over one vertex per CIP plus padding missed
+    res = plan(generate_ptpg(spec), PlanOptions(triplet=triplet))
+    assert res.ok, res.failures
+    assert tuple(res.triplet) == triplet and not res.failures
+
+
 def test_pinned_triplet_must_be_admissible():
     with pytest.raises(InvalidInput):
         plan(samples.pentagon_with_pocket(), PlanOptions(triplet=(1, 2, 4)))

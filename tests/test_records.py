@@ -141,19 +141,19 @@ def test_refusal_failures_and_flip_trace_reprs():
     assert hash(first) == hash((first.triplet, first.stage, first.reason, first.final))
     with pytest.raises(AttributeError):
         first.final = False
-    soft = plan(generate_ptpg(GenSpec(n=14, seed=19))).failures
-    assert repr(soft) == (
+    refused = plan(generate_ptpg(GenSpec(n=14, seed=19))).failures
+    assert repr(refused) == (
         "(TripletFailure(triplet=(2, 3, 12), stage='paths', "
-        "reason='no admissible split set', final=False),)"
+        "reason='no admissible split set', final=True),)"
     )
     norm = plan(generate_ptpg(GenSpec(n=10, seed=0))).normalize
     assert repr(norm.trace[:2]) == (
-        "(FlipRecord(action='flip', detail=(8, 2)), "
-        "FlipRecord(action='rotate', detail=((8, 2, 1, 7), 'cw')))"
+        "(FlipRecord(action='flip', detail=(1, 2)), "
+        "FlipRecord(action='rotate', detail=((2, 6, 9, 1), 'cw')))"
     )
     rec = norm.trace[1]
     assert hash(rec) == hash((rec.action, rec.detail))
-    assert (norm.rotations, norm.flips, norm.passes) == (2, 3, 1)
+    assert (norm.rotations, norm.flips, norm.passes) == (1, 2, 1)
 
 
 def test_results_are_read_only():

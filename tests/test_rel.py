@@ -618,7 +618,7 @@ GOLDEN_TINY = (
 GOLDEN_SAMPLES = {
     "pentagon_with_pocket": "1fb5c7714ae1c4cb",
     "hexagon_ring": "b4aa1621ecc98af0",
-    "four_cip_eleven_gon": "ab449c798fa9038c",
+    "four_cip_eleven_gon": "ced71f90ae64921a",
     "two_fan_hexagon": "4f03f59c4888946c",
     "chorded_hexagon": "1c3f46b2f1eb853c",
     "octagon_with_fan": "dbd7d44ae59b70be",
