@@ -51,19 +51,11 @@ def _arc(g: EmbeddedGraph, i: int, j: int) -> tuple[VertexId, ...]:
     return g.outer[i : j + 1] if i <= j else g.outer[i:] + g.outer[: j + 1]
 
 
-def chords(g: EmbeddedGraph) -> list[Edge]:
-    """Edges joining two non-consecutive outer vertices, sorted ascending.
-
-    The graph computes them once and keeps them as g.chords.
-    """
-    return list(g.chords)
-
-
 def find_shortcuts(g: EmbeddedGraph) -> tuple[Shortcut, ...]:
     pos = g.outer_pos
     k = len(g.outer)
     out = []
-    for u, v in chords(g):
+    for u, v in g.chords:
         i, j = pos[u], pos[v]
         # Arc u..v has (j - i) % k + 1 vertices, arc v..u has (i - j) % k + 1.
         d_uv, d_vu = (j - i) % k, (i - j) % k
@@ -85,7 +77,7 @@ def find_cips(g: EmbeddedGraph) -> tuple[Cip, ...]:
     """
     pos = g.outer_pos
     spans = sorted(
-        ((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in chords(g)),
+        ((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in g.chords),
         key=lambda s: (s[0], -s[1]),
     )
     if not spans:

@@ -16,7 +16,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .boundary import Cip, Triplet, boundary_arc, find_cips
-from .graph import EmbeddedGraph, VertexId
+from .graph import EmbeddedGraph, VertexId, common_neighbors
 
 FOUR_CONSECUTIVE = "FourConsecutiveCommonVertex"
 SHORTCUT_P5 = "ShortcutP5Side"
@@ -72,12 +72,14 @@ def paths_from_splits(
         raise ValueError("need exactly five split instances")
     if split_counts.get(triplet.b):
         raise ValueError("b can not be a split vertex")
-    n, pos = len(g.outer), g.outer_pos
-    if not pos.keys() >= split_counts.keys():
-        raise ValueError("split instances must be outer vertices")
-    start = pos[triplet.b] + 1
-    # Clockwise from just after b, the instances read (s2, s3, s4, s5, s1).
-    s2, s3, s4, s5, s1 = sorted(split_counts.elements(), key=lambda v: (pos[v] - start) % n)
+    n = len(g.outer)
+    start = (g.outer_pos[triplet.b] + 1) % n
+    inst: list[VertexId] = []
+    for k in range(n):
+        v = g.outer[(start + k) % n]
+        inst.extend([v] * split_counts.get(v, 0))
+    # Scanning clockwise from just after b yields (s2, s3, s4, s5, s1).
+    s2, s3, s4, s5, s1 = inst
     cuts = [s1, s2, s3, s4, s5, s1]
     segs = []
     for i in range(5):
@@ -90,18 +92,25 @@ def paths_from_splits(
 
 
 def _validate_structure(g: EmbeddedGraph, ps: PathSet) -> None:
-    paths = ps.paths
-    for i, p in enumerate(paths):
+    walk: list[VertexId] = []
+    for i, p in enumerate(ps.paths):
         if not p:
             raise ValueError(f"path {i + 1} is empty")
-        if p[-1] != paths[(i + 1) % 5][0]:
+        nxt = ps.paths[(i + 1) % 5]
+        if p[-1] != nxt[0]:
             raise ValueError("consecutive paths must share an end vertex")
+        walk.extend(p[:-1] if len(p) > 1 else p)
     # Degenerate paths contribute their lone vertex twice; strip that.
-    walk = [v for p in paths for v in p[:-1] or p]
-    flat = [v for v, u in zip(walk, walk[-1:] + walk) if v != u]
-    if len(flat) != len(g.outer) or set(flat) != g.outer_set:
+    flat: list[VertexId] = []
+    for v in walk:
+        if not flat or flat[-1] != v:
+            flat.append(v)
+    if flat and flat[0] == flat[-1]:
+        flat.pop()
+    if sorted(flat) != sorted(g.outer):
         raise ValueError("paths do not cover the outer cycle")
-    if not set(ps.triplet) <= set(ps.p1):
+    a, b, c = ps.triplet
+    if b not in ps.p1 or a not in ps.p1 or c not in ps.p1:
         raise ValueError("triplet must lie on P1")
 
 
@@ -110,35 +119,41 @@ def check_path_conditions(g: EmbeddedGraph, ps: PathSet) -> tuple[PathViolation,
     _validate_structure(g, ps)
     a, b, c = ps.triplet
     s1, s2 = ps.p1[0], ps.p1[-1]
-    splits = ps.splits
-    out = [
-        PathViolation(FOUR_CONSECUTIVE, (v,)) for v in sorted(set(splits)) if splits.count(v) > 2
-    ]
+    out: list[PathViolation] = []
+
+    counts = Counter(ps.splits)
+    for v, m in sorted(counts.items()):
+        if m >= 3:
+            out.append(PathViolation(FOUR_CONSECUTIVE, (v,)))
 
     chord_list = g.chords
-    for i, p in enumerate(ps.paths, 1):
+    for i, p in enumerate(ps.paths):
         pv = set(p)
-        out += [PathViolation(CHORD_WITHIN, (x, y, i)) for x, y in chord_list if x in pv and y in pv]
+        for x, y in chord_list:
+            if x in pv and y in pv:
+                out.append(PathViolation(CHORD_WITHIN, (x, y, i + 1)))
 
     # Shortcut ranges include b itself; both walls meet P1's wall at the
     # corner, so an edge landing on b is just as fatal as one landing on c.
-    # Both ranges lie on P1, so a shortcut must leave P1.
     c_side = set(boundary_arc(g, b, s2))
     a_side = set(boundary_arc(g, s1, b))
-    p1 = set(ps.p1)
-    p5, p2 = set(ps.p5) - p1, set(ps.p2) - p1
+    p5, p2 = set(ps.p5), set(ps.p2)
     for x, y in chord_list:
         for u, v in ((x, y), (y, x)):
-            if u in p5 and v in c_side:
+            if u in p5 and v in c_side and not (u in ps.p1 and v in ps.p1):
                 out.append(PathViolation(SHORTCUT_P5, (u, v)))
-            if u in p2 and v in a_side:
+            if u in p2 and v in a_side and not (u in ps.p1 and v in ps.p1):
                 out.append(PathViolation(SHORTCUT_P2, (u, v)))
 
-    c_tail = [(y, g.adj[y] - {b}) for y in boundary_arc(g, c, s2)]
-    for x in boundary_arc(g, s1, a):
-        for y, near in c_tail:
-            if x != y and not near.isdisjoint(g.adj[x]):
-                out.append(PathViolation(COMMON_NEIGHBOR, (x, y, min(near & g.adj[x]))))
+    a_tail = boundary_arc(g, s1, a)
+    c_tail = boundary_arc(g, c, s2)
+    for x in a_tail:
+        for y in c_tail:
+            if x == y:
+                continue
+            shared = [k for k in common_neighbors(g, x, y) if k != b]
+            if shared:
+                out.append(PathViolation(COMMON_NEIGHBOR, (x, y, shared[0])))
     return tuple(out)
 
 
@@ -148,7 +163,7 @@ def check_path_conditions(g: EmbeddedGraph, ps: PathSet) -> tuple[PathViolation,
 def _place(
     s2: int, s1: int, arcs: list[tuple[int, int]], top3: int, low5: int
 ) -> tuple[int, int, int] | None:
-    """The first (s3, s4, s5) by s3 up, s5 down, s4 up, or None.
+    """The first (s3, s4, s5) by s3 up, s5 at s1 then up, s4 up, or None.
 
     arcs are the CIPs (x, y) lying in [s2, s1], in order; each interior
     x < v < y needs a split.  s3 may not exceed top3, s5 not fall below
@@ -159,8 +174,9 @@ def _place(
         if s3 > top3 or len(rest) > 2:
             continue
         if len(rest) == 2:  # s4 and s5 split one CIP each
-            if rest[1][1] - 1 >= low5:
-                return s3, rest[0][0] + 1, rest[1][1] - 1
+            s5 = max(rest[1][0] + 1, low5)
+            if s5 < rest[1][1]:
+                return s3, rest[0][0] + 1, s5
             continue
         # s5 = s1; a doubled s2 leaves s4 the next vertex up
         s4 = rest[0][0] + 1 if rest else s3 + (s3 == s2)
@@ -204,7 +220,8 @@ def select_paths(
       them has no path set.
 
     The set returned is the first admissible one in the order s2
-    ascending, s1 descending, s3 ascending, s5 descending, s4 ascending.
+    ascending, s1 descending, s3 ascending, s5 at s1 first and then
+    ascending, s4 ascending.
     So Infeasible certifies that no path set exists.  With five CIPs its
     violations are those of the set that splits each CIP at its first
     interior vertex other than b, a or c first; otherwise they are empty.

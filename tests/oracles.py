@@ -19,7 +19,7 @@ import functools
 import itertools
 from collections import Counter, deque
 
-from lplan.boundary import Cip, Shortcut, boundary_arc, chords, find_cips
+from lplan.boundary import Cip, Shortcut, boundary_arc, find_cips
 from lplan.graph import (
     EmbeddedGraph,
     InconsistentEmbedding,
@@ -1003,8 +1003,8 @@ def path_sets(g: EmbeddedGraph, triplet, cips):
 
     Splits are numbered clockwise from c = 0 to a = m - 1, b left out,
     and read as s2 <= s3 <= s4 <= s5 <= s1, no vertex more than twice.
-    The order is s2 ascending, s1 descending, s3 ascending, s5 descending,
-    s4 ascending.  Sorts every multiset up front.
+    The order is s2 ascending, s1 descending, s3 ascending, s5 at s1 first
+    and then ascending, s4 ascending.  Sorts every multiset up front.
     """
     i = g.outer_pos[triplet.c]
     ring = [v for v in g.outer[i:] + g.outer[:i] if v != triplet.b]
@@ -1012,7 +1012,7 @@ def path_sets(g: EmbeddedGraph, triplet, cips):
     for t in itertools.combinations_with_replacement(range(len(ring)), 5):
         splits = {ring[s] for s in t}
         if max(map(t.count, t)) <= 2 and all(splits & set(c.interior) for c in cips):
-            keyed.append(((t[0], -t[4], t[1], -t[3], t[2]), t))
+            keyed.append(((t[0], -t[4], t[1], t[3] != t[4], t[3], t[2]), t))
     for _, t in sorted(keyed):
         yield paths_from_splits(g, triplet, Counter(ring[s] for s in t))
 
@@ -1066,7 +1066,7 @@ def _rect_paths(g: EmbeddedGraph, counts: Counter) -> list[tuple[VertexId, ...]]
     for i in range(4):
         u, v = cuts[i], cuts[(i + 1) % 4]
         paths.append((u,) if u == v else boundary_arc(g, u, v))
-    chord_list = chords(g)
+    chord_list = g.chords
     for p in paths:
         pv = set(p)
         if any(x in pv and y in pv for x, y in chord_list):

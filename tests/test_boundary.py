@@ -6,7 +6,6 @@ import pytest
 from lplan import samples
 from lplan.boundary import (
     boundary_arc,
-    chords,
     find_cips,
     find_shortcuts,
     find_triplets,
@@ -35,7 +34,7 @@ def test_is_boundary_edge(pentagon):
 
 
 def test_pentagon_chords_and_shortcuts(pentagon):
-    assert chords(pentagon) == [(2, 4)]
+    assert list(pentagon.chords) == [(2, 4)]
     (sc,) = find_shortcuts(pentagon)
     assert sc.edge == (2, 4)
     assert sc.interior == (3,)
@@ -137,7 +136,7 @@ SAMPLES = (
 
 
 def assert_matches_oracle(g):
-    assert chords(g) == brute_chords(g)
+    assert list(g.chords) == brute_chords(g)
     assert find_shortcuts(g) == brute_shortcuts(g)
     assert find_cips(g) == brute_cips(g)
 
@@ -183,12 +182,12 @@ def outerplanar_triangulation(k: int, seed: int | None):
 def test_boundary_layer_matches_oracle_on_small_outerplanar_triangulations(k):
     for seed in (None, *range(25)):
         g = outerplanar_triangulation(k, seed)
-        assert len(chords(g)) == k - 3
+        assert len(g.chords) == k - 3
         assert_matches_oracle(g)
 
 
 @pytest.mark.parametrize("seed", (None, 0, 1, 2))
 def test_boundary_layer_matches_oracle_on_a_large_outerplanar_triangulation(seed):
     g = outerplanar_triangulation(400, seed)
-    assert len(chords(g)) == 397
+    assert len(g.chords) == 397
     assert_matches_oracle(g)

@@ -79,11 +79,16 @@ def test_pinned_refusal_with_four_cips_is_not_a_five_cip_refusal():
         (GenSpec(12, 9, cip_target=4), (4, 1, 7)),
         (GenSpec(12, 13, cip_target=4), (4, 1, 9)),
         (GenSpec(14, 0, cip_target=4), (8, 5, 13)),
+        (GenSpec(26, 8, cip_target=4), (22, 4, 19)),
+        # two path sets, s5 at 52 or 48; the flip chain of the one at 48
+        # reaches the north pole, so normalization fails on it
+        (GenSpec(52, 2, cip_target=5), (44, 51, 39)),
     ],
     ids=lambda x: "-".join(map(str, x)),
 )
 def test_pinned_triplets_with_a_path_set_plan(spec, triplet):
-    # path sets that a search over one vertex per CIP plus padding missed
+    # but the first four: path sets that a search over one vertex per CIP
+    # plus padding missed
     res = plan(generate_ptpg(spec), PlanOptions(triplet=triplet))
     assert res.ok, res.failures
     assert tuple(res.triplet) == triplet and not res.failures
