@@ -10,10 +10,11 @@ for u = rotation[v][i] names that next dart in one lookup; its keys are
 the neighbour sets (adj).  The walk runs over flat lists indexed by dart
 number, each face from its lowest unvisited dart.
 
-Every EmbeddedGraph is checked once, when it is built, and whole: a loop
-or a repeated neighbour shows in the sizes of the turn rows, and a dart
-without its reverse stops the walk with a KeyError.  Only then does the
-per-vertex loop run, to name the first defect.  The graph must be
+Every EmbeddedGraph built from rotation lists is checked once, when it
+is built, and whole: a loop or a repeated neighbour shows in the sizes
+of the turn rows, and a dart without its reverse stops the walk with a
+KeyError.  Only then does the per-vertex loop run, to name the first
+defect.  The graph must be
 connected: only then does Euler's count V - E + F = 2 (E the darts over
 two) certify a sphere.  The rest is read off the walk: the outer face,
 2-connectivity (no face walk repeats a vertex; Diestel, Graph Theory,
@@ -21,6 +22,13 @@ Prop. 4.2.6) and the separating triangles, the 3-cycles that are not
 face walks: they exist iff the 3-cycles, each u < v < w counted once as a
 common higher neighbour of an edge u < v (Chiba and Nishizeki's forward
 listing, 1985), outnumber the triangular faces.
+
+extend derives a graph with vertices attached outside a checked one, as
+the four-completion needs, and checks nothing: attach_vertex checks each
+step.  The derived graph keeps its base's dart numbers and appends its
+own darts; those and its faces are worked out when first read, walking
+only the base's outer face and the new darts.  attachments_keep_ptpg
+then counts what the attachments add instead of validating it whole.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import contains, ne
-from typing import KeysView, Mapping, NamedTuple, Sequence
+from typing import Iterable, KeysView, Mapping, NamedTuple, Sequence
 
 
 VertexId = int
@@ -87,7 +95,23 @@ def _walk(
     """The face index of every dart, and every face walk as the tails of its darts."""
     face = [-1] * len(head)
     walks: list[list[VertexId]] = []
-    for d0 in range(len(head)):
+    _walk_from(turn, tail, head, face, range(len(head)), walks)
+    return face, walks
+
+
+def _walk_from(
+    turn: Mapping[VertexId, Mapping[VertexId, int]],
+    tail: Mapping[int, VertexId] | list[VertexId],
+    head: Mapping[int, VertexId] | list[VertexId],
+    face: list[int],
+    darts: Iterable[int],
+    walks: list[list[VertexId]],
+) -> None:
+    """Walk the face of each dart in darts whose face is still -1, onto face and walks.
+
+    A walk lists the tails of its darts; faces are numbered on from len(walks).
+    """
+    for d0 in darts:
         if face[d0] >= 0:
             continue
         fi = len(walks)
@@ -101,7 +125,6 @@ def _walk(
         if d != d0:
             raise InconsistentEmbedding("face walk did not close")
         walks.append(walk)
-    return face, walks
 
 
 def _is_connected(rotation: Mapping[VertexId, Sequence[VertexId]]) -> bool:
@@ -188,7 +211,88 @@ class EmbeddedGraph:
         if not cyclic_eq(walks[self.outer_face_index], self.outer):
             raise InconsistentEmbedding("outer cycle does not bound exactly one face")
 
+    def extend(
+        self,
+        rows: Mapping[VertexId, Sequence[VertexId]],
+        outer: Sequence[VertexId],
+        labels: Mapping[VertexId, str],
+    ) -> EmbeddedGraph:
+        """This graph with vertices attached outside it, derived from its checked structure.
+
+        rows holds the rotation of each new vertex, in the order attached,
+        and the new rotation of each old vertex it meets; outer is the new
+        outer cycle.  Each step must be one attach_vertex checked, so the
+        result is not checked again.  Its darts are numbered and walked on
+        first use (_derive): the label search reads only the rotation.
+        """
+        g = object.__new__(EmbeddedGraph)
+        vars(g).update(
+            rotation={**self.rotation, **{v: tuple(nbrs) for v, nbrs in rows.items()}},
+            outer=tuple(outer),
+            labels=dict(labels),
+            _base=(self, tuple(rows)),
+        )
+        return g
+
+    def _derive(self) -> None:
+        """The darts and faces of a graph that extend made, from its base graph's.
+
+        Old darts keep their numbers and each new vertex appends its darts.
+        Only the old outer face's darts and the new ones are walked: no
+        other face gains a dart.
+        """
+        base, changed = self._base
+        old, o, d = base._turn, base.outer, len(base._face)
+        rows = {v: self.rotation[v] for v in changed}
+        out: dict[VertexId, dict[VertexId, int]] = {v: {} for v in rows}  # new darts by tail, head
+        tail: dict[int, VertexId] = {}
+        head: dict[int, VertexId] = {}
+        for x in rows:
+            if x not in old:
+                for a in rows[x]:
+                    if a not in out[x]:
+                        out[x][a], out[a][x] = d, d + 1
+                        tail[d], head[d], tail[d + 1], head[d + 1] = x, a, a, x
+                        d += 2
+        turn = dict(old)
+        for v, nbrs in rows.items():
+            to = out[v]
+            if v in old:  # old[v] maps each neighbour to the dart to the next one
+                was = base.rotation[v]
+                to.update(zip(was[1:] + was[:1], old[v].values()))
+            turn[v] = dict(zip(nbrs, map(to.__getitem__, nbrs[1:] + nbrs[:1])))
+        face = base._face + [-1] * (d - len(base._face))
+        for t, u, v in zip(o[-1:] + o[:-1], o, o[1:] + o[:1]):
+            e = old[u][t]  # the old outer face's dart u -> v
+            tail[e], head[e], face[e] = u, v, -1
+        walks = list(base._walks)
+        _walk_from(turn, tail, head, face, tail, walks)
+        k, moved = base.outer_face_index, len(walks) - 1
+        walks[k] = walks.pop()  # the old outer face's slot takes the last new face
+        for e in tail:
+            if face[e] == moved:
+                face[e] = k
+        vars(self).update(_turn=turn, _face=face, _walks=walks)
+
     # -- derived structure ------------------------------------------------
+
+    # _check sets these three on a checked build, in its own dict, so the
+    # properties run only for a graph from extend, when first read.
+
+    @cached_property
+    def _turn(self) -> dict[VertexId, dict[VertexId, int]]:
+        self._derive()
+        return vars(self)["_turn"]
+
+    @cached_property
+    def _face(self) -> list[int]:
+        self._derive()
+        return vars(self)["_face"]
+
+    @cached_property
+    def _walks(self) -> list[list[VertexId]]:
+        self._derive()
+        return vars(self)["_walks"]
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
@@ -196,7 +300,10 @@ class EmbeddedGraph:
 
     @cached_property
     def adj(self) -> dict[VertexId, KeysView[VertexId]]:
-        return {v: t.keys() for v, t in self._turn.items()}
+        if "_turn" in vars(self):
+            return {v: t.keys() for v, t in self._turn.items()}
+        base, changed = self._base  # from extend and not derived: its base's rows but changed ones
+        return {**base.adj, **{v: dict.fromkeys(self.rotation[v]).keys() for v in changed}}
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -313,3 +420,23 @@ def validate_ptpg(g: EmbeddedGraph) -> PtpgReport:
         nontriangular_interior_faces=tuple(rotate_min(walks[i]) for i in long if i != k),
         separating_triangles=_separating_triangles(g, len(lens) - len(long)),
     )
+
+
+def attachments_keep_ptpg(g: EmbeddedGraph, ext: EmbeddedGraph) -> bool:
+    """Whether ext, the PTPG g with vertices attached outside it, is a PTPG too, by count.
+
+    Each new vertex x has an id above g's and above every vertex attached
+    before it, so its lower neighbours are its arc, k vertices.  It adds
+    k - 1 triangular faces of distinct vertices, which keeps 2-connectivity
+    and triangular inner faces, and one 3-cycle with newest vertex x per
+    edge among its arc.  If those edges number k - 1 for every x, and g's
+    outline, a face that is lost, is no triangle, the 3-cycles do not
+    outnumber the triangular faces.  False means only that validate_ptpg(ext)
+    must decide.
+    """
+    rot = ext.rotation
+    for x in ext.vertices[len(g.vertices):]:
+        arc = {u for u in rot[x] if u < x}
+        if sum([len(arc.intersection(rot[u])) for u in arc]) != 2 * len(arc) - 2:
+            return False
+    return len(g.outer) > 3

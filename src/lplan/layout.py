@@ -159,7 +159,7 @@ def _segment_graph(r: Rel) -> tuple[dict[VertexId, tuple[int, int, int, int]], t
         root[x] = root[p]
 
     # A module lacks a block only where its side does not lie on a pole.
-    adj = g.adj
+    rot = g.rotation
     pn, pe, ps, pw = poles
     blocks = (
         (ps, "T2out", {t for t, _ in across}),
@@ -167,10 +167,10 @@ def _segment_graph(r: Rel) -> tuple[dict[VertexId, tuple[int, int, int, int]], t
         (pw, "T1in", {h for _, h in up}),
         (pe, "T1out", {t for t, _ in up}),
     )
-    if any(set(modules).difference(have, adj[p]) for p, _, have in blocks):
+    if any(set(modules).difference(have, rot[p]) for p, _, have in blocks):
         for v in modules:
             for p, name, have in blocks:
-                if v not in have and p not in adj[v]:
+                if v not in have and p not in rot[v]:
                     raise ValueError(f"vertex {v} has no {name} edge")
 
     # Segments are numbered per axis, y before x, in the order modules meet them.

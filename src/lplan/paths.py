@@ -12,8 +12,8 @@ certificate that no set exists.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from collections import ChainMap, Counter
+from typing import MutableMapping, NamedTuple, Sequence
 
 from .boundary import Cip, Triplet, boundary_arc, find_cips
 from .graph import EmbeddedGraph, VertexId, common_neighbors
@@ -297,7 +297,7 @@ class AugmentedGraph(NamedTuple):
 
 
 def attach_vertex(
-    rot: dict[VertexId, list[VertexId]],
+    rot: MutableMapping[VertexId, Sequence[VertexId]],
     outer: list[VertexId],
     arc: tuple[VertexId, ...],
     new_id: VertexId,
@@ -306,7 +306,8 @@ def attach_vertex(
 
     The arc must be consecutive on the cycle, span an edge and repeat no
     vertex; then the step keeps a valid embedding, so a caller that
-    attaches many vertices checks them all with one build at the end.
+    attaches many vertices needs no check of its own.  Only the rows of
+    new_id and the arc are written, each as a new list.
     """
     if new_id in rot:
         raise EmbeddingConflict(f"vertex id {new_id} already used")
@@ -317,24 +318,11 @@ def attach_vertex(
         raise EmbeddingConflict("attachment arc needs two or more distinct vertices")
     rot[new_id] = list(reversed(arc))
     for v in arc:
-        rot[v].insert(rot[v].index(outer[pos[v] - 1]) + 1, new_id)
+        nbrs = rot[v]
+        i = nbrs.index(outer[pos[v] - 1]) + 1
+        rot[v] = [*nbrs[:i], new_id, *nbrs[i:]]
     rest = outer[pos[arc[-1]]:] + outer[:pos[arc[-1]]]
     return [new_id] + rest[: rest.index(arc[0]) + 1]
-
-
-def _attach_all(
-    g: EmbeddedGraph, attachments: list[tuple[tuple[VertexId, ...], VertexId, str | None]]
-) -> EmbeddedGraph:
-    """g with a vertex added outside per (clockwise outer arc, id, label), built once."""
-    rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
-    outer, labels = list(g.outer), dict(g.labels)
-    for arc, new_id, label in attachments:
-        outer = attach_vertex(rot, outer, arc, new_id)
-        if label is not None:
-            labels[new_id] = label
-    return EmbeddedGraph(
-        rotation={v: tuple(ns) for v, ns in rot.items()}, outer=tuple(outer), labels=labels
-    )
 
 
 def completion_paths(ps: PathSet, ne: VertexId) -> tuple[tuple[VertexId, ...], ...]:
@@ -350,7 +338,8 @@ def four_completion(
     """Attach the four poles around paths Q1..Q4 covering the boundary.
 
     With ne_arc, g does not hold the north-east helper yet: ne is attached
-    over that arc first, in the same build.
+    over that arc first.  The result extends g's checked structure
+    (EmbeddedGraph.extend); only the rows of the arcs are copied.
     """
     if len(qpaths) != 4:
         raise EmbeddingConflict("four-completion needs exactly four paths")
@@ -361,10 +350,16 @@ def four_completion(
     base = (g.vertices[-1] if ne_arc is None else max(g.vertices[-1], ne)) + 1
     ids = {"N": base, "E": base + 1, "S": base + 2, "W": base + 3}
     q1, q2, q3, q4 = qpaths
-    g = _attach_all(g, first + [
+    rows: dict[VertexId, Sequence[VertexId]] = {}
+    rot, outer, labels = ChainMap(rows, g.rotation), list(g.outer), dict(g.labels)
+    for arc, new_id, label in first + [
         (q1, ids["N"], "N"),
         ((ids["N"],) + q2, ids["E"], "E"),
         ((ids["E"],) + q3, ids["S"], "S"),
         ((ids["S"],) + q4 + (ids["N"],), ids["W"], "W"),
-    ])
-    return AugmentedGraph(base=g, ne=ne, poles=ids, pprime=tuple(qpaths))
+    ]:
+        outer = attach_vertex(rot, outer, arc, new_id)
+        labels[new_id] = label
+    return AugmentedGraph(
+        base=g.extend(rows, outer, labels), ne=ne, poles=ids, pprime=tuple(qpaths)
+    )

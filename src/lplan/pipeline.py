@@ -2,7 +2,8 @@
 
 plan() walks the admissible corner triplets clockwise from the lowest
 numbered boundary vertex and runs, per triplet: path selection, the
-four-completion with the north-east module (one checked build),
+four-completion with the north-east module (derived from the input's
+checked embedding, and checked only for what the attachments add),
 labeling, corner label normalization, rectangle extraction, notch
 removal, the non-triviality walk, and verification.  The first triplet
 that survives every stage wins; per-triplet failures are kept for the
@@ -36,7 +37,14 @@ from .flipping import (
     OracleViolation,
     normalize_labels,
 )
-from .graph import EmbeddedGraph, VertexId, cyclic_eq, edge_key, validate_ptpg
+from .graph import (
+    EmbeddedGraph,
+    VertexId,
+    attachments_keep_ptpg,
+    cyclic_eq,
+    edge_key,
+    validate_ptpg,
+)
 from .layout import (
     CornerProfile,
     FloorPlan,
@@ -207,10 +215,11 @@ def _plan_one(
     except (EmbeddingConflict, ValueError) as exc:
         fail("completion", str(exc))
         return None
-    comp_report = validate_ptpg(ag.base)
-    if not comp_report.verdict:
-        fail("completion", f"completed graph is not properly triangulated: {comp_report}")
-        return None
+    if not attachments_keep_ptpg(g, ag.base):
+        comp_report = validate_ptpg(ag.base)
+        if not comp_report.verdict:
+            fail("completion", f"completed graph is not properly triangulated: {comp_report}")
+            return None
 
     try:
         rel = construct_rel(ag)  # checks its labeling as is_valid_rel does
@@ -308,9 +317,10 @@ def rectangular_plan(g: EmbeddedGraph) -> RectResult:
         (u,) if u == v else boundary_arc(g, u, v) for u, v in zip(cuts, cuts[1:] + cuts[:1])
     )
     ag = four_completion(g, paths)
-    report = validate_ptpg(ag.base)
-    if not report.verdict:
-        raise ValueError(f"corners {cuts} give a completion that is not a PTPG: {report}")
+    if not attachments_keep_ptpg(g, ag.base):
+        report = validate_ptpg(ag.base)
+        if not report.verdict:
+            raise ValueError(f"corners {cuts} give a completion that is not a PTPG: {report}")
     try:
         rel = construct_rel(ag)
     except NotConstructible as exc:

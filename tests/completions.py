@@ -21,9 +21,9 @@ def quad_with_chord() -> EmbeddedGraph:
     )
 
 
-def tiny_completions() -> list[AugmentedGraph]:
-    """At least ten completions, none with more than six interior edges."""
-    out: list[AugmentedGraph] = []
+def tiny_inputs() -> list[tuple[EmbeddedGraph, tuple[tuple[int, ...], ...]]]:
+    """(graph, pole paths Q1..Q4) for each tiny completion."""
+    out = []
     tri = triangle()
     for qpaths in (
         ((1, 2), (2, 3), (3, 1), (1,)),
@@ -32,7 +32,7 @@ def tiny_completions() -> list[AugmentedGraph]:
         ((2, 3), (3, 1), (1, 2), (2,)),
         ((2, 3), (3,), (3, 1), (1, 2)),
     ):
-        out.append(four_completion(tri, qpaths))
+        out.append((tri, qpaths))
     # Paths that cover 1,2,3 or 3,4,1 in one sweep would close a separating
     # triangle with the chord, so the quad variants stay clear of those arcs.
     quad = quad_with_chord()
@@ -45,5 +45,10 @@ def tiny_completions() -> list[AugmentedGraph]:
         ((4, 1), (1, 2), (2, 3, 4), (4,)),
         ((2, 3, 4), (4, 1), (1, 2), (2,)),
     ):
-        out.append(four_completion(quad, qpaths))
+        out.append((quad, qpaths))
     return out
+
+
+def tiny_completions() -> list[AugmentedGraph]:
+    """At least ten completions, none with more than six interior edges."""
+    return [four_completion(g, qpaths) for g, qpaths in tiny_inputs()]

@@ -4,8 +4,9 @@ Everything here is deliberately naive: exhaustive search, set algebra,
 geometry read straight off the rectangles.  Nothing below shares logic
 with the modules it checks beyond the plain data containers, so a bug
 would have to be made twice to slip through.  The exceptions are named
-where they occur: enumerate_rels, the flip probes and the two-step
-completion call the library's own checks or moves, ring_of shares
+where they occur: enumerate_rels, the flip probes, the two-step
+completion and fresh_completion call the library's own checks, moves or
+attach_vertex, ring_of shares
 the label search's filter tables, face_walk_segments walks faces
 with the graph core's numbered-dart walk, padded_rectangular_plan
 completes, labels and draws with the library, profile_from_outline
@@ -42,7 +43,7 @@ from lplan.paths import (
     AugmentedGraph,
     EmbeddingConflict,
     PathSet,
-    _attach_all,
+    attach_vertex,
     check_path_conditions,
     four_completion,
     paths_from_splits,
@@ -620,6 +621,23 @@ def ring_fixpoint(ag: AugmentedGraph, pins: dict | None = None) -> dict | None:
     return dom
 
 
+def alternating_four_cycles(r: Rel):
+    """Every 4-cycle of r's graph whose four edges are labeled in alternating colors, once."""
+    g = r.graph
+    seen = set()
+    for a in g.vertices:
+        for b, d in itertools.permutations(g.adj[a], 2):
+            for c in g.adj[b] & g.adj[d] - {a}:
+                w = (a, b, c, d)
+                ring = [edge_key(w[i], w[(i + 1) % 4]) for i in range(4)]
+                if frozenset(ring) in seen or any(e not in r.color for e in ring):
+                    continue
+                seen.add(frozenset(ring))
+                labs = [r.color[e] for e in ring]
+                if labs[0] == labs[2] != labs[1] == labs[3]:
+                    yield w
+
+
 def rotate_by_trial(r: Rel, w: tuple[VertexId, ...]) -> str | None:
     """rotate_four_cycle on an alternating 4-cycle, checked on the whole labeling.
 
@@ -629,7 +647,7 @@ def rotate_by_trial(r: Rel, w: tuple[VertexId, ...]) -> str | None:
     """
     inside = brute_faces_inside_cycle(r.graph, w)
     ring = {(min(a, b), max(a, b)) for a, b in zip(w, w[1:] + w[:1])}
-    face = dart_faces(r.graph._walks)
+    face = brute_walk_darts(r.graph.rotation)[1]  # numbered as brute_faces_inside_cycle numbers
     target = [
         e for e in r.color if e not in ring and face[e] in inside and face[e[::-1]] in inside
     ]
@@ -980,11 +998,46 @@ def stretcher_is_trivial(fp: FloorPlan) -> bool:
 # -- path sets and completions --------------------------------------------------
 
 
+def attach_all(
+    g: EmbeddedGraph, attachments: list[tuple[tuple[VertexId, ...], VertexId, str | None]]
+) -> EmbeddedGraph:
+    """g with a vertex added outside per (clockwise outer arc, id, label), built once, checked."""
+    rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
+    outer, labels = list(g.outer), dict(g.labels)
+    for arc, new_id, label in attachments:
+        outer = attach_vertex(rot, outer, arc, new_id)
+        if label is not None:
+            labels[new_id] = label
+    return EmbeddedGraph(
+        rotation={v: tuple(ns) for v, ns in rot.items()}, outer=tuple(outer), labels=labels
+    )
+
+
+def fresh_completion(
+    g: EmbeddedGraph,
+    qpaths: tuple[tuple[VertexId, ...], ...],
+    ne: VertexId | None = None,
+    ne_arc: tuple[VertexId, ...] | None = None,
+) -> AugmentedGraph:
+    """four_completion by one fresh, checked build of all attachments: the reference."""
+    first = [] if ne_arc is None else [(ne_arc, ne, "NE")]
+    base = (g.vertices[-1] if ne_arc is None else max(g.vertices[-1], ne)) + 1
+    ids = {"N": base, "E": base + 1, "S": base + 2, "W": base + 3}
+    q1, q2, q3, q4 = qpaths
+    g = attach_all(g, first + [
+        (q1, ids["N"], "N"),
+        ((ids["N"],) + q2, ids["E"], "E"),
+        ((ids["E"],) + q3, ids["S"], "S"),
+        ((ids["S"],) + q4 + (ids["N"],), ids["W"], "W"),
+    ])
+    return AugmentedGraph(base=g, ne=ne, poles=ids, pprime=tuple(qpaths))
+
+
 def attach_outside(
     g: EmbeddedGraph, arc: tuple[VertexId, ...], new_id: VertexId, label: str | None = None
 ) -> EmbeddedGraph:
     """Add a vertex outside the boundary, adjacent to a clockwise outer arc."""
-    return _attach_all(g, [(arc, new_id, label)])
+    return attach_all(g, [(arc, new_id, label)])
 
 
 def augment_with_ne(g: EmbeddedGraph, ps: PathSet) -> tuple[EmbeddedGraph, VertexId]:

@@ -187,7 +187,7 @@ def test_rectangular_corners_match_the_padded_search():
 PLANNABLE = sorted(name for name, outcome in PLAN_OUTCOMES.items() if outcome == "Plan")
 
 
-def test_plan_builds_the_completion_once(monkeypatch):
+def test_plan_builds_no_graph(monkeypatch):
     graphs = {name: getattr(samples, name)() for name in PLANNABLE}
     built: list[EmbeddedGraph] = []
     check = EmbeddedGraph.__post_init__
@@ -201,10 +201,11 @@ def test_plan_builds_the_completion_once(monkeypatch):
         built.clear()
         res = plan(g)
         assert res.ok, name
-        # only the completion: the north-east module and the four poles in
-        # one build; the plan is verified against g without a graph of its own
-        assert [len(h.vertices) - len(g.vertices) for h in built] == [5], name
-        assert built[0] is res.completion.base, name
+        # the completion, the north-east module and the four poles, extends
+        # g's checked structure; the plan is verified against g without a
+        # graph of its own
+        assert built == [], name
+        assert len(res.completion.base.vertices) - len(g.vertices) == 5, name
 
 
 # -- verification against the input's embedding ------------------------------

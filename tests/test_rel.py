@@ -14,6 +14,7 @@ import pytest
 
 from completions import tiny_completions
 from oracles import (
+    alternating_four_cycles,
     brute_rel_validity,
     brute_ring_defect,
     CapExceeded,
@@ -439,24 +440,6 @@ def test_rotate_four_cycle_round_trip():
     pytest.skip("no rotatable interior 4-cycle in the sample labelings")
 
 
-def _alternating_four_cycles(r):
-    """Every 4-cycle of r's graph whose four edges are labeled in alternating colors, once."""
-    g = r.graph
-    seen = set()
-    for a in g.vertices:
-        for b, c, d in itertools.product(g.adj[a], repeat=3):
-            w = (a, b, c, d)
-            if len(set(w)) < 4 or c not in g.adj[b] or d not in g.adj[c]:
-                continue
-            ring = [edge_key(w[i], w[(i + 1) % 4]) for i in range(4)]
-            if frozenset(ring) in seen or any(e not in r.color for e in ring):
-                continue
-            seen.add(frozenset(ring))
-            labs = [r.color[e] for e in ring]
-            if labs[0] == labs[2] != labs[1] == labs[3]:
-                yield w
-
-
 def test_rotation_checks_agree_with_whole_labeling_checks():
     # rotate_four_cycle checks only the rings it changes; the oracle checks
     # the whole labeling after each sense.  Mode, NotFlippable and the
@@ -465,7 +448,7 @@ def test_rotation_checks_agree_with_whole_labeling_checks():
     rels += [construct_rel(_generated_completion(*key)) for key in sorted(GOLDEN_GENERATED)]
     seen = Counter()
     for r in rels:
-        for w in _alternating_four_cycles(r):
+        for w in alternating_four_cycles(r):
             probe, want = r.clone(), r.clone()
             try:
                 got = rotate_four_cycle(probe, FourCycle(w))
