@@ -274,6 +274,11 @@ class EmbeddedGraph:
                 face[e] = k
         vars(self).update(_turn=turn, _face=face, _walks=walks)
 
+    def __getstate__(self) -> dict:
+        # adj holds key views, which pickle and deepcopy cannot copy; it is
+        # read off the rest again on first use.
+        return {k: v for k, v in vars(self).items() if k != "adj"}
+
     # -- derived structure ------------------------------------------------
 
     # _check sets these three on a checked build, in its own dict, so the

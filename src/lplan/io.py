@@ -6,9 +6,12 @@ outer cycle; a plan document holds the module rectangles plus the
 outline and corner data needed to redraw the plan without the solver.
 Both are written byte for byte as json.dumps(doc, indent=2,
 sort_keys=True) writes them, by a writer of their own (_dump): with an
-indent, json.dumps runs its pure-Python encoder.  Each part of a graph
-document is checked whole, by exact types and set operations; only a
-part that fails is read again item by item, to name its first defect.
+indent, json.dumps runs its pure-Python encoder.  A list of records,
+such as the modules or the outline points, is written through one
+%-template built from its first member and filled per member
+(_records).  Each part of a graph document is checked whole, by exact
+types and set operations; only a part that fails is read again item by
+item, to name its first defect.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ def _dump(x: object, out: list[str], nl: str) -> None:
     With an indent set, json.dumps runs its pure-Python encoder; this
     writer dispatches on exact types instead.  Strings go through the
     encoder's own quoting function and ints through int.__repr__, as
-    json does.  Anything else, and a dict with a key that is not a
+    json does.  A list of records is written through one template
+    (_records).  Anything else, and a dict with a key that is not a
     string, is left to json.dumps, indented to fit.
     """
     t = type(x)
@@ -49,7 +53,12 @@ def _dump(x: object, out: list[str], nl: str) -> None:
     elif t is int:
         out.append(int.__repr__(x))
     elif t is list and x:
-        _items(x, None, out, "[", nl)
+        inner = nl + "  "
+        rows = _records(x, inner)
+        if rows is None:
+            _items(x, None, out, "[", nl)
+        else:
+            out.append("[" + inner + ("," + inner).join(rows))
         out.append(nl + "]")
     elif t is dict and x and {str}.issuperset(map(type, x)):
         keys = sorted(x)
@@ -57,6 +66,46 @@ def _dump(x: object, out: list[str], nl: str) -> None:
         out.append(nl + "}")
     else:
         out.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", nl))
+
+
+def _records(x: list, nl: str) -> list[str] | None:
+    """The members of x written one per string, if x is a list of records, else None.
+
+    Records are dicts with the same string keys, or lists of one length,
+    whose values at each key or index are all ints or all strings, each of
+    its exact type.  One %-template, built from the first member, writes
+    them all: %d for ints, as int.__repr__ writes them, and %s for strings
+    quoted first.  Every member is checked before any is written.
+    """
+    first = x[0]
+    t = type(first)
+    if t is not dict and t is not list or not first or not {t}.issuperset(map(type, x)):
+        return None
+    if t is list:
+        if {len(first)} != set(map(len, x)):
+            return None
+        keys, heads = range(len(first)), [""] * len(first)
+    else:
+        if not {str}.issuperset(map(type, first)) or not all(map(first.keys().__eq__, map(dict.keys, x))):
+            return None
+        keys = sorted(first)
+        heads = [_quote(k).replace("%", "%%") + ": " for k in keys]
+    columns, fields = [], []
+    for k, head in zip(keys, heads):
+        column = list(map(itemgetter(k), x))
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            fields.append(head + "%d")
+        elif kinds == {str}:
+            fields.append(head + "%s")
+            column = list(map(_quote, column))
+        else:
+            return None
+        columns.append(column)
+    inner = nl + "  "
+    brackets = "[]" if t is list else "{}"
+    template = brackets[0] + inner + ("," + inner).join(fields) + nl + brackets[1]
+    return list(map(template.__mod__, zip(*columns)))
 
 
 def _items(values: list, keys: list[str] | None, out: list[str], opening: str, nl: str) -> None:

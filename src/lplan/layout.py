@@ -10,25 +10,29 @@ of v, a T2 edge the right of u with the left of v, and the poles S, N,
 W and E hold the floor, ceiling, west and east walls.
 
 All geometry of a drawn plan comes from one sweep over its wall lines,
-which yields every elementary wall stretch with the module on each side
-of it (_stretches).  The number of modules covering a point changes
-only across a stretch with a module on one side, and by one, and the
-boundary of each level set of that count closes into cycles of its own.
-So when no stretch has two modules on one side and all one-sided
-stretches close into a single cycle through distinct points, only one
-level set has a boundary: the count is 0 outside the cycle and, as it
-cannot be negative, 1 inside, and the modules tile the region the cycle
-bounds.  rfp_from_rel requires that region to be the bounding box;
-plan_outline and plan_embedding read the cycle and the two-sided
-stretches, and verify_nontrivial_L reads the non-triviality walk off
-the stretches on the two notch walls.  No cell
-grid is built, and a plan keeps its sweep (FloorPlan.walls), so these
-readers share it.  The L plan is not swept at all: remove_ne hands it
-the full plan's stretches with the NE module's side cleared, the empty
-ones dropped and the ones it alone split merged again (_walls_without),
-so a successful plan is swept once.  plan_embedding gives the dual's
-rotations and outer cycle as plain data, which plan() compares with
-the input; dual_graph builds them into a checked graph.
+which yields every elementary wall stretch with the module on each
+side of it (_stretches): the module sides' ends are sorted once per
+axis, line by line and along each line, and read off in that order.
+The number of modules covering a point changes only across a stretch
+with a module on one side, and by one, and the boundary of each level
+set of that count closes into cycles of its own.  So when no stretch
+has two modules on one side and all one-sided stretches close into a
+single cycle through distinct points, only one level set has a
+boundary: the count is 0 outside the cycle and, as it cannot be
+negative, 1 inside, and the modules tile the region the cycle bounds.
+rfp_from_rel requires that region to be the bounding box; plan_outline
+and plan_embedding read the cycle and the two-sided stretches, and
+verify_nontrivial_L reads the non-triviality walk off the stretches on
+the two notch walls.  No cell grid is built, and a plan keeps its
+sweep (FloorPlan.walls) and the cycle walked off it
+(FloorPlan.outline_steps), so these readers share them: the L plan's
+outline is walked once, for its dual and its document.  The L plan is
+not swept at all: remove_ne hands it the full plan's stretches with
+the NE module's side cleared, the empty ones dropped and the ones it
+alone split merged again (_walls_without), so a successful plan is
+swept once.  plan_embedding gives the dual's rotations and outer cycle
+as plain data, which plan() compares with the input; dual_graph builds
+them into a checked graph.
 """
 
 from __future__ import annotations
@@ -73,7 +77,10 @@ class Rect(NamedTuple):
 
 @dataclass(frozen=True)
 class FloorPlan:
-    """Modules as rectangles in a width x height box; walls is swept once, on first use."""
+    """Modules as rectangles in a width x height box.
+
+    walls and outline_steps are worked out on first use and kept.
+    """
 
     rects: Mapping[VertexId, Rect]
     width: int
@@ -84,6 +91,11 @@ class FloorPlan:
     def walls(self) -> list[Stretch]:
         """The plan's elementary wall stretches (_stretches), swept on first use."""
         return _stretches(self.rects)
+
+    @cached_property
+    def outline_steps(self) -> list[tuple[tuple[int, int], str, VertexId]]:
+        """The outline as one clockwise cycle of (start, heading, module) steps (_outline)."""
+        return _outline(self.walls)
 
 
 class CornerProfile(NamedTuple):
@@ -239,33 +251,32 @@ def _stretches(rects: Mapping[VertexId, Rect]) -> list[Stretch]:
     None.  Raises ValueError where two modules share a side of a stretch,
     which is an overlap.
     """
-    lines: dict[tuple[str, int], list[tuple[int, int, int, VertexId]]] = {}
+    # Per axis, events (line, position, kind, module): kind is 2 for a start
+    # and 0 for an end, plus 1 where the module lies above or right.  One sort
+    # orders them line by line, ends before starts at a point; every line's
+    # modules have ended before the next line's first event.
+    xs: list[tuple[int, int, int, VertexId]] = []
+    ys: list[tuple[int, int, int, VertexId]] = []
     for v, rc in rects.items():
-        if rc.x1 >= rc.x2 or rc.y1 >= rc.y2:
+        x1, y1, x2, y2 = rc
+        if x1 >= x2 or y1 >= y2:
             raise ValueError(f"module {v} has a degenerate rectangle {rc}")
-        for key, a, b, side in (
-            (("y", rc.y1), rc.x1, rc.x2, 1),
-            (("y", rc.y2), rc.x1, rc.x2, 0),
-            (("x", rc.x1), rc.y1, rc.y2, 1),
-            (("x", rc.x2), rc.y1, rc.y2, 0),
-        ):
-            events = lines.setdefault(key, [])
-            events.append((a, 1, side, v))
-            events.append((b, 0, side, v))
+        ys += ((y1, x1, 3, v), (y1, x2, 1, v), (y2, x1, 2, v), (y2, x2, 0, v))
+        xs += ((x1, y1, 3, v), (x1, y2, 1, v), (x2, y1, 2, v), (x2, y2, 0, v))
     out: list[Stretch] = []
-    for (axis, c), events in sorted(lines.items()):
+    for axis, events in (("x", xs), ("y", ys)):
         events.sort()
         lows: list[VertexId] = []
         highs: list[VertexId] = []
-        prev = events[0][0]
-        for pos, starts, side, v in events:
+        prev = None
+        for c, pos, kind, v in events:
             if pos != prev and (lows or highs):
                 if len(lows) > 1 or len(highs) > 1:
                     pair = lows if len(lows) > 1 else highs
                     raise ValueError(f"modules {pair[0]} and {pair[1]} overlap along {axis}={c}")
                 out.append((axis, c, prev, pos, lows[0] if lows else None, highs[0] if highs else None))
-            owners = highs if side else lows
-            if starts:
+            owners = highs if kind & 1 else lows
+            if kind & 2:
                 owners.append(v)
             else:
                 owners.remove(v)
@@ -432,7 +443,7 @@ def plan_embedding(
         raise PointContactAmbiguity(f"four modules meet at point {min(four)}")
 
     owners = []
-    for _, _, v in _outline(walls):
+    for _, _, v in fp.outline_steps:
         if not owners or owners[-1] != v:
             owners.append(v)
     if len(owners) > 1 and owners[0] == owners[-1]:
@@ -463,7 +474,7 @@ def dual_graph(fp: FloorPlan) -> EmbeddedGraph:
 
 def plan_outline(fp: FloorPlan) -> tuple[tuple[int, int], ...]:
     """Corner points of the covered region, clockwise from its top-left."""
-    steps = _outline(fp.walls)
+    steps = fp.outline_steps
     corners = [p for i, (p, heading, _) in enumerate(steps) if steps[i - 1][1] != heading]
     start = min(range(len(corners)), key=lambda i: (corners[i][0], -corners[i][1]))
     return tuple(corners[start:] + corners[:start])

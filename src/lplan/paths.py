@@ -312,6 +312,9 @@ def attach_vertex(
     if new_id in rot:
         raise EmbeddingConflict(f"vertex id {new_id} already used")
     pos = {v: i for i, v in enumerate(outer)}
+    off = [v for v in arc if v not in pos]
+    if off:
+        raise EmbeddingConflict(f"attachment arc vertex {off[0]} is not on the outer cycle")
     if any(outer[(pos[u] + 1) % len(outer)] != v for u, v in zip(arc, arc[1:])):
         raise EmbeddingConflict("attachment arc must be consecutive on the boundary")
     if len(arc) < 2 or len(set(arc)) != len(arc):

@@ -863,6 +863,46 @@ def concave_corner_count(fp: FloorPlan) -> int | None:
     return n
 
 
+def line_sweep_stretches(rects) -> list[tuple]:
+    """Elementary wall stretches as layout._stretches gives them, swept line by line.
+
+    Each line's events are gathered under their own key and sorted apart,
+    then the lines in order.  Raises the same ValueError texts.
+    """
+    lines: dict[tuple[str, int], list[tuple[int, int, int, VertexId]]] = {}
+    for v, rc in rects.items():
+        if rc.x1 >= rc.x2 or rc.y1 >= rc.y2:
+            raise ValueError(f"module {v} has a degenerate rectangle {rc}")
+        for key, a, b, side in (
+            (("y", rc.y1), rc.x1, rc.x2, 1),
+            (("y", rc.y2), rc.x1, rc.x2, 0),
+            (("x", rc.x1), rc.y1, rc.y2, 1),
+            (("x", rc.x2), rc.y1, rc.y2, 0),
+        ):
+            events = lines.setdefault(key, [])
+            events.append((a, 1, side, v))
+            events.append((b, 0, side, v))
+    out = []
+    for (axis, c), events in sorted(lines.items()):
+        events.sort()
+        lows: list[VertexId] = []
+        highs: list[VertexId] = []
+        prev = events[0][0]
+        for pos, starts, side, v in events:
+            if pos != prev and (lows or highs):
+                if len(lows) > 1 or len(highs) > 1:
+                    pair = lows if len(lows) > 1 else highs
+                    raise ValueError(f"modules {pair[0]} and {pair[1]} overlap along {axis}={c}")
+                out.append((axis, c, prev, pos, lows[0] if lows else None, highs[0] if highs else None))
+            owners = highs if side else lows
+            if starts:
+                owners.append(v)
+            else:
+                owners.remove(v)
+            prev = pos
+    return out
+
+
 def no_overlaps(fp: FloorPlan) -> bool:
     total = sum(rc.width * rc.height for rc in fp.rects.values())
     return total == len(covered_cells(fp))

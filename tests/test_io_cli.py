@@ -10,6 +10,7 @@ import sys
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lplan import samples
 from lplan.cli import main
@@ -17,6 +18,7 @@ from lplan.gen import GenSpec, generate_ptpg
 from lplan.graph import EmbeddedGraph
 from lplan.io import (
     ParseError,
+    _document,
     doc_to_graph,
     graph_to_doc,
     parse_graph,
@@ -395,3 +397,74 @@ def test_python_dash_m_lplan_runs_from_a_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     want = serialize_plan(plan_to_doc(plan(samples.pentagon_with_pocket())))
     assert (tmp_path / "p.json").read_bytes() == want
+
+
+# -- the document writer against json.dumps ----------------------------------
+
+# Keys and strings that a %-template must not read as conversions, with
+# non-ASCII, control characters and quotes; ints next to bools, which equal
+# them but are written otherwise.
+TRICKY = st.sampled_from(["%", "%d", "%s", "%%", "%(x)s", "", "10", "2", "é", "\x00\t", '"\\', "\ud800"])
+TEXT = st.one_of(TRICKY, st.text(max_size=6))
+INTS = st.one_of(st.integers(), st.sampled_from([0, 1, -1, 10**30]))
+SCALARS = st.one_of(INTS, TEXT, st.booleans(), st.none(), st.floats())
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of dicts with shared keys, or of lists of one length, with per-column types.
+
+    Some draws break one member: a bool for an int, a key or an index more
+    or less, or a nested value, so the writer must fall back for them.
+    """
+    as_dicts = draw(st.booleans())
+    width = draw(st.integers(min_value=0, max_value=4))
+    keys = draw(st.lists(TEXT, min_size=width, max_size=width, unique=True)) if as_dicts else range(width)
+    columns = [draw(st.sampled_from([INTS, TEXT])) for _ in keys]
+    members = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        values = [draw(col) for col in columns]
+        members.append(dict(zip(keys, values)) if as_dicts else values)
+    if members and draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=len(members) - 1))
+        odd = draw(st.one_of(st.booleans(), SCALARS, st.lists(INTS, max_size=2)))
+        if as_dicts:
+            members[i] = {**members[i], draw(TEXT): odd}
+        elif draw(st.booleans()) or not members[i]:
+            members[i] = members[i] + [odd]
+        else:
+            members[i] = members[i][:-1] if draw(st.booleans()) else [odd] + members[i][1:]
+    return members
+
+
+JSON = st.recursive(
+    st.one_of(SCALARS, record_lists()),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=20,
+)
+
+
+def _dumped(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(TEXT, JSON, max_size=5))
+@example(doc={"m": [{"%d": 1, "%s": "%d"}, {"%d": -2, "%s": "é"}], "p": [[1, "%"], [2, "\n"]]})
+@example(doc={"m": [{"x": 1}, {"x": True}], "p": [[1], [2, 3]], "q": [[[1]], [[2]]], "e": [[], []]})
+@example(doc={"m": [{"x": 1}], "n": [{}], "p": [[0]], "q": [], "r": [{"x": 1}, {"y": 1}]})
+def test_the_document_writer_matches_json_dumps(doc):
+    want = _dumped(doc)
+    assert serialize_plan(doc) == want
+    assert _document(doc) == want
+
+
+@pytest.mark.parametrize("make", ALL_GRAPHS, ids=lambda f: f.__name__)
+def test_sample_documents_are_written_as_json_dumps_writes_them(make):
+    g = make()
+    assert serialize_graph(g) == _dumped(graph_to_doc(g))
+    res = plan(g)
+    if res.ok:
+        for include_trace in (False, True):
+            doc = plan_to_doc(res, include_trace=include_trace)
+            assert serialize_plan(doc) == _dumped(doc)

@@ -17,6 +17,7 @@ from oracles import (
     geometric_adjacency,
     is_flippable_edge,
     is_flippable_vertex,
+    line_sweep_stretches,
     no_overlaps,
     profile_from_outline,
     scan_nontrivial_L,
@@ -481,3 +482,76 @@ def test_the_notch_walk_refuses_as_the_scans_do():
     ):
         assert _verdict_or_error(verify_nontrivial_L, fp, profile) == message
         assert _verdict_or_error(scan_nontrivial_L, fp, profile) == message
+
+
+def _sweep_or_error(sweep, rects):
+    try:
+        return sweep(rects)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _dissection(n: int, rng: random.Random) -> dict[int, Rect]:
+    """A random L dissection of n modules: guillotine cuts of a box, its north-east module dropped.
+
+    Ids are shuffled so the rects are not met in id order.
+    """
+    size = 4 * n
+    rects = [Rect(0, 0, size, size)]
+    while len(rects) < n + 1:
+        rc = rects.pop(rng.randrange(len(rects)))
+        if rc.width > 1 and (rc.height < 2 or rng.random() < 0.5):
+            x = rng.randrange(rc.x1 + 1, rc.x2)
+            rects += (Rect(rc.x1, rc.y1, x, rc.y2), Rect(x, rc.y1, rc.x2, rc.y2))
+        elif rc.height > 1:
+            y = rng.randrange(rc.y1 + 1, rc.y2)
+            rects += (Rect(rc.x1, rc.y1, rc.x2, y), Rect(rc.x1, y, rc.x2, rc.y2))
+        else:
+            rects.append(rc)
+    rects.remove(max(rects, key=lambda rc: (rc.x2 + rc.y2, rc.y2)))
+    ids = rng.sample(range(1, 3 * n), n)
+    return dict(zip(ids, rects))
+
+
+def test_one_sort_per_axis_sweeps_as_line_by_line():
+    cases = []
+    for _, res in _plans():
+        if res.ok:
+            cases += (res.full_plan.rects, res.plan.rects)
+    for n, seed in ((100, 1), (150, 2)):
+        res = plan(generate_ptpg(GenSpec(n=n, seed=seed)))
+        assert res.ok
+        cases += (res.full_plan.rects, res.plan.rects)
+    rng = random.Random(20)
+    cases += [_dissection(rng.randint(1, 150), rng) for _ in range(60)]
+    for rects in cases:
+        got = layout._stretches(rects)
+        assert got == line_sweep_stretches(rects)
+
+
+def test_one_sort_per_axis_raises_as_line_by_line():
+    # Overlaps and degenerate rectangles, alone and together: the same
+    # error, with the same text, names the same pair or module.
+    rng = random.Random(21)
+    texts = set()
+    for trial in range(400):
+        rects = _dissection(rng.randint(2, 30), rng)
+        ids = list(rects)
+        for _ in range(rng.randint(1, 3)):
+            v = rng.choice(ids)
+            x1, y1, x2, y2 = rects[v]
+            kind = rng.randrange(4)
+            if kind == 0:  # grow into a neighbour or past the box
+                rects[v] = Rect(x1 - rng.randint(0, 2), y1, x2 + rng.randint(0, 2), y2 + rng.randint(0, 2))
+            elif kind == 1:  # a copy under a new id
+                rects[max(ids) + 1 + trial] = rects[v]
+            elif kind == 2:  # flattened to a line or a point
+                rects[v] = Rect(x1, y1, x1 + rng.randint(-1, 0) * (x2 - x1), y2)
+            else:  # a stray module anywhere, at negative coordinates too
+                a, b = rng.randint(-3, 40), rng.randint(-3, 40)
+                rects[rng.randint(-5, 200)] = Rect(a, b, a + rng.randint(1, 6), b + rng.randint(1, 6))
+        got = _sweep_or_error(layout._stretches, rects)
+        assert got == _sweep_or_error(line_sweep_stretches, rects)
+        if isinstance(got, str):
+            texts.add(got.split()[2] == "and")
+    assert texts == {True, False}  # both overlaps and degenerate rectangles were met

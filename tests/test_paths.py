@@ -210,6 +210,20 @@ def test_four_completion_requires_chained_paths():
         four_completion(g2, (q1, q3, q2, q4), ne=ne)
 
 
+@pytest.mark.parametrize(
+    "qpaths, off",
+    [
+        (((99, 2), (2, 3), (3, 4), (4, 5, 1, 99)), 99),  # first on its path
+        (((1, 99), (99, 3), (3, 4), (4, 5, 1)), 99),  # last on its path
+        (((1, 2), (2, 7, 3), (3, 4), (4, 5, 1)), 7),  # inside its path, interior to the graph
+    ],
+)
+def test_four_completion_names_a_path_vertex_off_the_outline(qpaths, off):
+    g = samples.pentagon_with_pocket()
+    with pytest.raises(EmbeddingConflict, match=f"vertex {off} is not on the outer cycle"):
+        four_completion(g, qpaths)
+
+
 def test_pad_multisets_order_is_descending_takes_in_scan_order():
     scan = [7, 3, 9, 4]
     counts = Counter({3: 1, 4: 2})

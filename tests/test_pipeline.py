@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from oracles import attach_outside, geometric_adjacency, padded_rectangular_plan
@@ -268,6 +271,25 @@ def test_verification_names_a_missing_module_contact_or_label(name):
             labels={u: s for u, s in fp.labels.items() if u != v},
         )
         assert _plan_mismatch(g, unlabeled) == f"label of {v} lost"
+
+
+@pytest.mark.parametrize("name", [n for n, o in sorted(PLAN_OUTCOMES.items()) if o == "Plan"])
+@pytest.mark.parametrize("derived", (False, True), ids=("rows", "derived"))
+def test_a_result_survives_pickle_and_deepcopy(name, derived):
+    # Reading adj caches key views on the input and on the completion; with
+    # derived, the completion's darts and faces are worked out first.
+    res = plan(getattr(samples, name)())
+    if derived:
+        assert res.completion.base.faces
+    parts = (res.graph, res.completion.base, res.plan)
+    for g in parts[:2]:
+        assert g.adj
+    for copied in (pickle.loads(pickle.dumps(parts)), copy.deepcopy(parts)):
+        assert copied == parts
+        for g, was in zip(copied[:2], parts[:2]):
+            assert g.adj == was.adj and g.faces == was.faces and g.edges == was.edges
+        assert copied[2].walls == res.plan.walls
+    assert pickle.loads(pickle.dumps(res)) == res
 
 
 def test_every_exported_name_resolves():
