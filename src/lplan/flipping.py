@@ -173,7 +173,7 @@ def _run_chain(r: Rel, wl: FlipWorklist, budget: int) -> int:
     while wl.stack:
         steps += 1
         if steps > budget:
-            raise NormalizationFailed("flip chain exceeded its step budget")
+            raise NormalizationFailed(f"flip chain exceeded its step budget of {budget} steps")
         res = advance(r, wl)
         if res[0] == "Repeat":
             resolve_repeat(r, wl, res[1], res[2])
@@ -212,7 +212,7 @@ def normalize_labels(r: Rel, triplet: Triplet, ne: VertexId) -> NormalizeReport:
             return NormalizeReport(trace=tuple(wl.trace), passes=passes)
         passes += 1
         if passes > budget:
-            raise NormalizationFailed("normalization exceeded its pass budget")
+            raise NormalizationFailed(f"normalization exceeded its pass budget of {budget} passes")
         edge, c0 = tgt
         item = _orient_item(r, edge, c0)
         if item is None:

@@ -25,10 +25,12 @@ listing, 1985), outnumber the triangular faces.
 
 extend derives a graph with vertices attached outside a checked one, as
 the four-completion needs, and checks nothing: attach_vertex checks each
-step.  The derived graph keeps its base's dart numbers and appends its
-own darts; those and its faces are worked out when first read, walking
-only the base's outer face and the new darts.  attachments_keep_ptpg
-then counts what the attachments add instead of validating it whole.
+step.  Its darts are numbered and its faces walked when first read, as a
+checked build numbers and walks them, so its dart numbers, face indices
+and walks equal those of a fresh build of the same rotation.  Until then
+adj is read off the base's rows and the changed ones, and
+attachments_keep_ptpg counts what the attachments add instead of
+validating the graph whole.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import contains, ne
-from typing import Iterable, KeysView, Mapping, NamedTuple, Sequence
+from typing import KeysView, Mapping, NamedTuple, Sequence
 
 
 VertexId = int
@@ -95,23 +97,7 @@ def _walk(
     """The face index of every dart, and every face walk as the tails of its darts."""
     face = [-1] * len(head)
     walks: list[list[VertexId]] = []
-    _walk_from(turn, tail, head, face, range(len(head)), walks)
-    return face, walks
-
-
-def _walk_from(
-    turn: Mapping[VertexId, Mapping[VertexId, int]],
-    tail: Mapping[int, VertexId] | list[VertexId],
-    head: Mapping[int, VertexId] | list[VertexId],
-    face: list[int],
-    darts: Iterable[int],
-    walks: list[list[VertexId]],
-) -> None:
-    """Walk the face of each dart in darts whose face is still -1, onto face and walks.
-
-    A walk lists the tails of its darts; faces are numbered on from len(walks).
-    """
-    for d0 in darts:
+    for d0 in range(len(head)):
         if face[d0] >= 0:
             continue
         fi = len(walks)
@@ -125,6 +111,7 @@ def _walk_from(
         if d != d0:
             raise InconsistentEmbedding("face walk did not close")
         walks.append(walk)
+    return face, walks
 
 
 def _is_connected(rotation: Mapping[VertexId, Sequence[VertexId]]) -> bool:
@@ -223,7 +210,7 @@ class EmbeddedGraph:
         and the new rotation of each old vertex it meets; outer is the new
         outer cycle.  Each step must be one attach_vertex checked, so the
         result is not checked again.  Its darts are numbered and walked on
-        first use (_derive): the label search reads only the rotation.
+        first use (_number_and_walk): the label search reads only the rotation.
         """
         g = object.__new__(EmbeddedGraph)
         vars(g).update(
@@ -234,44 +221,10 @@ class EmbeddedGraph:
         )
         return g
 
-    def _derive(self) -> None:
-        """The darts and faces of a graph that extend made, from its base graph's.
-
-        Old darts keep their numbers and each new vertex appends its darts.
-        Only the old outer face's darts and the new ones are walked: no
-        other face gains a dart.
-        """
-        base, changed = self._base
-        old, o, d = base._turn, base.outer, len(base._face)
-        rows = {v: self.rotation[v] for v in changed}
-        out: dict[VertexId, dict[VertexId, int]] = {v: {} for v in rows}  # new darts by tail, head
-        tail: dict[int, VertexId] = {}
-        head: dict[int, VertexId] = {}
-        for x in rows:
-            if x not in old:
-                for a in rows[x]:
-                    if a not in out[x]:
-                        out[x][a], out[a][x] = d, d + 1
-                        tail[d], head[d], tail[d + 1], head[d + 1] = x, a, a, x
-                        d += 2
-        turn = dict(old)
-        for v, nbrs in rows.items():
-            to = out[v]
-            if v in old:  # old[v] maps each neighbour to the dart to the next one
-                was = base.rotation[v]
-                to.update(zip(was[1:] + was[:1], old[v].values()))
-            turn[v] = dict(zip(nbrs, map(to.__getitem__, nbrs[1:] + nbrs[:1])))
-        face = base._face + [-1] * (d - len(base._face))
-        for t, u, v in zip(o[-1:] + o[:-1], o, o[1:] + o[:1]):
-            e = old[u][t]  # the old outer face's dart u -> v
-            tail[e], head[e], face[e] = u, v, -1
-        walks = list(base._walks)
-        _walk_from(turn, tail, head, face, tail, walks)
-        k, moved = base.outer_face_index, len(walks) - 1
-        walks[k] = walks.pop()  # the old outer face's slot takes the last new face
-        for e in tail:
-            if face[e] == moved:
-                face[e] = k
+    def _number_and_walk(self) -> None:
+        """Number and walk a graph that extend made, as _check does, but unchecked."""
+        turn, tail, head = _number_darts(self.rotation, self.vertices)
+        face, walks = _walk(turn, tail, head)
         vars(self).update(_turn=turn, _face=face, _walks=walks)
 
     def __getstate__(self) -> dict:
@@ -286,17 +239,17 @@ class EmbeddedGraph:
 
     @cached_property
     def _turn(self) -> dict[VertexId, dict[VertexId, int]]:
-        self._derive()
+        self._number_and_walk()
         return vars(self)["_turn"]
 
     @cached_property
     def _face(self) -> list[int]:
-        self._derive()
+        self._number_and_walk()
         return vars(self)["_face"]
 
     @cached_property
     def _walks(self) -> list[list[VertexId]]:
-        self._derive()
+        self._number_and_walk()
         return vars(self)["_walks"]
 
     @cached_property
@@ -307,7 +260,7 @@ class EmbeddedGraph:
     def adj(self) -> dict[VertexId, KeysView[VertexId]]:
         if "_turn" in vars(self):
             return {v: t.keys() for v, t in self._turn.items()}
-        base, changed = self._base  # from extend and not derived: its base's rows but changed ones
+        base, changed = self._base  # from extend, not yet walked: its base's rows but changed ones
         return {**base.adj, **{v: dict.fromkeys(self.rotation[v]).keys() for v in changed}}
 
     @cached_property

@@ -415,7 +415,7 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
     while True:
         quota = min(400 << attempt, _NODE_CAP - spent)
         if quota <= 0:
-            raise NotConstructible("label search exceeded its cap")
+            raise NotConstructible(f"label search exceeded its cap of {_NODE_CAP} nodes")
         rng = random.Random(attempt)
         rng.shuffle(order)
         found = solve(rng, quota)

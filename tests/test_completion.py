@@ -3,8 +3,9 @@
 four_completion extends the input graph instead of building the completed
 graph afresh, and plan() checks only what the attachments add.  The
 reference is the one-build completion of tests/oracles.py (fresh_completion):
-the derived graph must equal it in every structure the package reads, and
-the count check must agree with validate_ptpg on the fresh build.
+the derived graph must equal it in every structure the package reads, dart
+numbers, face indices and walks included, and the count check must agree
+with validate_ptpg on the fresh build.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from lplan.boundary import find_cips, find_triplets
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import (
     attachments_keep_ptpg,
-    cyclic_eq,
     faces_inside_cycle,
     rotate_min,
     validate_ptpg,
@@ -39,7 +39,6 @@ from oracles import (
     alternating_four_cycles,
     brute_faces_inside_cycle,
     brute_walk_darts,
-    dart_faces,
     fresh_completion,
 )
 from test_graph import ALL_SAMPLES, k4
@@ -52,15 +51,10 @@ def assert_same_completion(derived, fresh):
     assert list(a.rotation.items()) == list(b.rotation.items())
     assert a.outer == b.outer and list(a.labels.items()) == list(b.labels.items())
     assert a == b and a.vertices == b.vertices and a.adj == b.adj and a.edges == b.edges
-    assert "_turn" not in vars(a)  # adj came from the rotation; the darts are derived below
-    assert Counter(a.faces) == Counter(b.faces)
-    assert cyclic_eq(a._walks[a.outer_face_index], a.outer)
-    face = dart_faces(a._walks)  # (u, v) -> the face whose walk holds u, v
-    for v, nbrs in a.rotation.items():
-        for i, w in enumerate(nbrs):
-            assert face[v, w] == a._face[a._turn[v][nbrs[i - 1]]], (v, w)  # the dart v -> w
-    assert len(face) == len(a._face) == len(b._face)
-    assert [list(t) for t in a._turn.values()] == [list(t) for t in b._turn.values()]
+    assert "_turn" not in vars(a)  # adj came from the rotation; the darts are walked below
+    # numbered and walked as a fresh build is: the same darts, face indices and walks
+    assert a._turn == b._turn and a._face == b._face and a._walks == b._walks
+    assert a.faces == b.faces and a.outer_face_index == b.outer_face_index
 
 
 def enclosed_faces_agree(ag) -> int:

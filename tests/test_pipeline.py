@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import copy
 import pickle
+from collections import Counter
 
 import pytest
 
 from oracles import attach_outside, geometric_adjacency, padded_rectangular_plan
 
+import lplan.rel as relmod
 from lplan import samples
 from lplan.boundary import find_cips
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
@@ -186,6 +188,46 @@ def test_rectangular_corners_match_the_padded_search():
         assert geometric_adjacency(res.plan) == g.edges
     assert seen > 500
 
+
+
+# generate_ptpg graphs past c06's n 6-40: n 41-98 in steps of 3, seeds 0 and
+# 1, every CIP target; each generates in under 0.2 s.
+PAST_C06 = [
+    GenSpec(n, seed, target)
+    for n in range(41, 101, 3)
+    for seed in (0, 1)
+    for target in (None, 2, 3, 4, 5, 6)
+]
+
+
+def test_plan_gives_an_outcome_past_c06s_sizes():
+    # On a valid PTPG the only exception either entry point may raise is
+    # InvalidInput; any other propagates and fails the test.
+    allowed = {
+        "plan": {"Plan", "NoTriplet", "TooManyCips", "InfeasibleAllTriplets"},
+        "rectangular_plan": {"Plan", "TooManyCips", "Exhausted"},
+    }
+    seen = Counter()
+    for spec in PAST_C06:
+        g = generate_ptpg(spec)
+        for run in (plan, rectangular_plan):
+            try:
+                outcome = run(g).outcome
+            except InvalidInput:
+                outcome = "InvalidInput"
+            assert outcome in allowed[run.__name__] | {"InvalidInput"}, (spec, run.__name__)
+            seen[run.__name__, outcome] += 1
+    assert seen["plan", "Plan"] > 150 and seen["plan", "TooManyCips"] > 40, seen
+
+
+def test_a_label_search_past_its_cap_names_the_cap(monkeypatch):
+    # four_cip_eleven_gon's search takes 9 nodes, more than a cap of 4
+    monkeypatch.setattr(relmod, "_NODE_CAP", 4)
+    res = plan(samples.four_cip_eleven_gon())
+    hit = [f for f in res.failures if f.stage == "rel"]
+    assert hit, res.failures
+    assert all(f.reason == "label search exceeded its cap of 4 nodes" for f in hit), hit
+    assert not any(f.final for f in hit)
 
 PLANNABLE = sorted(name for name, outcome in PLAN_OUTCOMES.items() if outcome == "Plan")
 
