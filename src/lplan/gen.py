@@ -77,7 +77,7 @@ def flip_interior_edge(g: EmbeddedGraph, u: VertexId, v: VertexId) -> EmbeddedGr
     for end in (u, v):
         # An interior vertex of degree 3 would sit inside the triangle of
         # its own neighbours, so never flip below degree 4 there.
-        floor = 2 if end in g.outer_set else 4
+        floor = 2 if end in g.outer_pos else 4
         if len(g.adj[end]) - 1 < floor:
             return None
     rot = {w: list(ns) for w, ns in g.rotation.items()}

@@ -7,27 +7,30 @@ walk: (u, v) continues with (v, w) where w follows u in the rotation at
 v, so interior faces are walked counterclockwise and the outer face
 clockwise.  The position map turn[v] = {u: off[v] + (i + 1) mod deg v}
 for u = rotation[v][i] names that next dart in one lookup; its keys are
-the neighbour sets (adj).  The walk runs over flat lists indexed by dart
-number, each face from its lowest unvisited dart.
+the neighbour sets (adj).  The walk runs over the list of next darts,
+each face from its lowest unvisited dart.
 
 Every EmbeddedGraph built from rotation lists is checked once, when it
 is built, and whole: a loop or a repeated neighbour shows in the sizes
-of the turn rows, and a dart without its reverse stops the walk with a
-KeyError.  Only then does the per-vertex loop run, to name the first
-defect.  The graph must be
-connected: only then does Euler's count V - E + F = 2 (E the darts over
-two) certify a sphere.  The rest is read off the walk: the outer face,
-2-connectivity (no face walk repeats a vertex; Diestel, Graph Theory,
-Prop. 4.2.6) and the separating triangles, the 3-cycles that are not
-face walks: they exist iff the 3-cycles, each u < v < w counted once as a
-common higher neighbour of an edge u < v (Chiba and Nishizeki's forward
-listing, 1985), outnumber the triangular faces.
+of the turn rows, and a dart without its reverse stops the listing of
+next darts with a KeyError; only then does the per-vertex loop run, to
+name the first defect.  A connected graph is a sphere iff Euler's count
+V - E + F = 2 holds (E the darts over two).  F is counted, not walked,
+where the darts d with nxt(nxt(nxt(d))) = d, on triangular faces, and
+the outer cycle's, if it bounds a face, are all the darts; the graph
+keeps that triangle count and walks its faces when first read.  One
+whose inner faces are all triangles is 2-connected (no face walk repeats
+a vertex; Diestel, Graph Theory, Prop. 4.2.6), and the separating
+triangles, the 3-cycles that are not face walks, exist iff the 3-cycles,
+each u < v < w counted once as a common higher neighbour of an edge
+u < v (Chiba and Nishizeki's forward listing, 1985), outnumber the
+triangular faces.
 
 extend derives a graph with vertices attached outside a checked one, as
 the four-completion needs, and checks nothing: attach_vertex checks each
-step.  Its darts are numbered and its faces walked when first read, as a
-checked build numbers and walks them, so its dart numbers, face indices
-and walks equal those of a fresh build of the same rotation.  Until then
+step.  Its darts are numbered and its faces walked when first read, by
+the code a checked build runs, so its dart numbers, face indices and
+walks equal those of a fresh build of the same rotation.  Until then
 adj is read off the base's rows and the changed ones, and
 attachments_keep_ptpg counts what the attachments add instead of
 validating the graph whole.
@@ -37,8 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import contains, ne
+from itertools import chain, repeat
+from operator import contains, eq
 from typing import KeysView, Mapping, NamedTuple, Sequence
 
 
@@ -77,27 +80,30 @@ def cyclic_eq(a: Sequence[VertexId], b: Sequence[VertexId]) -> bool:
 
 def _number_darts(
     rotation: Mapping[VertexId, Sequence[VertexId]], verts: Sequence[VertexId]
-) -> tuple[dict[VertexId, dict[VertexId, int]], list[VertexId], list[VertexId]]:
-    """The position map turn and the tail and head of every dart, numbered over verts."""
-    turn: dict[VertexId, dict[VertexId, int]] = {}
-    tail: list[VertexId] = []
-    head: list[VertexId] = []
+) -> dict[VertexId, dict[VertexId, int]]:
+    """The position map turn, with the darts numbered over verts."""
+    turn, end = {}, 0
     for v in verts:
         nbrs = rotation[v]
-        o = len(head)
-        head += nbrs
-        turn[v] = dict(zip(nbrs, [*range(o + 1, len(head)), o]))
-        tail += [v] * len(nbrs)
-    return turn, tail, head
+        o, end = end, end + len(nbrs)
+        turn[v] = row = dict(zip(nbrs, range(o + 1, end)))
+        if nbrs:  # an isolated vertex has no darts
+            row[nbrs[-1]] = o
+    return turn
 
 
-def _walk(
-    turn: Mapping[VertexId, Mapping[VertexId, int]], tail: list[VertexId], head: list[VertexId]
-) -> tuple[list[int], list[list[VertexId]]]:
+def _successors(turn: Mapping[VertexId, dict[VertexId, int]]) -> tuple[list[VertexId], list[int]]:
+    """The tail of every dart, and the next dart on its face; a KeyError marks a one-sided dart."""
+    tail = list(chain.from_iterable(map(repeat, turn, map(len, turn.values()))))
+    rows = map(turn.__getitem__, chain.from_iterable(turn.values()))
+    return tail, list(map(dict.__getitem__, rows, tail))
+
+
+def _walk(tail: list[VertexId], nxt: list[int]) -> tuple[list[int], list[list[VertexId]]]:
     """The face index of every dart, and every face walk as the tails of its darts."""
-    face = [-1] * len(head)
+    face = [-1] * len(nxt)
     walks: list[list[VertexId]] = []
-    for d0 in range(len(head)):
+    for d0 in range(len(nxt)):
         if face[d0] >= 0:
             continue
         fi = len(walks)
@@ -105,11 +111,8 @@ def _walk(
         d = d0
         while face[d] < 0:
             face[d] = fi
-            v = tail[d]
-            walk.append(v)
-            d = turn[head[d]][v]
-        if d != d0:
-            raise InconsistentEmbedding("face walk did not close")
+            walk.append(tail[d])
+            d = nxt[d]  # on a checked rotation nxt is a permutation: the walk closes at d0
         walks.append(walk)
     return face, walks
 
@@ -168,34 +171,38 @@ class EmbeddedGraph:
         self._check()
 
     def _check(self) -> None:
-        rot = self.rotation
-        turn, tail, head = _number_darts(rot, self.vertices)
-        if sum(map(len, turn.values())) != len(head) or any(map(contains, turn.values(), turn)):
+        rot, outer = self.rotation, self.outer
+        turn = _number_darts(rot, self.vertices)
+        darts = sum(map(len, rot.values()))
+        if sum(map(len, turn.values())) != darts or any(map(contains, turn.values(), turn)):
             _check_rotation(rot, turn)  # a repeated neighbour or a loop
         try:
-            face, walks = _walk(turn, tail, head)
+            tail, nxt = _successors(turn)
         except KeyError:  # a dart without its reverse
             _check_rotation(rot, turn)
             raise
-        if len(self.outer) < 3:
+        if len(outer) < 3:
             raise InconsistentEmbedding("outer cycle needs at least 3 vertices")
-        if len(set(self.outer)) != len(self.outer):
+        if len(set(outer)) != len(outer):
             raise InconsistentEmbedding("outer cycle repeats a vertex")
-        for i, v in enumerate(self.outer):
-            u = self.outer[(i + 1) % len(self.outer)]
+        nexts = outer[1:] + outer[:1]
+        for v, u in zip(outer, nexts):
             if v not in turn or u not in turn[v]:
                 raise InconsistentEmbedding(f"outer edge ({v},{u}) missing")
         # Euler's count alone cannot tell the sphere: over two components it
         # sums, so a torus embedding plus a plane triangle also gives 2.
         if not _is_connected(rot):
             raise InconsistentEmbedding("graph is not connected")
-        if len(rot) - len(head) // 2 + len(walks) != 2:
+        # The outer cycle bounds a face iff the dart after each of its darts
+        # a -> b runs from b to the vertex after b on the cycle.
+        bounds = all(tail[nxt[turn[b][a]]] == c for a, b, c in zip(outer, nexts, nexts[1:] + nexts[:1]))
+        tri = sum(map(eq, map(nxt.__getitem__, map(nxt.__getitem__, nxt)), range(darts))) // 3
+        vars(self).update(_turn=turn, _tri_faces=tri)
+        k = len(outer)  # the faces are the triangles and the outer face where they hold every dart
+        faces = tri + (k != 3) if bounds and 3 * tri + k * (k != 3) == darts else len(self._walks)
+        if len(rot) - darts // 2 + faces != 2:
             raise InconsistentEmbedding("rotation system is not planar (Euler check)")
-        object.__setattr__(self, "_turn", turn)
-        object.__setattr__(self, "_face", face)
-        object.__setattr__(self, "_walks", walks)
-        # A dart lies on one face only, so no other face can match the outer cycle.
-        if not cyclic_eq(walks[self.outer_face_index], self.outer):
+        if not bounds:
             raise InconsistentEmbedding("outer cycle does not bound exactly one face")
 
     def extend(
@@ -209,8 +216,8 @@ class EmbeddedGraph:
         rows holds the rotation of each new vertex, in the order attached,
         and the new rotation of each old vertex it meets; outer is the new
         outer cycle.  Each step must be one attach_vertex checked, so the
-        result is not checked again.  Its darts are numbered and walked on
-        first use (_number_and_walk): the label search reads only the rotation.
+        result is not checked again.  Its darts are numbered and its faces
+        walked when first read: the label search reads only the rotation.
         """
         g = object.__new__(EmbeddedGraph)
         vars(g).update(
@@ -221,11 +228,10 @@ class EmbeddedGraph:
         )
         return g
 
-    def _number_and_walk(self) -> None:
-        """Number and walk a graph that extend made, as _check does, but unchecked."""
-        turn, tail, head = _number_darts(self.rotation, self.vertices)
-        face, walks = _walk(turn, tail, head)
-        vars(self).update(_turn=turn, _face=face, _walks=walks)
+    def _walk_faces(self) -> tuple[list[int], list[list[VertexId]]]:
+        face, walks = _walk(*_successors(self._turn))
+        vars(self).update(_face=face, _walks=walks)
+        return face, walks
 
     def __getstate__(self) -> dict:
         # adj holds key views, which pickle and deepcopy cannot copy; it is
@@ -234,23 +240,23 @@ class EmbeddedGraph:
 
     # -- derived structure ------------------------------------------------
 
-    # _check sets these three on a checked build, in its own dict, so the
-    # properties run only for a graph from extend, when first read.
+    # A checked build sets _turn and _tri_faces in _check; otherwise these run when first read.
 
     @cached_property
     def _turn(self) -> dict[VertexId, dict[VertexId, int]]:
-        self._number_and_walk()
-        return vars(self)["_turn"]
+        return _number_darts(self.rotation, self.vertices)
 
     @cached_property
     def _face(self) -> list[int]:
-        self._number_and_walk()
-        return vars(self)["_face"]
+        return self._walk_faces()[0]
 
     @cached_property
     def _walks(self) -> list[list[VertexId]]:
-        self._number_and_walk()
-        return vars(self)["_walks"]
+        return self._walk_faces()[1]
+
+    @cached_property
+    def _tri_faces(self) -> int:
+        return list(map(len, self._walks)).count(3)
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
@@ -280,10 +286,6 @@ class EmbeddedGraph:
     def inner_faces(self) -> tuple[tuple[VertexId, ...], ...]:
         k = self.outer_face_index
         return tuple(f for i, f in enumerate(self.faces) if i != k)
-
-    @cached_property
-    def outer_set(self) -> frozenset[VertexId]:
-        return frozenset(self.outer)
 
     @cached_property
     def chords(self) -> tuple[Edge, ...]:
@@ -333,25 +335,20 @@ def find_separating_triangles(g: EmbeddedGraph) -> tuple[tuple[VertexId, VertexI
 
     In a simple connected plane graph a 3-cycle with no vertex on one side
     bounds a face there, so the separating ones are the 3-cycles that are
-    not face walks.  With H(v) the neighbours above v, each 3-cycle
-    u < v < w is counted once, in |H(u) & H(v)| over the edges u < v, and
-    each triangular face is a 3-cycle, a distinct one but for K3's two:
-    the 3-cycles are listed only when they outnumber the triangular faces.
+    not face walks.  Each triangular face is a 3-cycle, a distinct one but
+    for K3's two, so the 3-cycles are listed only when they outnumber the
+    triangular faces, whose count the graph keeps.
     """
-    return _separating_triangles(g, list(map(len, g._walks)).count(3))
+    up = {v: {w for w in nbrs if w > v} for v, nbrs in g.rotation.items()}
+    if _triangle_count(up) <= g._tri_faces:  # only K3 has fewer: its two faces are one 3-cycle
+        return ()
+    cycles = {(u, v, w) for u, hu in up.items() for v in hu for w in hu & up[v]}
+    return tuple(sorted(cycles - {tuple(sorted(walk)) for walk in g._walks if len(walk) == 3}))
 
 
 def _triangle_count(up: Mapping[VertexId, set[VertexId]]) -> int:
     """The 3-cycles u < v < w, each once, from up[x], the neighbours of x above x."""
     return sum([len(hu & up[v]) for hu in up.values() for v in hu])
-
-
-def _separating_triangles(g: EmbeddedGraph, tri_faces: int) -> tuple[tuple[VertexId, ...], ...]:
-    up = {v: {w for w in nbrs if w > v} for v, nbrs in g.rotation.items()}
-    if _triangle_count(up) <= tri_faces:  # only K3 has fewer: its two faces are one 3-cycle
-        return ()
-    cycles = {(u, v, w) for u, hu in up.items() for v in hu for w in hu & up[v]}
-    return tuple(sorted(cycles - {tuple(sorted(walk)) for walk in g._walks if len(walk) == 3}))
 
 
 class PtpgReport(NamedTuple):
@@ -369,14 +366,17 @@ class PtpgReport(NamedTuple):
 
 
 def validate_ptpg(g: EmbeddedGraph) -> PtpgReport:
-    """Check the PTPG conditions, reading face lengths once and walking only the longer faces."""
-    walks, k = g._walks, g.outer_face_index
-    lens = list(map(len, walks))
-    long = list(compress(range(len(lens)), map(ne, lens, repeat(3))))  # a triangle repeats no vertex
+    """Check the PTPG conditions, walking the faces only where an inner one is no triangle."""
+    rot = g.rotation
+    # Where all of the 2 - V + E faces but a longer outer one are triangles, none repeats a vertex.
+    if g._tri_faces + (len(g.outer) != 3) == 2 - len(rot) + sum(map(len, rot.values())) // 2:
+        return PtpgReport(True, (), find_separating_triangles(g))
+    k = g.outer_face_index
+    long = [(i, w) for i, w in enumerate(g._walks) if len(w) != 3]  # a triangle repeats no vertex
     return PtpgReport(
-        is_biconnected=all(len(set(walks[i])) == lens[i] for i in long),
-        nontriangular_interior_faces=tuple(rotate_min(walks[i]) for i in long if i != k),
-        separating_triangles=_separating_triangles(g, len(lens) - len(long)),
+        is_biconnected=all(len(set(w)) == len(w) for _, w in long),
+        nontriangular_interior_faces=tuple(rotate_min(w) for i, w in long if i != k),
+        separating_triangles=find_separating_triangles(g),
     )
 
 

@@ -24,8 +24,10 @@ from lplan.boundary import Cip, Shortcut, boundary_arc, find_cips
 from lplan.graph import (
     EmbeddedGraph,
     InconsistentEmbedding,
+    PtpgReport,
     VertexId,
     _number_darts,
+    _successors,
     _walk,
     edge_key,
     validate_ptpg,
@@ -112,6 +114,98 @@ def brute_walk_darts(rotation) -> tuple[list[list[VertexId]], dict[Dart, int]]:
 def dart_faces(walks: list[list[VertexId]]) -> dict[Dart, int]:
     """Dart -> face index, read off face walks given as the tails of their darts."""
     return {(u, v): fi for fi, w in enumerate(walks) for u, v in zip(w, w[1:] + w[:1])}
+
+
+def walking_check(rotation, outer) -> tuple[dict, list[int], list[list[VertexId]], int]:
+    """The build check that walks every face: turn, dart faces, walks, outer face index.
+
+    The check an EmbeddedGraph ran before it counted triangular faces in
+    place of walking them, kept whole as the reference: the same dart
+    numbers and walks, and the same InconsistentEmbedding texts, raised in
+    the same order.
+    """
+    rot = {v: tuple(nbrs) for v, nbrs in rotation.items()}
+    outer = tuple(outer)
+    turn: dict[VertexId, dict[VertexId, int]] = {}
+    tail: list[VertexId] = []
+    head: list[VertexId] = []
+    for v in sorted(rot):
+        nbrs = rot[v]
+        o = len(head)
+        head += nbrs
+        turn[v] = dict(zip(nbrs, [*range(o + 1, len(head)), o]))
+        tail += [v] * len(nbrs)
+
+    def name_defect() -> None:
+        for v, nbrs in rot.items():
+            if v in turn[v]:
+                raise InconsistentEmbedding(f"loop at vertex {v}")
+            if len(turn[v]) != len(nbrs):
+                raise InconsistentEmbedding(f"repeated neighbor at vertex {v}")
+            for u in nbrs:
+                if u not in turn or v not in turn[u]:
+                    raise InconsistentEmbedding(f"edge ({v},{u}) is not symmetric")
+
+    if sum(map(len, turn.values())) != len(head) or any(v in row for v, row in turn.items()):
+        name_defect()
+    face = [-1] * len(head)
+    walks: list[list[VertexId]] = []
+    try:
+        for d0 in range(len(head)):
+            if face[d0] < 0:
+                walk: list[VertexId] = []
+                d = d0
+                while face[d] < 0:
+                    face[d] = len(walks)
+                    walk.append(tail[d])
+                    d = turn[head[d]][tail[d]]
+                if d != d0:
+                    raise InconsistentEmbedding("face walk did not close")
+                walks.append(walk)
+    except KeyError:
+        name_defect()
+        raise
+    if len(outer) < 3:
+        raise InconsistentEmbedding("outer cycle needs at least 3 vertices")
+    if len(set(outer)) != len(outer):
+        raise InconsistentEmbedding("outer cycle repeats a vertex")
+    for i, v in enumerate(outer):
+        u = outer[(i + 1) % len(outer)]
+        if v not in turn or u not in turn[v]:
+            raise InconsistentEmbedding(f"outer edge ({v},{u}) missing")
+    seen, todo = set(), [next(iter(rot))]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo += rot[v]
+    if len(seen) != len(rot):
+        raise InconsistentEmbedding("graph is not connected")
+    if len(rot) - len(head) // 2 + len(walks) != 2:
+        raise InconsistentEmbedding("rotation system is not planar (Euler check)")
+    k = face[turn[outer[1]][outer[0]]]
+    w = walks[k]
+    i = outer.index(w[0]) if w[0] in outer else 0
+    if tuple(w) != outer[i:] + outer[:i]:
+        raise InconsistentEmbedding("outer cycle does not bound exactly one face")
+    return turn, face, walks, k
+
+
+def walking_report(rotation, walks: list[list[VertexId]], k: int) -> PtpgReport:
+    """validate_ptpg read off every face walk, with the outer face k: the reference."""
+
+    def canonical(w):
+        i = w.index(min(w))
+        return tuple(w[i:]) + tuple(w[:i])
+
+    long = [i for i, w in enumerate(walks) if len(w) != 3]
+    adj = {v: set(nbrs) for v, nbrs in rotation.items()}
+    cycles = {(u, v, w) for u in adj for v in adj[u] if v > u for w in adj[v] & adj[u] if w > v}
+    return PtpgReport(
+        is_biconnected=all(len(set(walks[i])) == len(walks[i]) for i in long),
+        nontriangular_interior_faces=tuple(canonical(walks[i]) for i in long if i != k),
+        separating_triangles=tuple(sorted(cycles - {tuple(sorted(w)) for w in walks if len(w) == 3})),
+    )
 
 
 def brute_biconnected(g: EmbeddedGraph) -> bool:
@@ -733,8 +827,8 @@ def read_rings(r: Rel, modules: list[VertexId]) -> tuple[dict, dict, dict]:
 
 def _numbered_faces(sub: dict[VertexId, tuple[VertexId, ...]]) -> tuple[dict, list[int], int]:
     """A sub-rotation's position map turn, the face of every dart, and the face count."""
-    turn, tail, head = _number_darts(sub, sorted(sub))
-    face, walks = _walk(turn, tail, head)
+    turn = _number_darts(sub, sorted(sub))
+    face, walks = _walk(*_successors(turn))
     return turn, face, len(walks)
 
 

@@ -239,7 +239,7 @@ def test_integer_like_keys_read_as_item_by_item():
 def named_defect(rotation: dict) -> str:
     rot = {v: tuple(nbrs) for v, nbrs in rotation.items()}
     with pytest.raises(InconsistentEmbedding) as exc:
-        _check_rotation(rot, _number_darts(rot, sorted(rot))[0])
+        _check_rotation(rot, _number_darts(rot, sorted(rot)))
     return str(exc.value)
 
 

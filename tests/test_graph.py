@@ -8,6 +8,7 @@ from lplan.graph import (
     EmbeddedGraph,
     InconsistentEmbedding,
     _number_darts,
+    _successors,
     _walk,
     common_neighbors,
     cyclic_eq,
@@ -18,11 +19,12 @@ from lplan.graph import (
     validate_ptpg,
 )
 from lplan.io import ParseError, parse_graph
-from lplan.gen import GenSpec, generate_ptpg
+from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.pipeline import plan
 from lplan.rel import T1, T2
 from lplan.samples import embed_by_coords
 
+from completions import tiny_completions
 from oracles import (
     brute_biconnected,
     brute_separating_triangles,
@@ -33,6 +35,8 @@ from oracles import (
     face_walk_segments,
     read_rings,
     walk_faces,
+    walking_check,
+    walking_report,
 )
 
 ALL_SAMPLES = (
@@ -277,7 +281,7 @@ def test_biconnectivity_matches_tarjan():
 
 def walk_darts(rotation):
     """The library's numbered-dart walk over a rotation, as walks and dart -> face."""
-    walks = _walk(*_number_darts(rotation, sorted(rotation)))[1]
+    walks = _walk(*_successors(_number_darts(rotation, sorted(rotation))))[1]
     return walks, dart_faces(walks)
 
 
@@ -399,3 +403,127 @@ def test_disconnected_rotation_system_is_rejected(outer):
 def test_triangles_in_ascending_order(make):
     g = make()
     assert edge_triangles(g) == brute_triangles(g)
+
+
+# -- faces checked by count, walked when read ----------------------------------
+
+K4 = k4().rotation
+TWISTED_K4 = {1: (2, 3, 4), 2: (3, 4, 1), 3: (1, 4, 2), 4: (1, 2, 3)}  # two faces, not four
+# The square 1-2-3-4 around the square 5-6-7-8, the ring between them triangulated:
+# two quadrilateral faces, whose eight darts are as many as an 8-cycle's.
+SQUARES = {
+    1: (2, 6, 5, 4), 2: (3, 7, 6, 1), 3: (8, 7, 2, 4), 4: (1, 5, 8, 3),
+    5: (1, 6, 8, 4), 6: (1, 2, 7, 5), 7: (6, 2, 3, 8), 8: (5, 7, 3, 4),
+}
+
+
+def mutations(rotation, outer):
+    """Damaged copies of a simple embedding with a vertex of degree 3 or more, as (rotation, outer)."""
+    v = max(rotation, key=lambda x: len(rotation[x]))
+    nbrs = tuple(rotation[v])
+    ring = {frozenset(e) for e in zip(outer, outer[1:] + outer[:1])}
+    u = next(x for x in nbrs if frozenset((v, x)) not in ring)
+    top = max(rotation) + 1
+    return [
+        ({**rotation, v: nbrs[::-1]}, outer),
+        ({**rotation, v: (nbrs[1], nbrs[0]) + nbrs[2:]}, outer),
+        # without an inner edge, two faces become one, a quadrilateral where both were triangles
+        ({**rotation, v: tuple(x for x in nbrs if x != u), u: tuple(x for x in rotation[u] if x != v)}, outer),
+        ({**rotation, top: (top + 1, top + 2), top + 1: (top + 2, top), top + 2: (top, top + 1)}, outer),
+        ({**rotation, top: ()}, outer),
+    ]
+
+
+def check_inputs():
+    """(rotation, outer) pairs for the counting check against the walking one."""
+    graphs = [make() for make in ALL_SAMPLES + FILTER_CASES]
+    for n in range(8, 99, 9):
+        for target in (None, 2, 3, 4, 5, 6):
+            try:
+                graphs.append(generate_ptpg(GenSpec(n=n, seed=n, cip_target=target)))
+            except GenerationFailed:  # small n leave no room for many CIPs
+                continue
+    graphs += [thinned_ptpg(seed) for seed in range(12)]
+    out = [(g.rotation, g.outer) for g in graphs]
+    for g in graphs[: len(ALL_SAMPLES) + len(FILTER_CASES)] + graphs[-30:-12]:
+        out += mutations(g.rotation, g.outer)
+    out += [
+        ({1: (2, 3), 2: (3, 1), 3: (1, 2)}, (1, 2, 3)),
+        ({1: (2, 3), 2: (3, 1), 3: (1, 2)}, (3, 2, 1)),  # K3 bounds a face either way round
+        (K4, (1, 2, 3)),
+        (K4, (3, 2, 1)),
+        (TWISTED_K4, (1, 2, 3)),
+        (torus_k7_plus_triangle(), (8, 9, 10)),
+        (SQUARES, (1, 2, 3, 4)),
+        (SQUARES, (1, 2, 3, 4, 5, 8, 7, 6)),
+    ]
+    return out
+
+
+def assert_same_faces(g, walked):
+    turn, face, walks, k = walked
+    assert g._turn == turn
+    assert g._walks == walks and g._face == face and g.outer_face_index == k
+    assert g.faces == tuple(rotate_min(w) for w in walks)
+
+
+def test_counting_check_matches_the_walking_check():
+    kinds = set()
+    for rotation, outer in check_inputs():
+        try:
+            walked = walking_check(rotation, outer)
+        except InconsistentEmbedding as exc:
+            with pytest.raises(InconsistentEmbedding) as got:
+                EmbeddedGraph(rotation=rotation, outer=outer)
+            assert str(got.value) == str(exc), (rotation, outer)
+            kinds.add(str(exc))
+            continue
+        want = walking_report(rotation, *walked[2:])
+        kinds.add(want.verdict)
+        g = EmbeddedGraph(rotation=rotation, outer=outer)
+        assert validate_ptpg(g) == want and find_separating_triangles(g) == want.separating_triangles
+        assert_same_faces(g, walked)
+        h = EmbeddedGraph(rotation=rotation, outer=outer)
+        assert_same_faces(h, walked)  # the faces read first this time
+        assert validate_ptpg(h) == want
+    assert kinds >= {
+        True,
+        False,
+        "graph is not connected",
+        "rotation system is not planar (Euler check)",
+        "outer cycle does not bound exactly one face",
+    }
+
+
+def test_counting_check_matches_the_walking_check_on_completions():
+    for ag in tiny_completions():
+        g = ag.base
+        walked = walking_check(g.rotation, g.outer)
+        assert validate_ptpg(g) == walking_report(g.rotation, *walked[2:])
+        assert_same_faces(g, walked)
+
+
+@pytest.mark.parametrize(
+    "rotation, outer, message",
+    [
+        (TWISTED_K4, (1, 2, 3), "rotation system is not planar (Euler check)"),
+        (K4, (3, 2, 1), "outer cycle does not bound exactly one face"),
+        # a count that does not know the outer face would take two faces for one
+        (SQUARES, (1, 2, 3, 4, 5, 8, 7, 6), "outer cycle does not bound exactly one face"),
+        ({1: (2,), 2: (), 3: (1,)}, (1, 2, 3), "edge (1,2) is not symmetric"),
+        (K4, (1, 2, 1), "outer cycle repeats a vertex"),
+    ],
+)
+def test_check_defect_texts(rotation, outer, message):
+    with pytest.raises(InconsistentEmbedding) as exc:
+        EmbeddedGraph(rotation=rotation, outer=outer)
+    assert str(exc.value) == message
+    doc = {
+        "vertices": [{"id": v} for v in sorted(rotation)],
+        "rotation": {str(v): list(nbrs) for v, nbrs in rotation.items()},
+        "outer": list(outer),
+    }
+    with pytest.raises(ParseError) as exc:
+        parse_graph(json.dumps(doc).encode())
+    assert exc.value.where == "document" and exc.value.reason == message
+

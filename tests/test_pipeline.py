@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import attach_outside, geometric_adjacency, padded_rectangular_plan
+from oracles import attach_outside, brute_walk_darts, geometric_adjacency, padded_rectangular_plan
 
 import lplan.rel as relmod
 from lplan import samples
@@ -319,19 +319,37 @@ def test_verification_names_a_missing_module_contact_or_label(name):
 @pytest.mark.parametrize("derived", (False, True), ids=("rows", "derived"))
 def test_a_result_survives_pickle_and_deepcopy(name, derived):
     # Reading adj caches key views on the input and on the completion; with
-    # derived, the completion's darts and faces are worked out first.
+    # derived, the completion's darts and faces are worked out first.  The
+    # input's faces are walked only when first read: it is copied before
+    # and after that.
     res = plan(getattr(samples, name)())
     if derived:
         assert res.completion.base.faces
     parts = (res.graph, res.completion.base, res.plan)
     for g in parts[:2]:
         assert g.adj
-    for copied in (pickle.loads(pickle.dumps(parts)), copy.deepcopy(parts)):
+    unwalked = (pickle.loads(pickle.dumps(parts)), copy.deepcopy(parts))
+    assert "_walks" not in vars(res.graph) and res.graph._walks
+    for copied in unwalked + (pickle.loads(pickle.dumps(parts)), copy.deepcopy(parts)):
         assert copied == parts
         for g, was in zip(copied[:2], parts[:2]):
             assert g.adj == was.adj and g.faces == was.faces and g.edges == was.edges
+            assert g._walks == brute_walk_darts(g.rotation)[0]
         assert copied[2].walls == res.plan.walls
     assert pickle.loads(pickle.dumps(res)) == res
+
+
+def test_plan_walks_no_face_of_its_input():
+    # A valid input's faces are checked by count when it is built, and
+    # neither a plan nor a refusal reads them.
+    graphs = [getattr(samples, name)() for name in sorted(PLAN_OUTCOMES)]
+    graphs += [generate_ptpg(GenSpec(n=n, seed=n, cip_target=6)) for n in (44, 53, 98)]
+    outcomes = Counter()
+    for made in graphs:
+        g = EmbeddedGraph(rotation=made.rotation, outer=made.outer)
+        outcomes[plan(g).outcome] += 1
+        assert "_walks" not in vars(g) and "_face" not in vars(g)
+    assert outcomes["Plan"] == 6 and outcomes["TooManyCips"] == 4, outcomes
 
 
 def test_every_exported_name_resolves():
