@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Edge, EmbeddedGraph, VertexId, common_neighbors, edge_key
+from .graph import Edge, EmbeddedGraph, VertexId, edge_key
 
 
 class Shortcut(NamedTuple):
@@ -108,18 +108,18 @@ def find_cips(g: EmbeddedGraph) -> tuple[Cip, ...]:
 def find_triplets(g: EmbeddedGraph) -> tuple[Triplet, ...]:
     """Clockwise consecutive outer triples (a, b, c) with a, c joined only via b.
 
-    The common-neighbor test ranges over all vertices of the graph, not
-    just the boundary.
+    Only the outline vertices' rows are read: b, on the outline between
+    them, is a common neighbour of a and c, so they are joined only via
+    b iff c is no neighbour of a and the two share exactly one neighbour.
     """
-    out = []
-    n = len(g.outer)
-    for i in range(n):
-        a, b, c = g.outer[i], g.outer[(i + 1) % n], g.outer[(i + 2) % n]
-        if c in g.adj[a]:
-            continue
-        if common_neighbors(g, a, c) == (b,):
-            out.append(Triplet(a, b, c))
-    return tuple(out)
+    outer = g.outer
+    nbrs = [set(g.rotation[v]) for v in outer]
+    k = len(outer)
+    return tuple(
+        Triplet(a, outer[(i + 1) % k], c)
+        for i, (a, c) in enumerate(zip(outer, outer[2:] + outer[:2]))
+        if c not in nbrs[i] and len(nbrs[i] & nbrs[(i + 2) % k]) == 1
+    )
 
 
 class NecessaryReport(NamedTuple):

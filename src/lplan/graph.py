@@ -156,7 +156,7 @@ class EmbeddedGraph:
     labels: Mapping[VertexId, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        rot = {v: tuple(nbrs) for v, nbrs in self.rotation.items()}
+        rot = dict(zip(self.rotation, map(tuple, self.rotation.values())))
         outer = tuple(self.outer)
         # type() is exact: True and 1.0 equal the id 1 but are not ids
         if not (
@@ -281,11 +281,6 @@ class EmbeddedGraph:
     def outer_face_index(self) -> int:
         # The dart that follows outer[0] -> outer[1] lies on the same face.
         return self._face[self._turn[self.outer[1]][self.outer[0]]]
-
-    @cached_property
-    def inner_faces(self) -> tuple[tuple[VertexId, ...], ...]:
-        k = self.outer_face_index
-        return tuple(f for i, f in enumerate(self.faces) if i != k)
 
     @cached_property
     def chords(self) -> tuple[Edge, ...]:

@@ -9,15 +9,18 @@ sort_keys=True) writes them, by a writer of their own (_dump): with an
 indent, json.dumps runs its pure-Python encoder.  A list of records,
 such as the modules or the outline points, is written through one
 %-template built from its first member and filled per member
-(_records).  Each part of a graph document is checked whole, by exact
-types and set operations; only a part that fails is read again item by
-item, to name its first defect.
+(_records).  A graph document is checked once: the reader checks the
+vertex ids, the labels, the rotation keys and that the neighbours and
+the outline come as lists, whole, by exact types and set operations;
+the build checks every neighbour and outline vertex.  Only a document
+that fails either is read again, part by part in document order, to
+name its first defect.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import contains, itemgetter
 from typing import NamedTuple
@@ -150,34 +153,32 @@ def graph_to_doc(g: EmbeddedGraph) -> dict:
     }
 
 
-def _vertices_whole(items: list) -> tuple[list[VertexId], dict[VertexId, str]] | None:
-    """The ids and labels of a vertex list that passes every check whole, else None."""
+def _parts_whole(items: list, rot: object, outer: object) -> tuple | None:
+    """The rotation, outline and labels, if the ids, labels, keys and lists pass whole, else None.
+
+    Every neighbour, and every vertex of the outline, is left to the build.
+    """
+    if not (isinstance(rot, dict) and isinstance(outer, list)):
+        return None
     if {dict}.issuperset(map(type, items)) and all(map(contains, items, repeat("id"))):
         ids = list(map(itemgetter("id"), items))
-        if {int}.issuperset(map(type, ids)) and len(set(ids)) == len(ids):
+        if {int}.issuperset(map(type, ids)):
+            known = set(ids)
             has = list(map(contains, items, repeat("label")))
             labels = dict(zip(compress(ids, has), map(itemgetter("label"), compress(items, has))))
-            if {str}.issuperset(map(type, labels.values())):
-                return ids, labels
+            try:
+                keys = list(map(int, rot))
+            except (TypeError, ValueError):
+                return None
+            nbrs = rot.values()
+            if len(known) == len(ids) == len(keys) == len(set(keys)) and known.issuperset(keys):
+                if {str}.issuperset(map(type, labels.values())) and {list}.issuperset(map(type, nbrs)):
+                    return dict(zip(keys, map(tuple, nbrs))), tuple(outer), labels
     return None
 
 
-def _rotation_whole(rot: dict, known: set[VertexId]) -> dict[VertexId, tuple[VertexId, ...]] | None:
-    """The neighbour lists, if they pass every check whole, else None."""
-    try:
-        keys = list(map(int, rot))
-    except (TypeError, ValueError):
-        return None
-    nbrs = rot.values()
-    if known.issuperset(keys) and len(set(keys)) == len(keys) and {list}.issuperset(map(type, nbrs)):
-        flat = list(chain.from_iterable(nbrs))
-        if {int}.issuperset(map(type, flat)) and known.issuperset(flat):
-            return dict(zip(keys, map(tuple, nbrs)))
-    return None
-
-
-def _read_vertices(items: list) -> tuple[list[VertexId], dict[VertexId, str]]:
-    """The ids and labels of a vertex list, item by item: raises ParseError at the first defect."""
+def _read_parts(items: list, rot: object, outer: object) -> tuple:
+    """The rotation, outline and labels, read item by item: raises ParseError at the first defect."""
     labels: dict[VertexId, str] = {}
     ids: list[VertexId] = []
     known: set[VertexId] = set()
@@ -196,11 +197,8 @@ def _read_vertices(items: list) -> tuple[list[VertexId], dict[VertexId, str]]:
             if not isinstance(item["label"], str):
                 raise ParseError(f"{where}.label", "labels must be strings")
             labels[v] = item["label"]
-    return ids, labels
-
-
-def _read_rotation(rot: dict, known: set[VertexId]) -> dict[VertexId, tuple[VertexId, ...]]:
-    """The neighbour lists, item by item: raises ParseError at the first defect."""
+    if not isinstance(rot, dict):
+        raise ParseError("rotation", "expected an object keyed by vertex id")
     rotation: dict[VertexId, tuple[VertexId, ...]] = {}
     for key, nbrs in rot.items():
         where = f"rotation.{key}"
@@ -218,7 +216,14 @@ def _read_rotation(rot: dict, known: set[VertexId]) -> dict[VertexId, tuple[Vert
         if not known.issuperset(nbrs):
             raise ParseError(where, f"unknown neighbours {[u for u in nbrs if u not in known]}")
         rotation[v] = tuple(nbrs)
-    return rotation
+    if len(rotation) != len(known):
+        missing = [v for v in ids if v not in rotation]
+        raise ParseError("rotation", f"no neighbour list for vertices {missing}")
+    if not isinstance(outer, list) or not {int}.issuperset(map(type, outer)):
+        raise ParseError("outer", "expected a list of vertex ids")
+    if not known.issuperset(outer):
+        raise ParseError("outer", f"unknown vertices {[u for u in outer if u not in known]}")
+    return rotation, tuple(outer), labels
 
 
 def doc_to_graph(doc: dict) -> EmbeddedGraph:
@@ -227,25 +232,14 @@ def doc_to_graph(doc: dict) -> EmbeddedGraph:
     for key in ("vertices", "rotation", "outer"):
         if key not in doc:
             raise ParseError("document", f"missing field {key!r}")
-    items = doc["vertices"]
+    items, rot, outer = doc["vertices"], doc["rotation"], doc["outer"]
     if not isinstance(items, list) or not items:
         raise ParseError("vertices", "expected a non-empty list")
-    ids, labels = _vertices_whole(items) or _read_vertices(items)
-    known = set(ids)
-    rot = doc["rotation"]
-    if not isinstance(rot, dict):
-        raise ParseError("rotation", "expected an object keyed by vertex id")
-    rotation = _rotation_whole(rot, known) or _read_rotation(rot, known)
-    if len(rotation) != len(known):
-        missing = [v for v in ids if v not in rotation]
-        raise ParseError("rotation", f"no neighbour list for vertices {missing}")
-    if not isinstance(doc["outer"], list) or not {int}.issuperset(map(type, doc["outer"])):
-        raise ParseError("outer", "expected a list of vertex ids")
-    if not known.issuperset(doc["outer"]):
-        raise ParseError("outer", f"unknown vertices {[u for u in doc['outer'] if u not in known]}")
+    rotation, cycle, labels = _parts_whole(items, rot, outer) or _read_parts(items, rot, outer)
     try:
-        return EmbeddedGraph(rotation=rotation, outer=tuple(doc["outer"]), labels=labels)
+        return EmbeddedGraph(rotation=rotation, outer=cycle, labels=labels)
     except InconsistentEmbedding as exc:
+        _read_parts(items, rot, outer)  # a neighbour or outline defect the build met first is named so
         raise ParseError("document", str(exc)) from exc
 
 

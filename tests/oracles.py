@@ -20,7 +20,7 @@ import functools
 import itertools
 from collections import Counter, deque
 
-from lplan.boundary import Cip, Shortcut, boundary_arc, find_cips
+from lplan.boundary import Cip, Shortcut, Triplet, boundary_arc, find_cips
 from lplan.graph import (
     EmbeddedGraph,
     InconsistentEmbedding,
@@ -29,9 +29,11 @@ from lplan.graph import (
     _number_darts,
     _successors,
     _walk,
+    common_neighbors,
     edge_key,
     validate_ptpg,
 )
+from lplan.io import ParseError
 from lplan.layout import (
     CornerProfile,
     FloorPlan,
@@ -301,6 +303,12 @@ def common_neighbour_sum(g: EmbeddedGraph) -> int:
     return sum(len(g.adj[u] & g.adj[v]) for u in g.vertices for v in g.adj[u] if u < v)
 
 
+def inner_faces(g: EmbeddedGraph) -> tuple[tuple[VertexId, ...], ...]:
+    """The faces but the outer one, in face index order."""
+    k = g.outer_face_index
+    return tuple(f for i, f in enumerate(g.faces) if i != k)
+
+
 def brute_separating_triangles(g: EmbeddedGraph) -> set[frozenset]:
     """3-cliques that do not bound any face, inner or outer.
 
@@ -396,6 +404,87 @@ def brute_cips(g: EmbeddedGraph) -> tuple[Cip, ...]:
                 out.append(Cip(vertices=arc, chord=(u, v)))
     out.sort(key=lambda c: (g.outer.index(c.vertices[0]), len(c.vertices)))
     return tuple(out)
+
+
+def scan_triplets(g: EmbeddedGraph) -> tuple[Triplet, ...]:
+    """Consecutive outer triples (a, b, c), c no neighbour of a, whose common neighbours are (b,).
+
+    The scan find_triplets made before it read the outline's rows alone:
+    the neighbour sets of every vertex, one sorted intersection per triple.
+    """
+    out = []
+    n = len(g.outer)
+    for i in range(n):
+        a, b, c = g.outer[i], g.outer[(i + 1) % n], g.outer[(i + 2) % n]
+        if c not in g.adj[a] and common_neighbors(g, a, c) == (b,):
+            out.append(Triplet(a, b, c))
+    return tuple(out)
+
+
+# -- graph documents read item by item, every neighbour twice -------------------
+
+
+def checked_doc_to_graph(doc) -> EmbeddedGraph:
+    """A graph document read part by part and item by item, then built.
+
+    The reader doc_to_graph was before the build took over the neighbour
+    checks: it reads every neighbour's type and membership itself, names
+    the first defect in document order, and only builds a document that
+    has none, where a failed build is a ParseError at "document".
+    """
+    if not isinstance(doc, dict):
+        raise ParseError("document", "expected a JSON object")
+    for key in ("vertices", "rotation", "outer"):
+        if key not in doc:
+            raise ParseError("document", f"missing field {key!r}")
+    items = doc["vertices"]
+    if not isinstance(items, list) or not items:
+        raise ParseError("vertices", "expected a non-empty list")
+    labels, ids = {}, []
+    for i, item in enumerate(items):
+        where = f"vertices[{i}]"
+        if not isinstance(item, dict) or "id" not in item:
+            raise ParseError(where, "expected an object with an 'id'")
+        v = item["id"]
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ParseError(f"{where}.id", "vertex ids must be integers")
+        if v in ids:
+            raise ParseError(f"{where}.id", f"duplicate vertex id {v}")
+        ids.append(v)
+        if "label" in item:
+            if not isinstance(item["label"], str):
+                raise ParseError(f"{where}.label", "labels must be strings")
+            labels[v] = item["label"]
+    rot = doc["rotation"]
+    if not isinstance(rot, dict):
+        raise ParseError("rotation", "expected an object keyed by vertex id")
+    rotation = {}
+    for key, nbrs in rot.items():
+        where = f"rotation.{key}"
+        try:
+            v = int(key)
+        except ValueError:
+            raise ParseError(where, "keys must be integer vertex ids") from None
+        if v not in ids:
+            raise ParseError(where, f"unknown vertex {v}")
+        if v in rotation:
+            raise ParseError(where, f"duplicate neighbour list for vertex {v}")
+        if not isinstance(nbrs, list) or any(type(u) is not int for u in nbrs):
+            raise ParseError(where, "expected a list of vertex ids")
+        if any(u not in ids for u in nbrs):
+            raise ParseError(where, f"unknown neighbours {[u for u in nbrs if u not in ids]}")
+        rotation[v] = tuple(nbrs)
+    if len(rotation) != len(ids):
+        raise ParseError("rotation", f"no neighbour list for vertices {[v for v in ids if v not in rotation]}")
+    outer = doc["outer"]
+    if not isinstance(outer, list) or any(type(u) is not int for u in outer):
+        raise ParseError("outer", "expected a list of vertex ids")
+    if any(u not in ids for u in outer):
+        raise ParseError("outer", f"unknown vertices {[u for u in outer if u not in ids]}")
+    try:
+        return EmbeddedGraph(rotation=rotation, outer=tuple(outer), labels=labels)
+    except InconsistentEmbedding as exc:
+        raise ParseError("document", str(exc)) from exc
 
 
 # -- ring words by enumeration ------------------------------------------------

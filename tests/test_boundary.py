@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,9 +12,10 @@ from lplan.boundary import (
     find_triplets,
     necessary_conditions,
 )
-from lplan.gen import GenSpec, generate_ptpg
+from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
+from lplan.graph import EmbeddedGraph
 
-from oracles import brute_chords, brute_cips, brute_shortcuts, is_boundary_edge
+from oracles import brute_chords, brute_cips, brute_shortcuts, is_boundary_edge, scan_triplets
 
 
 @pytest.fixture
@@ -94,6 +96,28 @@ def test_chorded_hexagon_triplets():
 
 def test_wheel_has_no_triplets():
     assert find_triplets(samples.wheel4()) == ()
+
+
+def _triplet_graphs():
+    yield from (make() for make in SAMPLES)
+    yield EmbeddedGraph(rotation={1: (2, 3), 2: (3, 1), 3: (1, 2)}, outer=(1, 2, 3))  # K3
+    yield EmbeddedGraph(rotation={1: (2, 4, 3), 2: (3, 4, 1), 3: (1, 4, 2), 4: (1, 2, 3)}, outer=(1, 2, 3))  # K4
+    for n in range(6, 99, 4):
+        for target in (None, 2, 3, 4, 5, 6):
+            try:
+                yield generate_ptpg(GenSpec(n=n, seed=n, cip_target=target))
+            except GenerationFailed:  # small n leave no room for many CIPs
+                continue
+
+
+def test_triplets_match_the_scan_over_every_vertex():
+    # The outline's own rows give the triplets the common-neighbour scan gives.
+    found = Counter()
+    for g in _triplet_graphs():
+        got = find_triplets(g)
+        assert got == scan_triplets(g), g.outer
+        found[bool(got)] += 1
+    assert found[False] >= 5 and found[True] >= 100, found
 
 
 def test_necessary_conditions_pass_and_fail():

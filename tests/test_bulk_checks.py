@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -31,7 +32,7 @@ from lplan.graph import (
     rotate_min,
     validate_ptpg,
 )
-from lplan.io import ParseError, doc_to_graph, graph_to_doc
+from lplan.io import ParseError, doc_to_graph, graph_to_doc, parse_graph
 from lplan.pipeline import plan
 from lplan.samples import embed_by_coords
 
@@ -42,7 +43,9 @@ from oracles import (
     brute_separating_triangles,
     brute_triangles,
     brute_walk_darts,
+    checked_doc_to_graph,
     common_neighbour_sum,
+    inner_faces,
     walk_faces,
 )
 from test_graph import ALL_SAMPLES as SAMPLES, k4, thinned_ptpg, wheel
@@ -51,9 +54,8 @@ from test_graph import ALL_SAMPLES as SAMPLES, k4, thinned_ptpg, wheel
 
 
 def item_by_item(doc: dict):
-    """The per-item readers on doc's vertex list and rotation: (ids, labels, rotation)."""
-    ids, labels = io._read_vertices(doc["vertices"])
-    return ids, labels, io._read_rotation(doc["rotation"], set(ids))
+    """The per-item reader on doc's parts: (rotation, outer, labels)."""
+    return io._read_parts(doc["vertices"], doc["rotation"], doc["outer"])
 
 
 def per_item_error(doc: dict) -> str:
@@ -203,7 +205,7 @@ def test_random_malformed_documents_name_the_per_item_defect(seed):
         for _ in range(rng.choice((1, 1, 2, 3))):
             _random_defect(doc, rng)
         try:
-            ids, labels, rotation = item_by_item(copy.deepcopy(doc))
+            rotation, _, labels = item_by_item(copy.deepcopy(doc))
         except ParseError as exc:
             named += 1
             with pytest.raises(ParseError) as got:
@@ -219,18 +221,135 @@ def test_random_malformed_documents_name_the_per_item_defect(seed):
 def test_valid_documents_read_as_item_by_item(make):
     g = make()
     doc = graph_to_doc(g)
-    ids, labels, rotation = item_by_item(doc)
+    rotation, outer, labels = item_by_item(doc)
     got = doc_to_graph(doc)
     assert list(got.rotation.items()) == list(rotation.items())
     assert list(got.labels.items()) == list(labels.items()) == list(g.labels.items())
-    assert list(got.rotation) == ids
+    assert list(got.rotation) == [item["id"] for item in doc["vertices"]]
+    assert got.outer == outer == g.outer
 
 
 def test_integer_like_keys_read_as_item_by_item():
     # int() reads " 1" and "01" as 1; both readings accept such keys alike
     doc = graph_to_doc(samples.pentagon_with_pocket())
     doc["rotation"] = {f" 0{k}": nbrs for k, nbrs in doc["rotation"].items()}
-    assert list(doc_to_graph(doc).rotation.items()) == list(item_by_item(doc)[2].items())
+    assert list(doc_to_graph(doc).rotation.items()) == list(item_by_item(doc)[0].items())
+
+
+def _parsed(data: bytes, read) -> object:
+    """What read makes of data: the graph's rotation, outline and labels in order, or the error text."""
+    try:
+        g = read(data)
+    except ParseError as exc:
+        return str(exc)
+    return list(g.rotation.items()), g.outer, list(g.labels.items())
+
+
+def _outer(value):
+    return _set(("outer",), value)
+
+
+def _append(key, u):
+    def mutate(doc):
+        doc["rotation"][key] = doc["rotation"][key] + [u]
+
+    mutate.__name__ = f"rotation.{key}+=[{u!r}]"
+    return mutate
+
+
+def _reverse(key):
+    def mutate(doc):
+        doc["rotation"][key] = doc["rotation"][key][::-1]
+
+    mutate.__name__ = f"reversed rotation.{key}"
+    return mutate
+
+
+# Defects of the pentagon's document (vertices 1..7, vertex i at
+# vertices[i - 1]), one per part or item kind, then two at once.
+PARITY_DEFECTS = (
+    _set(("vertices", 2), 5),
+    _set(("vertices", 2), None),
+    _drop(("vertices", 4, "id")),
+    _set(("vertices", 3, "id"), True),
+    _set(("vertices", 3, "id"), 4.0),
+    _set(("vertices", 3, "id"), "4"),
+    _set(("vertices", 5, "id"), 2),
+    _set(("vertices", 0, "label"), 7),
+    _set(("vertices", 0, "label"), ["a"]),
+    _add_key("01", [5, 2, 6]),
+    _add_key("x", [1]),
+    _add_key("99", [1]),
+    _set(("rotation", "1"), "526"),
+    _set(("rotation", "1"), 5),
+    _set(("rotation", "1"), {"5": 2}),
+    _set(("rotation", "1"), [5, True, 6]),
+    _set(("rotation", "1"), [5, 2.0, 6]),
+    _set(("rotation", "1"), [5, "2", 6]),
+    _set(("rotation", "1"), [5, [2], 6]),
+    _set(("rotation", "1"), [5, 99, 6, 98]),
+    _drop(("rotation", "3")),
+    _outer([1, 2.0, 3, 4, 5]),
+    _outer([1, True, 3, 4, 5]),
+    _outer(["1", 2, 3, 4, 5]),
+    _outer([[1], 2, 3, 4, 5]),
+    _outer("12345"),
+    _outer([1, 2, 3, 4, 99]),
+    _outer([1, 2]),
+    _outer([1, 2, 3]),  # known vertices, but no face
+    _outer([1, 2, 3, 4, 1]),
+    _set(("rotation", "1"), [1, 5, 2, 6]),  # a loop
+    _set(("rotation", "1"), [5, 2, 6, 2]),
+    _set(("rotation", "1"), [5, 2]),  # a one-sided dart 6 -> 1
+    _reverse("1"),
+    _set(("rotation",), []),
+    _drop(("outer",)),
+    _set(("vertices",), []),
+    # a neighbour defect with an outline defect, or with an embedding defect
+    _both(_append("2", 99), _outer([1, 2, 3, 4, 98])),
+    _both(_append("2", True), _outer([1, 2])),
+    _both(_set(("rotation", "5"), [4, [1], 6]), _outer([1, 2, 3, 4, "5"])),
+    _both(_append("3", 99), _reverse("1")),
+    _both(_append("6", 2.5), _set(("rotation", "1"), [1, 5, 2, 6])),
+    _both(_append("7", "4"), _outer([1, 2, 3])),
+    _both(_set(("rotation", "1"), [5, 2]), _outer([1, 2, 3, 4, 99])),
+    _both(_set(("rotation", "1"), [5, 2]), _set(("rotation", "4"), [3, 5, 99])),
+)
+
+
+def _parity_documents():
+    yield from (graph_to_doc(make()) for make in SAMPLES)
+    for n in range(23, 99, 15):
+        for target in (None, 2, 4):
+            yield graph_to_doc(generate_ptpg(GenSpec(n=n, seed=n, cip_target=target)))
+    for mutate in PARITY_DEFECTS:
+        doc = graph_to_doc(samples.pentagon_with_pocket())
+        mutate(doc)
+        yield doc
+    # An unknown vertex in the outline, after an unknown neighbour: the neighbour is named.
+    doc = graph_to_doc(samples.wheel4())  # vertices 1..5
+    _both(_append("2", 9), _outer([1, 2, 3, 7]))(doc)
+    yield doc
+    for seed in range(2):
+        rng = random.Random(seed)
+        base = graph_to_doc(generate_ptpg(GenSpec(n=14, seed=seed)))
+        for _ in range(40):
+            doc = copy.deepcopy(base)
+            for _ in range(rng.choice((1, 2))):
+                _random_defect(doc, rng)
+            yield doc
+
+
+def test_parse_errors_match_the_reader_that_checked_every_neighbour_twice():
+    texts = Counter()
+    for doc in _parity_documents():
+        data = json.dumps(doc).encode()
+        got = _parsed(data, parse_graph)
+        assert got == _parsed(data, lambda b: checked_doc_to_graph(json.loads(b))), doc
+        texts[got if isinstance(got, str) else "graph"] += 1
+    assert texts["rotation.2: unknown neighbours [9]"] == 1
+    assert texts["graph"] >= len(SAMPLES) + 18
+    assert sum(t.startswith("document: ") for t in texts) >= 6, texts
 
 
 # -- rotation systems ---------------------------------------------------------
@@ -332,7 +451,7 @@ def planted_graphs():
         rng = random.Random(seed)
         g = generate_ptpg(GenSpec(n=8 + 2 * seed, seed=seed))
         for _ in range(1 + seed % 4):
-            g = plant(g, rng.choice([f for f in g.inner_faces if len(f) == 3]))
+            g = plant(g, rng.choice([f for f in inner_faces(g) if len(f) == 3]))
             yield g
 
 
@@ -372,7 +491,7 @@ def two_connected_with_long_faces(seed: int) -> EmbeddedGraph:
     rng = random.Random(seed)
     g = generate_ptpg(GenSpec(n=6 + seed % 25, seed=seed))
     for _ in range(seed % 3):
-        g = plant(g, rng.choice([f for f in g.inner_faces if len(f) == 3]))
+        g = plant(g, rng.choice([f for f in inner_faces(g) if len(f) == 3]))
     ring = {edge_key(g.outer[i - 1], g.outer[i]) for i in range(len(g.outer))}
     inner = sorted(g.edges - ring)
     rng.shuffle(inner)
@@ -410,7 +529,7 @@ def test_triangle_count_is_the_edge_sum_over_three():
         assert got == len(brute_triangles(g))
         sep = find_separating_triangles(g)
         assert {frozenset(t) for t in sep} == brute_separating_triangles(g)
-        kinds[bool(sep), any(len(f) > 3 for f in g.inner_faces)] += 1
+        kinds[bool(sep), any(len(f) > 3 for f in inner_faces(g))] += 1
     assert min(kinds.values()) >= 5 and len(kinds) == 4, kinds
 
 

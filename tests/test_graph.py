@@ -33,6 +33,7 @@ from oracles import (
     dart_faces,
     edge_triangles,
     face_walk_segments,
+    inner_faces,
     read_rings,
     walk_faces,
     walking_check,
@@ -367,7 +368,7 @@ def test_high_degree_wheel_is_a_ptpg():
 def test_triangle_bruteforcer_sees_all_faces():
     g = samples.pentagon_with_pocket()
     tri_sets = {frozenset(t) for t in brute_triangles(g)}
-    for f in g.inner_faces:
+    for f in inner_faces(g):
         assert frozenset(f) in tri_sets
 
 

@@ -341,14 +341,17 @@ def test_a_result_survives_pickle_and_deepcopy(name, derived):
 
 def test_plan_walks_no_face_of_its_input():
     # A valid input's faces are checked by count when it is built, and
-    # neither a plan nor a refusal reads them.
+    # neither a plan nor a refusal reads them; a refusal for its CIPs
+    # reads no neighbour sets either, as the triplets need only the outline's rows.
     graphs = [getattr(samples, name)() for name in sorted(PLAN_OUTCOMES)]
     graphs += [generate_ptpg(GenSpec(n=n, seed=n, cip_target=6)) for n in (44, 53, 98)]
     outcomes = Counter()
     for made in graphs:
         g = EmbeddedGraph(rotation=made.rotation, outer=made.outer)
-        outcomes[plan(g).outcome] += 1
+        outcome = plan(g).outcome
+        outcomes[outcome] += 1
         assert "_walks" not in vars(g) and "_face" not in vars(g)
+        assert outcome != "TooManyCips" or "adj" not in vars(g)
     assert outcomes["Plan"] == 6 and outcomes["TooManyCips"] == 4, outcomes
 
 
