@@ -8,16 +8,18 @@ an oriented edge (x, y) with a steering vertex C.  The edge flips
 directly when exactly its y-side triangle mate matches its color;
 otherwise the chain descends into the offending triangle.  A repeated
 edge on the chain closes an alternating 4-cycle, which is rotated
-wholesale before the chain resumes.
+wholesale before the chain resumes.  Every chain edge joins two inner
+vertices of a completion with no separating triangle, so its triangle
+mates are its neighbours on either side in a rotation: the chain reads
+the rotation and the labels only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .boundary import Triplet
-from .graph import VertexId, common_neighbors, edge_key
+from .graph import VertexId, edge_key
 from .rel import T1, FourCycle, NotAlternating, NotFlippable, Rel, flip_edge, rotate_four_cycle
 
 
@@ -46,14 +48,6 @@ class WorkItem(NamedTuple):
 class FlipRecord(NamedTuple):
     action: str  # "flip" | "rotate" | "pre"
     detail: tuple
-
-
-@dataclass
-class FlipWorklist:
-    """The open flip chain, innermost item last, and the moves made so far."""
-
-    stack: list[WorkItem] = field(default_factory=list)
-    trace: list[FlipRecord] = field(default_factory=list)
 
 
 class NormalizeReport(NamedTuple):
@@ -93,15 +87,26 @@ def _orient_item(r: Rel, edge: tuple[VertexId, VertexId], c: VertexId) -> WorkIt
     return None
 
 
+def _mates(r: Rel, x: VertexId, y: VertexId) -> tuple[VertexId, ...]:
+    """The neighbours on either side of y in x's rotation, ascending.
+
+    A chain edge joins two inner vertices of a completion with no
+    separating triangle, so these are its common neighbours.
+    """
+    nbrs = r.graph.rotation[x]
+    i = nbrs.index(y)
+    return tuple(sorted((nbrs[i - 1], nbrs[(i + 1) % len(nbrs)])))
+
+
 def _classify(r: Rel, item: WorkItem) -> tuple[str, VertexId]:
-    common = common_neighbors(r.graph, item.x, item.y)
+    common = _mates(r, item.x, item.y)
     others = [w for w in common if w != item.c]
-    if len(common) != 2 or len(others) != 1:
+    if len(others) != 1:
         raise OracleViolation(
             f"edge ({item.x},{item.y}) has common neighbors {common}, steering {item.c}"
         )
     z = others[0]
-    if z in set(r.pole_ids):
+    if z in r.poles.values():
         raise OracleViolation(f"chain reached pole {z} at edge ({item.x},{item.y})")
     x_label = r.label(item.x, item.y)
     lxz = r.label(item.x, z)
@@ -115,86 +120,55 @@ def _classify(r: Rel, item: WorkItem) -> tuple[str, VertexId]:
     return "case-c", z
 
 
-def advance(r: Rel, wl: FlipWorklist):
-    """One chain step: Flipped(edge) | Descend(item) | Repeat(j, item)."""
-    item = wl.stack[-1]
-    case, z = _classify(r, item)
-    if case == "flip":
-        try:
-            flip_edge(r, item.x, item.y)
-        except NotFlippable as exc:
-            raise OracleViolation(f"unflippable chain edge ({item.x},{item.y})") from exc
-        wl.stack.pop()
-        wl.trace.append(FlipRecord("flip", (item.x, item.y)))
-        return ("Flipped", (item.x, item.y))
-    child = WorkItem(z, item.y, item.x) if case == "case-b" else WorkItem(item.x, z, item.y)
-    matches = [i for i, it in enumerate(wl.stack) if it.edge == child.edge]
-    if matches:
-        return ("Repeat", matches[-1], child)
-    wl.stack.append(child)
-    return ("Descend", child)
+def _run_chain(r: Rel, stack: list[WorkItem], trace: list[FlipRecord], budget: int) -> None:
+    """Resolve the chain on stack, innermost item last, appending its moves to trace.
 
-
-def resolve_repeat(r: Rel, wl: FlipWorklist, j: int, child: WorkItem) -> None:
-    """Rotate the 4-cycle enclosed by the repeated chain segment.
-
-    The rotation recolors everything strictly inside the cycle, which
-    includes the repeated edge itself, so the whole segment from the first
-    occurrence on is done and the chain resumes at the item before it.
+    The top item flips and is popped, or the chain descends into its
+    offending triangle.  A child edge already on the chain closes a
+    4-cycle through the case-b mates of the segment from its last
+    occurrence on; the rotation recolors everything strictly inside the
+    cycle, the repeated edge included, so that segment is done and the
+    item below it is oriented afresh.
     """
-    segment = wl.stack[j + 1 :] + [child]
-    ring: list[VertexId] = []
-    for it in segment:
-        case, z = _classify(r, it)
-        if case == "case-b":
-            ring.append(z)
-    if len(ring) != 4:
-        raise CycleNotFound(f"repeat segment encloses {len(ring)} corners, need 4")
-    w = tuple(ring)
-    for i in range(4):
-        if edge_key(w[i], w[(i + 1) % 4]) not in r.graph.edges:
-            raise CycleNotFound(f"corners {w} do not close a cycle")
-    try:
-        mode = rotate_four_cycle(r, FourCycle(w))
-    except (NotAlternating, NotFlippable) as exc:
-        raise CycleNotFound(str(exc)) from exc
-    wl.trace.append(FlipRecord("rotate", (w, mode)))
-    del wl.stack[j:]
-    if wl.stack:
-        top = wl.stack[-1]
-        fresh = _orient_item(r, (top.x, top.y), top.c)
-        if fresh is None:
-            raise NormalizationFailed("stale chain orientation after rotation")
-        wl.stack[-1] = fresh
-
-
-def _run_chain(r: Rel, wl: FlipWorklist, budget: int) -> int:
+    rot = r.graph.rotation
     steps = 0
-    while wl.stack:
+    while stack:
         steps += 1
         if steps > budget:
             raise NormalizationFailed(f"flip chain exceeded its step budget of {budget} steps")
-        res = advance(r, wl)
-        if res[0] == "Repeat":
-            resolve_repeat(r, wl, res[1], res[2])
-    return steps
-
-
-def pre_rotate_corner(
-    r: Rel, triplet: Triplet, ne: VertexId, wl: FlipWorklist, budget: int
-) -> None:
-    """Flip the corner edge at NE so the target edge gains a valid steering."""
-    a, b, c = triplet
-    pre = (c, ne) if r.label(a, b) == T1 else (a, ne)
-    for c0 in common_neighbors(r.graph, *pre):
-        item = _orient_item(r, pre, c0)
-        if item is None:
+        item = stack[-1]
+        case, z = _classify(r, item)
+        if case == "flip":
+            try:
+                flip_edge(r, item.x, item.y)
+            except NotFlippable as exc:
+                raise OracleViolation(f"unflippable chain edge ({item.x},{item.y})") from exc
+            stack.pop()
+            trace.append(FlipRecord("flip", (item.x, item.y)))
             continue
-        wl.trace.append(FlipRecord("pre", pre))
-        wl.stack.append(item)
-        _run_chain(r, wl, budget)
-        return
-    raise NormalizationFailed(f"corner edge {pre} admits no chain orientation")
+        child = WorkItem(z, item.y, item.x) if case == "case-b" else WorkItem(item.x, z, item.y)
+        j = next((i for i in range(len(stack) - 1, -1, -1) if stack[i].edge == child.edge), None)
+        if j is None:
+            stack.append(child)
+            continue
+        segment = [_classify(r, it) for it in stack[j + 1 :] + [child]]
+        w = tuple(v for kind, v in segment if kind == "case-b")
+        if len(w) != 4:
+            raise CycleNotFound(f"repeat segment encloses {len(w)} corners, need 4")
+        if not all(v in rot[u] for u, v in zip(w, w[1:] + w[:1])):
+            raise CycleNotFound(f"corners {w} do not close a cycle")
+        try:
+            mode = rotate_four_cycle(r, FourCycle(w))
+        except (NotAlternating, NotFlippable) as exc:
+            raise CycleNotFound(str(exc)) from exc
+        trace.append(FlipRecord("rotate", (w, mode)))
+        del stack[j:]
+        if stack:
+            top = stack[-1]
+            fresh = _orient_item(r, (top.x, top.y), top.c)
+            if fresh is None:
+                raise NormalizationFailed("stale chain orientation after rotation")
+            stack[-1] = fresh
 
 
 def normalize_labels(r: Rel, triplet: Triplet, ne: VertexId) -> NormalizeReport:
@@ -204,19 +178,21 @@ def normalize_labels(r: Rel, triplet: Triplet, ne: VertexId) -> NormalizeReport:
     """
     m = len(r.color)
     budget = 4 * m * m + 16
-    wl = FlipWorklist()
+    trace: list[FlipRecord] = []
     passes = 0
     while True:
         tgt = pick_first_edge(r, triplet, ne)
         if tgt is None:
-            return NormalizeReport(trace=tuple(wl.trace), passes=passes)
+            return NormalizeReport(trace=tuple(trace), passes=passes)
         passes += 1
         if passes > budget:
             raise NormalizationFailed(f"normalization exceeded its pass budget of {budget} passes")
-        edge, c0 = tgt
-        item = _orient_item(r, edge, c0)
-        if item is None:
-            pre_rotate_corner(r, triplet, ne, wl, budget)
-            continue
-        wl.stack = [item]
-        _run_chain(r, wl, budget)
+        item = _orient_item(r, *tgt)
+        if item is None:  # flip the corner edge at NE first, so the target gains a steering
+            a, b, c = triplet
+            pre = (c, ne) if r.label(a, b) == T1 else (a, ne)
+            item = next(filter(None, (_orient_item(r, pre, c0) for c0 in _mates(r, *pre))), None)
+            if item is None:
+                raise NormalizationFailed(f"corner edge {pre} admits no chain orientation")
+            trace.append(FlipRecord("pre", pre))
+        _run_chain(r, [item], trace, budget)

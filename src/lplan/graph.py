@@ -30,8 +30,7 @@ extend derives a graph with vertices attached outside a checked one, as
 the four-completion needs, and checks nothing: attach_vertex checks each
 step.  Its darts are numbered and its faces walked when first read, by
 the code a checked build runs, so its dart numbers, face indices and
-walks equal those of a fresh build of the same rotation.  Until then
-adj is read off the base's rows and the changed ones, and
+walks equal those of a fresh build of the same rotation, and
 attachments_keep_ptpg counts what the attachments add instead of
 validating the graph whole.
 """
@@ -224,7 +223,6 @@ class EmbeddedGraph:
             rotation={**self.rotation, **{v: tuple(nbrs) for v, nbrs in rows.items()}},
             outer=tuple(outer),
             labels=dict(labels),
-            _base=(self, tuple(rows)),
         )
         return g
 
@@ -264,10 +262,7 @@ class EmbeddedGraph:
 
     @cached_property
     def adj(self) -> dict[VertexId, KeysView[VertexId]]:
-        if "_turn" in vars(self):
-            return {v: t.keys() for v, t in self._turn.items()}
-        base, changed = self._base  # from extend, not yet walked: its base's rows but changed ones
-        return {**base.adj, **{v: dict.fromkeys(self.rotation[v]).keys() for v in changed}}
+        return {v: t.keys() for v, t in self._turn.items()}
 
     @cached_property
     def edges(self) -> frozenset[Edge]:

@@ -23,7 +23,6 @@ import json
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import contains, itemgetter
-from typing import NamedTuple
 
 from .graph import EmbeddedGraph, InconsistentEmbedding, VertexId
 from .layout import plan_outline
@@ -330,29 +329,21 @@ def parse_plan(data: bytes) -> dict:
 # -- SVG ----------------------------------------------------------------------
 
 
-class SvgStyle(NamedTuple):
-    scale: int = 40
-    stroke: int = 1
-    margin: int = 20
-    font_size: int = 14
-    fill: str = "#f2ede3"
-    line: str = "#20242b"
-    marker: str = "#c0392b"
-
+_SCALE, _STROKE, _MARGIN, _FONT_SIZE = 40, 1, 20, 14
+_FILL, _LINE, _MARKER = "#f2ede3", "#20242b", "#c0392b"
 
 # character data in XML; xml.sax.saxutils.escape would import urllib and ssl
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
-def render_svg(doc: dict, style: SvgStyle | None = None) -> bytes:
-    st = style or SvgStyle()
+def render_svg(doc: dict) -> bytes:
     mods = doc["modules"]
     w_units = max(m["x"] + m["w"] for m in mods)
     h_units = max(m["y"] + m["h"] for m in mods)
-    px = lambda x: st.margin + x * st.scale
-    py = lambda y: st.margin + (h_units - y) * st.scale
-    width = 2 * st.margin + w_units * st.scale
-    height = 2 * st.margin + h_units * st.scale
+    px = lambda x: _MARGIN + x * _SCALE
+    py = lambda y: _MARGIN + (h_units - y) * _SCALE
+    width = 2 * _MARGIN + w_units * _SCALE
+    height = 2 * _MARGIN + h_units * _SCALE
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
@@ -361,24 +352,24 @@ def render_svg(doc: dict, style: SvgStyle | None = None) -> bytes:
     for m in sorted(mods, key=lambda m: (m["x"], m["y"], m["label"])):
         x, y = px(m["x"]), py(m["y"] + m["h"])
         out.append(
-            f'<rect x="{x}" y="{y}" width="{m["w"] * st.scale}" height="{m["h"] * st.scale}" '
-            f'fill="{st.fill}" stroke="{st.line}" stroke-width="{st.stroke}"/>'
+            f'<rect x="{x}" y="{y}" width="{m["w"] * _SCALE}" height="{m["h"] * _SCALE}" '
+            f'fill="{_FILL}" stroke="{_LINE}" stroke-width="{_STROKE}"/>'
         )
-        cx = px(m["x"]) + m["w"] * st.scale // 2
-        cy = py(m["y"]) - m["h"] * st.scale // 2 + st.font_size // 2
+        cx = px(m["x"]) + m["w"] * _SCALE // 2
+        cy = py(m["y"]) - m["h"] * _SCALE // 2 + _FONT_SIZE // 2
         out.append(
-            f'<text x="{cx}" y="{cy}" font-family="sans-serif" font-size="{st.font_size}" '
-            f'text-anchor="middle" fill="{st.line}">{m["label"].translate(_XML_TEXT)}</text>'
+            f'<text x="{cx}" y="{cy}" font-family="sans-serif" font-size="{_FONT_SIZE}" '
+            f'text-anchor="middle" fill="{_LINE}">{m["label"].translate(_XML_TEXT)}</text>'
         )
     if doc.get("outline"):
         pts = " ".join(f"{px(x)},{py(y)}" for x, y in doc["outline"])
         out.append(
-            f'<polygon points="{pts}" fill="none" stroke="{st.line}" '
-            f'stroke-width="{3 * st.stroke}"/>'
+            f'<polygon points="{pts}" fill="none" stroke="{_LINE}" '
+            f'stroke-width="{3 * _STROKE}"/>'
         )
     for x, y in doc.get("concave_corners", []):
         out.append(
-            f'<circle cx="{px(x)}" cy="{py(y)}" r="{st.scale // 8}" fill="{st.marker}"/>'
+            f'<circle cx="{px(x)}" cy="{py(y)}" r="{_SCALE // 8}" fill="{_MARKER}"/>'
         )
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode()

@@ -16,9 +16,11 @@ from collections import Counter
 import pytest
 
 from lplan.boundary import find_cips, find_triplets
+from lplan.flipping import _mates
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import (
     attachments_keep_ptpg,
+    common_neighbors,
     faces_inside_cycle,
     rotate_min,
     validate_ptpg,
@@ -31,8 +33,8 @@ from lplan.paths import (
     paths_from_splits,
     select_paths,
 )
-from lplan.pipeline import rectangular_plan
-from lplan.rel import NotConstructible, construct_rel
+from lplan.pipeline import plan, rectangular_plan
+from lplan.rel import NotConstructible, Rel, construct_rel
 
 from completions import tiny_inputs
 from oracles import (
@@ -41,6 +43,7 @@ from oracles import (
     brute_walk_darts,
     fresh_completion,
 )
+from test_flipping import PLANNABLE
 from test_graph import ALL_SAMPLES, k4
 
 
@@ -51,7 +54,6 @@ def assert_same_completion(derived, fresh):
     assert list(a.rotation.items()) == list(b.rotation.items())
     assert a.outer == b.outer and list(a.labels.items()) == list(b.labels.items())
     assert a == b and a.vertices == b.vertices and a.adj == b.adj and a.edges == b.edges
-    assert "_turn" not in vars(a)  # adj came from the rotation; the darts are walked below
     # numbered and walked as a fresh build is: the same darts, face indices and walks
     assert a._turn == b._turn and a._face == b._face and a._walks == b._walks
     assert a.faces == b.faces and a.outer_face_index == b.outer_face_index
@@ -93,11 +95,30 @@ def test_derived_completion_equals_the_fresh_build():
     graphs += [generate_ptpg(GenSpec(n=n, seed=1)) for n in range(6, 61)]
     for g in graphs:
         pairs += [(four_completion(*a), fresh_completion(*a)) for a in selected_completions(g)]
-    cycles = 0
+    cycles = edges = 0
     for derived, fresh in pairs:
+        # the flip chain's premise: in a completion without separating
+        # triangles an edge's triangle mates in a rotation are its common neighbours
+        r = Rel(derived.base, derived.poles, {}, {})
+        inner = set(derived.base.vertices) - set(derived.pole_ids)
+        for x in inner:
+            for y in inner.intersection(derived.base.rotation[x]):
+                assert _mates(r, x, y) == common_neighbors(fresh.base, x, y), (x, y)
+                edges += 1
         assert_same_completion(derived, fresh)
         cycles += enclosed_faces_agree(derived)
-    assert len(pairs) > 400 and cycles > 2000, (len(pairs), cycles)
+    assert len(pairs) > 400 and cycles > 2000 and edges > 40000, (len(pairs), cycles, edges)
+
+
+def test_plan_reads_no_adjacency_of_its_completion():
+    # The flip chain reads the completion's rotation and labels only; chorded_hexagon's flips.
+    results = [plan(make()) for make in PLANNABLE]
+    assert all(res.ok for res in results)
+    results += [plan(generate_ptpg(GenSpec(n=n, seed=1))) for n in range(6, 61)]
+    planned = [res for res in results if res.ok]
+    for res in planned:
+        assert not {"adj", "edges"} & vars(res.completion.base).keys(), res.graph.outer
+    assert len(planned) > 40 and any(res.normalize.flips for res in planned), len(planned)
 
 
 def split_completions(g):

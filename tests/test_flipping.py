@@ -6,10 +6,9 @@ import pytest
 
 from lplan import samples
 from lplan.flipping import (
-    FlipWorklist,
     OracleViolation,
     WorkItem,
-    advance,
+    _run_chain,
     normalize_labels,
     pick_first_edge,
 )
@@ -94,7 +93,7 @@ def test_normalize_is_idempotent_once_settled():
     assert rep.passes == 0
 
 
-def test_advance_rejects_a_bad_steering_vertex():
+def test_chain_rejects_a_bad_steering_vertex():
     res = plan(samples.hexagon_ring())
     r = construct_rel(res.completion)
     poles = set(r.pole_ids)
@@ -110,9 +109,7 @@ def test_advance_rejects_a_bad_steering_vertex():
         )
         if outsider is None:
             continue
-        wl = FlipWorklist()
-        wl.stack.append(WorkItem(x, y, outsider))
         with pytest.raises(OracleViolation):
-            advance(r, wl)
+            _run_chain(r, [WorkItem(x, y, outsider)], [], 1)
         return
     pytest.skip("no interior edge with two common neighbors")

@@ -22,7 +22,6 @@ from lplan.boundary import find_cips, find_shortcuts, find_triplets, necessary_c
 from lplan.flipping import WorkItem
 from lplan.gen import GenSpec, generate_ptpg
 from lplan.graph import validate_ptpg
-from lplan.io import SvgStyle
 from lplan.paths import PathViolation
 from lplan.pipeline import PlanOptions, plan, rectangular_plan
 from lplan.rel import FourCycle, is_valid_rel
@@ -112,15 +111,9 @@ def test_record_repr_hash_and_read_only_fields(name):
             ("ShortcutP5Side", (12, 2)),
             "PathViolation(kind='ShortcutP5Side', witness=(12, 2))",
         ),
-        (
-            SvgStyle(),
-            (40, 1, 20, 14, "#f2ede3", "#20242b", "#c0392b"),
-            "SvgStyle(scale=40, stroke=1, margin=20, font_size=14, fill='#f2ede3', "
-            "line='#20242b', marker='#c0392b')",
-        ),
     ],
     ids=[
-        "GenSpec", "PlanOptions-default", "PlanOptions", "WorkItem", "FourCycle", "PathViolation", "SvgStyle"
+        "GenSpec", "PlanOptions-default", "PlanOptions", "WorkItem", "FourCycle", "PathViolation"
     ],
 )
 def test_constructed_record_contract(rec, values, text):
@@ -176,6 +169,6 @@ def test_only_stateful_classes_are_dataclasses():
     # dataclass() generates and compiles its methods at import, and builds
     # a missing docstring through inspect.signature; a record is a NamedTuple.
     found = {cls.__name__: cls for cls in _lplan_classes() if dataclasses.is_dataclass(cls)}
-    assert set(found) == {"EmbeddedGraph", "FloorPlan", "Rel", "FlipWorklist"}
+    assert set(found) == {"EmbeddedGraph", "FloorPlan", "Rel"}
     for name, cls in found.items():
         assert cls.__doc__ and not cls.__doc__.startswith(name + "("), name
