@@ -20,6 +20,7 @@ name its first defect.
 from __future__ import annotations
 
 import json
+import re
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import contains, itemgetter
@@ -27,6 +28,9 @@ from operator import contains, itemgetter
 from .graph import EmbeddedGraph, InconsistentEmbedding, VertexId
 from .layout import plan_outline
 from .pipeline import PlanResult
+
+
+_KEY = re.compile(r"[+-]?[0-9]+")  # a whole key: int() also takes " 7", "1_0" and non-ASCII digits
 
 
 class ParseError(ValueError):
@@ -167,7 +171,10 @@ def _parts_whole(items: list, rot: object, outer: object) -> tuple | None:
             labels = dict(zip(compress(ids, has), map(itemgetter("label"), compress(items, has))))
             try:
                 keys = list(map(int, rot))
+                digits = "".join(rot)
             except (TypeError, ValueError):
+                return None
+            if not (digits.isascii() and digits.isdigit()):  # a signed key is left to _read_parts
                 return None
             nbrs = rot.values()
             if len(known) == len(ids) == len(keys) == len(set(keys)) and known.issuperset(keys):
@@ -201,10 +208,9 @@ def _read_parts(items: list, rot: object, outer: object) -> tuple:
     rotation: dict[VertexId, tuple[VertexId, ...]] = {}
     for key, nbrs in rot.items():
         where = f"rotation.{key}"
-        try:
-            v = int(key)
-        except ValueError:
-            raise ParseError(where, "keys must be integer vertex ids") from None
+        if type(key) is not str or not _KEY.fullmatch(key):
+            raise ParseError(where, "keys must be integer vertex ids")
+        v = int(key)
         if v not in known:
             raise ParseError(where, f"unknown vertex {v}")
         if v in rotation:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from collections import Counter, deque
 
 from lplan.boundary import Cip, Shortcut, Triplet, boundary_arc, find_cips
@@ -461,10 +462,9 @@ def checked_doc_to_graph(doc) -> EmbeddedGraph:
     rotation = {}
     for key, nbrs in rot.items():
         where = f"rotation.{key}"
-        try:
-            v = int(key)
-        except ValueError:
-            raise ParseError(where, "keys must be integer vertex ids") from None
+        if type(key) is not str or not re.fullmatch(r"[+-]?[0-9]+", key):
+            raise ParseError(where, "keys must be integer vertex ids")
+        v = int(key)
         if v not in ids:
             raise ParseError(where, f"unknown vertex {v}")
         if v in rotation:

@@ -131,7 +131,8 @@ MALFORMED_DOCS = (
     (_add_key("1.0", [1]), "rotation.1.0: keys must be integer vertex ids"),
     (_add_key("99", [1]), "rotation.99: unknown vertex 99"),
     (_add_key("01", [5, 2, 6]), "rotation.01: duplicate neighbour list for vertex 1"),
-    (_add_key(" 2", [4, 7, 6, 1, 3]), "rotation. 2: duplicate neighbour list for vertex 2"),
+    # a key is a sign and ASCII digits, whole: " 2" no longer names vertex 2
+    (_add_key(" 2", [4, 7, 6, 1, 3]), "rotation. 2: keys must be integer vertex ids"),
     # two defects at once: the earlier part, or the earlier item, is named
     (
         _both(_set(("vertices", 6, "id"), True), _set(("rotation", "1"), [99])),
@@ -229,11 +230,25 @@ def test_valid_documents_read_as_item_by_item(make):
     assert got.outer == outer == g.outer
 
 
-def test_integer_like_keys_read_as_item_by_item():
-    # int() reads " 1" and "01" as 1; both readings accept such keys alike
+@pytest.mark.parametrize("key", (" 01", "1_0", " +7 ", "\u0661", "7\n", "", "+", "1.0"))
+def test_keys_other_than_a_sign_and_ascii_digits_are_refused_alike(key):
+    # int() reads all but the last three as vertices 1, 10, 7, 1 and 7
     doc = graph_to_doc(samples.pentagon_with_pocket())
-    doc["rotation"] = {f" 0{k}": nbrs for k, nbrs in doc["rotation"].items()}
-    assert list(doc_to_graph(doc).rotation.items()) == list(item_by_item(doc)[0].items())
+    doc["rotation"] = {key if k == "1" else k: nbrs for k, nbrs in doc["rotation"].items()}
+    text = f"rotation.{key}: keys must be integer vertex ids"
+    assert per_item_error(copy.deepcopy(doc)) == text
+    with pytest.raises(ParseError) as exc:
+        parse_graph(json.dumps(doc).encode())
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("key", ("01", "+1", "0001"))
+def test_signed_and_zero_padded_keys_name_their_vertex(key):
+    doc = graph_to_doc(samples.pentagon_with_pocket())
+    doc["rotation"] = {key if k == "1" else k: nbrs for k, nbrs in doc["rotation"].items()}
+    g = parse_graph(json.dumps(doc).encode())
+    assert g.rotation == samples.pentagon_with_pocket().rotation
+    assert list(g.rotation.items()) == list(item_by_item(doc)[0].items())
 
 
 def _parsed(data: bytes, read) -> object:

@@ -317,6 +317,50 @@ def test_cli_plan_refusals_and_errors(tmp_path, capsys):
     assert main(["plan", five, "--triplet", "1,2"]) == 1
 
 
+def test_cli_triplet_by_label_and_unknown_token(tmp_path, capsys):
+    # (c,d,e) is the pentagon's other admissible triplet; its default is (a,b,c)
+    src = _write_graph(tmp_path, samples.pentagon_with_pocket)
+    assert main(["plan", src, "--triplet", "c, d ,e"]) == 0
+    assert "triplet: (c,d,e)" in capsys.readouterr().out
+    assert main(["plan", src, "--triplet", "c,d,zz"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown vertex 'zz' in --triplet\n"
+
+
+def test_cli_json_plan_refusal_report(tmp_path, capsys):
+    five = _write_graph(tmp_path, samples.five_cip_thirteen_gon, "five.json")
+    assert main(["--format", "json", "plan", five, "--triplet", "2,3,4"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report) == ["failures", "necessary", "outcome", "refusal"]
+    assert (report["outcome"], report["refusal"]) == ("InfeasibleAllTriplets", "five-cips-fixed-triplet")
+    assert report["necessary"]["cip_count"] == 5 and [2, 3, 4] in report["necessary"]["triplets"]
+    assert [(f["triplet"], f["stage"], f["final"]) for f in report["failures"]] == [
+        (["2", "3", "4"], "paths", True)
+    ]
+
+    six = _write_graph(tmp_path, samples.six_cip_twelve_gon, "six.json")
+    assert main(["--format", "json", "plan", six]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert (report["outcome"], report["refusal"], report["failures"]) == ("TooManyCips", "too-many-cips", [])
+    assert report["necessary"]["cip_count"] == 6 and report["necessary"]["pass"] is False
+
+
+def test_cli_check_text_names_faces_and_a_cut_vertex(tmp_path, capsys):
+    quad = _write_graph(tmp_path, _quad_holes_and_pockets)
+    assert main(["check", quad]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "  non-triangular face (2,6,7,3)" in out and "  non-triangular face (5,8,7,6)" in out
+    assert "  not 2-connected" not in out
+    # pendant vertex 4 hangs inside the triangle, so 1 is a cut vertex
+    pendant = EmbeddedGraph(rotation={1: (2, 4, 3), 2: (3, 1), 3: (1, 2), 4: (1,)}, outer=(1, 2, 3))
+    path = _write_graph(tmp_path, lambda: pendant, "pendant.json")
+    assert main(["check", path]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:3] == ["ptpg: FAIL", "  not 2-connected"]
+    assert out[-1] == "verdict: not plannable"
+
+
 def test_cli_triplet_rejects_a_label_shared_by_two_vertices(tmp_path, capsys):
     g = generate_ptpg(GenSpec(n=12, seed=3))
     shared = EmbeddedGraph(rotation=g.rotation, outer=g.outer, labels={3: "x", 5: "x"})

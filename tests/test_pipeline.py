@@ -229,6 +229,14 @@ def test_a_label_search_past_its_cap_names_the_cap(monkeypatch):
     assert all(f.reason == "label search exceeded its cap of 4 nodes" for f in hit), hit
     assert not any(f.final for f in hit)
 
+
+def test_a_rectangular_label_search_past_its_cap_is_exhausted(monkeypatch):
+    monkeypatch.setattr(relmod, "_NODE_CAP", 4)
+    res = rectangular_plan(samples.four_cip_eleven_gon())
+    assert res.outcome == "Exhausted" and res.plan is None
+    assert res.reason == "label search exceeded its cap of 4 nodes"
+
+
 PLANNABLE = sorted(name for name, outcome in PLAN_OUTCOMES.items() if outcome == "Plan")
 
 
