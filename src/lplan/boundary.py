@@ -134,13 +134,6 @@ class NecessaryReport(NamedTuple):
     def ok(self) -> bool:
         return self.cip_count <= 5 and bool(self.triplets)
 
-    def as_dict(self) -> dict:
-        return {
-            "cip_count": self.cip_count,
-            "triplets": [[t.a, t.b, t.c] for t in self.triplets],
-            "pass": self.ok,
-        }
-
 
 def necessary_conditions(g: EmbeddedGraph) -> NecessaryReport:
     """At most five CIPs and at least one admissible triplet."""

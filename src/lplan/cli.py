@@ -35,8 +35,18 @@ def _write(path: str | None, data: bytes) -> None:
             fh.write(data)
 
 
+def _labels(g, vs) -> list[str]:
+    return [g.labels.get(v, str(v)) for v in vs]
+
+
 def _names(g, vs) -> str:
-    return "(" + ",".join(g.labels.get(v, str(v)) for v in vs) + ")"
+    return "(" + ",".join(_labels(g, vs)) + ")"
+
+
+def _necessary_dict(g, nec) -> dict:
+    """The necessary conditions in a JSON report, each triplet named by label."""
+    triplets = [_labels(g, t) for t in nec.triplets]
+    return {"cip_count": nec.cip_count, "triplets": triplets, "pass": nec.ok}
 
 
 def _cmd_check(args) -> int:
@@ -54,9 +64,9 @@ def _cmd_check(args) -> int:
                 "nontriangular_faces": [list(f) for f in report.nontriangular_interior_faces],
                 "separating_triangles": [list(t) for t in report.separating_triangles],
             },
-            "cips": [[g.labels.get(v, str(v)) for v in c.vertices] for c in cips],
-            "shortcuts": [[g.labels.get(v, str(v)) for v in s.edge] for s in shortcuts],
-            "necessary": nec.as_dict(),
+            "cips": [_labels(g, c.vertices) for c in cips],
+            "shortcuts": [_labels(g, s.edge) for s in shortcuts],
+            "necessary": _necessary_dict(g, nec),
             "candidate": candidate,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -119,10 +129,10 @@ def _cmd_plan(args) -> int:
             payload = {
                 "outcome": result.outcome,
                 "refusal": result.refusal_kind,
-                "necessary": result.necessary.as_dict(),
+                "necessary": _necessary_dict(g, result.necessary),
                 "failures": [
                     {
-                        "triplet": [g.labels.get(v, str(v)) for v in f.triplet],
+                        "triplet": _labels(g, f.triplet),
                         "stage": f.stage,
                         "reason": f.reason,
                         "final": f.final,

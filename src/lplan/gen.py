@@ -1,13 +1,12 @@
 """Deterministic random PTPGs, for `lplan gen` and for tests.
 
 A graph grows from a triangle by attaching one vertex at a time over a
-random outer arc of two to four vertices, on plain rotation lists; it is
-built, and so checked, once, and then checked with validate_ptpg.  It is
-grown clean, not repaired: no two non-consecutive arc vertices are
-adjacent, and every new edge meets the new vertex x, so every new
-3-cycle is x plus two consecutive arc vertices, which is a face; and x
-lies in the old outer face, inside no old 3-cycle.  So no step makes a
-separating triangle.
+random outer arc of two to four vertices, on plain rotation lists, and
+is built, and so checked, once.  It is grown clean, not repaired: each
+step is attach_vertex, which refuses an arc that would close a
+separating triangle.  The candidate arcs have no two adjacent
+non-consecutive vertices, and the outline is a triangle only at the
+start, around nothing, so no step is refused and a grown graph is a PTPG.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import random
 from typing import NamedTuple
 
 from .boundary import find_cips
-from .graph import EmbeddedGraph, VertexId, validate_ptpg
+from .graph import EmbeddedGraph, VertexId
 from .paths import attach_vertex
 
 _GEN_ATTEMPTS = 128
@@ -55,14 +54,13 @@ def _grow_once(
     return attach_vertex(rot, outer, arc, len(rot) + 1)
 
 
-def _generate_once(n: int, seed: int) -> EmbeddedGraph | None:
+def _generate_once(n: int, seed: int) -> EmbeddedGraph:
     rng = random.Random(seed)
     rot = {1: [2, 3], 2: [3, 1], 3: [1, 2]}
     outer = [1, 2, 3]
     while len(rot) < n:
         outer = _grow_once(rot, outer, rng)
-    g = EmbeddedGraph(rotation={v: tuple(ns) for v, ns in rot.items()}, outer=tuple(outer))
-    return g if validate_ptpg(g).verdict else None
+    return EmbeddedGraph(rotation={v: tuple(ns) for v, ns in rot.items()}, outer=tuple(outer))
 
 
 def generate_ptpg(spec: GenSpec) -> EmbeddedGraph:
@@ -79,8 +77,6 @@ def generate_ptpg(spec: GenSpec) -> EmbeddedGraph:
         raise ValueError(f"no graph has {spec.cip_target} corner implying paths")
     for attempt in range(_GEN_ATTEMPTS):
         g = _generate_once(spec.n, (spec.seed + 0x9E3779B1 * attempt) & 0x7FFFFFFF)
-        if g is None:
-            continue
         if spec.cip_target is None or len(find_cips(g)) == spec.cip_target:
             return g
     raise GenerationFailed(f"no graph for n={spec.n} seed={spec.seed} cips={spec.cip_target}")

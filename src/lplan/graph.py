@@ -28,11 +28,11 @@ triangular faces.
 
 extend derives a graph with vertices attached outside a checked one, as
 the four-completion needs, and checks nothing: attach_vertex checks each
-step.  Its darts are numbered and its faces walked when first read, by
-the code a checked build runs, so its dart numbers, face indices and
-walks equal those of a fresh build of the same rotation, and
-attachments_keep_ptpg counts what the attachments add instead of
-validating the graph whole.
+step, and refuses one that would close a separating triangle, so a PTPG
+stays one and is never validated again.  Its darts are numbered and its
+faces walked when first read, by the code a checked build runs, so its
+dart numbers, face indices and walks equal those of a fresh build of the
+same rotation.
 """
 
 from __future__ import annotations
@@ -369,22 +369,3 @@ def validate_ptpg(g: EmbeddedGraph) -> PtpgReport:
         separating_triangles=find_separating_triangles(g),
     )
 
-
-def attachments_keep_ptpg(g: EmbeddedGraph, ext: EmbeddedGraph) -> bool:
-    """Whether ext, the PTPG g with vertices attached outside it, is a PTPG too, by count.
-
-    Each new vertex x has an id above g's and above every vertex attached
-    before it, so its lower neighbours are its arc, k vertices.  It adds
-    k - 1 triangular faces of distinct vertices, which keeps 2-connectivity
-    and triangular inner faces, and one 3-cycle with newest vertex x per
-    edge among its arc.  If those edges number k - 1 for every x, and g's
-    outline, a face that is lost, is no triangle, the 3-cycles do not
-    outnumber the triangular faces.  False means only that validate_ptpg(ext)
-    must decide.
-    """
-    rot = ext.rotation
-    for x in ext.vertices[len(g.vertices):]:
-        arc = {u for u in rot[x] if u < x}
-        if sum([len(arc.intersection(rot[u])) for u in arc]) != 2 * len(arc) - 2:
-            return False
-    return len(g.outer) > 3

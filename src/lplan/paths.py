@@ -306,8 +306,14 @@ def attach_vertex(
 
     The arc must be consecutive on the cycle, span an edge and repeat no
     vertex; then the step keeps a valid embedding, so a caller that
-    attaches many vertices needs no check of its own.  Only the rows of
-    new_id and the arc are written, each as a new list.
+    attaches many vertices needs no check of its own.  It must also keep
+    a PTPG one: every new 3-cycle is new_id and two adjacent arc vertices,
+    a face exactly when they are consecutive on the arc, and the outer
+    cycle, now enclosed, separates iff it is a triangle around inner
+    vertices.  So the step is refused before anything is written when two
+    non-consecutive arc vertices are adjacent or the cycle is such a
+    triangle.  Only the rows of new_id and the arc are written, each as a
+    new list.
     """
     if new_id in rot:
         raise EmbeddingConflict(f"vertex id {new_id} already used")
@@ -319,6 +325,13 @@ def attach_vertex(
         raise EmbeddingConflict("attachment arc must be consecutive on the boundary")
     if len(arc) < 2 or len(set(arc)) != len(arc):
         raise EmbeddingConflict("attachment arc needs two or more distinct vertices")
+    if len(outer) == 3 and len(rot[outer[0]]) > 2:
+        raise EmbeddingConflict(f"outer cycle {tuple(outer)} is a triangle around inner vertices")
+    at = {v: i for i, v in enumerate(arc)}
+    for i, v in enumerate(arc):
+        for u in rot[v]:
+            if at.get(u, i) > i + 1:
+                raise EmbeddingConflict(f"attachment arc vertices {v} and {u} are adjacent")
     rot[new_id] = list(reversed(arc))
     for v in arc:
         nbrs = rot[v]
@@ -342,7 +355,9 @@ def four_completion(
 
     With ne_arc, g does not hold the north-east helper yet: ne is attached
     over that arc first.  The result extends g's checked structure
-    (EmbeddedGraph.extend); only the rows of the arcs are copied.
+    (EmbeddedGraph.extend); only the rows of the arcs are copied.  Each
+    step is attach_vertex, so the completion of a PTPG is a PTPG, or
+    EmbeddingConflict names the step that would close a separating triangle.
     """
     if len(qpaths) != 4:
         raise EmbeddingConflict("four-completion needs exactly four paths")

@@ -3,8 +3,8 @@
 plan() walks the admissible corner triplets clockwise from the lowest
 numbered boundary vertex and runs, per triplet: path selection, the
 four-completion with the north-east module (derived from the input's
-checked embedding, and checked only for what the attachments add),
-labeling, corner label normalization, rectangle extraction, notch
+checked embedding, each attachment checked by attach_vertex as it is
+made), labeling, corner label normalization, rectangle extraction, notch
 removal, the non-triviality walk, and verification.  The first triplet
 that survives every stage wins; per-triplet failures are kept for the
 report.
@@ -22,7 +22,8 @@ input's orientation.
 rectangular_plan() is the plain rectangular variant: four corners
 picked by rule, no north-east module, one completion and one labeling;
 it succeeds exactly when the graph has at most four corner-implying
-paths, unless the label search hits its cap.
+paths and an outline that is no triangle around inner vertices, unless
+the label search hits its cap.
 """
 
 from __future__ import annotations
@@ -37,20 +38,11 @@ from .flipping import (
     OracleViolation,
     normalize_labels,
 )
-from .graph import (
-    EmbeddedGraph,
-    VertexId,
-    attachments_keep_ptpg,
-    cyclic_eq,
-    edge_key,
-    validate_ptpg,
-)
+from .graph import EmbeddedGraph, VertexId, cyclic_eq, edge_key, validate_ptpg
 from .layout import (
     CornerProfile,
     FloorPlan,
     NonTrivialityVerdict,
-    NotCornerModule,
-    PointContactAmbiguity,
     plan_embedding,
     remove_ne,
     rfp_from_rel,
@@ -212,14 +204,9 @@ def _plan_one(
     ne = g.vertices[-1] + 1
     try:
         ag = four_completion(g, completion_paths(ps, ne), ne=ne, ne_arc=ps.p1)
-    except (EmbeddingConflict, ValueError) as exc:
+    except ValueError as exc:
         fail("completion", str(exc))
         return None
-    if not attachments_keep_ptpg(g, ag.base):
-        comp_report = validate_ptpg(ag.base)
-        if not comp_report.verdict:
-            fail("completion", f"completed graph is not properly triangulated: {comp_report}")
-            return None
 
     try:
         rel = construct_rel(ag)  # checks its labeling as is_valid_rel does
@@ -237,7 +224,7 @@ def _plan_one(
         full = rfp_from_rel(rel)
         lplan, profile = remove_ne(full, ne)
         verdict = verify_nontrivial_L(lplan, profile)
-    except (NotCornerModule, PointContactAmbiguity, ValueError) as exc:
+    except ValueError as exc:
         fail("layout", str(exc))
         return None
     if not verdict.nontrivial:
@@ -246,7 +233,7 @@ def _plan_one(
 
     try:
         mismatch = _plan_mismatch(g, lplan)
-    except (PointContactAmbiguity, ValueError) as exc:
+    except ValueError as exc:
         fail("verify", str(exc))
         return None
     if mismatch:
@@ -274,7 +261,7 @@ def _plan_one(
 
 
 class RectResult(NamedTuple):
-    outcome: str  # Plan | TooManyCips | Exhausted (the label search's cap only)
+    outcome: str  # Plan | TooManyCips | TriangleOutline | Exhausted (the label search's cap only)
     graph: EmbeddedGraph
     cips: tuple[Cip, ...]
     plan: FloorPlan | None = None
@@ -291,14 +278,17 @@ def rectangular_plan(g: EmbeddedGraph) -> RectResult:
     """Four-corner rectangular partition; no notch, no corner triplet.
 
     The corners are the first interior vertex of each CIP, then the
-    lowest-position outer vertices not chosen, four in all; K3, the one
-    PTPG with a triangular outline, doubles its first.  CIP interiors are
-    disjoint, as chords do not cross and minimal arcs do not nest.  Each
-    side of a chord holds a CIP inside it, so no pole path holds both
-    ends of a chord, and four distinct corners make each pole path a
-    proper arc.  So the completion has no separating triangle, and it
-    has a regular edge labeling (Kozminski and Kinnen 1985; Kant and He
-    1997).  Exhausted means only that the label search hit its cap.
+    lowest-position outer vertices not chosen, four in all; a triangular
+    outline doubles its first.  CIP interiors are disjoint, as chords do
+    not cross and minimal arcs do not nest.  Each side of a chord holds a
+    CIP inside it, so no pole path holds both ends of a chord, and four
+    distinct corners make each pole path a proper arc.  So the completion
+    has no separating triangle, and it has a regular edge labeling
+    (Kozminski and Kinnen 1985; Kant and He 1997), unless the outline is
+    a triangle around inner vertices, as in K4: any pole attached over it
+    makes it a separating triangle, so no four-completion is a PTPG, and
+    attach_vertex's refusal is returned as TriangleOutline.  Exhausted
+    means only that the label search hit its cap.
     """
     _require_ptpg(g)
     cips = find_cips(g)
@@ -316,11 +306,10 @@ def rectangular_plan(g: EmbeddedGraph) -> RectResult:
     paths = tuple(
         (u,) if u == v else boundary_arc(g, u, v) for u, v in zip(cuts, cuts[1:] + cuts[:1])
     )
-    ag = four_completion(g, paths)
-    if not attachments_keep_ptpg(g, ag.base):
-        report = validate_ptpg(ag.base)
-        if not report.verdict:
-            raise ValueError(f"corners {cuts} give a completion that is not a PTPG: {report}")
+    try:
+        ag = four_completion(g, paths)
+    except EmbeddingConflict as exc:
+        return RectResult(outcome="TriangleOutline", graph=g, cips=cips, reason=str(exc))
     try:
         rel = construct_rel(ag)
     except NotConstructible as exc:

@@ -8,11 +8,14 @@ edges are uniform: into N as T1, out of S as T1, into E as T2, out
 of W as T2.
 
 A dart (v, u) reads as a class at v, 0..3 in that block order (the
-color bit plus 2 for an incoming edge).  is_valid_rel reads every
-dart's class in one pass and checks a ring by its classes alone: the ring
-is regular exactly when every cyclic step between neighboring classes
-is 0 or +1 mod 4 and the steps sum to 4.  Only a ring that fails is
-read again as runs, to name its blocks in the defect.
+color bit plus 2 for an incoming edge).  _vertex_defect is the one
+reader of these rules: it reads a vertex's darts in one pass, checks a
+pole's row against the pole's class and an inner ring by its classes
+alone: the ring is regular exactly when every cyclic step between
+neighboring classes is 0 or +1 mod 4 and the steps sum to 4.  Only a
+ring that fails is read again as runs, to name its blocks in the
+defect.  is_valid_rel runs it over the poles and then the inner
+vertices.
 
 construct_rel finds a labeling by exact search: every unpinned edge is
 a finite-domain variable over its four color/direction values, and the
@@ -29,14 +32,15 @@ end.  The solved value sets are checked in place, in is_valid_rel's
 order and with its ring rule, so a defect reads as is_valid_rel would
 name it; the labeling's dicts are built only after the check passes.
 flip_edge / flip_vertex / rotate_four_cycle are the local moves of
-label normalization; each checks only the rings it changes.
+label normalization; each tries its candidate labels through _relabel,
+which checks only the rings they change.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import NamedTuple
 
 from .graph import (
@@ -52,7 +56,8 @@ T1 = "T1"
 T2 = "T2"
 
 _BLOCK_ORDER = ("T1out", "T2out", "T1in", "T2in")
-_POLE_RULE = {"N": (T1, "in"), "E": (T2, "in"), "S": (T1, "out"), "W": (T2, "out")}
+# the class every non-pole dart at a pole reads as: T1 into N, T2 into E, T1 out of S, T2 out of W
+_POLE_CLASS = {"N": 2, "E": 3, "S": 0, "W": 1}
 
 
 class NotConstructible(RuntimeError):
@@ -96,10 +101,6 @@ class RelValidity(NamedTuple):
     defect: str | None = None
 
 
-# the class every non-pole dart at a pole reads as
-_POLE_CLASS = {name: _BLOCK_ORDER.index(col + d) for name, (col, d) in _POLE_RULE.items()}
-
-
 def _ring_defect(v: VertexId, classes: list[int]) -> str | None:
     """None when the ring's classes, clockwise, form the four blocks in order.
 
@@ -130,60 +131,45 @@ def _ring_defect(v: VertexId, classes: list[int]) -> str | None:
     return f"vertex {v}: block order {names}"
 
 
-def _pole_defect(r: Rel, name: str) -> str | None:
-    v = r.poles[name]
-    skip = set(r.pole_ids)
+def _vertex_defect(r: Rel, v: VertexId) -> str | None:
+    """v's first dart off its pole's class, or its ring's defect when inner; None when regular."""
+    name = next((k for k, p in r.poles.items() if p == v), None)
+    want = None if name is None else _POLE_CLASS[name]
+    poles = () if want is None else r.poles.values()  # edges between poles carry no label
+    classes = []
     for u in r.graph.rotation[v]:
-        if u in skip:
+        if u in poles:
             continue
         e = edge_key(u, v)
         if e not in r.color:
-            return f"pole {name}: edge to {u} unlabeled"
-        d = "out" if r.orient[e][0] == v else "in"
-        if (r.color[e], d) != _POLE_RULE[name]:
-            return f"pole {name}: edge to {u} is {r.color[e]} {d}"
-    return None
-
-
-def _vertex_defect(r: Rel, v: VertexId) -> str | None:
-    name = next((k for k, p in r.poles.items() if p == v), None)
-    if name is not None:
-        return _pole_defect(r, name)
-    classes = []
-    for u in r.graph.rotation[v]:
-        e = edge_key(u, v)
-        if e not in r.color:
-            return f"vertex {v}: edge to {u} unlabeled"
-        classes.append((0 if r.color[e] == T1 else 1) | (2 if r.orient[e][0] != v else 0))
-    return _ring_defect(v, classes)
+            return f"{f'vertex {v}' if want is None else f'pole {name}'}: edge to {u} unlabeled"
+        c = (0 if r.color[e] == T1 else 1) | (2 if r.orient[e][0] != v else 0)
+        if want is not None and c != want:
+            return f"pole {name}: edge to {u} is {r.color[e]} {('out', 'in')[c >> 1]}"
+        classes.append(c)
+    return None if want is not None else _ring_defect(v, classes)
 
 
 def is_valid_rel(r: Rel) -> RelValidity:
-    skip = set(r.pole_ids)
-    expected = {e for e in r.graph.edges if not (e[0] in skip and e[1] in skip)}
+    """Whether r labels exactly the edges off the pole cycle, in T1 or T2, regularly.
+
+    The first defect wins: the edge set, then each orientation and color,
+    then _vertex_defect at N, E, S and W and at the inner vertices in
+    ascending order.
+    """
+    poles = r.pole_ids
+    expected = {e for e in r.graph.edges if not (e[0] in poles and e[1] in poles)}
     if set(r.color) != expected or set(r.orient) != expected:
         return RelValidity(False, "labeled edge set mismatch")
-    cls: dict[tuple[VertexId, VertexId], int] = {}  # the class at v of dart (v, u)
     for e, (tail, head) in r.orient.items():
         if edge_key(tail, head) != e:
             return RelValidity(False, f"orientation endpoints of {e} wrong")
-        col = r.color[e]
-        if col not in (T1, T2):
+        if r.color[e] not in (T1, T2):
             return RelValidity(False, f"bad color on {e}")
-        cls[tail, head] = c = 0 if col == T1 else 1
-        cls[head, tail] = c | 2
-    rot = r.graph.rotation
-    for name in ("N", "E", "S", "W"):
-        v = r.poles[name]
-        want = _POLE_CLASS[name]
-        if any(cls[v, u] != want for u in rot[v] if u not in skip):
-            return RelValidity(False, _pole_defect(r, name))
-    for v in r.graph.vertices:
-        if v in skip:
-            continue
-        d = _ring_defect(v, [cls[v, u] for u in rot[v]])
-        if d:
-            return RelValidity(False, d)
+    for v in chain(poles, [v for v in r.graph.vertices if v not in poles]):
+        defect = _vertex_defect(r, v)
+        if defect:
+            return RelValidity(False, defect)
     return RelValidity(True)
 
 
@@ -438,7 +424,7 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
     for name, p in zip("NESW", ag.pole_ids):
         want = _POLE_CLASS[name]
         if any(vals[i] ^ (0 if p < x else 2) != want for x, i in rows[p].items()):
-            raise NotConstructible(f"constructed labeling invalid: {_pole_defect(labeling(), name)}")
+            raise NotConstructible(f"constructed labeling invalid: {_vertex_defect(labeling(), p)}")
     for v in g.vertices:
         if v not in poles:
             row = rows[v]
@@ -451,21 +437,32 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
 # -- local moves -------------------------------------------------------------
 
 
+def _relabel(r: Rel, edges: list[Edge], candidates, touched, failure: str) -> int:
+    """Give edges the first candidate labels under which every touched ring holds; its index.
+
+    A candidate is one (color, orientation) per edge, and touched holds
+    every vertex whose ring it changes, so r stays regular elsewhere.
+    When none holds, r is restored and NotFlippable(failure) raised.
+    """
+    old = [(r.color[e], r.orient[e]) for e in edges]
+    for k, labels in enumerate(candidates):
+        for e, (col, ends) in zip(edges, labels):
+            r.color[e], r.orient[e] = col, ends
+        if all(_vertex_defect(r, v) is None for v in touched):
+            return k
+    for e, (col, ends) in zip(edges, old):
+        r.color[e], r.orient[e] = col, ends
+    raise NotFlippable(failure)
+
+
 def flip_edge(r: Rel, u: VertexId, v: VertexId) -> None:
     """Toggle the color of edge (u, v) in place, keeping the labeling regular."""
     e = edge_key(u, v)
     if e not in r.color:
         raise NotFlippable(f"edge {e} carries no label")
-    old_col, old_or = r.color[e], r.orient[e]
-    new_col = T2 if old_col == T1 else T1
-    for cand in ((u, v), (v, u)):
-        r.color[e] = new_col
-        r.orient[e] = cand
-        if _vertex_defect(r, u) is None and _vertex_defect(r, v) is None:
-            return
-    r.color[e] = old_col
-    r.orient[e] = old_or
-    raise NotFlippable(f"flip of {e} admits no valid direction")
+    col = T2 if r.color[e] == T1 else T1
+    both = [[(col, (u, v))], [(col, (v, u))]]
+    _relabel(r, [e], both, (u, v), f"flip of {e} admits no valid direction")
 
 
 def flip_vertex(r: Rel, v: VertexId) -> None:
@@ -478,19 +475,9 @@ def flip_vertex(r: Rel, v: VertexId) -> None:
     keys = [edge_key(v, w) for w in nbrs]
     if any(k not in r.color for k in keys):
         raise NotFlippable("unlabeled edge at vertex")
-    old = {k: (r.color[k], r.orient[k]) for k in keys}
-    for k in keys:
-        r.color[k] = T2 if old[k][0] == T1 else T1
-    for dirs in product(*[((v, w), (w, v)) for w in nbrs]):
-        for k, d in zip(keys, dirs):
-            r.orient[k] = d
-        if _vertex_defect(r, v) is None and all(
-            _vertex_defect(r, w) is None for w in nbrs
-        ):
-            return
-    for k in keys:
-        r.color[k], r.orient[k] = old[k]
-    raise NotFlippable(f"vertex flip at {v} admits no valid directions")
+    cols = [T2 if r.color[k] == T1 else T1 for k in keys]
+    candidates = (zip(cols, dirs) for dirs in product(*[((v, w), (w, v)) for w in nbrs]))
+    _relabel(r, keys, candidates, (v, *nbrs), f"vertex flip at {v} admits no valid directions")
 
 
 def rotate_four_cycle(r: Rel, cyc: FourCycle) -> str:
@@ -504,18 +491,10 @@ def rotate_four_cycle(r: Rel, cyc: FourCycle) -> str:
         raise NotAlternating(f"cycle {w} is not alternating: {labs}")
     inside = faces_inside_cycle(r.graph, w)
     faces = map(r.graph._walks.__getitem__, inside)  # their edges off the ring are inside
-    target = {edge_key(f[j - 1], f[j]) for f in faces for j in range(len(f))} - set(ring)
-    snapshot = {e: (r.color[e], r.orient[e]) for e in target}
-    touched = {v for e in target for v in e}  # only these rings change; r is valid elsewhere
-    for mode in ("cw", "ccw"):
-        for e in target:
-            col, (s, t) = snapshot[e]
-            if mode == "cw":
-                r.color[e], r.orient[e] = (T2, (s, t)) if col == T1 else (T1, (t, s))
-            else:
-                r.color[e], r.orient[e] = (T2, (t, s)) if col == T1 else (T1, (s, t))
-        if all(_vertex_defect(r, v) is None for v in touched):
-            return mode
-        for e in target:
-            r.color[e], r.orient[e] = snapshot[e]
-    raise NotFlippable(f"rotation of cycle {w} fails both senses")
+    target = list({edge_key(f[j - 1], f[j]) for f in faces for j in range(len(f))} - set(ring))
+    old = [(r.color[e], r.orient[e]) for e in target]
+    cw = [(T2, (s, t)) if col == T1 else (T1, (t, s)) for col, (s, t) in old]
+    ccw = [(T2, (t, s)) if col == T1 else (T1, (s, t)) for col, (s, t) in old]
+    touched = {v for e in target for v in e}  # only these rings change
+    k = _relabel(r, target, [cw, ccw], touched, f"rotation of cycle {w} fails both senses")
+    return ("cw", "ccw")[k]

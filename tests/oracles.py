@@ -1236,6 +1236,25 @@ def attach_all(
     )
 
 
+def completion_steps(
+    g: EmbeddedGraph,
+    qpaths: tuple[tuple[VertexId, ...], ...],
+    ne: VertexId | None = None,
+    ne_arc: tuple[VertexId, ...] | None = None,
+) -> tuple[dict[str, VertexId], list[tuple[tuple[VertexId, ...], VertexId, str]]]:
+    """The pole ids of four_completion's arguments, and its attachments in order."""
+    first = [] if ne_arc is None else [(ne_arc, ne, "NE")]
+    base = (g.vertices[-1] if ne_arc is None else max(g.vertices[-1], ne)) + 1
+    ids = {"N": base, "E": base + 1, "S": base + 2, "W": base + 3}
+    q1, q2, q3, q4 = qpaths
+    return ids, first + [
+        (q1, ids["N"], "N"),
+        ((ids["N"],) + q2, ids["E"], "E"),
+        ((ids["E"],) + q3, ids["S"], "S"),
+        ((ids["S"],) + q4 + (ids["N"],), ids["W"], "W"),
+    ]
+
+
 def fresh_completion(
     g: EmbeddedGraph,
     qpaths: tuple[tuple[VertexId, ...], ...],
@@ -1243,17 +1262,37 @@ def fresh_completion(
     ne_arc: tuple[VertexId, ...] | None = None,
 ) -> AugmentedGraph:
     """four_completion by one fresh, checked build of all attachments: the reference."""
-    first = [] if ne_arc is None else [(ne_arc, ne, "NE")]
-    base = (g.vertices[-1] if ne_arc is None else max(g.vertices[-1], ne)) + 1
-    ids = {"N": base, "E": base + 1, "S": base + 2, "W": base + 3}
-    q1, q2, q3, q4 = qpaths
-    g = attach_all(g, first + [
-        (q1, ids["N"], "N"),
-        ((ids["N"],) + q2, ids["E"], "E"),
-        ((ids["E"],) + q3, ids["S"], "S"),
-        ((ids["S"],) + q4 + (ids["N"],), ids["W"], "W"),
-    ])
-    return AugmentedGraph(base=g, ne=ne, poles=ids, pprime=tuple(qpaths))
+    ids, steps = completion_steps(g, qpaths, ne, ne_arc)
+    return AugmentedGraph(base=attach_all(g, steps), ne=ne, poles=ids, pprime=tuple(qpaths))
+
+
+def unchecked_completion(
+    g: EmbeddedGraph,
+    qpaths: tuple[tuple[VertexId, ...], ...],
+    ne: VertexId | None = None,
+    ne_arc: tuple[VertexId, ...] | None = None,
+) -> EmbeddedGraph | None:
+    """four_completion's graph, each vertex attached with no rule against separating triangles.
+
+    Each step only puts the new vertex outside a clockwise outer arc of
+    two or more vertices, next to the arc's vertices; the graph is built
+    fresh, and so checked, once.  None when a step's arc is no such arc.
+    The reference for attach_vertex's rule, which validate_ptpg on this
+    graph must confirm.
+    """
+    rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
+    outer = list(g.outer)
+    for arc, new_id, _ in completion_steps(g, qpaths, ne, ne_arc)[1]:
+        k = len(outer)
+        i = outer.index(arc[0]) if arc[0] in outer else -1
+        if i < 0 or not 2 <= len(arc) <= k or list(arc) != [outer[(i + j) % k] for j in range(len(arc))]:
+            return None
+        rot[new_id] = list(reversed(arc))
+        for j, v in enumerate(arc):
+            p = rot[v].index(outer[(i + j - 1) % k]) + 1  # after v's predecessor on the cycle
+            rot[v].insert(p, new_id)
+        outer = [new_id] + [outer[(i + len(arc) - 1 + j) % k] for j in range(k - len(arc) + 2)]
+    return EmbeddedGraph(rotation={v: tuple(ns) for v, ns in rot.items()}, outer=tuple(outer))
 
 
 def attach_outside(

@@ -12,6 +12,7 @@ from lplan.boundary import (
     find_triplets,
     necessary_conditions,
 )
+from lplan.cli import _necessary_dict
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import EmbeddedGraph
 
@@ -138,9 +139,10 @@ def test_necessary_conditions_pass_and_fail():
 
 
 def test_report_dict_shape():
-    d = necessary_conditions(samples.pentagon_with_pocket()).as_dict()
-    assert set(d) == {"cip_count", "triplets", "pass"}
-    assert d["pass"] is True
+    # the JSON reports name triplets by label, as they name CIPs and failures
+    g = samples.pentagon_with_pocket()
+    d = _necessary_dict(g, necessary_conditions(g))
+    assert d == {"cip_count": 2, "triplets": [["a", "b", "c"], ["c", "d", "e"]], "pass": True}
 
 
 # -- the nested-chord scan against the arc-walking oracle ----------------------

@@ -1,11 +1,12 @@
 """The four-completion derived from the input's checked structure, and its check.
 
 four_completion extends the input graph instead of building the completed
-graph afresh, and plan() checks only what the attachments add.  The
+graph afresh, and attach_vertex checks each attachment as it is made.  The
 reference is the one-build completion of tests/oracles.py (fresh_completion):
 the derived graph must equal it in every structure the package reads, dart
-numbers, face indices and walks included, and the count check must agree
-with validate_ptpg on the fresh build.
+numbers, face indices and walks included.  attach_vertex must refuse
+exactly the completions whose fresh build without its rule
+(unchecked_completion) fails validate_ptpg.
 """
 
 from __future__ import annotations
@@ -13,18 +14,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-import pytest
-
-from lplan.boundary import find_cips, find_triplets
+from lplan.boundary import boundary_arc, find_cips, find_triplets
 from lplan.flipping import _mates
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
-from lplan.graph import (
-    attachments_keep_ptpg,
-    common_neighbors,
-    faces_inside_cycle,
-    rotate_min,
-    validate_ptpg,
-)
+from lplan.graph import common_neighbors, faces_inside_cycle, rotate_min, validate_ptpg
 from lplan.paths import (
     EmbeddingConflict,
     Infeasible,
@@ -36,15 +29,16 @@ from lplan.paths import (
 from lplan.pipeline import plan, rectangular_plan
 from lplan.rel import NotConstructible, Rel, construct_rel
 
-from completions import tiny_inputs
+from completions import tiny_inputs, triangle
 from oracles import (
     alternating_four_cycles,
     brute_faces_inside_cycle,
     brute_walk_darts,
     fresh_completion,
+    unchecked_completion,
 )
 from test_flipping import PLANNABLE
-from test_graph import ALL_SAMPLES, k4
+from test_graph import ALL_SAMPLES, k4, octahedron
 
 
 def assert_same_completion(derived, fresh):
@@ -122,66 +116,69 @@ def test_plan_reads_no_adjacency_of_its_completion():
 
 
 def split_completions(g):
-    """(derived, fresh) completions of every split multiset paths_from_splits accepts.
-
-    A completion that attach_vertex refuses must be refused alike by both.
-    """
+    """The arguments of four_completion for every split multiset paths_from_splits accepts."""
     for t in find_triplets(g):
         ring = [v for v in g.outer if v != t.b]
         for splits in itertools.combinations_with_replacement(ring, 5):
             ps = paths_from_splits(g, t, Counter(splits))
             ne = g.vertices[-1] + 1
-            args = (g, completion_paths(ps, ne), ne, ps.p1)
-            try:
-                derived = four_completion(*args)
-            except EmbeddingConflict as exc:
-                with pytest.raises(EmbeddingConflict) as ref:
-                    fresh_completion(*args)
-                assert str(ref.value) == str(exc)
-                continue
-            yield derived, fresh_completion(*args)
+            yield g, completion_paths(ps, ne), ne, ps.p1
 
 
-# K4 drawn with a triangular outline: a PTPG whose completions all enclose
-# it in the separating triangle 1-2-3, though no arc carries a chord.
-K4_QPATHS = (((1, 2), (2, 3), (3, 1), (1,)), ((2, 3), (3,), (3, 1), (1, 2)))
+def corner_completions(g):
+    """The arguments of four_completion for every four corners on g's outline, each pole first."""
+    for cuts in itertools.combinations_with_replacement(g.outer, 4):
+        ends = zip(cuts, cuts[1:] + cuts[:1])
+        paths = [(u,) if u == v else boundary_arc(g, u, v) for u, v in ends]
+        for i in range(4):
+            yield g, tuple(paths[i:] + paths[:i])
 
 
-def test_the_count_check_decides_as_full_validation():
+def refusal(complete, args) -> str | None:
+    """The text of the EmbeddingConflict complete(*args) raises; None when it completes."""
+    try:
+        complete(*args)
+    except EmbeddingConflict as exc:
+        return str(exc)
+    return None
+
+
+def test_attach_vertex_refuses_exactly_the_completions_that_are_no_ptpg():
     # generated graphs n 6-14, and two with four corner-implying paths,
-    # whose chords put separating triangles in many completions
+    # whose chords put separating triangles in many completions; K3, K4
+    # and the octahedron, whose triangular outlines enclose nothing, one
+    # vertex and three
     specs = [GenSpec(n=n, seed=1) for n in range(6, 15)] + [GenSpec(8, 1, 4), GenSpec(9, 1, 4)]
-    inputs = [(g, split_completions(g)) for g in map(generate_ptpg, specs)]
-    for g, q in tiny_inputs() + [(k4(), q) for q in K4_QPATHS]:
-        inputs.append((g, [(four_completion(g, q), fresh_completion(g, q))]))
+    inputs = [args for g in map(generate_ptpg, specs) for args in split_completions(g)]
+    inputs += tiny_inputs()
+    for g in (triangle(), k4(), octahedron()):
+        inputs += corner_completions(g)
     verdicts = Counter()
-    for g, pairs in inputs:
-        for derived, fresh in pairs:
-            want = validate_ptpg(fresh.base)
-            kept = attachments_keep_ptpg(g, derived.base)
-            if kept:
-                assert want.verdict
-            else:
-                # plan() then validates the derived graph, and reports its
-                # defects as it did for a fresh build
-                assert validate_ptpg(derived.base) == want
-            verdicts[kept, want.verdict] += 1
-    assert verdicts[True, True] > 1000 and verdicts[False, False] > 1000, verdicts
-    assert verdicts[False, True] == 5, verdicts  # K3's: its outline is a triangle
+    for args in inputs:
+        refused = refusal(four_completion, args)
+        assert refusal(fresh_completion, args) == refused, args  # derived and fresh alike
+        ref = unchecked_completion(*args)
+        ptpg = ref is not None and validate_ptpg(ref).verdict
+        assert (refused is None) == ptpg, (args, refused)
+        if ref is not None and not ptpg:  # refused for the rule, not for a broken arc
+            verdicts[refused.split()[0]] += 1
+        verdicts[ptpg] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
+    # 27 corner choices each of K4 and the octahedron attach all four poles unchecked
+    assert verdicts["attachment"] > 1000 and verdicts["outer"] == 54, verdicts
 
 
 def test_rectangular_plan_reports_the_enclosed_outline():
-    with pytest.raises(ValueError) as exc:
-        rectangular_plan(k4())
-    assert str(exc.value) == (
-        "corners [1, 2, 3, 1] give a completion that is not a PTPG: PtpgReport("
-        "is_biconnected=True, nontriangular_interior_faces=(), separating_triangles=((1, 2, 3),))"
-    )
+    # Any pole attached over a triangle around inner vertices makes it separating.
+    for g in (k4(), octahedron()):
+        res = rectangular_plan(g)
+        assert (res.outcome, res.plan, res.completion) == ("TriangleOutline", None, None)
+        assert res.reason == "outer cycle (1, 2, 3) is a triangle around inner vertices"
 
 
 def test_every_selected_path_set_completes_to_a_ptpg():
     # The path conditions rule out separating triangles in the completion,
-    # so plan() never needs validate_ptpg on a completion of its own.
+    # so attach_vertex refuses no attachment of a selected set.
     kept = 0
     for n in range(6, 41):
         for target in (None, 2, 3, 4, 5):
@@ -190,6 +187,6 @@ def test_every_selected_path_set_completes_to_a_ptpg():
             except GenerationFailed:
                 continue
             for args in selected_completions(g):
-                assert attachments_keep_ptpg(g, four_completion(*args).base), (n, target, args)
+                four_completion(*args)
                 kept += 1
     assert kept > 700, kept

@@ -166,6 +166,13 @@ def k4():
     return embed_by_coords(coords, edges, (1, 2, 3))
 
 
+def octahedron():
+    """The octahedron with a triangle for its outer face: every vertex has degree 4."""
+    coords = {1: (0, 4), 2: (4, -3), 3: (-4, -3), 4: (0, -1), 5: (-1, 0.5), 6: (1, 0.5)}
+    edges = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (1, 5), (1, 6), (2, 4), (2, 6), (3, 4), (3, 5)]
+    return embed_by_coords(coords, edges, (1, 2, 3))
+
+
 def quad_beside_separating_triangle():
     """Pentagon whose chord 1-3 has the quadrilateral face 1-3-4-6 on one side.
 

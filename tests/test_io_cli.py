@@ -334,7 +334,7 @@ def test_cli_json_plan_refusal_report(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert sorted(report) == ["failures", "necessary", "outcome", "refusal"]
     assert (report["outcome"], report["refusal"]) == ("InfeasibleAllTriplets", "five-cips-fixed-triplet")
-    assert report["necessary"]["cip_count"] == 5 and [2, 3, 4] in report["necessary"]["triplets"]
+    assert report["necessary"]["cip_count"] == 5 and ["2", "3", "4"] in report["necessary"]["triplets"]
     assert [(f["triplet"], f["stage"], f["final"]) for f in report["failures"]] == [
         (["2", "3", "4"], "paths", True)
     ]

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from oracles import attach_outside, brute_walk_darts, geometric_adjacency, padded_rectangular_plan
+from test_graph import k4, octahedron
 
 import lplan.rel as relmod
 from lplan import samples
@@ -202,22 +203,23 @@ PAST_C06 = [
 
 def test_plan_gives_an_outcome_past_c06s_sizes():
     # On a valid PTPG the only exception either entry point may raise is
-    # InvalidInput; any other propagates and fails the test.
+    # InvalidInput; any other propagates and fails the test.  K4 and the
+    # octahedron have triangular outlines around inner vertices.
     allowed = {
         "plan": {"Plan", "NoTriplet", "TooManyCips", "InfeasibleAllTriplets"},
-        "rectangular_plan": {"Plan", "TooManyCips", "Exhausted"},
+        "rectangular_plan": {"Plan", "TooManyCips", "TriangleOutline", "Exhausted"},
     }
     seen = Counter()
-    for spec in PAST_C06:
-        g = generate_ptpg(spec)
+    for g in [generate_ptpg(spec) for spec in PAST_C06] + [k4(), octahedron()]:
         for run in (plan, rectangular_plan):
             try:
                 outcome = run(g).outcome
             except InvalidInput:
                 outcome = "InvalidInput"
-            assert outcome in allowed[run.__name__] | {"InvalidInput"}, (spec, run.__name__)
+            assert outcome in allowed[run.__name__] | {"InvalidInput"}, (g.outer, run.__name__)
             seen[run.__name__, outcome] += 1
     assert seen["plan", "Plan"] > 150 and seen["plan", "TooManyCips"] > 40, seen
+    assert seen["rectangular_plan", "TriangleOutline"] == 2, seen
 
 
 def test_a_label_search_past_its_cap_names_the_cap(monkeypatch):
