@@ -1,47 +1,13 @@
 """L-shaped floor plans from properly triangulated planar graphs."""
 
-from .boundary import (
-    Cip,
-    NecessaryReport,
-    Shortcut,
-    Triplet,
-    find_cips,
-    find_shortcuts,
-    find_triplets,
-    necessary_conditions,
-)
-from .flipping import NormalizeReport, normalize_labels
+from .boundary import Cip, NecessaryReport, Triplet, necessary_conditions
+from .flipping import NormalizeReport
 from .graph import EmbeddedGraph, InconsistentEmbedding, PtpgReport, validate_ptpg
 from .io import ParseError, parse_graph, plan_to_doc, render_svg, serialize_graph, serialize_plan
-from .layout import (
-    CornerProfile,
-    FloorPlan,
-    NonTrivialityVerdict,
-    Rect,
-    dual_graph,
-    plan_outline,
-    remove_ne,
-    rfp_from_rel,
-    verify_nontrivial_L,
-)
-from .paths import (
-    AugmentedGraph,
-    Infeasible,
-    PathSet,
-    check_path_conditions,
-    completion_paths,
-    four_completion,
-    select_paths,
-)
-from .pipeline import (
-    InvalidInput,
-    PlanOptions,
-    PlanResult,
-    RectResult,
-    plan,
-    rectangular_plan,
-)
-from .rel import Rel, construct_rel, flip_edge, flip_vertex, is_valid_rel, rotate_four_cycle
+from .layout import CornerProfile, FloorPlan, NonTrivialityVerdict, Rect, dual_graph
+from .paths import AugmentedGraph, PathSet
+from .pipeline import InvalidInput, PlanOptions, PlanResult, RectResult, plan, rectangular_plan
+from .rel import Rel
 
 __version__ = "0.1.0"
 
@@ -61,7 +27,6 @@ __all__ = [
     "FloorPlan",
     "GenSpec",
     "InconsistentEmbedding",
-    "Infeasible",
     "InvalidInput",
     "NecessaryReport",
     "NonTrivialityVerdict",
@@ -74,33 +39,16 @@ __all__ = [
     "Rect",
     "RectResult",
     "Rel",
-    "Shortcut",
     "Triplet",
-    "check_path_conditions",
-    "completion_paths",
-    "construct_rel",
     "dual_graph",
-    "find_cips",
-    "find_shortcuts",
-    "find_triplets",
-    "flip_edge",
-    "flip_vertex",
-    "four_completion",
     "generate_ptpg",
-    "is_valid_rel",
     "necessary_conditions",
-    "normalize_labels",
     "parse_graph",
     "plan",
-    "plan_outline",
     "plan_to_doc",
     "rectangular_plan",
-    "remove_ne",
     "render_svg",
-    "rfp_from_rel",
-    "select_paths",
     "serialize_graph",
     "serialize_plan",
     "validate_ptpg",
-    "verify_nontrivial_L",
 ]

@@ -16,7 +16,9 @@ import sys
 
 from .boundary import find_shortcuts, necessary_conditions
 from .graph import InconsistentEmbedding, validate_ptpg
-from .io import ParseError, parse_graph, parse_plan, plan_to_doc, render_svg, serialize_graph, serialize_plan
+from .io import (
+    _KEY, ParseError, parse_graph, parse_plan, plan_to_doc, render_svg, serialize_graph, serialize_plan,
+)
 from .pipeline import InvalidInput, PlanOptions, plan
 
 
@@ -61,8 +63,8 @@ def _cmd_check(args) -> int:
             "ptpg": {
                 "pass": report.verdict,
                 "biconnected": report.is_biconnected,
-                "nontriangular_faces": [list(f) for f in report.nontriangular_interior_faces],
-                "separating_triangles": [list(t) for t in report.separating_triangles],
+                "nontriangular_faces": [_labels(g, f) for f in report.nontriangular_interior_faces],
+                "separating_triangles": [_labels(g, t) for t in report.separating_triangles],
             },
             "cips": [_labels(g, c.vertices) for c in cips],
             "shortcuts": [_labels(g, s.edge) for s in shortcuts],
@@ -90,7 +92,7 @@ def _cmd_check(args) -> int:
         )
         if not nec.triplets:
             print("  no admissible corner triplet: every boundary pair at distance")
-            print("  two shares a second common neighbour")
+            print("  two is adjacent or shares a second common neighbour")
         if nec.cip_count > 5:
             print("  more than five corner implying paths")
         print(f"verdict: {'candidate' if candidate else 'not plannable'}")
@@ -110,11 +112,10 @@ def _resolve_triplet(g, spec: str):
                 named = ", ".join(map(str, sorted(ids)))
                 raise InvalidInput(f"label {token!r} in --triplet names vertices {named}")
             out.append(ids[0])
+        elif _KEY.fullmatch(token):  # an id as graph documents write it
+            out.append(int(token))
         else:
-            try:
-                out.append(int(token))
-            except ValueError:
-                raise InvalidInput(f"unknown vertex {token!r} in --triplet") from None
+            raise InvalidInput(f"unknown vertex {token!r} in --triplet")
     if len(out) != 3:
         raise InvalidInput("--triplet needs exactly three vertices")
     return tuple(out)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .boundary import Triplet
 from .graph import VertexId, edge_key
-from .rel import T1, FourCycle, NotAlternating, NotFlippable, Rel, flip_edge, rotate_four_cycle
+from .rel import T1, NotFlippable, Rel, flip_edge, rotate_four_cycle
 
 
 class NormalizationFailed(RuntimeError):
@@ -158,8 +158,8 @@ def _run_chain(r: Rel, stack: list[WorkItem], trace: list[FlipRecord], budget: i
         if not all(v in rot[u] for u, v in zip(w, w[1:] + w[:1])):
             raise CycleNotFound(f"corners {w} do not close a cycle")
         try:
-            mode = rotate_four_cycle(r, FourCycle(w))
-        except (NotAlternating, NotFlippable) as exc:
+            mode = rotate_four_cycle(r, w)
+        except NotFlippable as exc:
             raise CycleNotFound(str(exc)) from exc
         trace.append(FlipRecord("rotate", (w, mode)))
         del stack[j:]

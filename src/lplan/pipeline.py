@@ -209,7 +209,7 @@ def _plan_one(
         return None
 
     try:
-        rel = construct_rel(ag)  # checks its labeling as is_valid_rel does
+        rel = construct_rel(ag)  # checks the pole rows and every ring of its labeling
     except NotConstructible as exc:
         fail("rel", str(exc))
         return None

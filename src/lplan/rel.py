@@ -14,8 +14,7 @@ pole's row against the pole's class and an inner ring by its classes
 alone: the ring is regular exactly when every cyclic step between
 neighboring classes is 0 or +1 mod 4 and the steps sum to 4.  Only a
 ring that fails is read again as runs, to name its blocks in the
-defect.  is_valid_rel runs it over the poles and then the inner
-vertices.
+defect.
 
 construct_rel finds a labeling by exact search: every unpinned edge is
 a finite-domain variable over its four color/direction values, and the
@@ -28,20 +27,21 @@ domains, so every order, and a start from just the rings the pinned
 pole rows touch, reaches one fixpoint.  The depth-first search runs on
 an explicit stack, scans for its pick past the settled prefix of its
 edge order, and restarts at random to dodge the occasional deep dead
-end.  The solved value sets are checked in place, in is_valid_rel's
-order and with its ring rule, so a defect reads as is_valid_rel would
-name it; the labeling's dicts are built only after the check passes.
-flip_edge / flip_vertex / rotate_four_cycle are the local moves of
-label normalization; each tries its candidate labels through _relabel,
-which checks only the rings they change.
+end.  The solved value sets are checked in place, the pole rows N, E,
+S, W and then the inner rings in ascending order, with _ring_defect, so
+a defect reads as _vertex_defect would name it; the labeling's dicts
+are built only after the check passes.  flip_edge and
+rotate_four_cycle are the local moves of label normalization (a
+degree-4 vertex flips by rotating its neighbour cycle); each tries its
+candidate labels through _relabel, which checks only the rings they
+change.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, islice, product
-from typing import NamedTuple
+from itertools import islice
 
 from .graph import (
     Edge,
@@ -68,14 +68,6 @@ class NotFlippable(ValueError):
     pass
 
 
-class NotAlternating(ValueError):
-    pass
-
-
-class FourCycle(NamedTuple):
-    vertices: tuple[VertexId, VertexId, VertexId, VertexId]
-
-
 @dataclass
 class Rel:
     """A regular edge labeling: a T1/T2 color and a direction per edge, changed in place."""
@@ -94,11 +86,6 @@ class Rel:
 
     def clone(self) -> "Rel":
         return Rel(self.graph, dict(self.poles), dict(self.color), dict(self.orient))
-
-
-class RelValidity(NamedTuple):
-    ok: bool
-    defect: str | None = None
 
 
 def _ring_defect(v: VertexId, classes: list[int]) -> str | None:
@@ -148,29 +135,6 @@ def _vertex_defect(r: Rel, v: VertexId) -> str | None:
             return f"pole {name}: edge to {u} is {r.color[e]} {('out', 'in')[c >> 1]}"
         classes.append(c)
     return None if want is not None else _ring_defect(v, classes)
-
-
-def is_valid_rel(r: Rel) -> RelValidity:
-    """Whether r labels exactly the edges off the pole cycle, in T1 or T2, regularly.
-
-    The first defect wins: the edge set, then each orientation and color,
-    then _vertex_defect at N, E, S and W and at the inner vertices in
-    ascending order.
-    """
-    poles = r.pole_ids
-    expected = {e for e in r.graph.edges if not (e[0] in poles and e[1] in poles)}
-    if set(r.color) != expected or set(r.orient) != expected:
-        return RelValidity(False, "labeled edge set mismatch")
-    for e, (tail, head) in r.orient.items():
-        if edge_key(tail, head) != e:
-            return RelValidity(False, f"orientation endpoints of {e} wrong")
-        if r.color[e] not in (T1, T2):
-            return RelValidity(False, f"bad color on {e}")
-    for v in chain(poles, [v for v in r.graph.vertices if v not in poles]):
-        defect = _vertex_defect(r, v)
-        if defect:
-            return RelValidity(False, defect)
-    return RelValidity(True)
 
 
 # -- construction ------------------------------------------------------------
@@ -465,30 +429,14 @@ def flip_edge(r: Rel, u: VertexId, v: VertexId) -> None:
     _relabel(r, [e], both, (u, v), f"flip of {e} admits no valid direction")
 
 
-def flip_vertex(r: Rel, v: VertexId) -> None:
-    """Toggle the colors of all four edges at a degree-4 interior vertex."""
-    if v in set(r.pole_ids):
-        raise NotFlippable("poles can not be flipped")
-    nbrs = r.graph.rotation[v]
-    if len(nbrs) != 4:
-        raise NotFlippable(f"vertex {v} has degree {len(nbrs)}, need 4")
-    keys = [edge_key(v, w) for w in nbrs]
-    if any(k not in r.color for k in keys):
-        raise NotFlippable("unlabeled edge at vertex")
-    cols = [T2 if r.color[k] == T1 else T1 for k in keys]
-    candidates = (zip(cols, dirs) for dirs in product(*[((v, w), (w, v)) for w in nbrs]))
-    _relabel(r, keys, candidates, (v, *nbrs), f"vertex flip at {v} admits no valid directions")
-
-
-def rotate_four_cycle(r: Rel, cyc: FourCycle) -> str:
-    """Exchange colors inside an alternating 4-cycle of a valid r; returns cw or ccw."""
-    w = cyc.vertices
-    ring = [edge_key(w[i], w[(i + 1) % 4]) for i in range(4)]
+def rotate_four_cycle(r: Rel, w: tuple[VertexId, ...]) -> str:
+    """Exchange colors inside an alternating 4-cycle w of a valid r; returns cw or ccw."""
+    ring = [edge_key(a, b) for a, b in zip(w, w[1:] + w[:1])]
     if len(set(w)) != 4 or any(e not in r.color for e in ring):
-        raise NotAlternating(f"not a labeled 4-cycle: {w}")
+        raise NotFlippable(f"not a labeled 4-cycle: {w}")
     labs = [r.color[e] for e in ring]
     if labs[0] != labs[2] or labs[1] != labs[3] or labs[0] == labs[1]:
-        raise NotAlternating(f"cycle {w} is not alternating: {labs}")
+        raise NotFlippable(f"cycle {w} is not alternating: {labs}")
     inside = faces_inside_cycle(r.graph, w)
     faces = map(r.graph._walks.__getitem__, inside)  # their edges off the ring are inside
     target = list({edge_key(f[j - 1], f[j]) for f in faces for j in range(len(f))} - set(ring))

@@ -4,10 +4,9 @@ Everything here is deliberately naive: exhaustive search, set algebra,
 geometry read straight off the rectangles.  Nothing below shares logic
 with the modules it checks beyond the plain data containers, so a bug
 would have to be made twice to slip through.  The exceptions are named
-where they occur: enumerate_rels, the flip probes, the two-step
-completion and fresh_completion call the library's own checks, moves or
-attach_vertex, ring_of shares
-the label search's filter tables, face_walk_segments walks faces
+where they occur: is_flippable_edge, the two-step completion and
+fresh_completion call the library's own flip_edge or attach_vertex,
+ring_of shares the label search's filter tables, face_walk_segments walks faces
 with the graph core's numbered-dart walk, padded_rectangular_plan
 completes, labels and draws with the library, profile_from_outline
 reads the library's outline, and path_sets cuts the boundary with the
@@ -65,8 +64,6 @@ from lplan.rel import (
     T2,
     construct_rel,
     flip_edge,
-    flip_vertex,
-    is_valid_rel,
 )
 
 
@@ -613,7 +610,7 @@ def enumerate_rels(ag: AugmentedGraph, cap: int = 12) -> list[Rel]:
     Pole-incident edges are forced by the pole rules, so the search
     space is the interior edges only: 4 states each.  Partial rings are
     pruned as soon as they descend twice, and each full assignment is
-    judged by the library's is_valid_rel.
+    judged by brute_rel_validity.
     """
     poles = set(ag.pole_ids)
     g = ag.base
@@ -635,7 +632,7 @@ def enumerate_rels(ag: AugmentedGraph, cap: int = 12) -> list[Rel]:
 
     def rec(i: int) -> None:
         if i == len(free):
-            if is_valid_rel(r).ok:
+            if brute_rel_validity(r)[0]:
                 out.append(r.clone())
             return
         e = free[i]
@@ -679,7 +676,12 @@ def brute_ring_defect(r: Rel, v: VertexId) -> str | None:
 
 
 def brute_rel_validity(r: Rel) -> tuple[bool, str | None]:
-    """is_valid_rel's verdict and first defect, every inner ring read as runs."""
+    """Whether r labels exactly the edges off the pole cycle, in T1 or T2, regularly.
+
+    The first defect wins: the edge set, then each orientation and color,
+    then the pole rows of N, E, S and W, then every inner ring, read as
+    runs, in ascending vertex order.
+    """
     poles = set(r.poles.values())
     expected = {e for e in r.graph.edges if not (e[0] in poles and e[1] in poles)}
     if set(r.color) != expected or set(r.orient) != expected:
@@ -825,7 +827,7 @@ def rotate_by_trial(r: Rel, w: tuple[VertexId, ...]) -> str | None:
     """rotate_four_cycle on an alternating 4-cycle, checked on the whole labeling.
 
     Each sense is applied to every edge strictly inside the cycle and kept
-    when is_valid_rel accepts the labeling.  Returns "cw" or "ccw" with r
+    when brute_rel_validity accepts the labeling.  Returns "cw" or "ccw" with r
     rotated, or None with r unchanged when neither sense is valid.
     """
     inside = brute_faces_inside_cycle(r.graph, w)
@@ -840,7 +842,7 @@ def rotate_by_trial(r: Rel, w: tuple[VertexId, ...]) -> str | None:
             along = (mode == "cw") == (col == "T1")
             r.color[e] = "T2" if col == "T1" else "T1"
             r.orient[e] = (s, t) if along else (t, s)
-        if is_valid_rel(r).ok:
+        if brute_rel_validity(r)[0]:
             return mode
         for e, (col, o) in before.items():
             r.color[e], r.orient[e] = col, o
@@ -856,13 +858,34 @@ def is_flippable_edge(r: Rel, u: VertexId, v: VertexId) -> bool:
     return True
 
 
-def is_flippable_vertex(r: Rel, v: VertexId) -> bool:
-    """Whether the library's flip_vertex succeeds, tried on a clone of r."""
-    try:
-        flip_vertex(r.clone(), v)
-    except NotFlippable:
+def brute_flip_vertex(r: Rel, v: VertexId) -> bool:
+    """Toggle the four colors at a degree-4 inner vertex v, keeping r regular.
+
+    The four edges then take the first of their 16 direction sets that
+    brute_rel_validity accepts, tried in itertools.product order over
+    (out of v, into v) per neighbour in rotation order.  False, with r
+    unchanged, when v is a pole, its degree is not 4 or no direction set
+    is accepted.
+    """
+    nbrs = r.graph.rotation[v]
+    if v in r.poles.values() or len(nbrs) != 4:
         return False
-    return True
+    keys = [(min(v, w), max(v, w)) for w in nbrs]
+    before = [(r.color[k], r.orient[k]) for k in keys]
+    for dirs in itertools.product(*[((v, w), (w, v)) for w in nbrs]):
+        for k, (col, _), ends in zip(keys, before, dirs):
+            r.color[k] = "T2" if col == "T1" else "T1"
+            r.orient[k] = ends
+        if brute_rel_validity(r)[0]:
+            return True
+    for k, (col, ends) in zip(keys, before):
+        r.color[k], r.orient[k] = col, ends
+    return False
+
+
+def is_flippable_vertex(r: Rel, v: VertexId) -> bool:
+    """Whether brute_flip_vertex succeeds, tried on a clone of r."""
+    return brute_flip_vertex(r.clone(), v)
 
 
 def canonical_labeling(color: dict, orient: dict) -> tuple:

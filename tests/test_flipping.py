@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import brute_rel_validity
+
 from lplan import samples
 from lplan.flipping import (
     OracleViolation,
@@ -14,7 +16,7 @@ from lplan.flipping import (
 )
 from lplan.graph import common_neighbors, edge_key
 from lplan.pipeline import plan
-from lplan.rel import T1, T2, FourCycle, construct_rel, is_valid_rel, rotate_four_cycle
+from lplan.rel import T1, T2, construct_rel, rotate_four_cycle
 from lplan.samples import label_map
 
 PLANNABLE = (
@@ -33,7 +35,7 @@ def test_normalized_corner_labels_differ(make):
     assert res.ok
     a, b, c = res.triplet
     assert res.rel.label(a, b) != res.rel.label(b, c)
-    assert is_valid_rel(res.rel).ok
+    assert brute_rel_validity(res.rel) == (True, None)
     rep = res.normalize
     assert rep.flips == sum(1 for t in rep.trace if t.action == "flip")
     assert rep.rotations == sum(1 for t in rep.trace if t.action == "rotate")
@@ -51,7 +53,7 @@ def test_trace_replays_onto_a_fresh_labeling(make):
             flip_edge(fresh, *rec.detail)
         elif rec.action == "rotate":
             cyc, mode = rec.detail
-            assert rotate_four_cycle(fresh, FourCycle(cyc)) == mode
+            assert rotate_four_cycle(fresh, cyc) == mode
         # "pre" records are informational; their chain flips follow separately
     assert fresh.color == res.rel.color
     assert fresh.orient == res.rel.orient

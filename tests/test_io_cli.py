@@ -11,6 +11,7 @@ from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_graph import k4
 
 from lplan import samples
 from lplan.cli import main
@@ -268,13 +269,19 @@ def _quad_holes_and_pockets():
     return samples.embed_by_coords(coords, edges, (1, 2, 3, 4))
 
 
+def _lettered_nested_triangle():
+    g = samples.nested_triangle()
+    return EmbeddedGraph(rotation=g.rotation, outer=g.outer, labels=dict(zip(range(1, 8), "abcdefg")))
+
+
 @pytest.mark.parametrize(
     "make, faces, triangles",
     [
-        (samples.nested_triangle, [], [[2, 4, 6]]),
-        (_quad_holes_and_pockets, [[2, 6, 7, 3], [5, 8, 7, 6]], [[1, 2, 6], [3, 4, 8]]),
+        (samples.nested_triangle, [], [["2", "4", "6"]]),
+        (_lettered_nested_triangle, [], [["b", "d", "f"]]),
+        (_quad_holes_and_pockets, [["2", "6", "7", "3"], ["5", "8", "7", "6"]], [["1", "2", "6"], ["3", "4", "8"]]),
     ],
-    ids=["nested_triangle", "quad_holes_and_pockets"],
+    ids=["nested_triangle", "lettered_nested_triangle", "quad_holes_and_pockets"],
 )
 def test_cli_check_json_golden(tmp_path, capsys, make, faces, triangles):
     path = _write_graph(tmp_path, make)
@@ -326,6 +333,32 @@ def test_cli_triplet_by_label_and_unknown_token(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: unknown vertex 'zz' in --triplet\n"
+
+
+@pytest.mark.parametrize("token", ("0_2", "\u0662"), ids=("underscore", "arabic-indic-two"))
+def test_cli_triplet_refuses_ids_that_graph_documents_refuse(tmp_path, capsys, token):
+    # int() reads both as 2, but an id is an optional sign and ASCII digits
+    src = _write_graph(tmp_path, samples.pentagon_with_pocket)
+    assert main(["plan", src, "--triplet", f"1,{token},3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown vertex {token!r} in --triplet\n"
+    assert main(["plan", src, "--triplet", "1,+2,3"]) == 0
+    assert "triplet: (a,b,c)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("make", (k4, samples.wheel4), ids=("k4", "wheel4"))
+def test_cli_check_states_the_rule_that_left_no_triplet(tmp_path, capsys, make):
+    # On K4 each boundary pair two apart is adjacent; on the wheel each
+    # shares a second common neighbour.
+    path = _write_graph(tmp_path, make)
+    assert main(["check", path]) == 2
+    out = capsys.readouterr().out.splitlines()
+    i = out.index("triplets (0): ")
+    assert out[i + 1 : i + 3] == [
+        "  no admissible corner triplet: every boundary pair at distance",
+        "  two is adjacent or shares a second common neighbour",
+    ]
 
 
 def test_cli_json_plan_refusal_report(tmp_path, capsys):

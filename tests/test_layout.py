@@ -43,12 +43,9 @@ from lplan.pipeline import plan
 from lplan.rel import (
     T1,
     T2,
-    FourCycle,
-    NotAlternating,
     NotFlippable,
     construct_rel,
     flip_edge,
-    flip_vertex,
     rotate_four_cycle,
 )
 
@@ -229,7 +226,7 @@ def _rotate_some_four_cycle(r, rng) -> bool:
     g, poles = r.graph, set(r.pole_ids)
     inner = [v for v in g.vertices if v not in poles]
     cycles = [
-        FourCycle((a, b, c, d))
+        (a, b, c, d)
         for a in inner
         for b in g.adj[a]
         for c in g.adj[b]
@@ -240,7 +237,7 @@ def _rotate_some_four_cycle(r, rng) -> bool:
     for cyc in cycles:
         try:
             rotate_four_cycle(r.clone(), cyc)
-        except (NotAlternating, NotFlippable):
+        except NotFlippable:
             continue
         rotate_four_cycle(r, cyc)
         return True
@@ -270,7 +267,7 @@ def test_segments_match_face_walks_under_fuzzed_moves():
                 flippable = [v for v in inner if is_flippable_vertex(r, v)]
                 if not flippable:
                     continue
-                flip_vertex(r, rng.choice(flippable))
+                rotate_four_cycle(r, r.graph.rotation[rng.choice(flippable)])
             elif not _rotate_some_four_cycle(r, rng):
                 continue
             assert_segments_match_face_walks(r)

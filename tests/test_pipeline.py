@@ -374,3 +374,50 @@ def test_every_exported_name_resolves():
     # The brute-force references are test code, not part of the package.
     for name in ("augment_with_ne", "enumerate_rels", "stretcher_is_trivial"):
         assert name not in lplan.__all__ and not hasattr(lplan, name)
+
+
+# -- symmetry ------------------------------------------------------------------
+
+
+def mirror(g: EmbeddedGraph) -> EmbeddedGraph:
+    """g drawn in a mirror: every rotation and the outer cycle reversed."""
+    return EmbeddedGraph(
+        rotation={v: nbrs[::-1] for v, nbrs in g.rotation.items()}, outer=g.outer[::-1]
+    )
+
+
+def renumber(g: EmbeddedGraph) -> EmbeddedGraph:
+    """g with every vertex id v renamed max + 1 - v."""
+    top = max(g.vertices) + 1
+    return EmbeddedGraph(
+        rotation={top - v: tuple(top - w for w in nbrs) for v, nbrs in g.rotation.items()},
+        outer=tuple(top - v for v in g.outer),
+    )
+
+
+# Whether a graph has an L plan does not depend on how it is drawn or
+# numbered.  The shortcut rule at the corner b (ROADMAP item 1) breaks
+# this on each case below: the first is refused while its mirror plans,
+# the next two plan while their mirrors are refused.
+SHORTCUT_RULE_AT_B = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the shortcut rule at b refuses plannable graphs",
+)
+
+
+@pytest.mark.parametrize(
+    "move, spec",
+    [
+        pytest.param(mirror, GenSpec(18, 21, 4), marks=SHORTCUT_RULE_AT_B),
+        pytest.param(mirror, GenSpec(26, 8, 4), marks=SHORTCUT_RULE_AT_B),
+        pytest.param(mirror, GenSpec(30, 10, 5), marks=SHORTCUT_RULE_AT_B),
+        pytest.param(renumber, GenSpec(18, 21, 4), marks=SHORTCUT_RULE_AT_B),
+        pytest.param(renumber, GenSpec(22, 3), marks=SHORTCUT_RULE_AT_B),
+    ],
+    ids=["mirror-n18-seed21-cips4", "mirror-n26-seed8-cips4", "mirror-n30-seed10-cips5",
+         "renumber-n18-seed21-cips4", "renumber-n22-seed3"],
+)
+def test_plannability_survives_mirroring_and_renumbering(move, spec):
+    g = generate_ptpg(spec)
+    assert plan(move(g)).ok == plan(g).ok

@@ -9,6 +9,7 @@ from collections import Counter
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    brute_rel_validity,
     brute_separating_triangles,
     concave_corner_count,
     geometric_adjacency,
@@ -24,12 +25,7 @@ from lplan.graph import find_separating_triangles, rotate_min, validate_ptpg
 from lplan.io import parse_graph, serialize_graph, serialize_plan
 from lplan.paths import Infeasible, check_path_conditions, paths_from_splits
 from lplan.pipeline import plan, rectangular_plan
-from lplan.rel import (
-    construct_rel,
-    flip_edge,
-    flip_vertex,
-    is_valid_rel,
-)
+from lplan.rel import flip_edge, rotate_four_cycle
 
 SIZES = st.integers(min_value=6, max_value=24)
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -61,7 +57,7 @@ def test_plan_outcomes_are_consistent(n, seed):
     g = generate_ptpg(GenSpec(n=n, seed=seed))
     res = plan(g)
     if res.ok:
-        assert is_valid_rel(res.rel).ok
+        assert brute_rel_validity(res.rel) == (True, None)
         assert no_overlaps(res.plan)
         assert concave_corner_count(res.plan) == 1
         dual_edges = geometric_adjacency(res.plan)
@@ -108,8 +104,8 @@ def test_random_local_moves_preserve_validity(n, seed, ops):
         else:
             v = inner[rng.randrange(len(inner))]
             if len(r.graph.rotation[v]) == 4 and is_flippable_vertex(r, v):
-                flip_vertex(r, v)
-        assert is_valid_rel(r).ok
+                rotate_four_cycle(r, r.graph.rotation[v])
+        assert brute_rel_validity(r) == (True, None)
 
 
 @settings(max_examples=30, deadline=None)

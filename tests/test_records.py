@@ -24,7 +24,6 @@ from lplan.gen import GenSpec, generate_ptpg
 from lplan.graph import validate_ptpg
 from lplan.paths import PathViolation
 from lplan.pipeline import PlanOptions, plan, rectangular_plan
-from lplan.rel import FourCycle, is_valid_rel
 
 
 def _pentagon_records() -> dict:
@@ -40,7 +39,6 @@ def _pentagon_records() -> dict:
         "profile": res.profile,
         "verdict": res.verdict,
         "pathset": res.pathset,
-        "validity": is_valid_rel(res.rel),
         "normalize": res.normalize,
     }
 
@@ -79,7 +77,6 @@ RECORDS = {
         "PathSet(p1=(1, 2, 3), p2=(3,), p3=(3, 4), p4=(4, 5, 1), p5=(1,), "
         "triplet=Triplet(a=1, b=2, c=3))",
     ),
-    "RelValidity": ("validity", ("ok", "defect"), "RelValidity(ok=True, defect=None)"),
     "NormalizeReport": ("normalize", ("trace", "passes"), "NormalizeReport(trace=(), passes=0)"),
 }
 
@@ -105,7 +102,6 @@ def test_record_repr_hash_and_read_only_fields(name):
         (PlanOptions(), (None,), "PlanOptions(triplet=None)"),
         (PlanOptions(triplet=(1, 2, 3)), ((1, 2, 3),), "PlanOptions(triplet=(1, 2, 3))"),
         (WorkItem(4, 5, 6), (4, 5, 6), "WorkItem(x=4, y=5, c=6)"),
-        (FourCycle((1, 2, 3, 4)), ((1, 2, 3, 4),), "FourCycle(vertices=(1, 2, 3, 4))"),
         (
             PathViolation("ShortcutP5Side", (12, 2)),
             ("ShortcutP5Side", (12, 2)),
@@ -113,7 +109,7 @@ def test_record_repr_hash_and_read_only_fields(name):
         ),
     ],
     ids=[
-        "GenSpec", "PlanOptions-default", "PlanOptions", "WorkItem", "FourCycle", "PathViolation"
+        "GenSpec", "PlanOptions-default", "PlanOptions", "WorkItem", "PathViolation"
     ],
 )
 def test_constructed_record_contract(rec, values, text):

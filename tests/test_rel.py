@@ -15,6 +15,7 @@ import pytest
 from completions import tiny_completions
 from oracles import (
     alternating_four_cycles,
+    brute_flip_vertex,
     brute_rel_validity,
     brute_ring_defect,
     CapExceeded,
@@ -38,8 +39,6 @@ from lplan.pipeline import plan
 from lplan.rel import (
     T1,
     T2,
-    FourCycle,
-    NotAlternating,
     NotConstructible,
     NotFlippable,
     _propagate,
@@ -47,8 +46,6 @@ from lplan.rel import (
     _vertex_defect,
     construct_rel,
     flip_edge,
-    flip_vertex,
-    is_valid_rel,
     rotate_four_cycle,
 )
 
@@ -71,9 +68,7 @@ def _completion(make):
 @pytest.mark.parametrize("make", PLANNABLE, ids=lambda f: f.__name__)
 def test_construct_rel_is_valid(make):
     ag = _completion(make)
-    r = construct_rel(ag)
-    v = is_valid_rel(r)
-    assert v.ok, v.defect
+    assert brute_rel_validity(construct_rel(ag)) == (True, None)
 
 
 @pytest.mark.parametrize("make", PLANNABLE, ids=lambda f: f.__name__)
@@ -261,7 +256,7 @@ def test_search_space_matches_the_keyed_construction():
 
 def test_constructed_labelings_hold_their_edges_ends_and_colors():
     # The closing check reads only the pole rows and the rings: the rest
-    # of is_valid_rel's checks must hold by construction.
+    # of brute_rel_validity's checks must hold by construction.
     for ag in _setup_cases():
         r = construct_rel(ag)
         poles = set(ag.pole_ids)
@@ -269,13 +264,14 @@ def test_constructed_labelings_hold_their_edges_ends_and_colors():
         assert set(r.color) == set(r.orient) == want
         assert all(r.orient[e] in (e, e[::-1]) for e in want)
         assert set(r.color.values()) <= {T1, T2}
-        assert is_valid_rel(r) == (True, None)
+        assert brute_rel_validity(r) == (True, None)
 
 
 def test_closing_check_names_the_defect_is_valid_rel_names(monkeypatch):
     # One value is changed behind the search's back, in the propagation
     # that leaves every value set a singleton: construct_rel must refuse
-    # the labeling with is_valid_rel's text, or return it when it is valid.
+    # the labeling with brute_rel_validity's text, or return it when it is
+    # valid.
     rng = random.Random(5)
     real = relmod._propagate
     seen = Counter()
@@ -297,12 +293,12 @@ def test_closing_check_names_the_defect_is_valid_rel_names(monkeypatch):
             try:
                 r = construct_rel(ag)
             except NotConstructible as exc:
-                want = is_valid_rel(labeling_from_values(ag, edges, solved[0]))
-                assert not want.ok
-                assert str(exc) == "constructed labeling invalid: " + want.defect
-                seen[want.defect.split()[0]] += 1
+                ok, defect = brute_rel_validity(labeling_from_values(ag, edges, solved[0]))
+                assert not ok
+                assert str(exc) == "constructed labeling invalid: " + defect
+                seen[defect.split()[0]] += 1
             else:
-                assert is_valid_rel(r).ok
+                assert brute_rel_validity(r) == (True, None)
                 got = labeling_from_values(ag, edges, solved[0])
                 assert (r.color, r.orient) == (got.color, got.orient)
                 seen["valid"] += 1
@@ -328,7 +324,7 @@ def test_flip_edge_twice_restores_the_labeling():
     assert e is not None
     before = (dict(r.color), dict(r.orient))
     flip_edge(r, *e)
-    assert is_valid_rel(r).ok
+    assert brute_rel_validity(r) == (True, None)
     assert r.color[e] != before[0][e]
     flip_edge(r, *e)
     assert (r.color, r.orient) == before
@@ -360,9 +356,10 @@ def test_flip_vertex_twice_restores_the_labeling():
             if not is_flippable_vertex(r, v):
                 continue
             before = (dict(r.color), dict(r.orient))
-            flip_vertex(r, v)
-            assert is_valid_rel(r).ok
-            flip_vertex(r, v)
+            there = rotate_four_cycle(r, r.graph.rotation[v])
+            assert brute_rel_validity(r) == (True, None)
+            back = rotate_four_cycle(r, r.graph.rotation[v])
+            assert {there, back} == {"cw", "ccw"}
             assert (r.color, r.orient) == before
             done = True
             break
@@ -380,16 +377,48 @@ def test_flip_vertex_requires_degree_four():
         if v not in set(r.pole_ids) and len(r.graph.rotation[v]) != 4
     )
     with pytest.raises(NotFlippable):
-        flip_vertex(r, high)
+        rotate_four_cycle(r, r.graph.rotation[high])
     with pytest.raises(NotFlippable):
-        flip_vertex(r, ag.poles["N"])
+        rotate_four_cycle(r, r.graph.rotation[ag.poles["N"]])
+
+
+def test_vertex_flip_is_the_rotation_of_its_neighbour_cycle():
+    # A degree-4 vertex flips by rotating the 4-cycle of its neighbours:
+    # on labelings fuzzed by edge flips, the rotation succeeds exactly when
+    # brute_flip_vertex (every direction set, whole-labeling checks) does,
+    # and leaves the same labeling.
+    rng = random.Random(27)
+    seen = Counter()
+    for n, seed in itertools.product((8, 10, 12, 14), range(6)):
+        res = plan(generate_ptpg(GenSpec(n=n, seed=seed)))
+        if not res.ok:
+            continue
+        r = res.rel
+        poles = set(r.pole_ids)
+        edges = [e for e in sorted(r.color) if poles.isdisjoint(e)]
+        four = [v for v in r.graph.vertices if v not in poles and len(r.graph.rotation[v]) == 4]
+        for _ in range(30):
+            e = rng.choice(edges)
+            if is_flippable_edge(r, *e):
+                flip_edge(r, *e)
+            for v in four:
+                probe, want = r.clone(), r.clone()
+                try:
+                    rotate_four_cycle(probe, r.graph.rotation[v])
+                    got = True
+                except NotFlippable:
+                    got = False
+                assert got == brute_flip_vertex(want, v), (n, seed, v)
+                assert (probe.color, probe.orient) == (want.color, want.orient)
+                seen[got] += 1
+    assert seen[True] >= 50 and seen[False] >= 1000, seen
 
 
 def test_rotate_four_cycle_needs_alternating_labels():
     r = construct_rel(_completion(samples.pentagon_with_pocket))
     # a face of the completion is a triangle, so any 4-tuple with a repeat
-    with pytest.raises(NotAlternating):
-        rotate_four_cycle(r, FourCycle((1, 2, 3, 2)))
+    with pytest.raises(NotFlippable):
+        rotate_four_cycle(r, (1, 2, 3, 2))
 
 
 def test_rotate_four_cycle_round_trip():
@@ -411,11 +440,11 @@ def test_rotate_four_cycle_round_trip():
                             continue
                         if poles & {b, c, d}:
                             continue
-                        cyc = FourCycle((a, b, c, d))
+                        cyc = (a, b, c, d)
                         try:
                             probe = r.clone()
                             sense = rotate_four_cycle(probe, cyc)
-                        except (NotAlternating, NotFlippable):
+                        except NotFlippable:
                             continue
                         assert sense in ("cw", "ccw")
                         hit = (cyc, sense)
@@ -431,7 +460,7 @@ def test_rotate_four_cycle_round_trip():
         cyc, sense = hit
         before = (dict(r.color), dict(r.orient))
         assert rotate_four_cycle(r, cyc) == sense
-        assert is_valid_rel(r).ok
+        assert brute_rel_validity(r) == (True, None)
         assert (r.color, r.orient) != before
         back = rotate_four_cycle(r, cyc)
         assert back in ("cw", "ccw") and back != sense
@@ -451,7 +480,7 @@ def test_rotation_checks_agree_with_whole_labeling_checks():
         for w in alternating_four_cycles(r):
             probe, want = r.clone(), r.clone()
             try:
-                got = rotate_four_cycle(probe, FourCycle(w))
+                got = rotate_four_cycle(probe, w)
             except NotFlippable:
                 got = None
             assert got == rotate_by_trial(want, w), w
@@ -462,34 +491,14 @@ def test_rotation_checks_agree_with_whole_labeling_checks():
     assert set(seen) == {"cw", "ccw"} and sum(seen.values()) >= 150, seen
 
 
-# -- validity negatives --------------------------------------------------------
+# -- the ring reader against the run oracle -------------------------------------
 
 
-def test_is_valid_rel_catches_corruption():
-    r = construct_rel(_completion(samples.pentagon_with_pocket))
-    poles = set(r.pole_ids)
-    inner_edge = next(e for e in sorted(r.color) if not (set(e) & poles))
-
-    bad = r.clone()
-    del bad.color[inner_edge]
-    del bad.orient[inner_edge]
-    assert not is_valid_rel(bad).ok
-
-    bad = r.clone()
-    bad.color[inner_edge] = "T3"
-    assert not is_valid_rel(bad).ok
-
-    bad = r.clone()
-    tail, head = bad.orient[inner_edge]
-    bad.orient[inner_edge] = (tail, tail)
-    assert not is_valid_rel(bad).ok
-
-    pole_edge = next(
-        e for e in sorted(r.color) if len(set(e) & poles) == 1
-    )
-    bad = r.clone()
-    bad.color[pole_edge] = T2 if bad.color[pole_edge] == T1 else T1
-    assert not is_valid_rel(bad).ok
+def first_defect(r):
+    """_vertex_defect at N, E, S and W, then at the inner vertices ascending: the first defect."""
+    poles = r.pole_ids
+    order = [*poles, *(v for v in r.graph.vertices if v not in poles)]
+    return next(filter(None, (_vertex_defect(r, v) for v in order)), None)
 
 
 def _suite_rels():
@@ -528,19 +537,20 @@ def _corruptions(r, rng):
         yield bad, e
 
 
-def test_is_valid_rel_matches_the_run_oracle():
+def test_vertex_defect_matches_the_run_oracle():
+    # Corruptions keep the labeled edge set, so brute_rel_validity's first
+    # defect is a pole row's or a ring's, read in first_defect's order.
     rng = random.Random(9)
     rels = 0
     defects = set()
     for r in _suite_rels():
         rels += 1
-        got = is_valid_rel(r)
-        assert (got.ok, got.defect) == brute_rel_validity(r) == (True, None)
+        assert first_defect(r) is None and brute_rel_validity(r) == (True, None)
         for bad, e in _corruptions(r, rng):
-            got = is_valid_rel(bad)
-            assert (got.ok, got.defect) == brute_rel_validity(bad)
-            if got.defect:
-                defects.add(got.defect.split(":")[1].split()[0])
+            defect = brute_rel_validity(bad)[1]
+            assert first_defect(bad) == defect
+            if defect:
+                defects.add(defect.split(":")[1].split()[0])
             for v in e:
                 if v not in bad.pole_ids:
                     assert _vertex_defect(bad, v) == brute_ring_defect(bad, v)
@@ -548,7 +558,7 @@ def test_is_valid_rel_matches_the_run_oracle():
     assert defects == {"edge", "blocks"}  # a broken pole row, a ring with too many runs
 
 
-def test_is_valid_rel_matches_the_run_oracle_on_random_labelings():
+def test_vertex_defect_matches_the_run_oracle_on_random_labelings():
     rng = random.Random(4)
     verdicts = set()
     for ag in tiny_completions():
@@ -561,9 +571,9 @@ def test_is_valid_rel_matches_the_run_oracle_on_random_labelings():
                 bad.color[e] = rng.choice((T1, T2))
                 if rng.random() < 0.5:
                     bad.orient[e] = bad.orient[e][::-1]
-            got = is_valid_rel(bad)
-            assert (got.ok, got.defect) == brute_rel_validity(bad)
-            verdicts.add(got.defect.split(":")[1].split()[0] if got.defect else None)
+            defect = brute_rel_validity(bad)[1]
+            assert first_defect(bad) == defect
+            verdicts.add(defect.split(":")[1].split()[0] if defect else None)
     assert verdicts == {None, "blocks", "block"}
 
 
