@@ -15,7 +15,7 @@ from test_graph import k4
 
 from lplan import samples
 from lplan.cli import main
-from lplan.gen import GenSpec, generate_ptpg
+from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import EmbeddedGraph
 from lplan.io import (
     ParseError,
@@ -299,6 +299,38 @@ def test_cli_check_json_golden(tmp_path, capsys, make, faces, triangles):
         "shortcuts": [],
     }
     assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def _check_lists_chords(tmp_path, capsys, g) -> int:
+    """check lists each chord of g once, by label, in g.chords order; returns how many."""
+    path = tmp_path / "g.json"
+    path.write_bytes(serialize_graph(g))
+    want = [[g.labels.get(v, str(v)) for v in e] for e in g.chords]
+    main(["--format", "json", "check", str(path)])
+    assert json.loads(capsys.readouterr().out)["shortcuts"] == want
+    main(["check", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    names = " ".join("(" + ",".join(e) + ")" for e in want)
+    assert [s for s in lines if s.startswith("shortcuts")] == [f"shortcuts ({len(want)}): {names}"]
+    return len(want)
+
+
+def test_cli_check_lists_the_chords_as_shortcuts_on_samples(tmp_path, capsys):
+    counts = [_check_lists_chords(tmp_path, capsys, make()) for make in ALL_GRAPHS + (samples.nested_triangle,)]
+    assert min(counts) == 0 and max(counts) > 1
+
+
+def test_cli_check_lists_the_chords_as_shortcuts_on_generated_graphs(tmp_path, capsys):
+    counts = []
+    for n in range(6, 61, 6):
+        for seed in range(3):
+            for target in (None, 2, 4, 6):
+                try:
+                    g = generate_ptpg(GenSpec(n=n, seed=seed, cip_target=target))
+                except (GenerationFailed, ValueError):  # no graph of this size has that many CIPs
+                    continue
+                counts.append(_check_lists_chords(tmp_path, capsys, g))
+    assert len(counts) > 100 and max(counts) > 5
 
 
 def test_cli_plan_writes_a_document(tmp_path, capsys):
