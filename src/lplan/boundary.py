@@ -1,32 +1,25 @@
-"""Boundary structure of a PTPG: shortcuts, corner implying paths, triplets.
+"""Boundary structure of a PTPG: corner implying paths and triplets.
 
-All arcs are walked clockwise along the outer cycle, matching the
-clockwise conventions of EmbeddedGraph.
+The shortcuts are the graph's own chords (EmbeddedGraph.chords).  A CIP
+is an outer arc between a chord's ends, so its end vertices name its
+chord.  All arcs are walked clockwise along the outer cycle, matching
+the clockwise conventions of EmbeddedGraph.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Edge, EmbeddedGraph, VertexId, edge_key
-
-
-class Shortcut(NamedTuple):
-    """Interior edge joining two non-consecutive outer vertices.
-
-    interior holds the outer vertices strictly between the endpoints on
-    the shorter clockwise arc (ties broken toward the lower first id).
-    """
-
-    edge: Edge
-    interior: tuple[VertexId, ...]
+from .graph import EmbeddedGraph, VertexId
 
 
 class Cip(NamedTuple):
-    """Corner implying path: a chord's boundary arc with no inner split pair."""
+    """Corner implying path: a chord's boundary arc with no inner split pair.
+
+    Its chord joins its end vertices.
+    """
 
     vertices: tuple[VertexId, ...]
-    chord: Edge
 
     @property
     def interior(self) -> tuple[VertexId, ...]:
@@ -49,19 +42,6 @@ def boundary_arc(g: EmbeddedGraph, u: VertexId, v: VertexId) -> tuple[VertexId, 
 def _arc(g: EmbeddedGraph, i: int, j: int) -> tuple[VertexId, ...]:
     """Clockwise outer arc from position i to position j, inclusive."""
     return g.outer[i : j + 1] if i <= j else g.outer[i:] + g.outer[: j + 1]
-
-
-def find_shortcuts(g: EmbeddedGraph) -> tuple[Shortcut, ...]:
-    pos = g.outer_pos
-    k = len(g.outer)
-    out = []
-    for u, v in g.chords:
-        i, j = pos[u], pos[v]
-        # Arc u..v has (j - i) % k + 1 vertices, arc v..u has (i - j) % k + 1.
-        d_uv, d_vu = (j - i) % k, (i - j) % k
-        short = _arc(g, i, j) if d_uv < d_vu or (d_uv == d_vu and u < v) else _arc(g, j, i)
-        out.append(Shortcut(edge=(u, v), interior=short[1:-1]))
-    return tuple(out)
 
 
 def find_cips(g: EmbeddedGraph) -> tuple[Cip, ...]:
@@ -96,11 +76,10 @@ def find_cips(g: EmbeddedGraph) -> tuple[Cip, ...]:
     last_start = max(i for i, _ in spans)  # none lies in [j, k-1] iff j > last_start
     out = []
     for x, (i, j) in enumerate(spans):
-        chord = edge_key(g.outer[i], g.outer[j])
         if not has_inner[x]:
-            out.append((i, j - i, Cip(vertices=_arc(g, i, j), chord=chord)))
+            out.append((i, j - i, Cip(_arc(g, i, j))))
         if not contained[x] and i < first_end and j > last_start:
-            out.append((j, len(g.outer) - j + i, Cip(vertices=_arc(g, j, i), chord=chord)))
+            out.append((j, len(g.outer) - j + i, Cip(_arc(g, j, i))))
     out.sort(key=lambda t: t[:2])
     return tuple(c for _, _, c in out)
 

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .boundary import find_shortcuts, necessary_conditions
+from .boundary import necessary_conditions
 from .graph import InconsistentEmbedding, validate_ptpg
 from .io import (
     _KEY, ParseError, parse_graph, parse_plan, plan_to_doc, render_svg, serialize_graph, serialize_plan,
@@ -56,7 +56,6 @@ def _cmd_check(args) -> int:
     report = validate_ptpg(g)
     nec = necessary_conditions(g)
     cips = nec.cips
-    shortcuts = find_shortcuts(g)
     candidate = report.verdict and nec.ok
     if args.format == "json":
         payload = {
@@ -67,7 +66,7 @@ def _cmd_check(args) -> int:
                 "separating_triangles": [_labels(g, t) for t in report.separating_triangles],
             },
             "cips": [_labels(g, c.vertices) for c in cips],
-            "shortcuts": [_labels(g, s.edge) for s in shortcuts],
+            "shortcuts": [_labels(g, e) for e in g.chords],
             "necessary": _necessary_dict(g, nec),
             "candidate": candidate,
         }
@@ -82,10 +81,7 @@ def _cmd_check(args) -> int:
         for t in report.separating_triangles:
             print(f"  separating triangle {_names(g, t)}")
         print(f"cips ({len(cips)}): " + " ".join(_names(g, c.vertices) for c in cips))
-        print(
-            f"shortcuts ({len(shortcuts)}): "
-            + " ".join(_names(g, s.edge) for s in shortcuts)
-        )
+        print(f"shortcuts ({len(g.chords)}): " + " ".join(_names(g, e) for e in g.chords))
         print(
             f"triplets ({len(nec.triplets)}): "
             + " ".join(_names(g, t) for t in nec.triplets)

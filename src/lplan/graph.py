@@ -6,9 +6,10 @@ runs from v to rotation[v][i].  Faces are recovered by the usual dart
 walk: (u, v) continues with (v, w) where w follows u in the rotation at
 v, so interior faces are walked counterclockwise and the outer face
 clockwise.  The position map turn[v] = {u: off[v] + (i + 1) mod deg v}
-for u = rotation[v][i] names that next dart in one lookup; its keys are
-the neighbour sets (adj).  The walk runs over the list of next darts,
-each face from its lowest unvisited dart.
+for u = rotation[v][i] names that next dart in one lookup.  The
+neighbours of v are read off rotation[v]; no second view of them is
+kept.  The walk runs over the list of next darts, each face from its
+lowest unvisited dart.
 
 Every EmbeddedGraph built from rotation lists is checked once, when it
 is built, and whole: a loop or a repeated neighbour shows in the sizes
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from operator import contains, eq
-from typing import KeysView, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 VertexId = int
@@ -231,11 +232,6 @@ class EmbeddedGraph:
         vars(self).update(_face=face, _walks=walks)
         return face, walks
 
-    def __getstate__(self) -> dict:
-        # adj holds key views, which pickle and deepcopy cannot copy; it is
-        # read off the rest again on first use.
-        return {k: v for k, v in vars(self).items() if k != "adj"}
-
     # -- derived structure ------------------------------------------------
 
     # A checked build sets _turn and _tri_faces in _check; otherwise these run when first read.
@@ -259,10 +255,6 @@ class EmbeddedGraph:
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
         return tuple(sorted(self.rotation))
-
-    @cached_property
-    def adj(self) -> dict[VertexId, KeysView[VertexId]]:
-        return {v: t.keys() for v, t in self._turn.items()}
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -294,7 +286,7 @@ class EmbeddedGraph:
 
 
 def common_neighbors(g: EmbeddedGraph, u: VertexId, v: VertexId) -> tuple[VertexId, ...]:
-    return tuple(sorted(g.adj[u] & g.adj[v]))
+    return tuple(sorted(set(g.rotation[u]).intersection(g.rotation[v])))
 
 
 def faces_inside_cycle(g: EmbeddedGraph, cycle: Sequence[VertexId]) -> frozenset[int]:

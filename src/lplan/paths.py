@@ -250,15 +250,15 @@ def select_paths(
     # partners, s1 above every chord's start and b's partners.
     ceiling = min([bmin, m] + [y for _, y in spans])
     floor = max([bmax] + [x for x, _ in spans])
-    adj = g.adj
+    rot = g.rotation
     near: set[VertexId] = set()  # the neighbours of the c-side tail but b
     j0 = 0
     for s2 in range(ceiling):
         # s1 and s5 lie above every chord from the c-side tail and b
         low = max([s2, bmax] + [y for x, y in spans if x <= s2])
-        near.update(adj[ring[s2]])
+        near.update(rot[ring[s2]])
         near.discard(b)
-        if max(low, floor) >= m - 1 or not near.isdisjoint(adj[a]):
+        if max(low, floor) >= m - 1 or not near.isdisjoint(rot[a]):
             break
         while j0 < len(arcs) and arcs[j0][0] < s2:
             j0 += 1
@@ -266,7 +266,7 @@ def select_paths(
         start = m - 1 if j0 + 3 >= len(arcs) else arcs[j0 + 3][1] - 1
         fresh = range(start, m - 1)  # tail vertices not yet checked for a shared neighbour
         for s1 in range(start, max(low, floor), -1):
-            if any(not near.isdisjoint(adj[ring[y]]) for y in fresh):
+            if any(not near.isdisjoint(rot[ring[y]]) for y in fresh):
                 break
             fresh = (s1 - 1,)
             # s3 lies below every chord to the a-side tail and b

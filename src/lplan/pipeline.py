@@ -160,7 +160,8 @@ def plan(g: EmbeddedGraph, opts: PlanOptions | None = None) -> PlanResult:
     if opts.triplet is not None:
         pinned = [t for t in candidates if tuple(t) == tuple(opts.triplet)]
         if not pinned:
-            raise InvalidInput(f"{opts.triplet} is not an admissible corner triplet")
+            names = ",".join(g.labels.get(v, str(v)) for v in opts.triplet)
+            raise InvalidInput(f"({names}) is not an admissible corner triplet")
         candidates = pinned
 
     failures: list[TripletFailure] = []

@@ -20,7 +20,7 @@ import itertools
 import re
 from collections import Counter, deque
 
-from lplan.boundary import Cip, Shortcut, Triplet, boundary_arc, find_cips
+from lplan.boundary import Cip, Triplet, boundary_arc, find_cips
 from lplan.graph import (
     EmbeddedGraph,
     InconsistentEmbedding,
@@ -249,7 +249,7 @@ def brute_biconnected(g: EmbeddedGraph) -> bool:
 
 def edge_triangles(g: EmbeddedGraph) -> list[tuple[VertexId, VertexId, VertexId]]:
     """All 3-cliques, one adjacency-set intersection per edge, sorted."""
-    adj = g.adj
+    adj = {v: set(nbrs) for v, nbrs in g.rotation.items()}
     out = []
     for u, nu in adj.items():
         for v in nu:
@@ -284,13 +284,14 @@ def walk_faces(g: EmbeddedGraph) -> list[tuple[VertexId, ...]]:
 
 def brute_triangles(g: EmbeddedGraph) -> list[tuple[VertexId, VertexId, VertexId]]:
     """All 3-cliques, by pairwise adjacency-set intersection."""
+    adj = {v: set(nbrs) for v, nbrs in g.rotation.items()}
     out = []
     verts = sorted(g.vertices)
     for i, u in enumerate(verts):
         for v in verts[i + 1 :]:
-            if v not in g.adj[u]:
+            if v not in adj[u]:
                 continue
-            for w in sorted(g.adj[u] & g.adj[v]):
+            for w in sorted(adj[u] & adj[v]):
                 if w > v:
                     out.append((u, v, w))
     return out
@@ -298,7 +299,8 @@ def brute_triangles(g: EmbeddedGraph) -> list[tuple[VertexId, VertexId, VertexId
 
 def common_neighbour_sum(g: EmbeddedGraph) -> int:
     """|N(u) & N(v)| summed over the edges u < v: every 3-cycle three times."""
-    return sum(len(g.adj[u] & g.adj[v]) for u in g.vertices for v in g.adj[u] if u < v)
+    adj = {v: set(nbrs) for v, nbrs in g.rotation.items()}
+    return sum(len(adj[u] & adj[v]) for u in g.vertices for v in adj[u] if u < v)
 
 
 def inner_faces(g: EmbeddedGraph) -> tuple[tuple[VertexId, ...], ...]:
@@ -368,19 +370,6 @@ def brute_chords(g: EmbeddedGraph) -> list[tuple[VertexId, VertexId]]:
     ]
 
 
-def brute_shortcuts(g: EmbeddedGraph) -> tuple[Shortcut, ...]:
-    """Each chord with the interior of its shorter arc (ties: the arc from the lower id)."""
-    out = []
-    for u, v in brute_chords(g):
-        arc_uv, arc_vu = brute_arc(g, u, v), brute_arc(g, v, u)
-        if len(arc_uv) < len(arc_vu) or (len(arc_uv) == len(arc_vu) and u < v):
-            short = arc_uv
-        else:
-            short = arc_vu
-        out.append(Shortcut(edge=(u, v), interior=short[1:-1]))
-    return tuple(out)
-
-
 def _arc_is_cip(g: EmbeddedGraph, arc: tuple[VertexId, ...]) -> bool:
     """No two non-consecutive arc vertices adjacent, apart from the arc's ends."""
     k = len(arc)
@@ -388,7 +377,7 @@ def _arc_is_cip(g: EmbeddedGraph, arc: tuple[VertexId, ...]) -> bool:
         for j in range(i + 2, k):
             if i == 0 and j == k - 1:
                 continue
-            if arc[j] in g.adj[arc[i]]:
+            if arc[j] in g.rotation[arc[i]]:
                 return False
     return True
 
@@ -399,7 +388,7 @@ def brute_cips(g: EmbeddedGraph) -> tuple[Cip, ...]:
     for u, v in brute_chords(g):
         for arc in (brute_arc(g, u, v), brute_arc(g, v, u)):
             if _arc_is_cip(g, arc):
-                out.append(Cip(vertices=arc, chord=(u, v)))
+                out.append(Cip(vertices=arc))
     out.sort(key=lambda c: (g.outer.index(c.vertices[0]), len(c.vertices)))
     return tuple(out)
 
@@ -414,7 +403,7 @@ def scan_triplets(g: EmbeddedGraph) -> tuple[Triplet, ...]:
     n = len(g.outer)
     for i in range(n):
         a, b, c = g.outer[i], g.outer[(i + 1) % n], g.outer[(i + 2) % n]
-        if c not in g.adj[a] and common_neighbors(g, a, c) == (b,):
+        if c not in g.rotation[a] and common_neighbors(g, a, c) == (b,):
             out.append(Triplet(a, b, c))
     return tuple(out)
 
@@ -555,7 +544,7 @@ def rel_filter_enumeration(ag: AugmentedGraph) -> set[tuple]:
     for name, inward in (("N", True), ("S", False), ("E", True), ("W", False)):
         p = ag.poles[name]
         col = "T1" if name in ("N", "S") else "T2"
-        for w in g.adj[p]:
+        for w in g.rotation[p]:
             if w in poles:
                 continue
             e = (min(w, p), max(w, p))
@@ -620,7 +609,7 @@ def enumerate_rels(ag: AugmentedGraph, cap: int = 12) -> list[Rel]:
     r = Rel(graph=g, poles=dict(ag.poles), color={}, orient={})
     for name, p in ag.poles.items():
         color = T1 if name in ("N", "S") else T2
-        for w in g.adj[p]:
+        for w in g.rotation[p]:
             if w in poles:
                 continue
             e = edge_key(w, p)
@@ -779,7 +768,7 @@ def ring_fixpoint(ag: AugmentedGraph, pins: dict | None = None) -> dict | None:
     dom = {e: 0b1111 for e in g.edges if not (e[0] in poles and e[1] in poles)}
     for name, (col, sense) in _POLE_ROWS.items():
         p = ag.poles[name]
-        for x in g.adj[p]:
+        for x in g.rotation[p]:
             if x not in poles:
                 e = (min(x, p), max(x, p))
                 tail = x if sense == "in" else p
@@ -811,8 +800,8 @@ def alternating_four_cycles(r: Rel):
     g = r.graph
     seen = set()
     for a in g.vertices:
-        for b, d in itertools.permutations(g.adj[a], 2):
-            for c in g.adj[b] & g.adj[d] - {a}:
+        for b, d in itertools.permutations(g.rotation[a], 2):
+            for c in set(g.rotation[b]).intersection(g.rotation[d]) - {a}:
                 w = (a, b, c, d)
                 ring = [edge_key(w[i], w[(i + 1) % 4]) for i in range(4)]
                 if frozenset(ring) in seen or any(e not in r.color for e in ring):
@@ -962,10 +951,10 @@ def face_walk_segments(r: Rel) -> tuple[dict[VertexId, tuple[int, ...]], int, in
     sub1, sub2, block_ends = read_rings(r, modules)
     turn1, face1, k1 = _numbered_faces(sub1)
     turn2, face2, k2 = _numbered_faces(sub2)
-    adj = r.graph.adj
+    rot = r.graph.rotation
     sides = {}
     for v in modules:
-        near, ends = adj[v], block_ends[v]
+        near, ends = rot[v], block_ends[v]
         t1, t2 = turn1.get(v), turn2.get(v)
         try:  # ends[c] is read before t1 or t2 is indexed: a missing block raises KeyError(c)
             sides[v] = (

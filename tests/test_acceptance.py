@@ -184,14 +184,14 @@ def _one_rotatable_cycle(r):
     for a in g.vertices:
         if a in poles:
             continue
-        for b in g.adj[a]:
+        for b in g.rotation[a]:
             if b in poles:
                 continue
-            for c in g.adj[b]:
+            for c in g.rotation[b]:
                 if c in poles or c == a:
                     continue
-                for d in g.adj[c]:
-                    if d in poles or d in (a, b) or a not in g.adj[d]:
+                for d in g.rotation[c]:
+                    if d in poles or d in (a, b) or a not in g.rotation[d]:
                         continue
                     cyc = (a, b, c, d)
                     try:

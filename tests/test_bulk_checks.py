@@ -26,6 +26,7 @@ from lplan.graph import (
     _number_darts,
     PtpgReport,
     _triangle_count,
+    common_neighbors,
     edge_key,
     faces_inside_cycle,
     find_separating_triangles,
@@ -538,7 +539,7 @@ def test_triangle_count_is_the_edge_sum_over_three():
     # 3-cycle three times over the edges; the verdict against brute force.
     kinds = Counter()
     for g in _graphs_for_counts():
-        up = {v: {w for w in g.adj[v] if w > v} for v in g.vertices}
+        up = {v: {w for w in g.rotation[v] if w > v} for v in g.vertices}
         got = _triangle_count(up)
         assert 3 * got == common_neighbour_sum(g)
         assert got == len(brute_triangles(g))
@@ -550,7 +551,7 @@ def test_triangle_count_is_the_edge_sum_over_three():
 
 def test_triangle_count_on_the_high_degree_wheel():
     g = wheel(20000)
-    up = {v: {w for w in g.adj[v] if w > v} for v in g.vertices}
+    up = {v: {w for w in g.rotation[v] if w > v} for v in g.vertices}
     assert 3 * _triangle_count(up) == common_neighbour_sum(g) == 3 * 20000
     assert find_separating_triangles(g) == ()
 
@@ -585,8 +586,8 @@ def short_cycles(g: EmbeddedGraph):
     seen = set()
     for a in g.vertices:
         for b, c in itertools.permutations(g.rotation[a], 2):
-            cycles = [(a, b, c)] if c in g.adj[b] else []
-            cycles += [(a, b, d, c) for d in g.rotation[b] if d != a and d in g.adj[c]]
+            cycles = [(a, b, c)] if c in g.rotation[b] else []
+            cycles += [(a, b, d, c) for d in g.rotation[b] if d != a and d in g.rotation[c]]
             for cyc in cycles:
                 ring = frozenset(edge_key(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
                 if ring not in seen:
@@ -620,16 +621,17 @@ def test_faces_inside_cycle_match_the_full_flood():
     assert cycles > 500
 
 
-# -- adjacency views ----------------------------------------------------------
+# -- neighbour sets -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("make", SAMPLES, ids=lambda f: f.__name__)
 def test_adj_is_a_set_like_view_of_the_rotation(make):
+    # The rotation rows are the graph's one neighbour view: as sets they
+    # repeat no vertex, hold no loop, and meet in the common neighbours.
     g = make()
     for v in g.vertices:
-        nbrs = g.adj[v]
-        assert nbrs == set(g.rotation[v])
-        assert len(nbrs) == len(g.rotation[v])
-        assert all(u in nbrs for u in g.rotation[v]) and v not in nbrs
+        nbrs = set(g.rotation[v])
+        assert len(nbrs) == len(g.rotation[v]) and v not in nbrs
         for u in g.rotation[v]:
-            assert nbrs & g.adj[u] == set(g.rotation[v]) & set(g.rotation[u])
+            assert v in g.rotation[u]
+            assert nbrs & set(g.rotation[u]) == set(common_neighbors(g, v, u))

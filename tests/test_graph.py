@@ -156,7 +156,7 @@ def test_common_neighbors_equal_set_intersection(make):
     for u in verts:
         for v in verts:
             if u < v:
-                assert set(common_neighbors(g, u, v)) == g.adj[u] & g.adj[v]
+                assert set(common_neighbors(g, u, v)) == set(g.rotation[u]) & set(g.rotation[v])
 
 
 def k4():
@@ -354,7 +354,7 @@ def test_dart_walk_matches_oracle_on_rel_subgraphs(make):
                 last.setdefault(cls[i], u)
         want = []
         for side, (c, faces, k) in enumerate(((1, f2, ny), (3, f2, ny), (2, f1, nx), (0, f1, nx))):
-            if poles[side] in r.graph.adj[v]:
+            if poles[side] in r.graph.rotation[v]:
                 want.append(k - 2 + side % 2)
             else:
                 want.append(faces[(last[c], v)])

@@ -316,7 +316,8 @@ def _check_lists_chords(tmp_path, capsys, g) -> int:
 
 
 def test_cli_check_lists_the_chords_as_shortcuts_on_samples(tmp_path, capsys):
-    counts = [_check_lists_chords(tmp_path, capsys, make()) for make in ALL_GRAPHS + (samples.nested_triangle,)]
+    makes = ALL_GRAPHS + (samples.nested_triangle,)
+    counts = [_check_lists_chords(tmp_path, capsys, make()) for make in makes]
     assert min(counts) == 0 and max(counts) > 1
 
 
@@ -365,9 +366,13 @@ def test_cli_triplet_by_label_and_unknown_token(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: unknown vertex 'zz' in --triplet\n"
+    # a triplet that is not admissible is named by label, however it was given
+    for spec in ("a,b,d", "a,2,4"):
+        assert main(["plan", src, "--triplet", spec]) == 1
+        assert capsys.readouterr().err == "error: (a,b,d) is not an admissible corner triplet\n"
 
 
-@pytest.mark.parametrize("token", ("0_2", "\u0662"), ids=("underscore", "arabic-indic-two"))
+@pytest.mark.parametrize("token",("0_2", "\u0662"), ids=("underscore", "arabic-indic-two"))
 def test_cli_triplet_refuses_ids_that_graph_documents_refuse(tmp_path, capsys, token):
     # int() reads both as 2, but an id is an optional sign and ASCII digits
     src = _write_graph(tmp_path, samples.pentagon_with_pocket)

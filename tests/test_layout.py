@@ -228,10 +228,10 @@ def _rotate_some_four_cycle(r, rng) -> bool:
     cycles = [
         (a, b, c, d)
         for a in inner
-        for b in g.adj[a]
-        for c in g.adj[b]
-        for d in g.adj[c]
-        if a in g.adj[d] and len({a, b, c, d}) == 4 and poles.isdisjoint((b, c, d))
+        for b in g.rotation[a]
+        for c in g.rotation[b]
+        for d in g.rotation[c]
+        if a in g.rotation[d] and len({a, b, c, d}) == 4 and poles.isdisjoint((b, c, d))
     ]
     rng.shuffle(cycles)
     for cyc in cycles:

@@ -125,7 +125,7 @@ def test_augment_with_ne_pentagon():
     ps = select_paths(g, _triplet(g, (1, 2, 3)))
     g2, ne = augment_with_ne(g, ps)
     assert ne == 8
-    assert g2.adj[ne] == frozenset({1, 2, 3})
+    assert set(g2.rotation[ne]) == {1, 2, 3}
     assert validate_ptpg(g2).verdict
     # NE replaces the P1 arc on the boundary
     assert ne in g2.outer and 2 not in g2.outer
@@ -150,10 +150,10 @@ def test_four_completion_pentagon():
     pn, pe, pso, pw = ag.pole_ids
     assert ag.base.outer == (pw, pn, pe, pso)
     # pole rows follow the four paths
-    assert set(ag.base.adj[pn]) - {pe, pw} == set(ag.pprime[0])
-    assert set(ag.base.adj[pe]) - {pn, pso} == set(ag.pprime[1])
-    assert set(ag.base.adj[pso]) - {pe, pw} == set(ag.pprime[2])
-    assert set(ag.base.adj[pw]) - {pso, pn} == set(ag.pprime[3])
+    assert set(ag.base.rotation[pn]) - {pe, pw} == set(ag.pprime[0])
+    assert set(ag.base.rotation[pe]) - {pn, pso} == set(ag.pprime[1])
+    assert set(ag.base.rotation[pso]) - {pe, pw} == set(ag.pprime[2])
+    assert set(ag.base.rotation[pw]) - {pso, pn} == set(ag.pprime[3])
     rep = validate_ptpg(ag.base)
     assert rep.verdict, rep
 

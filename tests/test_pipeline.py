@@ -101,8 +101,12 @@ def test_pinned_triplets_with_a_path_set_plan(spec, triplet):
 
 
 def test_pinned_triplet_must_be_admissible():
-    with pytest.raises(InvalidInput):
-        plan(samples.pentagon_with_pocket(), PlanOptions(triplet=(1, 2, 4)))
+    g = samples.pentagon_with_pocket()
+    unlabelled = EmbeddedGraph(rotation=g.rotation, outer=g.outer)
+    for graph, names in ((g, "(a,b,d)"), (unlabelled, "(1,2,4)")):
+        with pytest.raises(InvalidInput) as exc:
+            plan(graph, PlanOptions(triplet=(1, 2, 4)))
+        assert str(exc.value) == f"{names} is not an admissible corner triplet"
 
 
 def test_non_ptpg_inputs_are_rejected_up_front():
@@ -271,7 +275,7 @@ def _with_outer_chord(g: EmbeddedGraph) -> tuple[EmbeddedGraph, tuple[int, int]]
     n = len(g.outer)
     for i in range(n):
         a, b, c = g.outer[i - 1], g.outer[i], g.outer[(i + 1) % n]
-        if c in g.adj[a]:
+        if c in g.rotation[a]:
             continue
         rot = {v: list(nbrs) for v, nbrs in g.rotation.items()}
         # an outer vertex meets the outer face just after its predecessor
@@ -328,25 +332,22 @@ def test_verification_names_a_missing_module_contact_or_label(name):
 @pytest.mark.parametrize("name", [n for n, o in sorted(PLAN_OUTCOMES.items()) if o == "Plan"])
 @pytest.mark.parametrize("derived", (False, True), ids=("rows", "derived"))
 def test_a_result_survives_pickle_and_deepcopy(name, derived):
-    # Reading adj caches key views on the input and on the completion; with
-    # derived, the completion's darts and faces are worked out first.  The
-    # input's faces are walked only when first read: it is copied before
-    # and after that.
+    # With derived, the completion's darts and faces are worked out first.
+    # The input's faces are walked only when first read: it is copied
+    # before and after that.
     res = plan(getattr(samples, name)())
     if derived:
         assert res.completion.base.faces
     parts = (res.graph, res.completion.base, res.plan)
-    for g in parts[:2]:
-        assert g.adj
     unwalked = (pickle.loads(pickle.dumps(parts)), copy.deepcopy(parts))
     assert "_walks" not in vars(res.graph) and res.graph._walks
     for copied in unwalked + (pickle.loads(pickle.dumps(parts)), copy.deepcopy(parts)):
         assert copied == parts
         for g, was in zip(copied[:2], parts[:2]):
-            assert g.adj == was.adj and g.faces == was.faces and g.edges == was.edges
+            assert g.faces == was.faces and g.edges == was.edges
             assert g._walks == brute_walk_darts(g.rotation)[0]
         assert copied[2].walls == res.plan.walls
-    assert pickle.loads(pickle.dumps(res)) == res
+    assert pickle.loads(pickle.dumps(res)) == res and copy.deepcopy(res) == res
 
 
 def test_plan_walks_no_face_of_its_input():

@@ -18,7 +18,7 @@ import pytest
 
 import lplan
 from lplan import samples
-from lplan.boundary import find_cips, find_shortcuts, find_triplets, necessary_conditions
+from lplan.boundary import find_cips, find_triplets, necessary_conditions
 from lplan.flipping import WorkItem
 from lplan.gen import GenSpec, generate_ptpg
 from lplan.graph import validate_ptpg
@@ -30,7 +30,6 @@ def _pentagon_records() -> dict:
     g = samples.pentagon_with_pocket()
     res = plan(g)
     return {
-        "shortcut": find_shortcuts(g)[0],
         "cip": find_cips(g)[0],
         "triplet": find_triplets(g)[1],
         "necessary": necessary_conditions(g),
@@ -45,14 +44,12 @@ def _pentagon_records() -> dict:
 
 # class name: (key into _pentagon_records, field names in order, repr)
 RECORDS = {
-    "Shortcut": ("shortcut", ("edge", "interior"), "Shortcut(edge=(2, 4), interior=(3,))"),
-    "Cip": ("cip", ("vertices", "chord"), "Cip(vertices=(2, 3, 4), chord=(2, 4))"),
+    "Cip": ("cip", ("vertices",), "Cip(vertices=(2, 3, 4))"),
     "Triplet": ("triplet", ("a", "b", "c"), "Triplet(a=3, b=4, c=5)"),
     "NecessaryReport": (
         "necessary",
         ("cips", "triplets"),
-        "NecessaryReport(cips=(Cip(vertices=(2, 3, 4), chord=(2, 4)), "
-        "Cip(vertices=(4, 5, 1, 2), chord=(2, 4))), "
+        "NecessaryReport(cips=(Cip(vertices=(2, 3, 4)), Cip(vertices=(4, 5, 1, 2))), "
         "triplets=(Triplet(a=1, b=2, c=3), Triplet(a=3, b=4, c=5)))",
     ),
     "PtpgReport": (

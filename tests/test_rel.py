@@ -86,7 +86,7 @@ def test_pole_rows_follow_the_fixed_pattern():
     rules = {"N": (T1, "in"), "E": (T2, "in"), "S": (T1, "out"), "W": (T2, "out")}
     for name, (col, sense) in rules.items():
         p = ag.poles[name]
-        for w in ag.base.adj[p]:
+        for w in ag.base.rotation[p]:
             if w in poles:
                 continue
             assert r.label(p, w) == col
@@ -250,7 +250,7 @@ def test_search_space_matches_the_keyed_construction():
         assert (edges, dom, rings, dense, seeds) == keyed_search_space(ag)
         assert list(rows) == list(ag.base.vertices)
         for v, row in rows.items():
-            assert set(row) == {w for w in ag.base.adj[v] if not {v, w} <= poles}
+            assert set(row) == {w for w in ag.base.rotation[v] if not {v, w} <= poles}
             assert all(edges[i] == edge_key(v, w) for w, i in row.items())
 
 
@@ -431,12 +431,12 @@ def test_rotate_four_cycle_round_trip():
         for a in g.vertices:
             if a in poles:
                 continue
-            for b in g.adj[a]:
-                for c in g.adj[b]:
+            for b in g.rotation[a]:
+                for c in g.rotation[b]:
                     if c == a:
                         continue
-                    for d in g.adj[c]:
-                        if d == b or d == a or a not in g.adj[d]:
+                    for d in g.rotation[c]:
+                        if d == b or d == a or a not in g.rotation[d]:
                             continue
                         if poles & {b, c, d}:
                             continue
