@@ -248,12 +248,23 @@ def doc_to_graph(doc: dict) -> EmbeddedGraph:
         raise ParseError("document", str(exc)) from exc
 
 
-def parse_graph(data: bytes) -> EmbeddedGraph:
+def _load(data: bytes) -> object:
+    """The JSON value data holds, in UTF-8; raises ParseError where json cannot read it.
+
+    ValueError covers undecodable bytes, malformed JSON and an integer
+    past the interpreter's digit limit; RecursionError, nesting deeper
+    than the stack allows.
+    """
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:
         raise ParseError("document", f"not valid JSON ({exc})") from exc
-    return doc_to_graph(doc)
+    except RecursionError as exc:
+        raise ParseError("document", "nested too deeply to read") from exc
+
+
+def parse_graph(data: bytes) -> EmbeddedGraph:
+    return doc_to_graph(_load(data))
 
 
 def serialize_graph(g: EmbeddedGraph) -> bytes:
@@ -301,10 +312,7 @@ def serialize_plan(doc: dict) -> bytes:
 
 
 def parse_plan(data: bytes) -> dict:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError("document", f"not valid JSON ({exc})") from exc
+    doc = _load(data)
     if not isinstance(doc, dict):
         raise ParseError("document", "expected a JSON object")
     if "modules" not in doc or not isinstance(doc["modules"], list) or not doc["modules"]:

@@ -1,4 +1,4 @@
-"""Hand-built fixture graphs and floor plans used by tests and demos.
+"""Hand-built fixture graphs and floor plans used by the tests.
 
 Graphs are specified by plane coordinates; the rotation system is
 derived by sorting each vertex's neighbours clockwise from north.
@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .graph import EmbeddedGraph, VertexId
-from .layout import FloorPlan, Rect
+from lplan.graph import EmbeddedGraph, VertexId
+from lplan.layout import FloorPlan, Rect
 
 Coord = tuple[float, float]
 

@@ -33,7 +33,7 @@ from oracles import (
     stretcher_is_trivial,
 )
 
-from lplan import samples
+import samples
 from lplan.boundary import find_cips
 from lplan.cli import main
 from lplan.flipping import normalize_labels
@@ -50,7 +50,7 @@ from lplan.rel import (
     flip_edge,
     rotate_four_cycle,
 )
-from lplan.samples import label_map
+from samples import label_map
 
 
 def criterion(num: int, desc: str):

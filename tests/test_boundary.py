@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from lplan import samples
+import samples
 from lplan.boundary import (
     boundary_arc,
     find_cips,

@@ -17,7 +17,8 @@ from collections import Counter
 
 import pytest
 
-from lplan import io, samples
+from lplan import io
+import samples
 from lplan.gen import GenSpec, generate_ptpg
 from lplan.graph import (
     EmbeddedGraph,
@@ -35,7 +36,7 @@ from lplan.graph import (
 )
 from lplan.io import ParseError, doc_to_graph, graph_to_doc, parse_graph
 from lplan.pipeline import plan
-from lplan.samples import embed_by_coords
+from samples import embed_by_coords
 
 from completions import tiny_completions
 from oracles import (

@@ -1,20 +1,20 @@
-"""The worked example: the script runs end to end and writes its
-artifacts, and README's documents and code are what the library gives."""
+"""The worked example: README's commands run on its graph document and
+write its plan, and README's documents and code are what the library gives."""
 
 from __future__ import annotations
 
 import json
 import pathlib
 import re
-import subprocess
-import sys
+import shlex
+from xml.etree import ElementTree
 
-from lplan import samples
+import samples
+from lplan.cli import main
 from lplan.io import graph_to_doc, plan_to_doc
 from lplan.pipeline import plan
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMO = ROOT / "scripts" / "demo.py"
 
 
 def worked_example_blocks(lang: str) -> list[str]:
@@ -24,16 +24,23 @@ def worked_example_blocks(lang: str) -> list[str]:
     return re.findall(rf"^```{lang}\n(.*?)^```", section, re.S | re.M)
 
 
-def test_demo_writes_graph_plan_and_svg(tmp_path):
-    done = subprocess.run(
-        [sys.executable, str(DEMO), "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    for suffix in (".graph.json", ".plan.json", ".svg"):
-        assert (tmp_path / f"pentagon_with_pocket{suffix}").is_file()
+def save_graph_document(directory: pathlib.Path) -> None:
+    """README's graph document, saved as the pentagon.json its example reads."""
+    graph_block, _ = worked_example_blocks("json")
+    (directory / "pentagon.json").write_text(graph_block)
+
+
+def test_readme_example_runs_through_the_cli(tmp_path, monkeypatch):
+    save_graph_document(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (commands,) = worked_example_blocks("sh")
+    for line in commands.splitlines():
+        program, *argv = shlex.split(line)
+        assert program == "lplan"
+        assert main(argv) == 0, line
+    _, plan_block = worked_example_blocks("json")
+    assert json.loads((tmp_path / "plan.json").read_bytes()) == json.loads(plan_block)
+    assert ElementTree.parse(tmp_path / "plan.svg").getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def test_readme_documents_are_the_fixtures_graph_and_plan():
@@ -43,6 +50,8 @@ def test_readme_documents_are_the_fixtures_graph_and_plan():
     assert plan_doc == plan_to_doc(plan(g))
 
 
-def test_readme_python_example_runs():
+def test_readme_python_example_runs(tmp_path, monkeypatch):
+    save_graph_document(tmp_path)
+    monkeypatch.chdir(tmp_path)
     (code,) = worked_example_blocks("python")
     exec(compile(code, "README.md", "exec"), {})

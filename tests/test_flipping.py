@@ -6,7 +6,7 @@ import pytest
 
 from oracles import brute_rel_validity
 
-from lplan import samples
+import samples
 from lplan.flipping import (
     OracleViolation,
     WorkItem,
@@ -17,7 +17,7 @@ from lplan.flipping import (
 from lplan.graph import common_neighbors, edge_key
 from lplan.pipeline import plan
 from lplan.rel import T1, T2, construct_rel, rotate_four_cycle
-from lplan.samples import label_map
+from samples import label_map
 
 PLANNABLE = (
     samples.pentagon_with_pocket,

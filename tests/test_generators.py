@@ -8,7 +8,7 @@ import pytest
 
 from oracles import ScaleExceeded, brute_separating_triangles, stretcher_is_trivial
 
-from lplan import samples
+import samples
 from lplan.boundary import find_cips
 from lplan.gen import GenSpec, GenerationFailed, generate_ptpg
 from lplan.graph import validate_ptpg

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lplan import samples
+import samples
 from lplan.graph import (
     EmbeddedGraph,
     InconsistentEmbedding,
@@ -22,7 +22,7 @@ from lplan.io import ParseError, parse_graph
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.pipeline import plan
 from lplan.rel import T1, T2
-from lplan.samples import embed_by_coords
+from samples import embed_by_coords
 
 from completions import tiny_completions
 from oracles import (

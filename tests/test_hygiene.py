@@ -77,8 +77,7 @@ def test_the_scan_names_unread_definitions():
 
 
 def test_every_definition_is_read_or_exported():
-    # The bundled fixtures are read by tests and docs, not by the package.
-    sources = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "samples.py"}
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unread_definitions(sources, set(lplan.__all__)) == []
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_graph import k4
 
-from lplan import samples
+import samples
 from lplan.cli import main
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import EmbeddedGraph
@@ -103,6 +103,14 @@ def test_malformed_json_is_a_parse_error():
         parse_graph(b"{not json")
     with pytest.raises(ParseError):
         parse_plan(b"[1,2,3]")
+    # json.loads raises RecursionError on deep nesting, and ValueError on an
+    # integer past the interpreter's digit limit: both are document errors
+    digits = b'{"vertices": [{"id": ' + b"1" * 5000 + b"}]}"
+    for data in (b"[" * 5000 + b"]" * 5000, b"[" * 100_000, digits):
+        for read in (parse_graph, parse_plan):
+            with pytest.raises(ParseError) as exc:
+                read(data)
+            assert exc.value.where == "document"
 
 
 def test_inconsistent_embedding_surfaces_as_parse_error():
@@ -366,6 +374,11 @@ def test_cli_triplet_by_label_and_unknown_token(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: unknown vertex 'zz' in --triplet\n"
+    # an empty pin is refused, not read as no pin
+    assert main(["plan", src, "--triplet", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown vertex '' in --triplet\n"
     # a triplet that is not admissible is named by label, however it was given
     for spec in ("a,b,d", "a,2,4"):
         assert main(["plan", src, "--triplet", spec]) == 1
@@ -511,6 +524,23 @@ def test_python_dash_m_lplan_runs_from_a_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     want = serialize_plan(plan_to_doc(plan(samples.pentagon_with_pocket())))
     assert (tmp_path / "p.json").read_bytes() == want
+
+
+def test_cli_refuses_deeply_nested_json_without_a_traceback(tmp_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    for command in ("plan", "check", "render"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lplan", command, str(deep)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert proc.stderr.startswith("error: document: "), (command, proc.stderr)
+        assert "Traceback" not in proc.stderr, command
 
 
 # -- the document writer against json.dumps ----------------------------------

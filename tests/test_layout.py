@@ -23,7 +23,8 @@ from oracles import (
     scan_nontrivial_L,
 )
 
-from lplan import layout, samples
+from lplan import layout
+import samples
 from lplan.graph import edge_key
 from lplan.layout import (
     CornerProfile,

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from lplan import samples
+import samples
 from lplan.boundary import find_cips, find_triplets
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import validate_ptpg

@@ -12,7 +12,7 @@ from oracles import attach_outside, brute_walk_darts, geometric_adjacency, padde
 from test_graph import k4, octahedron
 
 import lplan.rel as relmod
-from lplan import samples
+import samples
 from lplan.boundary import find_cips
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import EmbeddedGraph, edge_key, validate_ptpg

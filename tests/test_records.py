@@ -17,7 +17,7 @@ import pkgutil
 import pytest
 
 import lplan
-from lplan import samples
+import samples
 from lplan.boundary import find_cips, find_triplets, necessary_conditions
 from lplan.flipping import WorkItem
 from lplan.gen import GenSpec, generate_ptpg

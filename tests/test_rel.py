@@ -32,7 +32,8 @@ from oracles import (
     rotate_by_trial,
 )
 
-from lplan import rel as relmod, samples
+from lplan import rel as relmod
+import samples
 from lplan.graph import edge_key
 from lplan.gen import GenSpec, generate_ptpg
 from lplan.pipeline import plan
