@@ -24,15 +24,11 @@ from .rel import T1, NotFlippable, Rel, flip_edge, rotate_four_cycle
 
 
 class NormalizationFailed(RuntimeError):
-    pass
+    """The flip chain could not bring the corner labels into normal form.
 
-
-class OracleViolation(RuntimeError):
-    """The labeling broke an invariant the flip machinery relies on."""
-
-
-class CycleNotFound(RuntimeError):
-    pass
+    Also raised when the labeling breaks an invariant the chain relies on,
+    or a repeated segment closes no alternating 4-cycle.
+    """
 
 
 class WorkItem(NamedTuple):
@@ -102,17 +98,17 @@ def _classify(r: Rel, item: WorkItem) -> tuple[str, VertexId]:
     common = _mates(r, item.x, item.y)
     others = [w for w in common if w != item.c]
     if len(others) != 1:
-        raise OracleViolation(
+        raise NormalizationFailed(
             f"edge ({item.x},{item.y}) has common neighbors {common}, steering {item.c}"
         )
     z = others[0]
     if z in r.poles.values():
-        raise OracleViolation(f"chain reached pole {z} at edge ({item.x},{item.y})")
+        raise NormalizationFailed(f"chain reached pole {z} at edge ({item.x},{item.y})")
     x_label = r.label(item.x, item.y)
     lxz = r.label(item.x, z)
     lyz = r.label(item.y, z)
     if lxz == x_label and lyz == x_label:
-        raise OracleViolation(f"monochromatic triangle ({item.x},{item.y},{z})")
+        raise NormalizationFailed(f"monochromatic triangle ({item.x},{item.y},{z})")
     if lxz != x_label and lyz == x_label:
         return "flip", z
     if lxz != x_label and lyz != x_label:
@@ -142,7 +138,7 @@ def _run_chain(r: Rel, stack: list[WorkItem], trace: list[FlipRecord], budget: i
             try:
                 flip_edge(r, item.x, item.y)
             except NotFlippable as exc:
-                raise OracleViolation(f"unflippable chain edge ({item.x},{item.y})") from exc
+                raise NormalizationFailed(f"unflippable chain edge ({item.x},{item.y})") from exc
             stack.pop()
             trace.append(FlipRecord("flip", (item.x, item.y)))
             continue
@@ -154,13 +150,13 @@ def _run_chain(r: Rel, stack: list[WorkItem], trace: list[FlipRecord], budget: i
         segment = [_classify(r, it) for it in stack[j + 1 :] + [child]]
         w = tuple(v for kind, v in segment if kind == "case-b")
         if len(w) != 4:
-            raise CycleNotFound(f"repeat segment encloses {len(w)} corners, need 4")
+            raise NormalizationFailed(f"repeat segment encloses {len(w)} corners, need 4")
         if not all(v in rot[u] for u, v in zip(w, w[1:] + w[:1])):
-            raise CycleNotFound(f"corners {w} do not close a cycle")
+            raise NormalizationFailed(f"corners {w} do not close a cycle")
         try:
             mode = rotate_four_cycle(r, w)
         except NotFlippable as exc:
-            raise CycleNotFound(str(exc)) from exc
+            raise NormalizationFailed(str(exc)) from exc
         trace.append(FlipRecord("rotate", (w, mode)))
         del stack[j:]
         if stack:

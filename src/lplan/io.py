@@ -311,6 +311,12 @@ def serialize_plan(doc: dict) -> bytes:
     return _document(doc)
 
 
+# RFC 8259: integers of smaller magnitude read exactly in every JSON reader.
+# Past it, render_svg's arithmetic can outgrow the interpreter's digit limit.
+_EXACT = 2**53
+_INEXACT = "integers must lie strictly between -2**53 and 2**53"
+
+
 def parse_plan(data: bytes) -> dict:
     doc = _load(data)
     if not isinstance(doc, dict):
@@ -329,6 +335,9 @@ def parse_plan(data: bytes) -> dict:
         # type() is exact: it rejects True and 1.0
         if not {int}.issuperset(type(m[k]) for k in ("x", "y", "w", "h")):
             raise ParseError(where, "coordinates must be integers")
+        for k in ("x", "y", "w", "h"):
+            if abs(m[k]) >= _EXACT:
+                raise ParseError(f"{where}.{k}", _INEXACT)
         if m["w"] < 1 or m["h"] < 1:
             raise ParseError(where, "module sides must be positive")
     for key in ("outline", "concave_corners"):
@@ -337,6 +346,9 @@ def parse_plan(data: bytes) -> dict:
             type(p) is list and len(p) == 2 and {int}.issuperset(map(type, p)) for p in points
         ):
             raise ParseError(key, "expected a list of [x, y] integer points")
+        for i, p in enumerate(points):
+            if max(map(abs, p)) >= _EXACT:
+                raise ParseError(f"{key}[{i}]", _INEXACT)
     return doc
 
 

@@ -4,8 +4,9 @@ The outer boundary is cut at five split instances (a multiset of outer
 vertices, multiplicity at most 2, never the middle triplet vertex b).
 P1 is the arc containing b; a repeated split vertex yields a degenerate
 single-vertex path.  check_path_conditions lists the defects of a
-candidate set.  select_paths decides a triplet with one scan over the
-two ends of P1 that applies exactly those rules: it returns the first
+candidate set; its shortcut ranges are P1's tails s1 .. a and c .. s2,
+so b lies in neither.  select_paths decides a triplet with one scan over
+the two ends of P1 that applies exactly those rules: it returns the first
 admissible set in a documented order, and its Infeasible is a
 certificate that no set exists.
 """
@@ -133,10 +134,9 @@ def check_path_conditions(g: EmbeddedGraph, ps: PathSet) -> tuple[PathViolation,
             if x in pv and y in pv:
                 out.append(PathViolation(CHORD_WITHIN, (x, y, i + 1)))
 
-    # Shortcut ranges include b itself; both walls meet P1's wall at the
-    # corner, so an edge landing on b is just as fatal as one landing on c.
-    c_side = set(boundary_arc(g, b, s2))
-    a_side = set(boundary_arc(g, s1, b))
+    a_tail = boundary_arc(g, s1, a)
+    c_tail = boundary_arc(g, c, s2)
+    c_side, a_side = set(c_tail), set(a_tail)
     p5, p2 = set(ps.p5), set(ps.p2)
     for x, y in chord_list:
         for u, v in ((x, y), (y, x)):
@@ -145,8 +145,6 @@ def check_path_conditions(g: EmbeddedGraph, ps: PathSet) -> tuple[PathViolation,
             if u in p2 and v in a_side and not (u in ps.p1 and v in ps.p1):
                 out.append(PathViolation(SHORTCUT_P2, (u, v)))
 
-    a_tail = boundary_arc(g, s1, a)
-    c_tail = boundary_arc(g, c, s2)
     for x in a_tail:
         for y in c_tail:
             if x == y:
@@ -212,9 +210,10 @@ def select_paths(
       neighbours both of its tails.  Both rules only get worse as a tail
       grows, so s2 scans up from c and, for each s2, s1 scans down from
       a; each loop stops at the first failure.
-    - No vertex of (s2, s3] has a chord to the a-side tail or to b, and
-      none of [s5, s1) one to the c-side tail or to b: s3 stays below the
-      first, s5 above the last such vertex.
+    - No vertex of (s2, s3] has a chord to the a-side tail, and none of
+      [s5, s1) one to the c-side tail: s3 stays below the first, s5
+      above the last such vertex.  A chord from b to position p is the
+      span (p, p); it bounds both tails and lies between them.
     - s3, s4 and s5 split every CIP lying in [s2, s1].  Those CIPs have
       disjoint interiors, so a pair (s2, s1) with more than three of
       them has no path set.
@@ -235,27 +234,21 @@ def select_paths(
     i = g.outer_pos[c]
     ring = (g.outer[i:] + g.outer[:i])[:m]  # c = 0, ..., a = m - 1; b left out
     pos = dict(zip(ring, range(m)))
-    spans: list[tuple[int, int]] = []  # the chords as positions x < y
-    at_b: list[int] = []  # the chord partners of b
+    spans: list[tuple[int, int]] = []  # the chords as positions x <= y
     for u, v in g.chords:
-        x, y = pos.get(u, -1), pos.get(v, -1)
-        if x < 0 or y < 0:
-            at_b.append(max(x, y))
-        else:
-            spans.append((x, y) if x < y else (y, x))
-    bmin, bmax = min(at_b, default=m), max(at_b, default=-1)
+        x, y = sorted((pos.get(u, -1), pos.get(v, -1)))
+        spans.append((y if x < 0 else x, y))  # a chord from b to p is (p, p)
     arcs = sorted((pos.get(cip.vertices[0], m), pos.get(cip.vertices[-1], m)) for cip in cips)
     arcs = [(x, y) for x, y in arcs if x < y < m]  # the CIPs not around b
-    # No chord may lie in a tail: s2 stays below every chord's end and b's
-    # partners, s1 above every chord's start and b's partners.
-    ceiling = min([bmin, m] + [y for _, y in spans])
-    floor = max([bmax] + [x for x, _ in spans])
+    # No chord lies in a tail: s2 stays below every chord's end, s1 above every start.
+    ceiling = min([m] + [y for _, y in spans])
+    floor = max([-1] + [x for x, _ in spans])
     rot = g.rotation
     near: set[VertexId] = set()  # the neighbours of the c-side tail but b
     j0 = 0
     for s2 in range(ceiling):
-        # s1 and s5 lie above every chord from the c-side tail and b
-        low = max([s2, bmax] + [y for x, y in spans if x <= s2])
+        # s1 and s5 lie above every chord from the c-side tail
+        low = max([s2] + [y for x, y in spans if x <= s2])
         near.update(rot[ring[s2]])
         near.discard(b)
         if max(low, floor) >= m - 1 or not near.isdisjoint(rot[a]):
@@ -269,8 +262,8 @@ def select_paths(
             if any(not near.isdisjoint(rot[ring[y]]) for y in fresh):
                 break
             fresh = (s1 - 1,)
-            # s3 lies below every chord to the a-side tail and b
-            top = min([bmin] + [x for x, y in spans if y >= s1])
+            # s3 lies below every chord to the a-side tail
+            top = min([m] + [x for x, y in spans if y >= s1])
             inside = [arc for arc in arcs[j0 : j0 + 3] if arc[1] <= s1]
             picks = _place(s2, s1, inside, top - 1, low + 1)
             if picks is not None:

@@ -31,13 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .boundary import Cip, NecessaryReport, Triplet, boundary_arc, find_cips, necessary_conditions
-from .flipping import (
-    CycleNotFound,
-    NormalizationFailed,
-    NormalizeReport,
-    OracleViolation,
-    normalize_labels,
-)
+from .flipping import NormalizationFailed, NormalizeReport, normalize_labels
 from .graph import EmbeddedGraph, VertexId, cyclic_eq, edge_key, validate_ptpg
 from .layout import (
     CornerProfile,
@@ -217,7 +211,7 @@ def _plan_one(
 
     try:
         norm = normalize_labels(rel, triplet, ne)
-    except (NormalizationFailed, OracleViolation, CycleNotFound) as exc:
+    except NormalizationFailed as exc:
         fail("normalize", str(exc))
         return None
 

@@ -1335,10 +1335,12 @@ def path_sets(g: EmbeddedGraph, triplet, cips):
     """
     i = g.outer_pos[triplet.c]
     ring = [v for v in g.outer[i:] + g.outer[:i] if v != triplet.b]
+    hits = [sum(1 << k for k, c in enumerate(cips) if v in c.interior) for v in ring]
+    every = (1 << len(cips)) - 1  # bit k: the splits meet the interior of CIP k
     keyed = []
     for t in itertools.combinations_with_replacement(range(len(ring)), 5):
-        splits = {ring[s] for s in t}
-        if max(map(t.count, t)) <= 2 and all(splits & set(c.interior) for c in cips):
+        met = hits[t[0]] | hits[t[1]] | hits[t[2]] | hits[t[3]] | hits[t[4]]
+        if met == every and max(map(t.count, t)) <= 2:
             keyed.append(((t[0], -t[4], t[1], t[3] != t[4], t[3], t[2]), t))
     for _, t in sorted(keyed):
         yield paths_from_splits(g, triplet, Counter(ring[s] for s in t))

@@ -3,13 +3,15 @@
 Graphs are specified by plane coordinates; the rotation system is
 derived by sorting each vertex's neighbours clockwise from north.
 That keeps the fixtures easy to audit on paper and guarantees the
-stored embedding matches the drawing.
+stored embedding matches the drawing.  five_cip_refusal is the one
+generated graph.
 """
 
 from __future__ import annotations
 
 import math
 
+from lplan.gen import GenSpec, generate_ptpg
 from lplan.graph import EmbeddedGraph, VertexId
 from lplan.layout import FloorPlan, Rect
 
@@ -97,7 +99,7 @@ def four_cip_eleven_gon() -> EmbeddedGraph:
 
 
 def five_cip_thirteen_gon() -> EmbeddedGraph:
-    """Thirteen-gon with five CIPs; every admissible corner is infeasible."""
+    """Thirteen-gon with five CIPs; it plans at every admissible corner but (1, 2, 3)."""
     coords = _polygon(13)
     z = 14
     coords[z] = (-0.07, -0.22)
@@ -105,6 +107,19 @@ def five_cip_thirteen_gon() -> EmbeddedGraph:
     edges += [(13, 2), (3, 5), (5, 7), (7, 9), (10, 12), (12, 3), (12, 2)]
     edges += [(z, 3), (z, 5), (z, 7), (z, 9), (z, 10), (z, 12)]
     return embed_by_coords(coords, edges, tuple(range(1, 14)))
+
+
+FIVE_CIP_CORNER = (3, 9, 13)
+
+
+def five_cip_refusal() -> EmbeddedGraph:
+    """generate_ptpg(GenSpec(14, 57)): five CIPs and no path set at FIVE_CIP_CORNER.
+
+    Five CIPs fix the splits, and at that corner the set they fix has the
+    shortcut ShortcutP2Side(1, 3).  The refusal rests on
+    check_path_conditions alone; the graph plans at five of its seven corners.
+    """
+    return generate_ptpg(GenSpec(14, 57))
 
 
 def wheel4() -> EmbeddedGraph:

@@ -154,10 +154,10 @@ def test_c03_negative_fixtures(tmp_path, capsys):
     res = plan(samples.six_cip_twelve_gon())
     assert res.outcome == "TooManyCips" and res.refusal_kind == "too-many-cips"
 
-    five = dump(samples.five_cip_thirteen_gon, "five.json")
-    assert main(["plan", five, "--triplet", "2,3,4"]) == 3
+    five = dump(samples.five_cip_refusal, "five.json")
+    assert main(["plan", five, "--triplet", "3,9,13"]) == 3
     capsys.readouterr()
-    res = plan(samples.five_cip_thirteen_gon(), PlanOptions(triplet=(2, 3, 4)))
+    res = plan(samples.five_cip_refusal(), PlanOptions(triplet=samples.FIVE_CIP_CORNER))
     assert res.outcome == "InfeasibleAllTriplets"
     assert res.refusal_kind == "five-cips-fixed-triplet"
     assert res.failures[-1].final, "the refusal must be certified, not a search timeout"

@@ -8,7 +8,7 @@ from oracles import brute_rel_validity
 
 import samples
 from lplan.flipping import (
-    OracleViolation,
+    NormalizationFailed,
     WorkItem,
     _run_chain,
     normalize_labels,
@@ -111,7 +111,7 @@ def test_chain_rejects_a_bad_steering_vertex():
         )
         if outsider is None:
             continue
-        with pytest.raises(OracleViolation):
+        with pytest.raises(NormalizationFailed, match="has common neighbors"):
             _run_chain(r, [WorkItem(x, y, outsider)], [], 1)
         return
     pytest.skip("no interior edge with two common neighbors")

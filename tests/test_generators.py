@@ -116,6 +116,6 @@ def test_stretcher_verdicts_are_the_golden_ones():
             res = plan(generate_ptpg(GenSpec(n=n, seed=seed)))
             row += "-" if not res.ok else "T" if stretcher_is_trivial(res.plan) else "N"
         rows.append(row)
-    assert [row.count("N") for row in rows] == [272, 307, 306, 315]
+    assert [row.count("N") for row in rows] == [272, 307, 312, 322]
     assert not any("T" in row for row in rows)
-    assert hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] == "8ee07c25a3f3aa39"
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] == "9d82879c8488418a"

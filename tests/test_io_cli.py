@@ -168,6 +168,10 @@ def _set_x(doc, value):
     doc["modules"][0]["x"] = value
 
 
+def _set_h(doc, value):
+    doc["modules"][1]["h"] = value
+
+
 def _set_label(doc, value):
     doc["modules"][0]["label"] = value
 
@@ -184,8 +188,15 @@ def _set_label(doc, value):
         (_set_x, 1.0, "modules[0]"),
         (_set_label, 7, "modules[0].label"),
         (_set_label, None, "modules[0].label"),
+        # past RFC 8259's exact range; render_svg used to raise on 4300 digits
+        (_set_x, 2**53, "modules[0].x"),
+        (_set_x, -(2**53), "modules[0].x"),
+        (_set_x, int("9" * 4300), "modules[0].x"),
+        (_set_h, 2**53, "modules[1].h"),
+        (_set_outline, [[0, 0], [0, -(2**53)]], "outline[1]"),
+        (_set_corners, [[2**53, 0]], "concave_corners[0]"),
     ),
-    ids=lambda x: getattr(x, "__name__", repr(x)),
+    ids=lambda x: getattr(x, "__name__", repr(x) if len(repr(x)) < 40 else "long"),
 )
 def test_parsed_plan_rejects_malformed_points_and_fields(tmp_path, capsys, mutate, value, where):
     doc = plan_to_doc(plan(samples.pentagon_with_pocket()))
@@ -353,8 +364,8 @@ def test_cli_plan_writes_a_document(tmp_path, capsys):
 
 
 def test_cli_plan_refusals_and_errors(tmp_path, capsys):
-    five = _write_graph(tmp_path, samples.five_cip_thirteen_gon, "five.json")
-    assert main(["plan", five, "--triplet", "2,3,4"]) == 3
+    five = _write_graph(tmp_path, samples.five_cip_refusal, "five.json")
+    assert main(["plan", five, "--triplet", "3,9,13"]) == 3
     assert "refused" in capsys.readouterr().out
 
     nested = _write_graph(tmp_path, samples.nested_triangle, "nested.json")
@@ -412,14 +423,14 @@ def test_cli_check_states_the_rule_that_left_no_triplet(tmp_path, capsys, make):
 
 
 def test_cli_json_plan_refusal_report(tmp_path, capsys):
-    five = _write_graph(tmp_path, samples.five_cip_thirteen_gon, "five.json")
-    assert main(["--format", "json", "plan", five, "--triplet", "2,3,4"]) == 3
+    five = _write_graph(tmp_path, samples.five_cip_refusal, "five.json")
+    assert main(["--format", "json", "plan", five, "--triplet", "3,9,13"]) == 3
     report = json.loads(capsys.readouterr().out)
     assert sorted(report) == ["failures", "necessary", "outcome", "refusal"]
     assert (report["outcome"], report["refusal"]) == ("InfeasibleAllTriplets", "five-cips-fixed-triplet")
-    assert report["necessary"]["cip_count"] == 5 and ["2", "3", "4"] in report["necessary"]["triplets"]
+    assert report["necessary"]["cip_count"] == 5 and ["3", "9", "13"] in report["necessary"]["triplets"]
     assert [(f["triplet"], f["stage"], f["final"]) for f in report["failures"]] == [
-        (["2", "3", "4"], "paths", True)
+        (["3", "9", "13"], "paths", True)
     ]
 
     six = _write_graph(tmp_path, samples.six_cip_twelve_gon, "six.json")
@@ -541,6 +552,32 @@ def test_cli_refuses_deeply_nested_json_without_a_traceback(tmp_path):
         assert proc.returncode == 1, (command, proc.stderr)
         assert proc.stderr.startswith("error: document: "), (command, proc.stderr)
         assert "Traceback" not in proc.stderr, command
+
+
+def test_largest_exact_integers_are_read():
+    doc = plan_to_doc(plan(samples.pentagon_with_pocket()))
+    doc["modules"][0]["x"] = -(2**53 - 1)
+    doc["modules"][0]["w"] = 2**53 - 1
+    doc["concave_corners"] = [[2**53 - 1, -(2**53 - 1)]]
+    assert parse_plan(json.dumps(doc).encode()) == doc
+
+
+def test_cli_render_refuses_an_over_long_coordinate_without_a_traceback(tmp_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    doc = plan_to_doc(plan(samples.pentagon_with_pocket()))
+    doc["modules"][0]["x"] = int("9" * 4300)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lplan", "render", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: modules[0].x: "), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- the document writer against json.dumps ----------------------------------

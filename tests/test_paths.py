@@ -9,9 +9,11 @@ from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import validate_ptpg
 from lplan.paths import (
     COMMON_NEIGHBOR,
+    SHORTCUT_P2,
     SHORTCUT_P5,
     EmbeddingConflict,
     Infeasible,
+    PathViolation,
     check_path_conditions,
     completion_paths,
     four_completion,
@@ -76,26 +78,31 @@ def test_bad_split_choice_reports_shortcut():
 
 
 def test_five_cip_refusal_is_final():
-    g = samples.five_cip_thirteen_gon()
+    g = samples.five_cip_refusal()
     with pytest.raises(Infeasible) as exc:
-        select_paths(g, _triplet(g, (2, 3, 4)))
-    pairs = {v.witness[:2] for v in exc.value.violations}
-    assert (12, 3) in pairs or (5, 3) in pairs
-    (failure,) = plan(g, PlanOptions(triplet=(2, 3, 4))).failures
+        select_paths(g, _triplet(g, samples.FIVE_CIP_CORNER))
+    assert exc.value.violations == (PathViolation(SHORTCUT_P2, (1, 3)),)
+    (failure,) = plan(g, PlanOptions(triplet=samples.FIVE_CIP_CORNER)).failures
     assert failure.stage == "paths" and failure.final
 
 
 def test_search_exhaustion_matches_brute_force():
-    # all four triplets refuse, and exhaustive enumeration confirms that
-    # no split choice at all passes the conditions
-    g = generate_ptpg(GenSpec(n=12, seed=41))
+    # the scan refuses exactly the triplets at which exhaustive enumeration
+    # finds no split choice that passes the conditions
+    g = samples.five_cip_refusal()
     cips = find_cips(g)
-    assert len(cips) == 4
+    assert len(cips) == 5
+    refused = []
     for t in find_triplets(g):
-        with pytest.raises(Infeasible):
+        try:
             select_paths(g, t, cips)
-        assert feasible_split_multisets(g, t, cips) == 0
-    assert all(f.final for f in plan(g).failures)
+        except Infeasible:
+            refused.append(tuple(t))
+            assert feasible_split_multisets(g, t, cips) == 0
+            assert all(f.final for f in plan(g, PlanOptions(triplet=tuple(t))).failures)
+        else:
+            assert feasible_split_multisets(g, t, cips) > 0
+    assert refused == [samples.FIVE_CIP_CORNER, (13, 12, 1)]
 
 
 def test_common_neighbor_condition_fires():
@@ -260,13 +267,16 @@ MISSED = (
 
 def _scan_inputs():
     graphs = [make() for make in PLANNABLE] + [samples.five_cip_thirteen_gon()]
-    for n in range(6, 15):
-        for target in (None, 2, 3, 4, 5):
-            for seed in range(1, 15, 3):
-                try:
-                    graphs.append(generate_ptpg(GenSpec(n=n, seed=seed, cip_target=target)))
-                except GenerationFailed:
-                    pass
+    # Only five CIPs fix the splits tightly enough to leave a triplet with
+    # no path set, and mostly at n >= 20.
+    sizes = [(n, target) for n in range(6, 15) for target in (None, 2, 3, 4, 5)]
+    sizes += [(n, 5) for n in range(16, 41)]
+    for n, target in sizes:
+        for seed in range(1, 15, 3):
+            try:
+                graphs.append(generate_ptpg(GenSpec(n=n, seed=seed, cip_target=target)))
+            except GenerationFailed:
+                pass
     graphs += [generate_ptpg(GenSpec(n, seed, target)) for n, seed, target, _ in MISSED]
     return graphs
 

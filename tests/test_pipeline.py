@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +15,16 @@ from test_graph import k4, octahedron
 
 import lplan.rel as relmod
 import samples
-from lplan.boundary import find_cips
+from lplan.boundary import find_cips, find_triplets
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import EmbeddedGraph, edge_key, validate_ptpg
+from lplan.io import doc_to_graph
 from lplan.layout import FloorPlan, Rect, dual_graph
+from lplan.paths import select_paths
 from lplan.pipeline import (
     InvalidInput,
     PlanOptions,
+    TripletFailure,
     _plan_mismatch,
     plan,
     rectangular_plan,
@@ -33,7 +38,7 @@ PLAN_OUTCOMES = {
     "chorded_hexagon": "Plan",
     "octagon_with_fan": "Plan",
     "wheel4": "NoTriplet",
-    "five_cip_thirteen_gon": "InfeasibleAllTriplets",
+    "five_cip_thirteen_gon": "Plan",
     "six_cip_twelve_gon": "TooManyCips",
 }
 
@@ -57,26 +62,46 @@ def test_plan_walks_triplets_clockwise_from_lowest():
 
 
 def test_refusal_carries_per_triplet_failures():
-    res = plan(samples.five_cip_thirteen_gon())
+    res = plan(samples.five_cip_refusal(), PlanOptions(triplet=samples.FIVE_CIP_CORNER))
     assert res.outcome == "InfeasibleAllTriplets"
-    assert res.refusal_kind == "all-triplets-infeasible"
-    assert res.failures and all(f.stage == "paths" for f in res.failures)
+    assert res.failures == (
+        TripletFailure(samples.FIVE_CIP_CORNER, "paths", "ShortcutP2Side(1, 3)", True),
+    )
 
 
 def test_pinned_triplet_with_five_cips_is_a_final_refusal():
-    res = plan(samples.five_cip_thirteen_gon(), PlanOptions(triplet=(2, 3, 4)))
+    res = plan(samples.five_cip_refusal(), PlanOptions(triplet=samples.FIVE_CIP_CORNER))
     assert res.outcome == "InfeasibleAllTriplets"
     assert res.refusal_kind == "five-cips-fixed-triplet"
     assert res.failures[-1].final
 
 
 def test_pinned_refusal_with_four_cips_is_not_a_five_cip_refusal():
-    g = generate_ptpg(GenSpec(n=12, seed=41))
+    g = generate_ptpg(GenSpec(n=40, seed=4, cip_target=4))
     assert len(find_cips(g)) == 4
-    res = plan(g, PlanOptions(triplet=(11, 1, 6)))
+    res = plan(g, PlanOptions(triplet=(25, 29, 35)))
     assert res.outcome == "InfeasibleAllTriplets"
     assert res.refusal_kind == "all-triplets-infeasible"
-    assert res.failures[-1].stage == "paths" and res.failures[-1].final
+    assert res.failures[-1].stage == "normalize" and not res.failures[-1].final
+
+
+def test_no_triplet_with_at_most_four_cips_is_refused_at_paths():
+    # With four CIPs or fewer the splits are never fixed, and the scan
+    # finds a path set at every admissible corner.
+    pairs = 0
+    for n in range(6, 21):
+        for target in (None, 2, 3, 4):
+            for seed in range(10):
+                try:
+                    g = generate_ptpg(GenSpec(n, seed, target))
+                except GenerationFailed:
+                    continue
+                cips = find_cips(g)
+                if len(cips) <= 4:
+                    for t in find_triplets(g):
+                        select_paths(g, t, cips)  # Infeasible is a refusal
+                        pairs += 1
+    assert pairs == 2485
 
 
 @pytest.mark.parametrize(
@@ -363,7 +388,7 @@ def test_plan_walks_no_face_of_its_input():
         outcomes[outcome] += 1
         assert "_walks" not in vars(g) and "_face" not in vars(g)
         assert outcome != "TooManyCips" or "adj" not in vars(g)
-    assert outcomes["Plan"] == 6 and outcomes["TooManyCips"] == 4, outcomes
+    assert outcomes["Plan"] == 7 and outcomes["TooManyCips"] == 4, outcomes
 
 
 def test_every_exported_name_resolves():
@@ -397,24 +422,16 @@ def renumber(g: EmbeddedGraph) -> EmbeddedGraph:
 
 
 # Whether a graph has an L plan does not depend on how it is drawn or
-# numbered.  The shortcut rule at the corner b (ROADMAP item 1) breaks
-# this on each case below: the first is refused while its mirror plans,
-# the next two plan while their mirrors are refused.
-SHORTCUT_RULE_AT_B = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: the shortcut rule at b refuses plannable graphs",
-)
-
-
+# numbered.  Each case below broke this while the corner b bounded the
+# shortcut ranges: a graph and its mirror or renumbering disagreed.
 @pytest.mark.parametrize(
     "move, spec",
     [
-        pytest.param(mirror, GenSpec(18, 21, 4), marks=SHORTCUT_RULE_AT_B),
-        pytest.param(mirror, GenSpec(26, 8, 4), marks=SHORTCUT_RULE_AT_B),
-        pytest.param(mirror, GenSpec(30, 10, 5), marks=SHORTCUT_RULE_AT_B),
-        pytest.param(renumber, GenSpec(18, 21, 4), marks=SHORTCUT_RULE_AT_B),
-        pytest.param(renumber, GenSpec(22, 3), marks=SHORTCUT_RULE_AT_B),
+        (mirror, GenSpec(18, 21, 4)),
+        (mirror, GenSpec(26, 8, 4)),
+        (mirror, GenSpec(30, 10, 5)),
+        (renumber, GenSpec(18, 21, 4)),
+        (renumber, GenSpec(22, 3)),
     ],
     ids=["mirror-n18-seed21-cips4", "mirror-n26-seed8-cips4", "mirror-n30-seed10-cips5",
          "renumber-n18-seed21-cips4", "renumber-n22-seed3"],
@@ -422,3 +439,17 @@ SHORTCUT_RULE_AT_B = pytest.mark.xfail(
 def test_plannability_survives_mirroring_and_renumbering(move, spec):
     g = generate_ptpg(spec)
     assert plan(move(g)).ok == plan(g).ok
+
+
+def test_every_planted_l_plans(monkeypatch):
+    # bench/planted.py cuts random L shapes into rectangles: each dual has
+    # a non-trivial L plan by construction, without asking lplan.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from planted import planted_graph
+
+    for n in range(8, 16):
+        for seed in range(200):
+            g = doc_to_graph(planted_graph(n, random.Random(f"planted:{n}:{seed}")))
+            res = plan(g)
+            assert res.ok, (n, seed, res.failures)
+            assert dual_graph(res.plan).edges == g.edges, (n, seed)

@@ -594,7 +594,7 @@ def test_enumerate_rels_matches_the_filter_oracle():
 # order: the shuffled edge order, the pick rule, the value shuffles and the
 # restarts.  These digests of sorted(color) and sorted(orient) pin that
 # order: a faster search that keeps it keeps them.  The searches on the
-# generated graphs branch, at 60 to 82 choice points each on the first
+# generated graphs branch, at 58 to 82 choice points each on the first
 # three; the last one restarts.
 
 
@@ -619,7 +619,7 @@ GOLDEN_SAMPLES = {
 }
 
 GOLDEN_GENERATED = {
-    (100, 0): "4283049119c1d2c5",
+    (100, 0): "72b2f7a5277a4fae",
     (100, 1): "8a713f91b4f559f9",
     (120, 0): "11b816dce30e3870",
     # This search overruns the first 400-node quota once and restarts.
@@ -632,7 +632,7 @@ GOLDEN_GENERATED = {
 # before the search numbered its edges per vertex.  Nodes are calls - 1 +
 # attempts - 1: an attempt that overruns its quota ends on a node that
 # does not propagate.
-GOLDEN_EFFORT = {(100, 0): (61, 1), (100, 1): (75, 1), (120, 0): (83, 1), (150, 2): (478, 2)}
+GOLDEN_EFFORT = {(100, 0): (59, 1), (100, 1): (75, 1), (120, 0): (83, 1), (150, 2): (478, 2)}
 
 
 @functools.lru_cache(maxsize=None)
