@@ -261,10 +261,6 @@ class EmbeddedGraph:
         return frozenset(edge_key(u, v) for u, nbrs in self.rotation.items() for v in nbrs)
 
     @cached_property
-    def faces(self) -> tuple[tuple[VertexId, ...], ...]:
-        return tuple(rotate_min(walk) for walk in self._walks)
-
-    @cached_property
     def outer_face_index(self) -> int:
         # The dart that follows outer[0] -> outer[1] lies on the same face.
         return self._face[self._turn[self.outer[1]][self.outer[0]]]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import ChainMap, Counter
 from typing import MutableMapping, NamedTuple, Sequence
 
-from .boundary import Cip, Triplet, boundary_arc, find_cips
+from .boundary import Cip, Triplet, boundary_arc
 from .graph import EmbeddedGraph, VertexId, common_neighbors
 
 FOUR_CONSECUTIVE = "FourConsecutiveCommonVertex"
@@ -92,32 +92,12 @@ def paths_from_splits(
     return PathSet(*segs, triplet=triplet)
 
 
-def _validate_structure(g: EmbeddedGraph, ps: PathSet) -> None:
-    walk: list[VertexId] = []
-    for i, p in enumerate(ps.paths):
-        if not p:
-            raise ValueError(f"path {i + 1} is empty")
-        nxt = ps.paths[(i + 1) % 5]
-        if p[-1] != nxt[0]:
-            raise ValueError("consecutive paths must share an end vertex")
-        walk.extend(p[:-1] if len(p) > 1 else p)
-    # Degenerate paths contribute their lone vertex twice; strip that.
-    flat: list[VertexId] = []
-    for v in walk:
-        if not flat or flat[-1] != v:
-            flat.append(v)
-    if flat and flat[0] == flat[-1]:
-        flat.pop()
-    if sorted(flat) != sorted(g.outer):
-        raise ValueError("paths do not cover the outer cycle")
-    a, b, c = ps.triplet
-    if b not in ps.p1 or a not in ps.p1 or c not in ps.p1:
-        raise ValueError("triplet must lie on P1")
-
-
 def check_path_conditions(g: EmbeddedGraph, ps: PathSet) -> tuple[PathViolation, ...]:
-    """All feasibility defects of a path set; empty means an L exists."""
-    _validate_structure(g, ps)
+    """All feasibility defects of a path set; empty means an L exists.
+
+    ps must be cut from g by paths_from_splits: P1..P5 cover the outer
+    cycle in order, and P1 holds the triplet.  That is not checked here.
+    """
     a, b, c = ps.triplet
     s1, s2 = ps.p1[0], ps.p1[-1]
     out: list[PathViolation] = []
@@ -186,20 +166,21 @@ def _place(
 def _witness(
     g: EmbeddedGraph, triplet: Triplet, cips: tuple[Cip, ...]
 ) -> tuple[PathViolation, ...]:
-    """The defects of one split per CIP at its first interior vertex but b, a or c first."""
+    """The defects of one split per CIP at its first interior vertex but b, a or c first.
+
+    Every CIP has an interior vertex but b: one whose interior is b alone
+    has the chord (a, c), and an admissible triplet's a and c are not
+    adjacent.
+    """
     a, b, c = triplet
     picks = []
     for cip in cips:
         inner = [v for v in cip.interior if v != b]
-        if not inner:
-            return ()
         picks.append(a if a in inner else c if c in inner else inner[0])
     return check_path_conditions(g, paths_from_splits(g, triplet, Counter(picks)))
 
 
-def select_paths(
-    g: EmbeddedGraph, triplet: Triplet, cips: tuple[Cip, ...] | None = None
-) -> PathSet:
+def select_paths(g: EmbeddedGraph, triplet: Triplet, cips: tuple[Cip, ...]) -> PathSet:
     """The first admissible path set for one triplet; Infeasible if none.
 
     Number the outer vertices clockwise from c = 0 to a = m - 1, leaving
@@ -225,8 +206,6 @@ def select_paths(
     violations are those of the set that splits each CIP at its first
     interior vertex other than b, a or c first; otherwise they are empty.
     """
-    if cips is None:
-        cips = find_cips(g)
     if len(cips) > 5:
         raise ValueError("more than five CIPs; necessary conditions fail")
     a, b, c = triplet

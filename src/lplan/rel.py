@@ -84,9 +84,6 @@ class Rel:
     def label(self, u: VertexId, v: VertexId) -> str:
         return self.color[edge_key(u, v)]
 
-    def clone(self) -> "Rel":
-        return Rel(self.graph, dict(self.poles), dict(self.color), dict(self.orient))
-
 
 def _ring_defect(v: VertexId, classes: list[int]) -> str | None:
     """None when the ring's classes, clockwise, form the four blocks in order.

@@ -31,6 +31,7 @@ from lplan.graph import (
     _walk,
     common_neighbors,
     edge_key,
+    rotate_min,
     validate_ptpg,
 )
 from lplan.io import ParseError
@@ -68,6 +69,11 @@ from lplan.rel import (
 
 
 Dart = tuple[VertexId, VertexId]
+
+
+def clone(r: Rel) -> Rel:
+    """A copy of r whose poles, colours and directions change apart from r's."""
+    return Rel(r.graph, dict(r.poles), dict(r.color), dict(r.orient))
 
 
 class CapExceeded(RuntimeError):
@@ -303,10 +309,15 @@ def common_neighbour_sum(g: EmbeddedGraph) -> int:
     return sum(len(adj[u] & adj[v]) for u in g.vertices for v in adj[u] if u < v)
 
 
+def faces(g: EmbeddedGraph) -> tuple[tuple[VertexId, ...], ...]:
+    """Every face of g's own walk, in face index order, each from its least vertex."""
+    return tuple(rotate_min(walk) for walk in g._walks)
+
+
 def inner_faces(g: EmbeddedGraph) -> tuple[tuple[VertexId, ...], ...]:
     """The faces but the outer one, in face index order."""
     k = g.outer_face_index
-    return tuple(f for i, f in enumerate(g.faces) if i != k)
+    return tuple(f for i, f in enumerate(faces(g)) if i != k)
 
 
 def brute_separating_triangles(g: EmbeddedGraph) -> set[frozenset]:
@@ -622,7 +633,7 @@ def enumerate_rels(ag: AugmentedGraph, cap: int = 12) -> list[Rel]:
     def rec(i: int) -> None:
         if i == len(free):
             if brute_rel_validity(r)[0]:
-                out.append(r.clone())
+                out.append(clone(r))
             return
         e = free[i]
         u, v = e
@@ -841,7 +852,7 @@ def rotate_by_trial(r: Rel, w: tuple[VertexId, ...]) -> str | None:
 def is_flippable_edge(r: Rel, u: VertexId, v: VertexId) -> bool:
     """Whether the library's flip_edge succeeds, tried on a clone of r."""
     try:
-        flip_edge(r.clone(), u, v)
+        flip_edge(clone(r), u, v)
     except NotFlippable:
         return False
     return True
@@ -874,7 +885,7 @@ def brute_flip_vertex(r: Rel, v: VertexId) -> bool:
 
 def is_flippable_vertex(r: Rel, v: VertexId) -> bool:
     """Whether brute_flip_vertex succeeds, tried on a clone of r."""
-    return brute_flip_vertex(r.clone(), v)
+    return brute_flip_vertex(clone(r), v)
 
 
 def canonical_labeling(color: dict, orient: dict) -> tuple:

@@ -24,6 +24,7 @@ from completions import tiny_completions
 from oracles import (
     brute_rel_validity,
     canonical_labeling,
+    clone,
     concave_corner_count,
     enumerate_rels,
     is_flippable_edge,
@@ -195,7 +196,7 @@ def _one_rotatable_cycle(r):
                         continue
                     cyc = (a, b, c, d)
                     try:
-                        sense = rotate_four_cycle(r.clone(), cyc)
+                        sense = rotate_four_cycle(clone(r), cyc)
                     except NotFlippable:
                         continue
                     assert sense in ("cw", "ccw")

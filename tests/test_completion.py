@@ -34,6 +34,7 @@ from oracles import (
     alternating_four_cycles,
     brute_faces_inside_cycle,
     brute_walk_darts,
+    faces,
     fresh_completion,
     unchecked_completion,
 )
@@ -50,7 +51,7 @@ def assert_same_completion(derived, fresh):
     assert a == b and a.vertices == b.vertices and a.edges == b.edges
     # numbered and walked as a fresh build is: the same darts, face indices and walks
     assert a._turn == b._turn and a._face == b._face and a._walks == b._walks
-    assert a.faces == b.faces and a.outer_face_index == b.outer_face_index
+    assert faces(a) == faces(b) and a.outer_face_index == b.outer_face_index
 
 
 def enclosed_faces_agree(ag) -> int:
@@ -60,10 +61,10 @@ def enclosed_faces_agree(ag) -> int:
     except NotConstructible:
         return 0
     g = r.graph
-    walks = brute_walk_darts(g.rotation)[0]
+    walks, walked = brute_walk_darts(g.rotation)[0], faces(g)
     cycles = 0
     for w in alternating_four_cycles(r):
-        got = {g.faces[i] for i in faces_inside_cycle(g, w)}
+        got = {walked[i] for i in faces_inside_cycle(g, w)}
         assert got == {rotate_min(walks[i]) for i in brute_faces_inside_cycle(g, w)}, w
         cycles += 1
     return cycles

@@ -1,5 +1,6 @@
 """Import hygiene: no module imports a name it never reads, the package defines
-no top-level name that nothing reads, and planning loads no generator."""
+no top-level name or class method that nothing reads, and planning loads no
+generator."""
 
 from __future__ import annotations
 
@@ -44,18 +45,32 @@ def test_every_imported_name_is_read(path):
 
 
 def unread_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
-    """Top-level names, not dunder or exported, that no source reads as a name or attribute."""
+    """Definitions, not dunder, that no source reads.
+
+    A top-level name, unless exported, is read as a name or attribute.  A
+    function in a top-level class body, exported class or not, is read
+    only as an attribute (x.name), so a local of the same name hides none.
+    """
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    read = set()
+    read, attrs = set(), set()
     for tree in trees.values():
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
+                if isinstance(n.ctx, ast.Load):
+                    attrs.add(n.attr)
     found = []
     for module, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{module}: {node.name}.{f.name}"
+                    for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and f.name not in attrs and f.name[:2] != "__"
+                ]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 targets = [node.name]
             elif isinstance(node, ast.Assign):
@@ -72,8 +87,13 @@ def test_the_scan_names_unread_definitions():
     sources = {
         "a.py": "X = 1\n_y: int = 2\n__all__ = []\ndef f(): return g.h\nclass C: pass\n",
         "b.py": "from a import f\nf()\n",
+        "c.py": (
+            "class D:\n    k = 1\n    def __init__(self): self.m()\n    def m(self): pass\n"
+            "    @property\n    def p(self): pass\n    def n(self, p): return p\n"
+            "def e(d):\n    n = d.p\n    d.q = n\n    return D\n"
+        ),
     }
-    assert unread_definitions(sources, {"C"}) == ["a.py: X", "a.py: _y"]
+    assert unread_definitions(sources, {"C", "e"}) == ["a.py: X", "a.py: _y", "c.py: D.n"]
 
 
 def test_every_definition_is_read_or_exported():

@@ -9,6 +9,7 @@ import pytest
 
 from completions import tiny_completions
 from oracles import (
+    clone,
     concave_corner_count,
     covered_cells,
     enumerate_rels,
@@ -237,7 +238,7 @@ def _rotate_some_four_cycle(r, rng) -> bool:
     rng.shuffle(cycles)
     for cyc in cycles:
         try:
-            rotate_four_cycle(r.clone(), cyc)
+            rotate_four_cycle(clone(r), cyc)
         except NotFlippable:
             continue
         rotate_four_cycle(r, cyc)
@@ -338,7 +339,7 @@ def test_a_ring_missing_a_block_is_refused_by_name(make):
     assert sorted(want) == [v for v in rel.graph.vertices if v not in rel.pole_ids]
     for v, expected in want.items():
         for color, (w, block) in zip((T1, T2), expected):
-            broken = rel.clone()
+            broken = clone(rel)
             for u in rel.graph.rotation[v]:
                 broken.color[edge_key(u, v)] = color
             with pytest.raises(ValueError) as exc:

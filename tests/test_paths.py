@@ -56,14 +56,14 @@ def test_paths_from_splits_validates():
 
 def test_select_paths_pentagon_exact():
     g = samples.pentagon_with_pocket()
-    ps = select_paths(g, _triplet(g, (1, 2, 3)))
+    ps = select_paths(g, _triplet(g, (1, 2, 3)), find_cips(g))
     assert ps.paths == ((1, 2, 3), (3,), (3, 4), (4, 5, 1), (1,))
     assert check_path_conditions(g, ps) == ()
 
 
 def test_select_paths_four_cip_exact():
     g = samples.four_cip_eleven_gon()
-    ps = select_paths(g, _triplet(g, (1, 2, 3)))
+    ps = select_paths(g, _triplet(g, (1, 2, 3)), find_cips(g))
     assert ps.paths == ((1, 2, 3, 4, 5), (5, 6, 7), (7, 8, 9), (9, 10, 11, 1), (1,))
 
 
@@ -80,7 +80,7 @@ def test_bad_split_choice_reports_shortcut():
 def test_five_cip_refusal_is_final():
     g = samples.five_cip_refusal()
     with pytest.raises(Infeasible) as exc:
-        select_paths(g, _triplet(g, samples.FIVE_CIP_CORNER))
+        select_paths(g, _triplet(g, samples.FIVE_CIP_CORNER), find_cips(g))
     assert exc.value.violations == (PathViolation(SHORTCUT_P2, (1, 3)),)
     (failure,) = plan(g, PlanOptions(triplet=samples.FIVE_CIP_CORNER)).failures
     assert failure.stage == "paths" and failure.final
@@ -129,7 +129,7 @@ def test_attach_outside_rejects_non_arc():
 
 def test_augment_with_ne_pentagon():
     g = samples.pentagon_with_pocket()
-    ps = select_paths(g, _triplet(g, (1, 2, 3)))
+    ps = select_paths(g, _triplet(g, (1, 2, 3)), find_cips(g))
     g2, ne = augment_with_ne(g, ps)
     assert ne == 8
     assert set(g2.rotation[ne]) == {1, 2, 3}
@@ -140,7 +140,7 @@ def test_augment_with_ne_pentagon():
 
 def test_completion_paths_shape():
     g = samples.pentagon_with_pocket()
-    ps = select_paths(g, _triplet(g, (1, 2, 3)))
+    ps = select_paths(g, _triplet(g, (1, 2, 3)), find_cips(g))
     g2, ne = augment_with_ne(g, ps)
     q1, q2, q3, q4 = completion_paths(ps, ne)
     assert q1 == (1, ne)
@@ -151,7 +151,7 @@ def test_completion_paths_shape():
 
 def test_four_completion_pentagon():
     g = samples.pentagon_with_pocket()
-    ps = select_paths(g, _triplet(g, (1, 2, 3)))
+    ps = select_paths(g, _triplet(g, (1, 2, 3)), find_cips(g))
     g2, ne = augment_with_ne(g, ps)
     ag = four_completion(g2, completion_paths(ps, ne), ne=ne)
     pn, pe, pso, pw = ag.pole_ids
@@ -210,7 +210,7 @@ def test_one_attach_completion_equals_the_two_step_oracle():
 
 def test_four_completion_requires_chained_paths():
     g = samples.pentagon_with_pocket()
-    ps = select_paths(g, _triplet(g, (1, 2, 3)))
+    ps = select_paths(g, _triplet(g, (1, 2, 3)), find_cips(g))
     g2, ne = augment_with_ne(g, ps)
     q1, q2, q3, q4 = completion_paths(ps, ne)
     with pytest.raises(EmbeddingConflict):
@@ -300,3 +300,25 @@ def test_select_paths_returns_the_oracles_first_admissible_set():
     for n, seed, target, t in MISSED:
         g = generate_ptpg(GenSpec(n, seed, target))
         assert select_paths(g, _triplet(g, t), find_cips(g))
+
+
+def test_every_five_cip_refusal_carries_a_witness():
+    # _witness splits every CIP at an interior vertex other than b, so a
+    # five-CIP refusal names the defects of one split set.
+    refused = 0
+    for n in range(6, 41, 2):
+        for seed in range(12):
+            try:
+                g = generate_ptpg(GenSpec(n, seed, cip_target=5))
+            except GenerationFailed:
+                continue
+            cips = find_cips(g)
+            if len(cips) != 5:
+                continue
+            for t in find_triplets(g):
+                try:
+                    select_paths(g, t, cips)
+                except Infeasible as exc:
+                    assert exc.violations, (n, seed, tuple(t))
+                    refused += 1
+    assert refused == 126

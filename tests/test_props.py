@@ -12,6 +12,7 @@ from oracles import (
     brute_rel_validity,
     brute_separating_triangles,
     concave_corner_count,
+    faces,
     geometric_adjacency,
     is_flippable_edge,
     is_flippable_vertex,
@@ -38,7 +39,7 @@ def test_generated_graphs_validate_and_match_brute_force(n, seed):
     assert validate_ptpg(g).verdict
     got = {rotate_min(t) for t in find_separating_triangles(g)}
     assert got == brute_separating_triangles(g)
-    assert {rotate_min(f) for f in g.faces} == {
+    assert {rotate_min(f) for f in faces(g)} == {
         rotate_min(f) for f in walk_faces(g)
     }
 

@@ -20,6 +20,7 @@ from oracles import (
     brute_ring_defect,
     CapExceeded,
     canonical_labeling,
+    clone,
     enumerate_rels,
     is_flippable_edge,
     is_flippable_vertex,
@@ -403,7 +404,7 @@ def test_vertex_flip_is_the_rotation_of_its_neighbour_cycle():
             if is_flippable_edge(r, *e):
                 flip_edge(r, *e)
             for v in four:
-                probe, want = r.clone(), r.clone()
+                probe, want = clone(r), clone(r)
                 try:
                     rotate_four_cycle(probe, r.graph.rotation[v])
                     got = True
@@ -443,7 +444,7 @@ def test_rotate_four_cycle_round_trip():
                             continue
                         cyc = (a, b, c, d)
                         try:
-                            probe = r.clone()
+                            probe = clone(r)
                             sense = rotate_four_cycle(probe, cyc)
                         except NotFlippable:
                             continue
@@ -479,7 +480,7 @@ def test_rotation_checks_agree_with_whole_labeling_checks():
     seen = Counter()
     for r in rels:
         for w in alternating_four_cycles(r):
-            probe, want = r.clone(), r.clone()
+            probe, want = clone(r), clone(r)
             try:
                 got = rotate_four_cycle(probe, w)
             except NotFlippable:
@@ -521,16 +522,16 @@ def _corruptions(r, rng):
     poles = set(r.pole_ids)
     inner = [e for e in sorted(r.color) if not (set(e) & poles)]
     for e in rng.sample(inner, min(4, len(inner))):
-        bad = r.clone()
+        bad = clone(r)
         bad.color[e] = T2 if bad.color[e] == T1 else T1
         yield bad, e
-        bad = r.clone()
+        bad = clone(r)
         bad.orient[e] = bad.orient[e][::-1]
         yield bad, e
     for p in r.pole_ids:
         row = sorted(e for e in r.color if p in e and not set(e) <= poles)
         e = rng.choice(row)
-        bad = r.clone()
+        bad = clone(r)
         if rng.random() < 0.5:
             bad.color[e] = T2 if bad.color[e] == T1 else T1
         else:
@@ -565,7 +566,7 @@ def test_vertex_defect_matches_the_run_oracle_on_random_labelings():
     for ag in tiny_completions():
         r = construct_rel(ag)
         for _ in range(150):
-            bad = r.clone()
+            bad = clone(r)
             for e in bad.color:
                 if set(e) & set(bad.pole_ids):
                     continue
