@@ -160,9 +160,10 @@ def plan(g: EmbeddedGraph, opts: PlanOptions | None = None) -> PlanResult:
 
     failures: list[TripletFailure] = []
     for triplet in candidates:
-        attempt = _plan_one(g, triplet, report, failures)
-        if attempt is not None:
-            return attempt
+        attempt = _plan_one(g, triplet, report)
+        if isinstance(attempt, PlanResult):
+            return attempt._replace(failures=tuple(failures))
+        failures.append(attempt)
 
     kind = "all-triplets-infeasible"
     if opts.triplet is not None and report.cip_count == 5 and failures[-1].stage == "paths":
@@ -178,68 +179,45 @@ def plan(g: EmbeddedGraph, opts: PlanOptions | None = None) -> PlanResult:
     )
 
 
-def _plan_one(
-    g: EmbeddedGraph,
-    triplet: Triplet,
-    report: NecessaryReport,
-    failures: list[TripletFailure],
-) -> PlanResult | None:
+def _plan_one(g: EmbeddedGraph, triplet: Triplet, report: NecessaryReport) -> PlanResult | TripletFailure:
+    """The plan at triplet, or the failure of the stage that ended it.
+
+    Path selection refuses only with a certificate, so its failure is
+    final; any later one names the stage that was running.
+    """
     key = tuple(triplet)
-
-    def fail(stage: str, reason: str, final: bool = False) -> None:
-        failures.append(TripletFailure(key, stage, reason, final))
-
     try:
         ps = select_paths(g, triplet, report.cips)
     except Infeasible as exc:
         reason = "; ".join(str(v) for v in exc.violations) or "no admissible split set"
-        fail("paths", reason, final=True)
-        return None
+        return TripletFailure(key, "paths", reason, final=True)
 
     ne = g.vertices[-1] + 1
+    stage = "completion"
     try:
         ag = four_completion(g, completion_paths(ps, ne), ne=ne, ne_arc=ps.p1)
-    except ValueError as exc:
-        fail("completion", str(exc))
-        return None
-
-    try:
+        stage = "rel"
         rel = construct_rel(ag)  # checks the pole rows and every ring of its labeling
-    except NotConstructible as exc:
-        fail("rel", str(exc))
-        return None
-
-    try:
+        stage = "normalize"
         norm = normalize_labels(rel, triplet, ne)
-    except NormalizationFailed as exc:
-        fail("normalize", str(exc))
-        return None
-
-    try:
+        stage = "layout"
         full = rfp_from_rel(rel)
         lplan, profile = remove_ne(full, ne)
         verdict = verify_nontrivial_L(lplan, profile)
-    except ValueError as exc:
-        fail("layout", str(exc))
-        return None
-    if not verdict.nontrivial:
-        fail("verify", f"plan degenerates to a rectangle (walk {verdict.walk})")
-        return None
-
-    try:
-        mismatch = _plan_mismatch(g, lplan)
-    except ValueError as exc:
-        fail("verify", str(exc))
-        return None
+        stage = "verify"
+        if verdict.nontrivial:
+            mismatch = _plan_mismatch(g, lplan)
+        else:
+            mismatch = f"plan degenerates to a rectangle (walk {verdict.walk})"
+    except (ValueError, NotConstructible, NormalizationFailed) as exc:
+        return TripletFailure(key, stage, str(exc))
     if mismatch:
-        fail("verify", mismatch)
-        return None
+        return TripletFailure(key, stage, mismatch)
 
     return PlanResult(
         outcome="Plan",
         graph=g,
         necessary=report,
-        failures=tuple(failures),
         triplet=triplet,
         pathset=ps,
         completion=ag,
