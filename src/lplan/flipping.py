@@ -42,7 +42,7 @@ class WorkItem(NamedTuple):
 
 
 class FlipRecord(NamedTuple):
-    action: str  # "flip" | "rotate" | "pre"
+    action: str  # "flip" | "rotate" | "pre" | "pin"
     detail: tuple
 
 

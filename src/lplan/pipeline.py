@@ -4,8 +4,9 @@ plan() walks the admissible corner triplets clockwise from the lowest
 numbered boundary vertex and runs, per triplet: path selection, the
 four-completion with the north-east module (derived from the input's
 checked embedding, each attachment checked by attach_vertex as it is
-made), labeling, corner label normalization, rectangle extraction, notch
-removal, the non-triviality walk, and verification.  The first triplet
+made), labeling, corner label normalization (or, where the flip chain
+fails, a labeling with the corner colours pinned), rectangle extraction,
+notch removal, the non-triviality walk, and verification.  The first triplet
 that survives every stage wins; per-triplet failures are kept for the
 report.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .boundary import Cip, NecessaryReport, Triplet, boundary_arc, find_cips, necessary_conditions
-from .flipping import NormalizationFailed, NormalizeReport, normalize_labels
+from .flipping import FlipRecord, NormalizationFailed, NormalizeReport, normalize_labels
 from .graph import EmbeddedGraph, VertexId, cyclic_eq, edge_key, validate_ptpg
 from .layout import (
     CornerProfile,
@@ -183,7 +184,9 @@ def _plan_one(g: EmbeddedGraph, triplet: Triplet, report: NecessaryReport) -> Pl
     """The plan at triplet, or the failure of the stage that ended it.
 
     Path selection refuses only with a certificate, so its failure is
-    final; any later one names the stage that was running.
+    final; any later one names the stage that was running.  A flip chain
+    that fails is not a failure: the completion is labeled again with
+    (a, b) pinned to T1 and (b, c) to T2, and the trace is one pin record.
     """
     key = tuple(triplet)
     try:
@@ -199,7 +202,12 @@ def _plan_one(g: EmbeddedGraph, triplet: Triplet, report: NecessaryReport) -> Pl
         stage = "rel"
         rel = construct_rel(ag)  # checks the pole rows and every ring of its labeling
         stage = "normalize"
-        norm = normalize_labels(rel, triplet, ne)
+        try:
+            norm = normalize_labels(rel, triplet, ne)
+        except NormalizationFailed:  # re-solve with the colours the chain drives toward
+            stage = "rel"
+            rel = construct_rel(ag, key)
+            norm = NormalizeReport(trace=(FlipRecord("pin", key),), passes=0)
         stage = "layout"
         full = rfp_from_rel(rel)
         lplan, profile = remove_ne(full, ne)
@@ -209,7 +217,7 @@ def _plan_one(g: EmbeddedGraph, triplet: Triplet, report: NecessaryReport) -> Pl
             mismatch = _plan_mismatch(g, lplan)
         else:
             mismatch = f"plan degenerates to a rectangle (walk {verdict.walk})"
-    except (ValueError, NotConstructible, NormalizationFailed) as exc:
+    except (ValueError, NotConstructible) as exc:
         return TripletFailure(key, stage, str(exc))
     if mismatch:
         return TripletFailure(key, stage, mismatch)

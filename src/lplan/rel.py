@@ -238,14 +238,18 @@ def _propagate(
     return True
 
 
-def _search_space(ag: AugmentedGraph) -> tuple[list[Edge], list[int], list[Ring], dict, list[int], dict]:
+def _search_space(
+    ag: AugmentedGraph, pins: tuple[VertexId, ...] = ()
+) -> tuple[list[Edge], list[int], list[Ring], dict, list[int], dict]:
     """The sorted edges, their value sets, the rings, dense ids, first seeds and rows.
 
     Edges are numbered vertex by vertex over the sorted higher neighbors,
-    and rows[v][w] is the number of edge vw.  The pole rows are pinned.
+    and rows[v][w] is the number of edge vw.  The pole rows are pinned,
+    and a corner triplet pins (a, b) to T1 values and (b, c) to T2.
     Inner vertices are ids 0..m-1 in ascending order, rings[k] is the ring
     of id k, and the poles share id m.  The seeds are the rings the
-    pinning can narrow: those with a pole edge or fewer than four edges.
+    pinning can narrow: those with a pole edge, a pinned edge or fewer
+    than four edges.
     """
     g = ag.base
     rot = g.rotation
@@ -260,6 +264,8 @@ def _search_space(ag: AugmentedGraph) -> tuple[list[Edge], list[int], list[Ring]
     for name, p in ag.poles.items():  # a value is its class at the key's first end
         for x, i in rows[p].items():
             dom[i] = 1 << (_POLE_CLASS[name] ^ (0 if p < x else 2))
+    for (u, v), values in zip(zip(pins, pins[1:]), (0b0101, 0b1010)):  # T1: values 0, 2
+        dom[rows[u][v]] &= values
     inner = [v for v in g.vertices if v not in poles]
     m = len(inner)
     dense = dict.fromkeys(poles, m)
@@ -270,17 +276,20 @@ def _search_space(ag: AugmentedGraph) -> tuple[list[Edge], list[int], list[Ring]
         ring = [(row[w], *_TABLES[v < w], dense[w]) for w in nbrs]
         ring[0] = (ring[0][0], _OPENING[v < nbrs[0]], *ring[0][2:])
         rings.append(ring)
-    seeds = [k for k, v in enumerate(inner) if len(rot[v]) < 4 or not poles.isdisjoint(rot[v])]
+    seeds = [
+        k for k, v in enumerate(inner) if len(rot[v]) < 4 or v in pins or not poles.isdisjoint(rot[v])
+    ]
     return edges, dom, rings, dense, seeds, rows
 
 
-def construct_rel(ag: AugmentedGraph) -> Rel:
+def construct_rel(ag: AugmentedGraph, pins: tuple[VertexId, ...] = ()) -> Rel:
     """Find a labeling by exact search over edge colors and directions.
 
     Every edge except the four boundary ones is a four-valued variable
     (color times direction), held as a bitmask of the values it may still
-    take; the pole rows are pinned (_search_space) and the rings filtered
-    to their fixpoint (_propagate).  The search branches on a
+    take; the pole rows, and the corner edges of a triplet given as pins,
+    are pinned (_search_space) and the rings filtered to their fixpoint
+    (_propagate).  The search branches on a
     smallest-domain edge, in a shuffled edge order, tries its values in
     shuffled order and backtracks on wipeout.  Domains only shrink below
     a choice point, so each records the settled prefix of the order, its
@@ -291,7 +300,7 @@ def construct_rel(ag: AugmentedGraph) -> Rel:
     """
     g = ag.base
     poles = set(ag.pole_ids)
-    edges, dom, rings, dense, seeds, rows = _search_space(ag)
+    edges, dom, rings, dense, seeds, rows = _search_space(ag, pins)
     queued = [False] * len(rings) + [True]
 
     def undo(trail: list[tuple[int, int]]) -> None:

@@ -23,6 +23,7 @@ from test_graph import k4, octahedron
 import lplan.rel as relmod
 import samples
 from lplan.boundary import find_cips, find_triplets
+from lplan.flipping import FlipRecord, NormalizeReport
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import EmbeddedGraph, edge_key, validate_ptpg
 from lplan.io import doc_to_graph
@@ -86,10 +87,11 @@ def test_pinned_triplet_with_five_cips_is_a_final_refusal():
 def test_pinned_refusal_with_four_cips_is_not_a_five_cip_refusal():
     g = generate_ptpg(GenSpec(n=40, seed=4, cip_target=4))
     assert len(find_cips(g)) == 4
+    # The flip chain reaches pole 43 here, so the completion is labeled
+    # again with the corner colours pinned.
     res = plan(g, PlanOptions(triplet=(25, 29, 35)))
-    assert res.outcome == "InfeasibleAllTriplets"
-    assert res.refusal_kind == "all-triplets-infeasible"
-    assert res.failures[-1].stage == "normalize" and not res.failures[-1].final
+    assert res.ok and res.refusal_kind is None and not res.failures
+    assert res.normalize == NormalizeReport(trace=(FlipRecord("pin", (25, 29, 35)),), passes=0)
 
 
 def test_no_triplet_with_at_most_four_cips_is_refused_at_paths():
@@ -155,27 +157,18 @@ def pinned_outcomes() -> tuple[tuple[tuple, bool, tuple[TripletFailure, ...]], .
 
 
 def test_pinned_triplets_fail_only_at_paths_or_at_a_pole():
-    # A paths failure is a certificate.  Every other one is the flip chain
-    # reaching a pole in normalize, which another triplet may survive.
+    # A paths failure is a certificate.  A flip chain that reaches a pole
+    # (50 of these triplets) is re-solved with the corner colours pinned,
+    # so no triplet fails in normalize.
     refused = Counter()
     for key, _, failures in pinned_outcomes():
         for f in failures:
-            if f.stage == "paths":
-                assert f.final, (key, f)
-            else:
-                assert f.stage == "normalize" and not f.final, (key, f)
-                assert f.reason.startswith("chain reached pole"), (key, f)
+            assert f.stage == "paths" and f.final, (key, f)
         refused.update(f.stage for f in failures)
     assert len(pinned_outcomes()) == 1778
-    assert refused == {"paths": 67, "normalize": 50}
+    assert refused == {"paths": 67}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the flip chain reaches a pole on 50 pinned triplets that have a path set "
-    "(ROADMAP item 2: pin the corner colours when the flip chain fails)",
-)
 def test_a_pinned_triplet_that_passes_paths_plans():
     for key, ok, failures in pinned_outcomes():
         assert ok or failures[-1].stage == "paths", (key, failures)
@@ -529,3 +522,18 @@ def test_every_planted_l_plans(monkeypatch):
             res = plan(g)
             assert res.ok, (n, seed, res.failures)
             assert dual_graph(res.plan).edges == g.edges, (n, seed)
+
+
+@pytest.mark.parametrize("n, seed", [(35, 111), (35, 131), (100, 52), (100, 62), (100, 86)])
+def test_a_planted_l_whose_flip_chain_reaches_a_pole_plans_at_its_first_triplet(n, seed, monkeypatch):
+    # The planted L's of n 20, 35, 60, 100 and 150 with seeds 0-149 whose
+    # first triplet's flip chain reaches a pole: the corner colours are
+    # pinned, and no other triplet is tried.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from planted import planted_graph
+
+    g = doc_to_graph(planted_graph(n, random.Random(f"planted:{n}:{seed}")))
+    res = plan(g)
+    assert res.ok and all(f.final for f in res.failures), res.failures
+    assert [rec.action for rec in res.normalize.trace] == ["pin"]
+    assert dual_graph(res.plan).edges == g.edges

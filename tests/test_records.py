@@ -17,6 +17,7 @@ import pkgutil
 import pytest
 
 import lplan
+import lplan.rel as relmod
 import samples
 from lplan.boundary import find_cips, find_triplets, necessary_conditions
 from lplan.flipping import WorkItem
@@ -116,7 +117,7 @@ def test_constructed_record_contract(rec, values, text):
         rec.extra = 1
 
 
-def test_refusal_failures_and_flip_trace_reprs():
+def test_refusal_failures_and_flip_trace_reprs(monkeypatch):
     res = plan(samples.five_cip_thirteen_gon())
     first = res.failures[0]
     assert repr(first) == (
@@ -126,10 +127,12 @@ def test_refusal_failures_and_flip_trace_reprs():
     assert hash(first) == hash((first.triplet, first.stage, first.reason, first.final))
     with pytest.raises(AttributeError):
         first.final = False
+    monkeypatch.setattr(relmod, "_NODE_CAP", 4)
     refused = plan(generate_ptpg(GenSpec(40, 4, 4)), PlanOptions(triplet=(25, 29, 35))).failures
+    monkeypatch.undo()
     assert repr(refused) == (
-        "(TripletFailure(triplet=(25, 29, 35), stage='normalize', "
-        "reason='chain reached pole 43 at edge (41,35)', final=False),)"
+        "(TripletFailure(triplet=(25, 29, 35), stage='rel', "
+        "reason='label search exceeded its cap of 4 nodes', final=False),)"
     )
     norm = plan(generate_ptpg(GenSpec(n=10, seed=0))).normalize
     assert repr(norm.trace[:2]) == (

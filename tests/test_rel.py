@@ -37,7 +37,7 @@ from lplan import rel as relmod
 import samples
 from lplan.graph import edge_key
 from lplan.gen import GenSpec, generate_ptpg
-from lplan.pipeline import plan
+from lplan.pipeline import PlanOptions, plan
 from lplan.rel import (
     T1,
     T2,
@@ -61,8 +61,8 @@ PLANNABLE = (
 )
 
 
-def _completion(make):
-    res = plan(make())
+def _completion(make, triplet=None):
+    res = plan(make(), PlanOptions(triplet=triplet))
     assert res.ok, res.outcome
     return res.completion
 
@@ -242,6 +242,25 @@ def _setup_cases():
         yield _completion(make)
     for key in ((20, 1), (30, 0), (45, 2), (60, 1), (80, 1), (100, 0), (100, 1), (120, 0), (150, 2)):
         yield _generated_completion(*key)
+
+
+def test_pinned_corner_colours_reach_the_round_robin_fixpoint():
+    # A corner triplet given as pins limits (a, b) to T1 values and (b, c)
+    # to T2; seeded with their rings, the queue must reach the oracle's
+    # value sets, and the search a valid labeling with those colours.  The
+    # last case is one whose flip chain reaches a pole.
+    results = [plan(make()) for make in PLANNABLE]
+    results.append(plan(generate_ptpg(GenSpec(40, 4, 4)), PlanOptions(triplet=(25, 29, 35))))
+    for res in results:
+        ag, (a, b, c) = res.completion, res.triplet
+        edges, dom, rings, dense, seeds, _ = _search_space(ag, (a, b, c))
+        assert {dense[a], dense[b], dense[c]} <= set(seeds)
+        assert _propagate(rings, dom, seeds, [False] * len(rings) + [True], [])
+        pins = {edge_key(a, b): 0b0101, edge_key(b, c): 0b1010}
+        assert dict(zip(edges, dom)) == ring_fixpoint(ag, pins)
+        r = construct_rel(ag, (a, b, c))
+        assert (r.label(a, b), r.label(b, c)) == (T1, T2)
+        assert brute_rel_validity(r) == (True, None)
 
 
 def test_search_space_matches_the_keyed_construction():
@@ -636,9 +655,14 @@ GOLDEN_GENERATED = {
 GOLDEN_EFFORT = {(100, 0): (59, 1), (100, 1): (75, 1), (120, 0): (83, 1), (150, 2): (478, 2)}
 
 
+# plan() labels (120, 0) at its first triplet, whose flip chain reaches a
+# pole; its goldens were recorded on the completion of the next triplet.
+GOLDEN_TRIPLETS = {(120, 0): (64, 61, 92)}
+
+
 @functools.lru_cache(maxsize=None)
 def _generated_completion(n: int, seed: int):
-    return _completion(lambda: generate_ptpg(GenSpec(n=n, seed=seed)))
+    return _completion(lambda: generate_ptpg(GenSpec(n=n, seed=seed)), GOLDEN_TRIPLETS.get((n, seed)))
 
 
 def test_golden_labelings_of_tiny_completions():
