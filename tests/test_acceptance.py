@@ -17,7 +17,6 @@ import subprocess
 import sys
 import time
 
-import pytest
 from conftest import record
 
 from completions import tiny_completions

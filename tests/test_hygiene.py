@@ -1,5 +1,6 @@
-"""Import hygiene: no module imports a name it never reads, the package defines
-no top-level name or class method that nothing reads, and planning loads no
+"""Import hygiene: no module, in the package or the tests, imports a name it
+never reads, neither the package nor the tests' helper modules define a
+top-level name or class method that nothing reads, and planning loads no
 generator."""
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import lplan
 
 SRC = pathlib.Path(lplan.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+HELPERS = ("completions.py", "oracles.py", "samples.py")  # modules the tests import
 
 
 def unread_imports(source: str) -> list[str]:
@@ -41,6 +44,11 @@ def test_the_scan_names_unread_imports():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
+    assert unread_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_every_name_a_test_module_imports_is_read(path):
     assert unread_imports(path.read_text()) == []
 
 
@@ -99,6 +107,13 @@ def test_the_scan_names_unread_definitions():
 def test_every_definition_is_read_or_exported():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unread_definitions(sources, set(lplan.__all__)) == []
+
+
+def test_every_helper_definition_is_read_by_the_tests():
+    # A helper's definition counts as read when any module under tests/
+    # reads it; the test modules' own definitions are pytest's to read.
+    found = unread_definitions({p.name: p.read_text() for p in TESTS}, set())
+    assert [f for f in found if f.split(":")[0] in HELPERS] == []
 
 
 def test_planning_does_not_load_the_generator():

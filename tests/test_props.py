@@ -24,7 +24,7 @@ from lplan.boundary import find_cips
 from lplan.gen import GenSpec, generate_ptpg
 from lplan.graph import find_separating_triangles, rotate_min, validate_ptpg
 from lplan.io import parse_graph, serialize_graph, serialize_plan
-from lplan.paths import Infeasible, check_path_conditions, paths_from_splits
+from lplan.paths import check_path_conditions, paths_from_splits
 from lplan.pipeline import plan, rectangular_plan
 from lplan.rel import flip_edge, rotate_four_cycle
 
