@@ -264,8 +264,10 @@ def _search_space(
     for name, p in ag.poles.items():  # a value is its class at the key's first end
         for x, i in rows[p].items():
             dom[i] = 1 << (_POLE_CLASS[name] ^ (0 if p < x else 2))
-    for (u, v), values in zip(zip(pins, pins[1:]), (0b0101, 0b1010)):  # T1: values 0, 2
-        dom[rows[u][v]] &= values
+    if pins:  # T1 is values 0 and 2, T2 values 1 and 3
+        a, b, c = pins
+        dom[rows[a][b]] &= 0b0101
+        dom[rows[b][c]] &= 0b1010
     inner = [v for v in g.vertices if v not in poles]
     m = len(inner)
     dense = dict.fromkeys(poles, m)
