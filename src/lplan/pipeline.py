@@ -185,8 +185,9 @@ def _plan_one(g: EmbeddedGraph, triplet: Triplet, report: NecessaryReport) -> Pl
 
     Path selection refuses only with a certificate, so its failure is
     final; any later one names the stage that was running.  A flip chain
-    that fails is not a failure: the completion is labeled again with
-    (a, b) pinned to T1 and (b, c) to T2, and the trace is one pin record.
+    that fails does not end the triplet: the completion is labeled again
+    with (a, b) pinned to T1 and (b, c) to T2, and the trace is one pin
+    record.
     """
     key = tuple(triplet)
     try:
