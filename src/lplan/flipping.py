@@ -126,7 +126,6 @@ def _run_chain(r: Rel, stack: list[WorkItem], trace: list[FlipRecord], budget: i
     cycle, the repeated edge included, so that segment is done and the
     item below it is oriented afresh.
     """
-    rot = r.graph.rotation
     steps = 0
     while stack:
         steps += 1
@@ -149,11 +148,7 @@ def _run_chain(r: Rel, stack: list[WorkItem], trace: list[FlipRecord], budget: i
             continue
         segment = [_classify(r, it) for it in stack[j + 1 :] + [child]]
         w = tuple(v for kind, v in segment if kind == "case-b")
-        if len(w) != 4:
-            raise NormalizationFailed(f"repeat segment encloses {len(w)} corners, need 4")
-        if not all(v in rot[u] for u, v in zip(w, w[1:] + w[:1])):
-            raise NormalizationFailed(f"corners {w} do not close a cycle")
-        try:
+        try:  # the rotation refuses all but four distinct corners joined by labeled edges
             mode = rotate_four_cycle(r, w)
         except NotFlippable as exc:
             raise NormalizationFailed(str(exc)) from exc

@@ -32,8 +32,8 @@ the four-completion needs, and checks nothing: attach_vertex checks each
 step, and refuses one that would close a separating triangle, so a PTPG
 stays one and is never validated again.  Its darts are numbered and its
 faces walked when first read, by the code a checked build runs, so its
-dart numbers, face indices and walks equal those of a fresh build of the
-same rotation.
+dart numbers and walks equal those of a fresh build of the same
+rotation; planning reads neither.
 """
 
 from __future__ import annotations
@@ -99,22 +99,21 @@ def _successors(turn: Mapping[VertexId, dict[VertexId, int]]) -> tuple[list[Vert
     return tail, list(map(dict.__getitem__, rows, tail))
 
 
-def _walk(tail: list[VertexId], nxt: list[int]) -> tuple[list[int], list[list[VertexId]]]:
-    """The face index of every dart, and every face walk as the tails of its darts."""
-    face = [-1] * len(nxt)
+def _walk(tail: list[VertexId], nxt: list[int]) -> list[list[VertexId]]:
+    """Every face walk as the tails of its darts."""
+    seen = [False] * len(nxt)
     walks: list[list[VertexId]] = []
     for d0 in range(len(nxt)):
-        if face[d0] >= 0:
+        if seen[d0]:
             continue
-        fi = len(walks)
         walk: list[VertexId] = []
         d = d0
-        while face[d] < 0:
-            face[d] = fi
+        while not seen[d]:
+            seen[d] = True
             walk.append(tail[d])
             d = nxt[d]  # on a checked rotation nxt is a permutation: the walk closes at d0
         walks.append(walk)
-    return face, walks
+    return walks
 
 
 def _is_connected(rotation: Mapping[VertexId, Sequence[VertexId]]) -> bool:
@@ -217,7 +216,7 @@ class EmbeddedGraph:
         and the new rotation of each old vertex it meets; outer is the new
         outer cycle.  Each step must be one attach_vertex checked, so the
         result is not checked again.  Its darts are numbered and its faces
-        walked when first read: the label search reads only the rotation.
+        walked when first read: planning reads only the rotation.
         """
         g = object.__new__(EmbeddedGraph)
         vars(g).update(
@@ -226,11 +225,6 @@ class EmbeddedGraph:
             labels=dict(labels),
         )
         return g
-
-    def _walk_faces(self) -> tuple[list[int], list[list[VertexId]]]:
-        face, walks = _walk(*_successors(self._turn))
-        vars(self).update(_face=face, _walks=walks)
-        return face, walks
 
     # -- derived structure ------------------------------------------------
 
@@ -241,12 +235,8 @@ class EmbeddedGraph:
         return _number_darts(self.rotation, self.vertices)
 
     @cached_property
-    def _face(self) -> list[int]:
-        return self._walk_faces()[0]
-
-    @cached_property
     def _walks(self) -> list[list[VertexId]]:
-        return self._walk_faces()[1]
+        return _walk(*_successors(self._turn))
 
     @cached_property
     def _tri_faces(self) -> int:
@@ -259,11 +249,6 @@ class EmbeddedGraph:
     @cached_property
     def edges(self) -> frozenset[Edge]:
         return frozenset(edge_key(u, v) for u, nbrs in self.rotation.items() for v in nbrs)
-
-    @cached_property
-    def outer_face_index(self) -> int:
-        # The dart that follows outer[0] -> outer[1] lies on the same face.
-        return self._face[self._turn[self.outer[1]][self.outer[0]]]
 
     @cached_property
     def chords(self) -> tuple[Edge, ...]:
@@ -283,29 +268,6 @@ class EmbeddedGraph:
 
 def common_neighbors(g: EmbeddedGraph, u: VertexId, v: VertexId) -> tuple[VertexId, ...]:
     return tuple(sorted(set(g.rotation[u]).intersection(g.rotation[v])))
-
-
-def faces_inside_cycle(g: EmbeddedGraph, cycle: Sequence[VertexId]) -> frozenset[int]:
-    """Indices of faces strictly inside a simple cycle of the embedding.
-
-    The faces beside one cycle edge are flooded in lockstep, never across the
-    cycle; once one side meets the outer face, the other is flooded to the end.
-    """
-    cyc_edges = {edge_key(cycle[i - 1], cycle[i]) for i in range(len(cycle))}
-    turn, face, walks, outer = g._turn, g._face, g._walks, g.outer_face_index
-    sides = [({fi}, [fi]) for fi in (face[turn[cycle[1]][cycle[0]]], face[turn[cycle[0]][cycle[1]]])]
-    i = 1 if outer in sides[0][0] else 0  # side i never holds the outer face
-    while sides[i][1]:
-        seen, frontier = sides[i]
-        walk = walks[frontier.pop()]
-        for a, b in zip(walk, walk[1:] + walk[:1]):
-            fj = face[turn[a][b]]  # the face of the reverse dart b -> a
-            if fj not in seen and edge_key(a, b) not in cyc_edges:
-                seen.add(fj)
-                frontier.append(fj)
-        if outer in seen or outer not in sides[1 - i][0]:
-            i = 1 - i
-    return frozenset(sides[i][0])
 
 
 def find_separating_triangles(g: EmbeddedGraph) -> tuple[tuple[VertexId, VertexId, VertexId], ...]:
@@ -349,11 +311,11 @@ def validate_ptpg(g: EmbeddedGraph) -> PtpgReport:
     # Where all of the 2 - V + E faces but a longer outer one are triangles, none repeats a vertex.
     if g._tri_faces + (len(g.outer) != 3) == 2 - len(rot) + sum(map(len, rot.values())) // 2:
         return PtpgReport(True, (), find_separating_triangles(g))
-    k = g.outer_face_index
-    long = [(i, w) for i, w in enumerate(g._walks) if len(w) != 3]  # a triangle repeats no vertex
+    long = [w for w in g._walks if len(w) != 3]  # a triangle repeats no vertex
     return PtpgReport(
-        is_biconnected=all(len(set(w)) == len(w) for _, w in long),
-        nontriangular_interior_faces=tuple(rotate_min(w) for i, w in long if i != k),
+        is_biconnected=all(len(set(w)) == len(w) for w in long),
+        # the outer cycle bounds a face, and only that walk holds its darts
+        nontriangular_interior_faces=tuple(rotate_min(w) for w in long if not cyclic_eq(w, g.outer)),
         separating_triangles=find_separating_triangles(g),
     )
 

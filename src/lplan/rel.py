@@ -34,7 +34,9 @@ are built only after the check passes.  flip_edge and
 rotate_four_cycle are the local moves of label normalization (a
 degree-4 vertex flips by rotating its neighbour cycle); each tries its
 candidate labels through _relabel, which checks only the rings they
-change.
+change.  A 4-cycle's inside is the side of it that a flood over the
+rotation finds without a pole (_inside): no move numbers a dart or
+walks a face.
 """
 
 from __future__ import annotations
@@ -43,13 +45,7 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 
-from .graph import (
-    Edge,
-    EmbeddedGraph,
-    VertexId,
-    edge_key,
-    faces_inside_cycle,
-)
+from .graph import Edge, EmbeddedGraph, VertexId, edge_key
 from .paths import AugmentedGraph
 
 T1 = "T1"
@@ -437,17 +433,54 @@ def flip_edge(r: Rel, u: VertexId, v: VertexId) -> None:
     _relabel(r, [e], both, (u, v), f"flip of {e} admits no valid direction")
 
 
+def _inside(r: Rel, w: tuple[VertexId, ...]) -> set[Edge]:
+    """The edges strictly inside the 4-cycle w, which holds no pole, read off the rotation.
+
+    At each corner the neighbours strictly between its two cycle
+    neighbours lie on one side of the cycle or the other.  Both sides are
+    flooded in lockstep through the vertices off the cycle: the side that
+    reaches a pole is outside, and the other is flooded to its end.  The
+    inside edges are those at its vertices and its chords, one diagonal
+    where it holds no vertex; a completion has no separating triangle, so
+    never both.
+    """
+    rot, ring, poles = r.graph.rotation, set(w), set(r.poles.values())
+    sides: tuple[list[Edge], list[Edge]] = ([], [])
+    for p, v, n in zip(w[-1:] + w[:-1], w, w[1:] + w[:1]):
+        nbrs = rot[v]
+        k = nbrs.index(n)
+        around = nbrs[k + 1 :] + nbrs[:k]  # clockwise from n back to n
+        j = around.index(p)
+        sides[0].extend((v, u) for u in around[:j])
+        sides[1].extend((v, u) for u in around[j + 1 :])
+    seen = [{u for _, u in side} - ring for side in sides]
+    todo = [list(s) for s in seen]
+    out = [not poles.isdisjoint(s) for s in seen]
+    i = int(out[0])
+    while todo[i]:
+        for u in rot[todo[i].pop()]:
+            if u not in ring and u not in seen[i]:
+                seen[i].add(u)
+                todo[i].append(u)
+                out[i] = out[i] or u in poles
+        if out[i] or (todo[i] and not out[1 - i]):  # a used-up side without a pole is inside
+            i = 1 - i
+    return {edge_key(v, u) for v, u in sides[i]} | {edge_key(x, u) for x in seen[i] for u in rot[x]}
+
+
 def rotate_four_cycle(r: Rel, w: tuple[VertexId, ...]) -> str:
-    """Exchange colors inside an alternating 4-cycle w of a valid r; returns cw or ccw."""
+    """Exchange colors inside an alternating 4-cycle w of a valid r; returns cw or ccw.
+
+    w must be four distinct vertices joined by labeled edges in alternating
+    colors, so it holds no pole; its inside is read off the rotation (_inside).
+    """
     ring = [edge_key(a, b) for a, b in zip(w, w[1:] + w[:1])]
-    if len(set(w)) != 4 or any(e not in r.color for e in ring):
+    if len(w) != 4 or len(set(w)) != 4 or any(e not in r.color for e in ring):
         raise NotFlippable(f"not a labeled 4-cycle: {w}")
     labs = [r.color[e] for e in ring]
     if labs[0] != labs[2] or labs[1] != labs[3] or labs[0] == labs[1]:
         raise NotFlippable(f"cycle {w} is not alternating: {labs}")
-    inside = faces_inside_cycle(r.graph, w)
-    faces = map(r.graph._walks.__getitem__, inside)  # their edges off the ring are inside
-    target = list({edge_key(f[j - 1], f[j]) for f in faces for j in range(len(f))} - set(ring))
+    target = list(_inside(r, w))
     old = [(r.color[e], r.orient[e]) for e in target]
     cw = [(T2, (s, t)) if col == T1 else (T1, (t, s)) for col, (s, t) in old]
     ccw = [(T2, (t, s)) if col == T1 else (T1, (s, t)) for col, (s, t) in old]

@@ -22,6 +22,7 @@ from collections import Counter, deque
 
 from lplan.boundary import Cip, Triplet, boundary_arc, find_cips
 from lplan.graph import (
+    Edge,
     EmbeddedGraph,
     InconsistentEmbedding,
     PtpgReport,
@@ -315,8 +316,8 @@ def faces(g: EmbeddedGraph) -> tuple[tuple[VertexId, ...], ...]:
 
 
 def inner_faces(g: EmbeddedGraph) -> tuple[tuple[VertexId, ...], ...]:
-    """The faces but the outer one, in face index order."""
-    k = g.outer_face_index
+    """The faces but the outer one, the face of the dart outer[0] -> outer[1], in face index order."""
+    k = dart_faces(g._walks)[g.outer[0], g.outer[1]]
     return tuple(f for i, f in enumerate(faces(g)) if i != k)
 
 
@@ -347,6 +348,13 @@ def brute_faces_inside_cycle(g: EmbeddedGraph, cycle) -> frozenset[int]:
                 reached.add(fj)
                 frontier.append(fj)
     return frozenset(fi for fi in range(len(walks)) if fi not in reached)
+
+
+def brute_inside_edges(g: EmbeddedGraph, cycle) -> set[Edge]:
+    """The edges strictly inside a simple cycle: both their darts on brute_faces_inside_cycle's faces."""
+    inside = brute_faces_inside_cycle(g, cycle)
+    face = brute_walk_darts(g.rotation)[1]  # numbered as brute_faces_inside_cycle numbers
+    return {(u, v) for (u, v), fi in face.items() if u < v and fi in inside and face[v, u] in inside}
 
 
 # -- chords, shortcuts and CIPs by arc walks ------------------------------------
@@ -830,12 +838,8 @@ def rotate_by_trial(r: Rel, w: tuple[VertexId, ...]) -> str | None:
     when brute_rel_validity accepts the labeling.  Returns "cw" or "ccw" with r
     rotated, or None with r unchanged when neither sense is valid.
     """
-    inside = brute_faces_inside_cycle(r.graph, w)
-    ring = {(min(a, b), max(a, b)) for a, b in zip(w, w[1:] + w[:1])}
-    face = brute_walk_darts(r.graph.rotation)[1]  # numbered as brute_faces_inside_cycle numbers
-    target = [
-        e for e in r.color if e not in ring and face[e] in inside and face[e[::-1]] in inside
-    ]
+    inside = brute_inside_edges(r.graph, w)
+    target = [e for e in r.color if e in inside]
     before = {e: (r.color[e], r.orient[e]) for e in target}
     for mode in ("cw", "ccw"):
         for e, (col, (s, t)) in before.items():
@@ -937,11 +941,10 @@ def read_rings(r: Rel, modules: list[VertexId]) -> tuple[dict, dict, dict]:
     return sub1, sub2, ends
 
 
-def _numbered_faces(sub: dict[VertexId, tuple[VertexId, ...]]) -> tuple[dict, list[int], int]:
-    """A sub-rotation's position map turn, the face of every dart, and the face count."""
-    turn = _number_darts(sub, sorted(sub))
-    face, walks = _walk(*_successors(turn))
-    return turn, face, len(walks)
+def _numbered_faces(sub: dict[VertexId, tuple[VertexId, ...]]) -> tuple[dict[Dart, int], int]:
+    """A sub-rotation's face of every dart (u, v), and the face count."""
+    walks = _walk(*_successors(_number_darts(sub, sorted(sub))))
+    return dart_faces(walks), len(walks)
 
 
 def face_walk_segments(r: Rel) -> tuple[dict[VertexId, tuple[int, ...]], int, int]:
@@ -960,19 +963,18 @@ def face_walk_segments(r: Rel) -> tuple[dict[VertexId, tuple[int, ...]], int, in
     modules = [v for v in r.graph.vertices if v not in r.pole_ids]
     pn, pe, ps, pw = r.pole_ids
     sub1, sub2, block_ends = read_rings(r, modules)
-    turn1, face1, k1 = _numbered_faces(sub1)
-    turn2, face2, k2 = _numbered_faces(sub2)
+    face1, k1 = _numbered_faces(sub1)
+    face2, k2 = _numbered_faces(sub2)
     rot = r.graph.rotation
     sides = {}
     for v in modules:
         near, ends = rot[v], block_ends[v]
-        t1, t2 = turn1.get(v), turn2.get(v)
-        try:  # ends[c] is read before t1 or t2 is indexed: a missing block raises KeyError(c)
+        try:  # a missing block raises KeyError(c) at ends[c]
             sides[v] = (
-                k2 if ps in near else face2[t2[ends[1]]],
-                k2 + 1 if pn in near else face2[t2[ends[3]]],
-                k1 if pw in near else face1[t1[ends[2]]],
-                k1 + 1 if pe in near else face1[t1[ends[0]]],
+                k2 if ps in near else face2[ends[1], v],
+                k2 + 1 if pn in near else face2[ends[3], v],
+                k1 if pw in near else face1[ends[2], v],
+                k1 + 1 if pe in near else face1[ends[0], v],
             )
         except KeyError as exc:
             raise ValueError(f"vertex {v} has no {_BLOCK_ORDER[exc.args[0]]} edge") from None

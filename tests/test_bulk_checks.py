@@ -10,7 +10,6 @@ directly, and a valid one the same graph.
 from __future__ import annotations
 
 import copy
-import itertools
 import json
 import random
 from collections import Counter
@@ -29,22 +28,17 @@ from lplan.graph import (
     _triangle_count,
     common_neighbors,
     edge_key,
-    faces_inside_cycle,
     find_separating_triangles,
     rotate_min,
     validate_ptpg,
 )
 from lplan.io import ParseError, doc_to_graph, graph_to_doc, parse_graph
-from lplan.pipeline import plan
 from samples import embed_by_coords
 
-from completions import tiny_completions
 from oracles import (
     brute_biconnected,
-    brute_faces_inside_cycle,
     brute_separating_triangles,
     brute_triangles,
-    brute_walk_darts,
     checked_doc_to_graph,
     common_neighbour_sum,
     faces,
@@ -578,49 +572,6 @@ def test_ptpg_report_matches_walk_tarjan_and_brute_triangles():
         assert rep == PtpgReport(rep.is_biconnected, rep.nontriangular_interior_faces, want)
         verdicts[rep.is_biconnected, bool(rep.nontriangular_interior_faces), bool(want)] += 1
     assert len(verdicts) >= 5, verdicts
-
-
-# -- faces inside a cycle -----------------------------------------------------
-
-
-def short_cycles(g: EmbeddedGraph):
-    """Every 3- and 4-cycle of g, once each."""
-    seen = set()
-    for a in g.vertices:
-        for b, c in itertools.permutations(g.rotation[a], 2):
-            cycles = [(a, b, c)] if c in g.rotation[b] else []
-            cycles += [(a, b, d, c) for d in g.rotation[b] if d != a and d in g.rotation[c]]
-            for cyc in cycles:
-                ring = frozenset(edge_key(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
-                if ring not in seen:
-                    seen.add(ring)
-                    yield cyc
-
-
-def _graphs_for_cycles():
-    yield from (make() for make in SAMPLES)
-    yield from (ag.base for ag in tiny_completions())
-    for make in (samples.pentagon_with_pocket, samples.hexagon_ring, samples.octagon_with_fan):
-        yield plan(make()).completion.base
-    for seed in range(3):
-        yield plan(generate_ptpg(GenSpec(n=12 + 4 * seed, seed=seed))).completion.base
-    yield from itertools.islice(planted_graphs(), 0, None, 4)
-
-
-def test_faces_inside_cycle_match_the_full_flood():
-    # Faces are compared by their walks: a completion numbers its faces
-    # otherwise than a fresh build of the same rotation does.
-    cycles = 0
-    for g in _graphs_for_cycles():
-        walks, walked = brute_walk_darts(g.rotation)[0], faces(g)
-        for cyc in short_cycles(g):
-            got = faces_inside_cycle(g, cyc)
-            want = brute_faces_inside_cycle(g, cyc)
-            assert {walked[i] for i in got} == {rotate_min(walks[i]) for i in want}, cyc
-            assert len(got) == len(want), cyc
-            assert got == faces_inside_cycle(g, cyc[::-1]) == faces_inside_cycle(g, cyc[1:] + cyc[:1])
-            cycles += 1
-    assert cycles > 500
 
 
 # -- neighbour sets -----------------------------------------------------------

@@ -4,7 +4,7 @@ four_completion extends the input graph instead of building the completed
 graph afresh, and attach_vertex checks each attachment as it is made.  The
 reference is the one-build completion of tests/oracles.py (fresh_completion):
 the derived graph must equal it in every structure the package reads, dart
-numbers, face indices and walks included.  attach_vertex must refuse
+numbers and face walks included.  attach_vertex must refuse
 exactly the completions whose fresh build without its rule
 (unchecked_completion) fails validate_ptpg.
 """
@@ -17,7 +17,7 @@ from collections import Counter
 from lplan.boundary import boundary_arc, find_cips, find_triplets
 from lplan.flipping import _mates
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
-from lplan.graph import common_neighbors, faces_inside_cycle, rotate_min, validate_ptpg
+from lplan.graph import common_neighbors, validate_ptpg
 from lplan.paths import (
     EmbeddingConflict,
     Infeasible,
@@ -27,13 +27,12 @@ from lplan.paths import (
     select_paths,
 )
 from lplan.pipeline import plan, rectangular_plan
-from lplan.rel import NotConstructible, Rel, construct_rel
+from lplan.rel import NotConstructible, Rel, _inside, construct_rel
 
 from completions import tiny_inputs, triangle
 from oracles import (
     alternating_four_cycles,
-    brute_faces_inside_cycle,
-    brute_walk_darts,
+    brute_inside_edges,
     faces,
     fresh_completion,
     unchecked_completion,
@@ -49,23 +48,19 @@ def assert_same_completion(derived, fresh):
     assert list(a.rotation.items()) == list(b.rotation.items())
     assert a.outer == b.outer and list(a.labels.items()) == list(b.labels.items())
     assert a == b and a.vertices == b.vertices and a.edges == b.edges
-    # numbered and walked as a fresh build is: the same darts, face indices and walks
-    assert a._turn == b._turn and a._face == b._face and a._walks == b._walks
-    assert faces(a) == faces(b) and a.outer_face_index == b.outer_face_index
+    # numbered and walked as a fresh build is: the same darts and walks
+    assert a._turn == b._turn and a._walks == b._walks and faces(a) == faces(b)
 
 
-def enclosed_faces_agree(ag) -> int:
-    """Checks faces_inside_cycle by faces on every alternating 4-cycle; their count."""
+def inside_edges_agree(ag) -> int:
+    """Checks the rotation's inside by the full face flood on every alternating 4-cycle; their count."""
     try:
         r = construct_rel(ag)
     except NotConstructible:
         return 0
-    g = r.graph
-    walks, walked = brute_walk_darts(g.rotation)[0], faces(g)
     cycles = 0
     for w in alternating_four_cycles(r):
-        got = {walked[i] for i in faces_inside_cycle(g, w)}
-        assert got == {rotate_min(walks[i]) for i in brute_faces_inside_cycle(g, w)}, w
+        assert _inside(r, w) == brute_inside_edges(r.graph, w), w
         cycles += 1
     return cycles
 
@@ -101,7 +96,7 @@ def test_derived_completion_equals_the_fresh_build():
                 assert _mates(r, x, y) == common_neighbors(fresh.base, x, y), (x, y)
                 edges += 1
         assert_same_completion(derived, fresh)
-        cycles += enclosed_faces_agree(derived)
+        cycles += inside_edges_agree(derived)
     assert len(pairs) > 400 and cycles > 2000 and edges > 40000, (len(pairs), cycles, edges)
 
 

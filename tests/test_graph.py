@@ -13,7 +13,6 @@ from lplan.graph import (
     common_neighbors,
     cyclic_eq,
     edge_key,
-    faces_inside_cycle,
     find_separating_triangles,
     rotate_min,
     validate_ptpg,
@@ -27,6 +26,7 @@ from samples import embed_by_coords
 from completions import tiny_completions
 from oracles import (
     brute_biconnected,
+    brute_faces_inside_cycle,
     brute_separating_triangles,
     brute_triangles,
     brute_walk_darts,
@@ -84,9 +84,9 @@ def test_faces_match_naive_dart_walk(make):
 
 
 def test_outer_face_is_the_boundary():
+    # validate_ptpg tells the outer face by its walk: the one walk that is g.outer.
     g = samples.pentagon_with_pocket()
-    outer = faces(g)[g.outer_face_index]
-    assert cyclic_eq(outer, g.outer) or cyclic_eq(outer, g.outer[::-1])
+    assert [w for w in g._walks if cyclic_eq(w, g.outer)] == [g._walks[dart_faces(g._walks)[g.outer[:2]]]]
 
 
 def test_inconsistent_rotation_rejected():
@@ -203,9 +203,9 @@ def test_separating_triangles_match_oracle(make):
     ours = {frozenset(t) for t in find_separating_triangles(g)}
     assert ours == brute_separating_triangles(g)
     # Every triangle reported for not being a face walk encloses a vertex.
-    walked = faces(g)
+    walks = brute_walk_darts(g.rotation)[0]
     for t in find_separating_triangles(g):
-        inside = {v for fi in faces_inside_cycle(g, t) for v in walked[fi]}
+        inside = {v for fi in brute_faces_inside_cycle(g, t) for v in walks[fi]}
         assert inside - set(t)
 
 
@@ -221,7 +221,7 @@ def test_nested_triangle_flagged():
     rep = validate_ptpg(g)
     assert not rep.verdict
     assert (2, 4, 6) in rep.separating_triangles
-    assert faces_inside_cycle(g, (2, 4, 6))
+    assert brute_faces_inside_cycle(g, (2, 4, 6))
 
 
 def test_wheel_is_a_valid_ptpg():
@@ -292,7 +292,7 @@ def test_biconnectivity_matches_tarjan():
 
 def walk_darts(rotation):
     """The library's numbered-dart walk over a rotation, as walks and dart -> face."""
-    walks = _walk(*_successors(_number_darts(rotation, sorted(rotation))))[1]
+    walks = _walk(*_successors(_number_darts(rotation, sorted(rotation))))
     return walks, dart_faces(walks)
 
 
@@ -308,7 +308,7 @@ def assert_graph_walk_matches_oracle(g):
     walks, dart_face = brute_walk_darts(g.rotation)
     assert faces(g) == tuple(rotate_min(w) for w in walks)
     assert list(dart_faces(g._walks).items()) == list(dart_face.items())
-    assert g.outer_face_index == dart_face[g.outer[:2]]
+    assert [i for i, w in enumerate(walks) if cyclic_eq(w, g.outer)] == [dart_face[g.outer[:2]]]
 
 
 @pytest.mark.parametrize("make", ALL_SAMPLES + FILTER_CASES, ids=lambda f: f.__name__)
@@ -472,9 +472,9 @@ def check_inputs():
 
 
 def assert_same_faces(g, walked):
-    turn, face, walks, k = walked
+    turn, _, walks, k = walked
     assert g._turn == turn
-    assert g._walks == walks and g._face == face and g.outer_face_index == k
+    assert g._walks == walks and [i for i, w in enumerate(walks) if cyclic_eq(w, g.outer)] == [k]
     assert faces(g) == tuple(rotate_min(w) for w in walks)
 
 

@@ -5,9 +5,7 @@ from __future__ import annotations
 import copy
 import functools
 import pickle
-import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -26,7 +24,6 @@ from lplan.boundary import find_cips, find_triplets
 from lplan.flipping import FlipRecord, NormalizeReport
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import EmbeddedGraph, edge_key, validate_ptpg
-from lplan.io import doc_to_graph
 from lplan.layout import FloorPlan, Rect, dual_graph
 from lplan.paths import select_paths
 from lplan.pipeline import (
@@ -435,7 +432,7 @@ def test_plan_walks_no_face_of_its_input():
         g = EmbeddedGraph(rotation=made.rotation, outer=made.outer)
         outcome = plan(g).outcome
         outcomes[outcome] += 1
-        assert "_walks" not in vars(g) and "_face" not in vars(g)
+        assert "_walks" not in vars(g)
         assert outcome != "TooManyCips" or "adj" not in vars(g)
     assert outcomes["Plan"] == 7 and outcomes["TooManyCips"] == 4, outcomes
 
@@ -510,30 +507,46 @@ def test_plannability_survives_mirroring_and_renumbering_on_generated_graphs():
     assert (graphs, planned) == (191, 188)
 
 
-def test_every_planted_l_plans(monkeypatch):
-    # bench/planted.py cuts random L shapes into rectangles: each dual has
-    # a non-trivial L plan by construction, without asking lplan.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    from planted import planted_graph
+def test_plannability_survives_mirroring_and_renumbering_on_planted_ls(planted_l):
+    # Every planted L has an L plan, and so do its mirror and renumbering.
+    # A graph that disagrees here is pinned as a strict xfail case, not reseeded away.
+    for n in range(8, 21, 2):
+        for seed in range(30):
+            g = planted_l(n, seed)
+            assert [plan(h).ok for h in (g, mirror(g), renumber(g))] == [True] * 3, (n, seed)
 
+
+def test_every_planted_l_plans(planted_l):
     for n in range(8, 16):
         for seed in range(200):
-            g = doc_to_graph(planted_graph(n, random.Random(f"planted:{n}:{seed}")))
+            g = planted_l(n, seed)
             res = plan(g)
             assert res.ok, (n, seed, res.failures)
             assert dual_graph(res.plan).edges == g.edges, (n, seed)
 
 
 @pytest.mark.parametrize("n, seed", [(35, 111), (35, 131), (100, 52), (100, 62), (100, 86)])
-def test_a_planted_l_whose_flip_chain_reaches_a_pole_plans_at_its_first_triplet(n, seed, monkeypatch):
+def test_a_planted_l_whose_flip_chain_reaches_a_pole_plans_at_its_first_triplet(n, seed, planted_l):
     # The planted L's of n 20, 35, 60, 100 and 150 with seeds 0-149 whose
     # first triplet's flip chain reaches a pole: the corner colours are
     # pinned, and no other triplet is tried.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    from planted import planted_graph
-
-    g = doc_to_graph(planted_graph(n, random.Random(f"planted:{n}:{seed}")))
+    g = planted_l(n, seed)
     res = plan(g)
     assert res.ok and all(f.final for f in res.failures), res.failures
     assert [rec.action for rec in res.normalize.trace] == ["pin"]
     assert dual_graph(res.plan).edges == g.edges
+
+
+def test_planning_never_numbers_or_walks_a_completion(planted_l):
+    # The label search, the flip chain and the 4-cycle rotation read the
+    # completion's rotation, labels and poles only: its darts are never
+    # numbered and its faces never walked, not even where a 4-cycle rotates.
+    graphs = [getattr(samples, name)() for name, o in sorted(PLAN_OUTCOMES.items()) if o == "Plan"]
+    graphs += [planted_l(n, seed) for n in (20, 35, 60, 100) for seed in range(10)]
+    rotated = 0
+    for g in graphs:
+        res = plan(g)
+        assert res.ok, g.outer
+        assert {"_turn", "_walks"}.isdisjoint(vars(res.completion.base)), g.outer
+        rotated += any(rec.action == "rotate" for rec in res.normalize.trace)
+    assert rotated, "no plan rotates a 4-cycle"

@@ -16,6 +16,7 @@ from completions import tiny_completions
 from oracles import (
     alternating_four_cycles,
     brute_flip_vertex,
+    brute_inside_edges,
     brute_rel_validity,
     brute_ring_defect,
     CapExceeded,
@@ -490,15 +491,19 @@ def test_rotate_four_cycle_round_trip():
     pytest.skip("no rotatable interior 4-cycle in the sample labelings")
 
 
-def test_rotation_checks_agree_with_whole_labeling_checks():
-    # rotate_four_cycle checks only the rings it changes; the oracle checks
-    # the whole labeling after each sense.  Mode, NotFlippable and the
+def test_rotation_checks_agree_with_whole_labeling_checks(planted_l):
+    # rotate_four_cycle reads the inside off the rotation and checks only
+    # the rings it changes; the oracle floods every face and checks the
+    # whole labeling after each sense.  Mode, NotFlippable and the
     # labeling left behind must agree on every alternating 4-cycle.
     rels = [construct_rel(_completion(make)) for make in PLANNABLE]
     rels += [construct_rel(_generated_completion(*key)) for key in sorted(GOLDEN_GENERATED)]
-    seen = Counter()
+    rels += [construct_rel(plan(planted_l(n, seed)).completion) for n in (35, 60, 100) for seed in range(2)]
+    seen, insides = Counter(), Counter()
     for r in rels:
         for w in alternating_four_cycles(r):
+            ends = set().union(*brute_inside_edges(r.graph, w))
+            insides["diagonal" if ends <= set(w) else "vertices"] += 1
             probe, want = clone(r), clone(r)
             try:
                 got = rotate_four_cycle(probe, w)
@@ -509,7 +514,8 @@ def test_rotation_checks_agree_with_whole_labeling_checks():
             seen[got] += 1
     # Every 4-cycle of a completion encloses faces, and on these valid
     # labelings one sense always holds.
-    assert set(seen) == {"cw", "ccw"} and sum(seen.values()) >= 150, seen
+    assert set(seen) == {"cw", "ccw"} and sum(seen.values()) >= 250, seen
+    assert insides["diagonal"] and insides["vertices"], insides  # both kinds of inside
 
 
 # -- the ring reader against the run oracle -------------------------------------
