@@ -12,6 +12,14 @@ wholesale before the chain resumes.  Every chain edge joins two inner
 vertices of a completion with no separating triangle, so its triangle
 mates are its neighbours on either side in a rotation: the chain reads
 the rotation and the labels only.
+
+The chain trusts what the labeling and its own construction guarantee.
+Every item's C is a triangle mate of its edge: the first steers with NE,
+which is attached over P1, a pre-step item with a mate, and a child with
+the third corner of the face it descends into.  A face with three inner
+corners is never one colour, as each ring puts a block of the other
+colour between an in-edge and an out-edge of one colour.  A move that
+the labeling refuses raises its own NotFlippable.
 """
 
 from __future__ import annotations
@@ -20,14 +28,14 @@ from typing import NamedTuple
 
 from .boundary import Triplet
 from .graph import VertexId, edge_key
-from .rel import T1, NotFlippable, Rel, flip_edge, rotate_four_cycle
+from .rel import T1, Rel, flip_edge, rotate_four_cycle
 
 
 class NormalizationFailed(RuntimeError):
     """The flip chain could not bring the corner labels into normal form.
 
-    Also raised when the labeling breaks an invariant the chain relies on,
-    or a repeated segment closes no alternating 4-cycle.
+    It reached a pole, ran past its budget or lost its orientation.  A
+    move the labeling refuses raises the move's NotFlippable instead.
     """
 
 
@@ -95,20 +103,14 @@ def _mates(r: Rel, x: VertexId, y: VertexId) -> tuple[VertexId, ...]:
 
 
 def _classify(r: Rel, item: WorkItem) -> tuple[str, VertexId]:
-    common = _mates(r, item.x, item.y)
-    others = [w for w in common if w != item.c]
-    if len(others) != 1:
-        raise NormalizationFailed(
-            f"edge ({item.x},{item.y}) has common neighbors {common}, steering {item.c}"
-        )
-    z = others[0]
+    """How item's edge resolves, and z, its triangle mate other than its steering c."""
+    a, b = _mates(r, item.x, item.y)
+    z = b if a == item.c else a
     if z in r.poles.values():
         raise NormalizationFailed(f"chain reached pole {z} at edge ({item.x},{item.y})")
     x_label = r.label(item.x, item.y)
     lxz = r.label(item.x, z)
     lyz = r.label(item.y, z)
-    if lxz == x_label and lyz == x_label:
-        raise NormalizationFailed(f"monochromatic triangle ({item.x},{item.y},{z})")
     if lxz != x_label and lyz == x_label:
         return "flip", z
     if lxz != x_label and lyz != x_label:
@@ -134,10 +136,7 @@ def _run_chain(r: Rel, stack: list[WorkItem], trace: list[FlipRecord], budget: i
         item = stack[-1]
         case, z = _classify(r, item)
         if case == "flip":
-            try:
-                flip_edge(r, item.x, item.y)
-            except NotFlippable as exc:
-                raise NormalizationFailed(f"unflippable chain edge ({item.x},{item.y})") from exc
+            flip_edge(r, item.x, item.y)
             stack.pop()
             trace.append(FlipRecord("flip", (item.x, item.y)))
             continue
@@ -148,10 +147,7 @@ def _run_chain(r: Rel, stack: list[WorkItem], trace: list[FlipRecord], budget: i
             continue
         segment = [_classify(r, it) for it in stack[j + 1 :] + [child]]
         w = tuple(v for kind, v in segment if kind == "case-b")
-        try:  # the rotation refuses all but four distinct corners joined by labeled edges
-            mode = rotate_four_cycle(r, w)
-        except NotFlippable as exc:
-            raise NormalizationFailed(str(exc)) from exc
+        mode = rotate_four_cycle(r, w)  # NotFlippable unless w is an alternating 4-cycle
         trace.append(FlipRecord("rotate", (w, mode)))
         del stack[j:]
         if stack:

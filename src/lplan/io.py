@@ -43,8 +43,8 @@ class ParseError(ValueError):
 # -- writing ------------------------------------------------------------------
 
 
-def _dump(x: object, out: list[str], nl: str) -> None:
-    """Append x as json.dumps(x, indent=2, sort_keys=True) writes it, nl ending each line.
+def _dump(x: object, nl: str) -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it, nl ending each line.
 
     With an indent set, json.dumps runs its pure-Python encoder; this
     writer dispatches on exact types instead.  Strings go through the
@@ -55,23 +55,17 @@ def _dump(x: object, out: list[str], nl: str) -> None:
     """
     t = type(x)
     if t is str:
-        out.append(_quote(x))
-    elif t is int:
-        out.append(int.__repr__(x))
-    elif t is list and x:
-        inner = nl + "  "
-        rows = _records(x, inner)
-        if rows is None:
-            _items(x, None, out, "[", nl)
-        else:
-            out.append("[" + inner + ("," + inner).join(rows))
-        out.append(nl + "]")
-    elif t is dict and x and {str}.issuperset(map(type, x)):
-        keys = sorted(x)
-        _items([x[k] for k in keys], keys, out, "{", nl)
-        out.append(nl + "}")
-    else:
-        out.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", nl))
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    inner = nl + "  "
+    if t is list and x:
+        rows = _records(x, inner) or [_dump(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(rows) + nl + "]"
+    if t is dict and x and {str}.issuperset(map(type, x)):
+        rows = [_quote(k) + ": " + _dump(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(rows) + nl + "}"
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _records(x: list, nl: str) -> list[str] | None:
@@ -114,29 +108,9 @@ def _records(x: list, nl: str) -> list[str] | None:
     return list(map(template.__mod__, zip(*columns)))
 
 
-def _items(values: list, keys: list[str] | None, out: list[str], opening: str, nl: str) -> None:
-    """The members of a list or, with keys, of a dict, one to a line after opening."""
-    inner = nl + "  "
-    sep = opening + inner
-    for i, v in enumerate(values):
-        head = sep if keys is None else sep + _quote(keys[i]) + ": "
-        t = type(v)
-        if t is int:
-            out.append(head + int.__repr__(v))
-        elif t is str:
-            out.append(head + _quote(v))
-        else:
-            out.append(head)
-            _dump(v, out, inner)
-        sep = "," + inner
-
-
 def _document(doc: object) -> bytes:
     """doc as json.dumps(doc, indent=2, sort_keys=True) plus a newline, in UTF-8."""
-    out: list[str] = []
-    _dump(doc, out, "\n")
-    out.append("\n")
-    return "".join(out).encode()
+    return (_dump(doc, "\n") + "\n").encode()
 
 
 # -- graph documents ----------------------------------------------------------

@@ -141,7 +141,8 @@ def _segment_graph(r: Rel) -> tuple[dict[VertexId, tuple[int, int, int, int]], t
     """Every module's bottom, top, left and right segment, and the y and x segment orders.
 
     An order is the axis's segment count and the set of pairs (a, b) of
-    segments with a below or left of b.  A missing block raises ValueError.
+    segments with a below or left of b.  r is trusted to be regular, as
+    construct_rel and the local moves leave it.
     """
     g = r.graph
     poles = r.pole_ids
@@ -169,21 +170,6 @@ def _segment_graph(r: Rel) -> tuple[dict[VertexId, tuple[int, int, int, int]], t
                 root[x] = y
     for x, p in enumerate(root):  # parents come first, so each is a root by now
         root[x] = root[p]
-
-    # A module lacks a block only where its side does not lie on a pole.
-    rot = g.rotation
-    pn, pe, ps, pw = poles
-    blocks = (
-        (ps, "T2out", {t for t, _ in across}),
-        (pn, "T2in", {h for _, h in across}),
-        (pw, "T1in", {h for _, h in up}),
-        (pe, "T1out", {t for t, _ in up}),
-    )
-    if any(set(modules).difference(have, rot[p]) for p, _, have in blocks):
-        for v in modules:
-            for p, name, have in blocks:
-                if v not in have and p not in rot[v]:
-                    raise ValueError(f"vertex {v} has no {name} edge")
 
     # Segments are numbered per axis, y before x, in the order modules meet them.
     ynum: dict[int, int] = {}

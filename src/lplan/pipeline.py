@@ -52,7 +52,7 @@ from .paths import (
     four_completion,
     select_paths,
 )
-from .rel import NotConstructible, Rel, construct_rel
+from .rel import NotConstructible, NotFlippable, Rel, construct_rel
 
 
 class InvalidInput(ValueError):
@@ -185,9 +185,9 @@ def _plan_one(g: EmbeddedGraph, triplet: Triplet, report: NecessaryReport) -> Pl
 
     Path selection refuses only with a certificate, so its failure is
     final; any later one names the stage that was running.  A flip chain
-    that fails does not end the triplet: the completion is labeled again
-    with (a, b) pinned to T1 and (b, c) to T2, and the trace is one pin
-    record.
+    that fails, or a move in it that the labeling refuses, does not end
+    the triplet: the completion is labeled again with (a, b) pinned to T1
+    and (b, c) to T2, and the trace is one pin record.
     """
     key = tuple(triplet)
     try:
@@ -205,7 +205,7 @@ def _plan_one(g: EmbeddedGraph, triplet: Triplet, report: NecessaryReport) -> Pl
         stage = "normalize"
         try:
             norm = normalize_labels(rel, triplet, ne)
-        except NormalizationFailed:  # re-solve with the colours the chain drives toward
+        except (NormalizationFailed, NotFlippable):  # re-solve with the colours the chain drives toward
             stage = "rel"
             rel = construct_rel(ag, key)
             norm = NormalizeReport(trace=(FlipRecord("pin", key),), passes=0)

@@ -305,8 +305,10 @@ def construct_rel(ag: AugmentedGraph, pins: tuple[VertexId, ...] = ()) -> Rel:
         for i, old in reversed(trail):
             dom[i] = old
 
+    pinned = f" with corner {pins} pinned" if pins else ""
+    infeasible = f"no labeling satisfies the block patterns{pinned}"
     if not _propagate(rings, dom, seeds, queued, []):
-        raise NotConstructible("pole rows admit no block pattern")
+        raise NotConstructible(infeasible)
 
     base = list(dom)
     order = list(range(len(edges)))
@@ -376,7 +378,7 @@ def construct_rel(ag: AugmentedGraph, pins: tuple[VertexId, ...] = ()) -> Rel:
         if found:
             break
         if found is not None:
-            raise NotConstructible("no labeling satisfies the block patterns")
+            raise NotConstructible(infeasible)
         dom[:] = base
         spent += quota + 1  # the overrunning search tried quota + 1 values
         attempt += 1

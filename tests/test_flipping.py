@@ -7,14 +7,10 @@ import pytest
 from oracles import brute_rel_validity
 
 import samples
-from lplan.flipping import (
-    NormalizationFailed,
-    WorkItem,
-    _run_chain,
-    normalize_labels,
-    pick_first_edge,
-)
-from lplan.graph import common_neighbors, edge_key
+from lplan import flipping
+from lplan.flipping import normalize_labels, pick_first_edge
+from lplan.gen import GenSpec, generate_ptpg
+from lplan.graph import edge_key
 from lplan.pipeline import plan
 from lplan.rel import T1, T2, construct_rel, rotate_four_cycle
 from samples import label_map
@@ -95,23 +91,30 @@ def test_normalize_is_idempotent_once_settled():
     assert rep.passes == 0
 
 
-def test_chain_rejects_a_bad_steering_vertex():
-    res = plan(samples.hexagon_ring())
-    r = construct_rel(res.completion)
-    poles = set(r.pole_ids)
-    for e in sorted(r.color):
-        x, y = e
-        if x in poles or y in poles:
-            continue
-        common = common_neighbors(r.graph, x, y)
-        if len(common) != 2:
-            continue
-        outsider = next(
-            (v for v in r.graph.vertices if v not in common and v not in e), None
-        )
-        if outsider is None:
-            continue
-        with pytest.raises(NormalizationFailed, match="has common neighbors"):
-            _run_chain(r, [WorkItem(x, y, outsider)], [], 1)
-        return
-    pytest.skip("no interior edge with two common neighbors")
+def test_every_chain_item_steers_with_a_mate_of_a_two_coloured_face(planted_l, monkeypatch):
+    # The chain trusts two facts without checking them: each item's steering
+    # vertex is a triangle mate of its edge, and the face the item reads
+    # has two colours.  Every _classify call on the plannable samples,
+    # planted L's and plannable generated graphs is checked for both.
+    real = flipping._classify
+    calls = 0
+
+    def checked(r, item):
+        nonlocal calls
+        calls += 1
+        assert item.c in flipping._mates(r, item.x, item.y), item
+        case, z = real(r, item)
+        face = {r.label(item.x, item.y), r.label(item.x, z), r.label(item.y, z)}
+        assert face == {T1, T2}, (item, z)
+        return case, z
+
+    monkeypatch.setattr(flipping, "_classify", checked)
+    graphs = [make() for make in PLANNABLE]
+    graphs += [planted_l(n, seed) for n in (20, 35, 60, 100) for seed in range(10)]
+    graphs += [generate_ptpg(GenSpec(n=n, seed=seed)) for n in range(6, 61, 2) for seed in range(4)]
+    rotated = planned = 0
+    for g in graphs:
+        res = plan(g)
+        planned += res.ok
+        rotated += res.ok and res.normalize.rotations > 0
+    assert planned > 100 and calls > 500 and rotated, (planned, calls, rotated)

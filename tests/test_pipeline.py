@@ -20,11 +20,12 @@ from test_graph import k4, octahedron
 
 import lplan.rel as relmod
 import samples
+from lplan import flipping, pipeline
 from lplan.boundary import find_cips, find_triplets
 from lplan.flipping import FlipRecord, NormalizeReport
 from lplan.gen import GenerationFailed, GenSpec, generate_ptpg
 from lplan.graph import EmbeddedGraph, edge_key, validate_ptpg
-from lplan.layout import FloorPlan, Rect, dual_graph
+from lplan.layout import FloorPlan, NonTrivialityVerdict, Rect, dual_graph
 from lplan.paths import select_paths
 from lplan.pipeline import (
     InvalidInput,
@@ -192,6 +193,52 @@ def test_pin_survives_on_a_successful_graph():
     res = plan(samples.pentagon_with_pocket(), PlanOptions(triplet=(3, 4, 5)))
     assert res.ok
     assert tuple(res.triplet) == (3, 4, 5)
+
+
+def _on_first_call(real, failure):
+    """real, except that its first call returns failure."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return failure if len(calls) == 1 else real(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("target", ("verify_nontrivial_L", "_plan_mismatch"))
+def test_a_failed_verification_ends_only_its_triplet(target, monkeypatch):
+    # pentagon_with_pocket has two admissible triplets; the first fails
+    # verification, as a flat plan or as a mismatch, and the second plans.
+    g = samples.pentagon_with_pocket()
+    first, second = (tuple(t) for t in plan(g).necessary.triplets)
+    if target == "verify_nontrivial_L":
+        failure = NonTrivialityVerdict(False, (7, 8), None)
+        reason = "plan degenerates to a rectangle (walk (7, 8))"
+    else:
+        failure = reason = "label of 1 lost"
+    monkeypatch.setattr(pipeline, target, _on_first_call(getattr(pipeline, target), failure))
+    res = plan(g)
+    assert res.ok and tuple(res.triplet) == second
+    assert res.failures == (TripletFailure(first, "verify", reason),)
+
+
+@pytest.mark.parametrize("move, action", [("flip_edge", "flip"), ("rotate_four_cycle", "rotate")])
+def test_a_move_refused_inside_the_chain_ends_in_the_pin(move, action, planted_l, monkeypatch):
+    # chorded_hexagon's chain flips three times; the planted L of n 20 and
+    # seed 8 flips, rotates a 4-cycle and flips.
+    g = samples.chorded_hexagon() if action == "flip" else planted_l(20, 8)
+    before = plan(g)
+    assert before.ok and not before.failures
+    assert action in {rec.action for rec in before.normalize.trace}
+
+    def refused(*args):
+        raise relmod.NotFlippable(f"{move} refused")
+
+    monkeypatch.setattr(flipping, move, refused)
+    res = plan(g)
+    assert res.ok and not res.failures and res.triplet == before.triplet
+    assert res.normalize == NormalizeReport(trace=(FlipRecord("pin", tuple(res.triplet)),), passes=0)
 
 
 # -- rectangular variant -------------------------------------------------------

@@ -264,6 +264,31 @@ def test_pinned_corner_colours_reach_the_round_robin_fixpoint():
         assert brute_rel_validity(r) == (True, None)
 
 
+def test_a_pinned_corner_is_refused_exactly_where_no_labeling_has_its_colours():
+    # Every corner (a, b, c) with a and c consecutive around b, off the
+    # poles, pinned on the tiny completions: the search refuses exactly the
+    # pins that no enumerated labeling satisfies, and names the corner.
+    pinned = refused = 0
+    for ag in tiny_completions():
+        poles = set(ag.pole_ids)
+        rels = enumerate_rels(ag)
+        for b in ag.base.vertices:
+            rot = ag.base.rotation[b]
+            for a, c in zip(rot, rot[1:] + rot[:1]):
+                if poles.isdisjoint((a, b, c)):
+                    pinned += 1
+                    want = any(r.label(a, b) == T1 and r.label(b, c) == T2 for r in rels)
+                    try:
+                        r = construct_rel(ag, (a, b, c))
+                    except NotConstructible as exc:
+                        refused += 1
+                        assert not want, (a, b, c)
+                        assert str(exc) == f"no labeling satisfies the block patterns with corner {(a, b, c)} pinned"
+                    else:
+                        assert want and (r.label(a, b), r.label(b, c)) == (T1, T2), (a, b, c)
+    assert (pinned, refused) == (57, 36)
+
+
 def test_search_space_matches_the_keyed_construction():
     for ag in _setup_cases():
         poles = set(ag.pole_ids)
